@@ -28,7 +28,9 @@
 //!
 //! Each figure is printed as an aligned table and saved as CSV under the
 //! output directory (default `results/`).  `quick` runs a reduced set
-//! used for smoke testing.
+//! used for smoke testing.  After the targets, the paper-claim verdicts
+//! over every figure produced are printed, and `repro` exits 1 if any
+//! claim failed.
 //!
 //! `report` runs every scenario twice with the full telemetry pipeline
 //! on (windowed monitor, span log, metrics registry, SLO rules),
@@ -958,5 +960,8 @@ fn main() {
             verdicts.len() - failed,
             verdicts.len()
         );
+        if failed > 0 {
+            std::process::exit(1);
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! comparing throughput.  This module performs no timing itself —
 //! callers (the criterion bench, the repro target) own the clock.
 
-use simkit::units::{GB, MB};
-use simkit::{run, OpId, ResourceId, Scheduler, SplitMix64, Step, World};
+use simkit::units::{Bytes, GB, MB};
+use simkit::{run, OpId, ResourceId, Scheduler, SimTime, SplitMix64, Step, World};
 
 /// Ops completed per family run; fixed so event counts are comparable
 /// across machines and commits.
@@ -95,7 +95,7 @@ impl Driver {
             // Wide sharing: one transfer crossing three of the shared
             // resources — recompute-heavy, completion batches overlap.
             0 => {
-                let units = 4096.0 + self.rng.next_below(4096) as f64;
+                let units = Bytes(4096.0 + self.rng.next_below(4096) as f64);
                 let path = self.path(3);
                 Step::transfer(units, path)
             }
@@ -104,7 +104,7 @@ impl Driver {
             1 => {
                 let hops: Vec<Step> = (0..8)
                     .map(|_| {
-                        let units = 512.0 + self.rng.next_below(512) as f64;
+                        let units = Bytes(512.0 + self.rng.next_below(512) as f64);
                         let path = self.path(1);
                         Step::transfer(units, path)
                     })
@@ -114,10 +114,10 @@ impl Driver {
             // Timer-heavy: a seeded delay then a small transfer —
             // stresses the timer heap against the flow deadline race.
             _ => {
-                let ns = 1_000 + self.rng.next_below(100_000);
-                let units = 256.0 + self.rng.next_below(256) as f64;
+                let delay = SimTime::from_nanos(1_000 + self.rng.next_below(100_000));
+                let units = Bytes(256.0 + self.rng.next_below(256) as f64);
                 let path = self.path(1);
-                Step::delay(ns).then(Step::transfer(units, path))
+                Step::delay(delay).then(Step::transfer(units, path))
             }
         }
     }

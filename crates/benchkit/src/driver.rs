@@ -4,14 +4,12 @@
 //! end of the last one.
 
 use cluster::bench::ProcWorkload;
-use cluster::units;
 use simkit::{run, OpId, Scheduler, SimTime, World};
 
 /// Result of one measured phase.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseResult {
     /// Logical bytes moved in the measured window.
-    // simlint::dim(bytes)
     pub bytes: f64,
     /// Measured window in (simulated) seconds.
     pub seconds: f64,
@@ -116,7 +114,7 @@ pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseRes
             // deterministic stagger reproduces that decorrelation;
             // without it, identical queue-depth-1 processes march in
             // lock-step waves that leave devices idle between waves.
-            let stagger = start_stagger_ns(p);
+            let stagger = start_stagger(p);
             for i in 0..initial {
                 let step = world.wl.op(p, i);
                 sched.submit_after(stagger, step, OpId(p as u64));
@@ -140,16 +138,6 @@ pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseRes
         // buffered writers flush real data during finalize; count it
         t_end = sched.now();
     }
-
-    // simlint::allow(env-dependent-sim) — opt-in diagnostics printout; no effect on results
-    if std::env::var_os("SIMKIT_DIAG").is_some() {
-        eprintln!(
-            "[diag] recomputes={} flow_visits={} fill_iters={} settle={:.1}s rebuild={:.1}s solve={:.1}s ({} procs x {} ops)",
-            sched.stat_recomputes, sched.stat_flow_visits, sched.stat_fill_iters,
-            units::ns_to_secs(sched.stat_ns[0]), units::ns_to_secs(sched.stat_ns[1]), units::ns_to_secs(sched.stat_ns[2]),
-            procs, ops_per_proc
-        );
-    }
     let total_ops = procs * ops_per_proc;
     PhaseResult {
         bytes: total_ops as f64 * wl.bytes_per_op() + finalize_bytes,
@@ -159,11 +147,11 @@ pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseRes
 }
 
 /// Deterministic per-process start jitter, uniform in [0, 2 ms).
-pub(crate) fn start_stagger_ns(proc: usize) -> u64 {
+pub(crate) fn start_stagger(proc: usize) -> SimTime {
     let mut z = proc as u64 ^ 0x9e37_79b9_7f4a_7c15;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) % 2_000_000
+    SimTime::from_nanos((z ^ (z >> 31)) % 2_000_000)
 }
 
 /// A trivial workload for driver tests: each process performs `ops`
@@ -171,7 +159,7 @@ pub(crate) fn start_stagger_ns(proc: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::{ResourceId, Step};
+    use simkit::{Bytes, ResourceId, Step};
 
     struct Uniform {
         procs: usize,
@@ -187,7 +175,7 @@ mod tests {
             0
         }
         fn setup(&mut self, _p: usize) -> Step {
-            Step::delay(1000)
+            Step::delay(SimTime(1000))
         }
         fn ops_per_proc(&self) -> usize {
             self.ops
@@ -196,7 +184,7 @@ mod tests {
             self.bytes
         }
         fn op(&mut self, _p: usize, _i: usize) -> Step {
-            Step::transfer(self.bytes, [self.res])
+            Step::transfer(Bytes(self.bytes), [self.res])
         }
     }
 
@@ -237,7 +225,7 @@ mod tests {
                 0
             }
             fn setup(&mut self, _p: usize) -> Step {
-                Step::delay(5_000_000_000) // five slow seconds
+                Step::delay(SimTime(5_000_000_000)) // five slow seconds
             }
             fn ops_per_proc(&self) -> usize {
                 1
@@ -246,7 +234,7 @@ mod tests {
                 100.0
             }
             fn op(&mut self, _p: usize, _i: usize) -> Step {
-                Step::transfer(100.0, [self.res])
+                Step::transfer(Bytes(100.0), [self.res])
             }
         }
         let mut sched = Scheduler::new();

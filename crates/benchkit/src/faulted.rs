@@ -26,7 +26,7 @@
 //! fault) — must be bit-identical across replays; [`replay_faulted`]
 //! checks exactly that.
 
-use crate::driver::{run_phase, start_stagger_ns, PhaseResult};
+use crate::driver::{run_phase, start_stagger, PhaseResult};
 use crate::scenarios::{exec, make_sched, RunSpec};
 use cluster::bench::{Phase, ProcWorkload};
 use cluster::{Calibration, ClusterSpec, Topology};
@@ -48,7 +48,7 @@ const MS: u64 = 1_000_000;
 /// reads touching the dead targets run degraded: the first op from each
 /// client node fails with `TargetDown` and its retry takes the
 /// fail-over/reconstruction path.
-const REBUILD_DETECT_NS: u64 = 2_000_000;
+const REBUILD_DETECT: SimTime = SimTime::from_millis(2);
 
 /// Marker op ids for the rebuild chain, far above any process index.
 const OP_REBUILD_TRIGGER: OpId = OpId(1 << 40);
@@ -291,7 +291,7 @@ impl<W: ProcWorkload> World for FaultedWorld<'_, W> {
                     .crash_target(TargetId::unpack(payload));
                 if self.out.crash_at.is_none() {
                     self.out.crash_at = Some(sched.now());
-                    sched.submit(Step::delay(REBUILD_DETECT_NS), OP_REBUILD_TRIGGER);
+                    sched.submit(Step::delay(REBUILD_DETECT), OP_REBUILD_TRIGGER);
                 }
             }
             FaultAction::TargetRestart(payload) => {
@@ -364,7 +364,7 @@ fn run_faulted_phase<W: ProcWorkload>(
         },
     };
     for p in 0..procs {
-        let stagger = start_stagger_ns(p);
+        let stagger = start_stagger(p);
         for i in 0..initial {
             let step = world.wl.op(p, i);
             sched.submit_after(stagger, step, OpId(p as u64));

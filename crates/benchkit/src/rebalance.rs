@@ -29,7 +29,7 @@
 //! [`crate::chaos`].
 
 use crate::chaos::{determinism_violation, ChaosVerdict, SwarmReport};
-use crate::driver::{run_phase, start_stagger_ns, PhaseResult};
+use crate::driver::{run_phase, start_stagger, PhaseResult};
 use crate::faulted::PlanSource;
 use crate::scenarios::{exec, make_sched, RunSpec};
 use cluster::bench::{Phase, ProcWorkload};
@@ -57,7 +57,7 @@ const WAVE_MOVES: usize = 8;
 
 /// Crash-to-rebuild detection delay, same constant as the faulted
 /// family (RAS propagation + pool-map distribution).
-const REBUILD_DETECT_NS: u64 = 2_000_000;
+const REBUILD_DETECT: SimTime = SimTime::from_millis(2);
 
 /// Marker op ids, far above any process index and disjoint from the
 /// faulted family's `1 << 40` block.
@@ -332,7 +332,7 @@ impl<W: ProcWorkload> World for RebalanceWorld<'_, W> {
                     self.daos.borrow_mut().crash_target(t);
                     if self.out.crash_at.is_none() {
                         self.out.crash_at = Some(sched.now());
-                        sched.submit(Step::delay(REBUILD_DETECT_NS), OP_REBUILD_TRIGGER);
+                        sched.submit(Step::delay(REBUILD_DETECT), OP_REBUILD_TRIGGER);
                     }
                 }
             }
@@ -386,7 +386,7 @@ fn run_rebalance_phase<W: ProcWorkload>(
         },
     };
     for p in 0..procs {
-        let stagger = start_stagger_ns(p);
+        let stagger = start_stagger(p);
         for i in 0..initial {
             let step = world.wl.op(p, i);
             sched.submit_after(stagger, step, OpId(p as u64));

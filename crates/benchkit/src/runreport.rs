@@ -34,7 +34,6 @@ use std::fmt::Write as _;
 /// Telemetry / monitor window width for reported runs: 10 ms of sim
 /// time, fine enough that a small scenario still spans tens of windows,
 /// coarse enough that counter-track exports stay a few hundred KiB.
-// simlint::dim(ns)
 pub const RUN_REPORT_WINDOW_NS: u64 = 10_000_000;
 
 /// Utilisation fraction at or above which a window counts as busy for
@@ -101,15 +100,10 @@ pub struct LatencyRow {
     pub op: &'static str,
     /// Closed spans measured.
     pub count: u64,
-    // simlint::dim(ns)
     pub p50: u64,
-    // simlint::dim(ns)
     pub p95: u64,
-    // simlint::dim(ns)
     pub p99: u64,
-    // simlint::dim(ns)
     pub p999: u64,
-    // simlint::dim(ns)
     pub max: u64,
 }
 
@@ -128,7 +122,6 @@ pub struct RunReport {
     /// Span-stream digest.
     pub span_digest: u64,
     /// Telemetry/monitor window width.
-    // simlint::dim(ns)
     pub window_ns: u64,
     /// Windows the longest metric row spans.
     pub num_windows: usize,

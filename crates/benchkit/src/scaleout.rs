@@ -246,7 +246,7 @@ pub fn run_scaleout_with(cfg: &ScaleoutConfig, cal: &Calibration) -> ScaleoutRep
     // uniform random placement spreads data evenly, so time-to-last-byte
     // is paced by the slowest device generation in the cycle
     let min_speed = cfg.speed_cycle.iter().copied().fold(f64::MAX, f64::min);
-    let expected = min_speed * cal.server_nvme_write_bw / GIB;
+    let expected = min_speed * cal.server_nvme_write_bw.get() / GIB;
 
     let mut verdicts = Vec::new();
     // shape: every doubling of servers lands close to doubled bandwidth

@@ -21,7 +21,7 @@
 use cluster::payload::{Payload, ReadPayload};
 use cluster::Topology;
 use daos_core::{Retriable, RetryExec, RetryPolicy, RetryStats};
-use simkit::{ResourceId, Scheduler, Step};
+use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step};
 use std::collections::BTreeMap;
 
 /// Data-mode mirror of the store.
@@ -129,8 +129,8 @@ pub struct CephSystem {
     objects: BTreeMap<String, RadosObject>,
     wal_factor: f64,
     max_object: f64,
-    op_ns: u64,
-    rtt_ns: u64,
+    op_ns: SimTime,
+    rtt_ns: SimTime,
     /// Retry machinery around the data path (off by default).
     retry: RetryExec,
 }
@@ -166,8 +166,10 @@ impl CephSystem {
         for s in 0..servers {
             for o in 0..cal.osds_per_server {
                 osd_svc.push(sched.add_resource(format!("ceph.osd{s}.{o}.svc"), cal.osd_svc_iops));
-                osd_wbw.push(sched.add_resource(format!("ceph.osd{s}.{o}.w"), cal.osd_write_bw));
-                osd_rbw.push(sched.add_resource(format!("ceph.osd{s}.{o}.r"), cal.osd_read_bw));
+                osd_wbw
+                    .push(sched.add_resource(format!("ceph.osd{s}.{o}.w"), cal.osd_write_bw.get()));
+                osd_rbw
+                    .push(sched.add_resource(format!("ceph.osd{s}.{o}.r"), cal.osd_read_bw.get()));
             }
         }
         // PG → OSD mapping.  Primaries are assigned evenly (each OSD
@@ -213,7 +215,7 @@ impl CephSystem {
             osd_rbw,
             objects: BTreeMap::new(),
             wal_factor: cal.osd_wal_factor,
-            max_object: cal.rados_max_object_bytes,
+            max_object: cal.rados_max_object_bytes.get(),
             op_ns: cal.rados_op_ns,
             rtt_ns: cal.net_rtt_ns,
             retry: RetryExec::disabled(),
@@ -272,13 +274,16 @@ impl CephSystem {
         let cli = &self.topo.clients[client];
         let dev = srv.nvme_w[devi % srv.nvme_w.len()];
         Step::seq([
-            Step::transfer(1.0, [self.osd_svc[osd as usize]]),
+            Step::transfer(Bytes(1.0), [self.osd_svc[osd as usize]]),
             // reception and the WAL/apply drain pipeline: BlueStore
             // journals asynchronously while data keeps arriving
             Step::par([
-                Step::transfer(bytes, [cli.nic_tx, srv.nic_rx, self.osd_wbw[osd as usize]]),
                 Step::transfer(
-                    bytes * self.wal_factor,
+                    Bytes(bytes),
+                    [cli.nic_tx, srv.nic_rx, self.osd_wbw[osd as usize]],
+                ),
+                Step::transfer(
+                    Bytes(bytes * self.wal_factor),
                     [dev, self.topo.servers[node].nvme_w_pool],
                 ),
             ]),
@@ -292,10 +297,10 @@ impl CephSystem {
         let cli = &self.topo.clients[client];
         let dev = srv.nvme_r[devi % srv.nvme_r.len()];
         Step::seq([
-            Step::transfer(1.0, [self.osd_svc[osd as usize]]),
+            Step::transfer(Bytes(1.0), [self.osd_svc[osd as usize]]),
             Step::delay(self.topo.cal.nvme_read_lat_ns),
             Step::transfer(
-                bytes,
+                Bytes(bytes),
                 [
                     dev,
                     srv.nvme_r_pool,
@@ -465,7 +470,7 @@ impl CephSystem {
             Step::seq([
                 Step::delay(self.op_ns),
                 Step::delay(self.rtt_ns),
-                Step::transfer(1.0, [self.osd_svc[primary as usize]]),
+                Step::transfer(Bytes(1.0), [self.osd_svc[primary as usize]]),
             ]),
         );
         Ok((obj.size, step))
@@ -737,7 +742,8 @@ mod tests {
         let bw_bound = topo
             .cal
             .osd_write_bw
-            .min(topo.cal.nvme_dev_write_bw() * topo.cal.nvme_dev_burst / topo.cal.osd_wal_factor);
+            .min(topo.cal.nvme_dev_write_bw() * topo.cal.nvme_dev_burst / topo.cal.osd_wal_factor)
+            .get();
         assert!(
             sched.now().as_secs_f64() >= (100 << 20) as f64 / bw_bound * 0.99,
             "single-object stream cannot beat one OSD: {} s",

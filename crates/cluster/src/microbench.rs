@@ -7,14 +7,13 @@
 //! baselines in every figure.
 
 use crate::spec::ClusterSpec;
-use crate::units::MIB;
+use crate::units::{Bytes, MIB};
 use simkit::{run, OpId, Scheduler, SimTime, Step, World};
 
 /// Result of a micro-benchmark run.
 #[derive(Debug, Clone, Copy)]
 pub struct MicroResult {
     /// Bytes moved in total.
-    // simlint::dim(bytes)
     pub bytes: f64,
     /// Wall-clock seconds (simulated).
     pub seconds: f64,
@@ -54,7 +53,7 @@ pub fn dd_all_devices(blocks: u64, block_bytes: f64, write: bool) -> MicroResult
     for &dev in devs {
         // dd streams sequentially; in the fluid model one long transfer
         // per device is equivalent to 1000 back-to-back blocks.
-        sched.submit(Step::transfer(total, [dev, pool]), OpId(0));
+        sched.submit(Step::transfer(Bytes(total), [dev, pool]), OpId(0));
     }
     let mut w = LastDone(SimTime::ZERO);
     run(&mut sched, &mut w);
@@ -74,7 +73,7 @@ pub fn iperf(bytes: f64, client_to_server: bool) -> MicroResult {
     } else {
         topo.net_to_client(0, 0)
     };
-    sched.submit(Step::transfer(bytes, path), OpId(0));
+    sched.submit(Step::transfer(Bytes(bytes), path), OpId(0));
     let mut w = LastDone(SimTime::ZERO);
     run(&mut sched, &mut w);
     MicroResult {

@@ -41,7 +41,6 @@ pub enum FsError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileStat {
     /// Size in bytes.
-    // simlint::dim(bytes)
     pub size: u64,
     /// True for directories.
     pub is_dir: bool,

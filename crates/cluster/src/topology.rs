@@ -55,29 +55,33 @@ impl Topology {
                 // node pool) without touching its NIC
                 let speed = spec.server_speed(s);
                 ServerNode {
-                    nic_tx: sched.add_resource(format!("srv{s}.nic_tx"), cal.nic_bw),
-                    nic_rx: sched.add_resource(format!("srv{s}.nic_rx"), cal.nic_bw),
+                    nic_tx: sched.add_resource(format!("srv{s}.nic_tx"), cal.nic_bw.get()),
+                    nic_rx: sched.add_resource(format!("srv{s}.nic_rx"), cal.nic_bw.get()),
                     nvme_w: (0..ndev)
-                        .map(|d| sched.add_resource(format!("srv{s}.nvme{d}.w"), dev_w * speed))
+                        .map(|d| {
+                            sched.add_resource(format!("srv{s}.nvme{d}.w"), (dev_w * speed).get())
+                        })
                         .collect(),
                     nvme_r: (0..ndev)
-                        .map(|d| sched.add_resource(format!("srv{s}.nvme{d}.r"), dev_r * speed))
+                        .map(|d| {
+                            sched.add_resource(format!("srv{s}.nvme{d}.r"), (dev_r * speed).get())
+                        })
                         .collect(),
                     nvme_w_pool: sched.add_resource(
                         format!("srv{s}.nvme.wpool"),
-                        cal.server_nvme_write_bw * speed,
+                        (cal.server_nvme_write_bw * speed).get(),
                     ),
                     nvme_r_pool: sched.add_resource(
                         format!("srv{s}.nvme.rpool"),
-                        cal.server_nvme_read_bw * speed,
+                        (cal.server_nvme_read_bw * speed).get(),
                     ),
                 }
             })
             .collect();
         let clients = (0..spec.clients)
             .map(|c| ClientNode {
-                nic_tx: sched.add_resource(format!("cli{c}.nic_tx"), cal.nic_bw),
-                nic_rx: sched.add_resource(format!("cli{c}.nic_rx"), cal.nic_bw),
+                nic_tx: sched.add_resource(format!("cli{c}.nic_tx"), cal.nic_bw.get()),
+                nic_rx: sched.add_resource(format!("cli{c}.nic_rx"), cal.nic_bw.get()),
             })
             .collect();
         Topology {
@@ -113,7 +117,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::GIB;
+    use crate::units::{Bytes, GIB};
     use simkit::{run, OpId, SimTime, Step, World};
 
     struct Done(SimTime);
@@ -144,7 +148,7 @@ mod tests {
         let mut sched = Scheduler::new();
         let topo = ClusterSpec::new(1, 1).build(&mut sched);
         let path = topo.net_to_server(0, 0);
-        sched.submit(Step::transfer(6.25 * GIB, path), OpId(0));
+        sched.submit(Step::transfer(Bytes(6.25 * GIB), path), OpId(0));
         let mut w = Done(SimTime::ZERO);
         run(&mut sched, &mut w);
         assert!((w.0.as_secs_f64() - 1.0).abs() < 1e-6);

@@ -13,9 +13,9 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let p = base.perturb(&mut rng);
         let amp = base.jitter_amp;
-        prop_assert!((p.server_nvme_write_bw / base.server_nvme_write_bw - 1.0).abs() <= amp);
-        prop_assert!((p.server_nvme_read_bw / base.server_nvme_read_bw - 1.0).abs() <= amp);
-        prop_assert!((p.engine_xfer_bw / base.engine_xfer_bw - 1.0).abs() <= amp);
+        prop_assert!((p.server_nvme_write_bw.get() / base.server_nvme_write_bw.get() - 1.0).abs() <= amp);
+        prop_assert!((p.server_nvme_read_bw.get() / base.server_nvme_read_bw.get() - 1.0).abs() <= amp);
+        prop_assert!((p.engine_xfer_bw.get() / base.engine_xfer_bw.get() - 1.0).abs() <= amp);
         prop_assert!((p.mds_iops / base.mds_iops - 1.0).abs() <= amp + 1e-9);
         // the structural orderings the model depends on survive
         prop_assert!(p.engine_xfer_bw > p.server_nvme_write_bw, "write stays SSD-bound");

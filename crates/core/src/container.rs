@@ -20,7 +20,6 @@ pub struct ContainerProps {
     /// Default object class for Key-Values.
     pub kv_class: ObjectClass,
     /// Default Array chunk size in bytes.
-    // simlint::dim(bytes)
     pub chunk_size: u64,
 }
 

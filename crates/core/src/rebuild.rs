@@ -24,7 +24,6 @@ pub struct RebuildReport {
     /// Shards moved to replacement targets.
     pub shards_rebuilt: usize,
     /// Logical bytes reconstructed and rewritten.
-    // simlint::dim(bytes)
     pub bytes_moved: f64,
     /// Shards that had no surviving redundancy (data loss).
     pub shards_lost: usize,
@@ -44,7 +43,6 @@ impl RebuildReport {
         for (name, value) in [
             ("daos.rebuild.objects_scanned", self.objects_scanned as u64),
             ("daos.rebuild.shards_rebuilt", self.shards_rebuilt as u64),
-            // simlint::dim(bytes)
             ("daos.rebuild.bytes_moved", self.bytes_moved as u64),
             ("daos.rebuild.shards_lost", self.shards_lost as u64),
         ] {

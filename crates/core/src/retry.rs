@@ -44,13 +44,10 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Simulated time a failed attempt costs before the client gives up
     /// on it (RPC timeout).
-    // simlint::dim(ns)
     pub op_timeout_ns: u64,
     /// Base backoff before retry `n` (doubles each retry).
-    // simlint::dim(ns)
     pub backoff_base_ns: u64,
     /// Ceiling on a single backoff wait.
-    // simlint::dim(ns)
     pub backoff_cap_ns: u64,
     /// Multiplicative jitter amplitude on each backoff (0.0 = none,
     /// 0.25 = uniform in `[0.75, 1.25]×`), drawn from the executor's
@@ -256,7 +253,7 @@ impl RetryExec {
                             "backoff",
                             0,
                             attempt,
-                            Step::delay(penalty_ns).then(step),
+                            Step::delay(SimTime::from_nanos(penalty_ns)).then(step),
                         )
                     } else {
                         step
@@ -339,7 +336,7 @@ mod tests {
                 left -= 1;
                 Err(E::Transient)
             } else {
-                Ok((7, Step::delay(10)))
+                Ok((7, Step::delay(SimTime(10))))
             }
         }
     }
@@ -347,7 +344,7 @@ mod tests {
     fn total_delay_ns(step: &Step) -> u64 {
         match step {
             Step::Noop | Step::Transfer { .. } => 0,
-            Step::Delay(ns) => *ns,
+            Step::Delay(d) => d.as_nanos(),
             Step::Seq(steps) | Step::Par(steps) => steps.iter().map(total_delay_ns).sum(),
             Step::Span { inner, .. } => total_delay_ns(inner),
         }

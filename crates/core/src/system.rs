@@ -31,7 +31,7 @@ use crate::pool::{PoolMap, TargetId};
 use crate::rebuild::{pick_replacement, RebuildReport};
 use cluster::payload::{Payload, ReadPayload};
 use cluster::{units, Calibration, Topology};
-use simkit::{ResourceId, Scheduler, Step};
+use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors surfaced by the DAOS API.
@@ -125,7 +125,6 @@ pub struct MigrationProgress {
     /// them stale (object gone, layout remapped, destination down).
     pub moves_dropped: usize,
     /// Logical bytes shipped by completed waves.
-    // simlint::dim(bytes)
     pub moved_bytes: f64,
 }
 
@@ -143,7 +142,6 @@ impl MigrationProgress {
         for (name, value) in [
             ("daos.migration.moves_done", self.moves_done as u64),
             ("daos.migration.moves_dropped", self.moves_dropped as u64),
-            // simlint::dim(bytes)
             ("daos.migration.moved_bytes", self.moved_bytes as u64),
         ] {
             let id = tel.counter(name);
@@ -161,7 +159,6 @@ pub struct RebalanceReport {
     /// Shard moves planned (layouts already remapped).
     pub moves_planned: usize,
     /// Logical bytes the planned moves will ship.
-    // simlint::dim(bytes)
     pub bytes_planned: f64,
     /// Drained shards left in place because no destination was
     /// available; they are lost when the drain completes.
@@ -212,7 +209,6 @@ pub struct CsumStats {
     /// Rotten shard copies transparently repaired.
     pub repaired: u64,
     /// Bytes rewritten by transparent repair.
-    // simlint::dim(bytes)
     pub repaired_bytes: u64,
     /// Verification units whose rot exceeded the class redundancy: the
     /// access fails with [`DaosError::BadChecksum`] instead of serving.
@@ -236,7 +232,6 @@ impl CsumStats {
             ("daos.csum.verified", self.verified),
             ("daos.csum.detected", self.detected),
             ("daos.csum.repaired", self.repaired),
-            // simlint::dim(bytes)
             ("daos.csum.repaired_bytes", self.repaired_bytes),
             ("daos.csum.unrepairable", self.unrepairable),
             ("daos.csum.served_corrupt", self.served_corrupt),
@@ -253,7 +248,6 @@ pub struct ScrubReport {
     /// Scan units verified (array chunks and KV values).
     pub units_scanned: u64,
     /// Stored bytes the scan read.
-    // simlint::dim(bytes)
     pub bytes_scanned: u64,
     /// Rotten copies the scrubber detected (before any read hit them).
     pub detected: u64,
@@ -278,7 +272,6 @@ impl ScrubReport {
         }
         for (name, value) in [
             ("daos.scrub.units_scanned", self.units_scanned),
-            // simlint::dim(bytes)
             ("daos.scrub.bytes_scanned", self.bytes_scanned),
             ("daos.scrub.detected", self.detected),
             ("daos.scrub.repaired", self.repaired),
@@ -368,7 +361,8 @@ impl DaosSystem {
         let cal = topo.cal.clone();
         let srv_res = (0..servers)
             .map(|s| ServerRes {
-                engine_xfer: sched.add_resource(format!("daos{s}.engine"), cal.engine_xfer_bw),
+                engine_xfer: sched
+                    .add_resource(format!("daos{s}.engine"), cal.engine_xfer_bw.get()),
                 tgt_svc: (0..cal.targets_per_server)
                     .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), cal.target_svc_iops))
                     .collect(),
@@ -512,7 +506,7 @@ impl DaosSystem {
         let dev = self.dev_for(t);
         // small writes land in the engine's write-ahead log (DRAM-backed
         // on these VMs) and skip the bulk device latency
-        let lat = if bytes >= self.cal.bulk_io_threshold {
+        let lat = if bytes >= self.cal.bulk_io_threshold.get() {
             self.cal.nvme_write_lat_ns
         } else {
             self.cal.small_write_lat_ns
@@ -525,7 +519,7 @@ impl DaosSystem {
             Step::seq([
                 self.tgt_request_sized(t, bytes),
                 Step::transfer(
-                    bytes,
+                    Bytes(bytes),
                     [
                         cli.nic_tx,
                         srv.nic_rx,
@@ -546,11 +540,13 @@ impl DaosSystem {
     /// count for bandwidth workloads without changing where they
     /// saturate.
     fn tgt_request_sized(&self, t: TargetId, bytes: f64) -> Step {
-        if bytes >= self.cal.bulk_io_threshold {
-            Step::delay(units::ops_interval_ns(self.cal.target_svc_iops))
+        if bytes >= self.cal.bulk_io_threshold.get() {
+            Step::delay(SimTime::from_nanos(units::ops_interval_ns(
+                self.cal.target_svc_iops,
+            )))
         } else {
             Step::transfer(
-                1.0,
+                Bytes(1.0),
                 [self.srv_res[t.server as usize].tgt_svc[t.target as usize]],
             )
         }
@@ -572,7 +568,7 @@ impl DaosSystem {
                 self.tgt_request_sized(t, bytes),
                 Step::delay(self.cal.nvme_read_lat_ns + extra),
                 Step::transfer(
-                    bytes,
+                    Bytes(bytes),
                     [
                         srv.nvme_r[dev],
                         srv.nvme_r_pool,
@@ -585,9 +581,16 @@ impl DaosSystem {
         )
     }
 
+    /// Client-side erasure-code encode or decode of `bytes`.  Truncates
+    /// to whole nanoseconds, where `Bytes / Rate` would round up.
+    fn ec_codec(&self, bytes: f64) -> Step {
+        let secs = bytes / self.cal.ec_encode_bw.get();
+        Step::delay(SimTime::from_nanos(units::secs_to_ns(secs)))
+    }
+
     /// `n` operations against the pool metadata replica group.
     pub fn pool_md_op(&self, n: f64) -> Step {
-        Step::seq([self.rtt(), Step::transfer(n, [self.pool_md_svc])])
+        Step::seq([self.rtt(), Step::transfer(Bytes(n), [self.pool_md_svc])])
     }
 
     // ---- containers ---------------------------------------------------------
@@ -1079,11 +1082,7 @@ impl DaosSystem {
                 }
             }
         }
-        let encode = if encode_bytes > 0.0 {
-            Step::delay(units::secs_to_ns(encode_bytes / self.cal.ec_encode_bw))
-        } else {
-            Step::Noop
-        };
+        let encode = self.ec_codec(encode_bytes);
         Ok(Step::span(
             "libdaos",
             "array_write",
@@ -1227,11 +1226,7 @@ impl DaosSystem {
                 }
             }
         }
-        let decode = if decode_bytes > 0.0 {
-            Step::delay(units::secs_to_ns(decode_bytes / self.cal.ec_encode_bw))
-        } else {
-            Step::Noop
-        };
+        let decode = self.ec_codec(decode_bytes);
         let step = Step::span(
             "libdaos",
             "array_read",
@@ -2154,7 +2149,7 @@ impl DaosSystem {
                 let dev = self.dev_for(t);
                 Step::seq([
                     Step::transfer(
-                        bytes_each,
+                        Bytes(bytes_each),
                         [srv.nvme_r[dev], srv.nvme_r_pool, res.engine_xfer],
                     ),
                     Step::delay(self.cal.nvme_read_lat_ns),
@@ -2290,7 +2285,7 @@ impl DaosSystem {
                 let sres = &self.srv_res[src.server as usize];
                 let sdev = self.dev_for(src);
                 Step::transfer(
-                    read_each,
+                    Bytes(read_each),
                     [
                         ssrv.nvme_r[sdev],
                         ssrv.nvme_r_pool,
@@ -2309,7 +2304,7 @@ impl DaosSystem {
                 Step::delay(self.cal.net_rtt_ns),
                 Step::par(reads),
                 Step::transfer(
-                    write_bytes,
+                    Bytes(write_bytes),
                     [dres.engine_xfer, dsts.nvme_w[ddev], dsts.nvme_w_pool],
                 ),
                 Step::delay(self.cal.nvme_write_lat_ns),
@@ -2342,7 +2337,8 @@ impl DaosSystem {
         );
         let rank = self.pool.add_server();
         self.srv_res.push(ServerRes {
-            engine_xfer: sched.add_resource(format!("daos{s}.engine"), self.cal.engine_xfer_bw),
+            engine_xfer: sched
+                .add_resource(format!("daos{s}.engine"), self.cal.engine_xfer_bw.get()),
             tgt_svc: (0..self.cal.targets_per_server)
                 .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), self.cal.target_svc_iops))
                 .collect(),
@@ -2854,7 +2850,6 @@ pub struct PoolInfo {
     /// Live objects across all containers.
     pub objects: usize,
     /// Logical Array bytes stored.
-    // simlint::dim(bytes)
     pub array_bytes: f64,
     /// Key-Value entries stored.
     pub kv_entries: usize,
@@ -3081,7 +3076,7 @@ mod tests {
         // bandwidth (sustained share × burst headroom) plus fixed per-op
         // latencies.
         let cal = cluster::Calibration::default();
-        let dev_bw = cal.nvme_dev_write_bw() * cal.nvme_dev_burst;
+        let dev_bw = (cal.nvme_dev_write_bw() * cal.nvme_dev_burst).get();
         assert!(bw > 0.8 * dev_bw, "bw {} too low", bw / cluster::GIB);
         assert!(
             bw <= dev_bw * 1.01,

@@ -19,7 +19,7 @@ use daos_core::{
     ContainerId, DaosError, DaosSystem, ObjectClass, Oid, OracleKind, OracleReport, RetryExec,
     RetryPolicy, RetryStats, Violation,
 };
-use simkit::Step;
+use simkit::{SimTime, Step};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -33,7 +33,6 @@ pub struct DfsOpts {
     /// redundancy experiments).
     pub dir_class: ObjectClass,
     /// Array chunk size for file data.
-    // simlint::dim(bytes)
     pub chunk_size: u64,
 }
 
@@ -80,7 +79,7 @@ pub struct Dfs {
     inodes: Vec<Inode>,
     handles: BTreeMap<u64, InodeId>,
     next_handle: u64,
-    op_overhead_ns: u64,
+    op_overhead_ns: SimTime,
     /// Retry machinery for the data path (off by default).
     retry: RetryExec,
 }

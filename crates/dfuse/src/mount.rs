@@ -24,7 +24,7 @@ use cluster::payload::{Payload, ReadPayload};
 use cluster::posix::{FileId, FileStat, FsError, PosixFs};
 use daos_core::{RetryExec, RetryPolicy, RetryStats};
 use daos_dfs::Dfs;
-use simkit::{ResourceId, Scheduler, Step};
+use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step};
 use std::collections::BTreeSet;
 
 /// Mount options (a subset of `dfuse` command-line options).
@@ -78,8 +78,8 @@ pub struct DfuseMount {
     pump: Vec<ResourceId>,
     /// Per-client-node kernel↔user copy bandwidth (bytes/s).
     copy: Vec<ResourceId>,
-    crossing_ns: u64,
-    il_op_ns: u64,
+    crossing_ns: SimTime,
+    il_op_ns: SimTime,
     max_req: f64,
     /// `(node, path-hash)` lookup cache entries (metadata caching).
     attr_cache: BTreeSet<(usize, u64)>,
@@ -115,7 +115,7 @@ impl DfuseMount {
             .map(|c| sched.add_resource(format!("dfuse.cli{c}.pump"), pump_iops))
             .collect();
         let copy = (0..clients)
-            .map(|c| sched.add_resource(format!("dfuse.cli{c}.copy"), cal.fuse_copy_bw))
+            .map(|c| sched.add_resource(format!("dfuse.cli{c}.copy"), cal.fuse_copy_bw.get()))
             .collect();
         DfuseMount {
             dfs,
@@ -123,7 +123,7 @@ impl DfuseMount {
             copy,
             crossing_ns: cal.fuse_crossing_ns,
             il_op_ns: cal.il_op_ns,
-            max_req: cal.fuse_max_req_bytes,
+            max_req: cal.fuse_max_req_bytes.get(),
             opts,
             attr_cache: BTreeSet::new(),
             dentry_cache: std::collections::BTreeMap::new(),
@@ -164,14 +164,14 @@ impl DfuseMount {
     /// `bytes` (0 for pure metadata calls), traced as a "dfuse" span.
     fn fuse_wrap(&self, node: usize, bytes: f64, op: &'static str, inner: Step) -> Step {
         let nreq = (bytes / self.max_req).ceil().max(1.0);
-        let copy = Step::transfer(bytes, [self.copy[node]]);
+        let copy = Step::transfer(Bytes(bytes), [self.copy[node]]);
         Step::span(
             "dfuse",
             op,
             bytes as u64,
             Step::seq([
                 Step::delay(self.crossing_ns),
-                Step::transfer(nreq, [self.pump[node]]),
+                Step::transfer(Bytes(nreq), [self.pump[node]]),
                 copy,
                 inner,
             ]),
@@ -280,8 +280,8 @@ impl PosixFs for DfuseMount {
                 "read",
                 len,
                 Step::seq([
-                    Step::transfer(nreq, [self.pump[client]]),
-                    Step::transfer(len as f64, [self.copy[client]]),
+                    Step::transfer(Bytes(nreq), [self.pump[client]]),
+                    Step::transfer(Bytes(len as f64), [self.copy[client]]),
                     Step::par([inner, Step::Noop]),
                 ]),
             )
@@ -438,7 +438,7 @@ mod tests {
         // count pump units in the step tree
         fn pump_units(s: &Step, pump: simkit::ResourceId) -> f64 {
             match s {
-                Step::Transfer { units, path } if path.contains(&pump) => *units,
+                Step::Transfer { units, path } if path.contains(&pump) => units.get(),
                 Step::Seq(v) | Step::Par(v) => v.iter().map(|s| pump_units(s, pump)).sum(),
                 Step::Span { inner, .. } => pump_units(inner, pump),
                 _ => 0.0,

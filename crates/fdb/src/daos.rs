@@ -59,7 +59,7 @@ impl FdbDaos {
     ) -> Result<(FdbDaos, Step), FdbError> {
         let (kv_ops_per_field, kv_entry_bytes) = {
             let d = daos.borrow();
-            (d.cal().kv_ops_per_field, d.cal().kv_entry_bytes)
+            (d.cal().kv_ops_per_field, d.cal().kv_entry_bytes.get())
         };
         let mut steps = Vec::new();
         let mut catalogue = Vec::new();
@@ -391,7 +391,7 @@ mod tests {
         // first archive = kv_ops_per_field total
         fn count_svc_ops(s: &Step) -> f64 {
             match s {
-                Step::Transfer { units, path } if *units == 1.0 && path.len() == 1 => 1.0,
+                Step::Transfer { units, path } if units.get() == 1.0 && path.len() == 1 => 1.0,
                 Step::Transfer { .. } => 0.0,
                 Step::Seq(v) | Step::Par(v) => v.iter().map(count_svc_ops).sum(),
                 Step::Span { inner, .. } => count_svc_ops(inner),

@@ -13,7 +13,7 @@ use crate::key::{FieldKey, KeyQuery};
 use cluster::payload::{Payload, ReadPayload};
 use cluster::posix::{FsError, PosixFs};
 use daos_core::{RetryExec, RetryPolicy, RetryStats};
-use simkit::Step;
+use simkit::{Bytes, SimTime, Step};
 use std::collections::BTreeMap;
 
 /// Size of one packed index entry on disk.
@@ -58,11 +58,11 @@ pub struct FdbPosix<P: PosixFs> {
 impl<P: PosixFs> FdbPosix<P> {
     /// Create the backend over a mounted file system.  `flush_bytes` is
     /// the client-side buffer size (the calibration default is 64 MiB).
-    pub fn new(mut fs: P, flush_bytes: f64) -> Result<FdbPosix<P>, FdbError> {
+    pub fn new(mut fs: P, flush_bytes: Bytes) -> Result<FdbPosix<P>, FdbError> {
         fs.mkdir(0, "/fdb").map_err(map_fs)?;
         Ok(FdbPosix {
             fs,
-            flush_bytes,
+            flush_bytes: flush_bytes.get(),
             writers: BTreeMap::new(),
             toc: BTreeMap::new(),
             retry: RetryExec::disabled(),
@@ -218,7 +218,7 @@ impl<P: PosixFs> Fdb for FdbPosix<P> {
             "fdb",
             "archive",
             len,
-            Step::seq([setup, Step::delay(2_000), flush]),
+            Step::seq([setup, Step::delay(SimTime::from_micros(2)), flush]),
         ))
     }
 
@@ -325,7 +325,7 @@ mod tests {
     use cluster::units;
     use cluster::ClusterSpec;
     use lustre_sim::{LustreDataMode, LustreSystem, StripeOpts};
-    use simkit::{run, OpId, Scheduler, SimTime, World};
+    use simkit::{run, OpId, Scheduler, World};
 
     struct Sink(SimTime);
     impl World for Sink {
@@ -355,7 +355,7 @@ mod tests {
                 size: 8 << 20,
             },
         );
-        let fdb = FdbPosix::new(fs, 4.0 * units::MIB).unwrap();
+        let fdb = FdbPosix::new(fs, Bytes(4.0 * units::MIB)).unwrap();
         (sched, fdb)
     }
 
@@ -432,7 +432,7 @@ mod tests {
                 Step::Transfer { units, path }
                     if path.iter().any(|&r| (sched.capacity(r) - cap).abs() < 1.0) =>
                 {
-                    *units
+                    units.get()
                 }
                 Step::Transfer { .. } => 0.0,
                 Step::Seq(v) | Step::Par(v) => v.iter().map(|s| mds_ops(s, sched, cap)).sum(),

@@ -7,7 +7,7 @@ use cluster::{ClusterSpec, Payload};
 use daos_core::{ContainerProps, DaosSystem, DataMode, ObjectClass};
 use fdb_sim::{Fdb, FdbCeph, FdbDaos, FdbPosix, FieldKey, KeyQuery};
 use lustre_sim::{LustreDataMode, LustreSystem, StripeOpts};
-use simkit::{run, OpId, Scheduler, SplitMix64, Step, World};
+use simkit::{run, Bytes, OpId, Scheduler, SplitMix64, Step, World};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -80,7 +80,7 @@ fn all_backends_agree() {
                 size: 1 << 20,
             },
         );
-        let mut fdb = FdbPosix::new(fs, (4u64 << 20) as f64).unwrap();
+        let mut fdb = FdbPosix::new(fs, Bytes((4u64 << 20) as f64)).unwrap();
         session(&mut sched, &mut fdb)
     };
     // Ceph

@@ -93,7 +93,7 @@ impl FieldIo {
     ) -> Result<(FieldIo, Step), FieldIoError> {
         let (kv_ops_per_field, kv_entry_bytes) = {
             let d = daos.borrow();
-            (d.cal().kv_ops_per_field, d.cal().kv_entry_bytes)
+            (d.cal().kv_ops_per_field, d.cal().kv_entry_bytes.get())
         };
         let mut steps = Vec::new();
         let mut shared_kvs = Vec::new();

@@ -7,7 +7,7 @@ use daos_core::{
     ContainerId, ContainerProps, DaosError, DaosSystem, ObjectClass, Oid, Retriable, RetryExec,
     RetryPolicy, RetryStats,
 };
-use simkit::{ResourceId, Scheduler, Step};
+use simkit::{Bytes, ResourceId, Scheduler, Step};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -58,7 +58,7 @@ impl H5Runtime {
     /// Create the per-node library resources.
     pub fn new(sched: &mut Scheduler, client_nodes: usize, cal: &Calibration) -> H5Runtime {
         let node_bw = (0..client_nodes)
-            .map(|c| sched.add_resource(format!("hdf5.cli{c}"), cal.hdf5_client_bw))
+            .map(|c| sched.add_resource(format!("hdf5.cli{c}"), cal.hdf5_client_bw.get()))
             .collect();
         H5Runtime {
             node_bw,
@@ -80,7 +80,7 @@ impl H5Runtime {
 
     /// Library-side processing of `bytes` on a node.
     fn lib_step(&self, node: usize, bytes: f64) -> Step {
-        Step::transfer(bytes, [self.node_bw[node]])
+        Step::transfer(Bytes(bytes), [self.node_bw[node]])
     }
 }
 
@@ -228,7 +228,7 @@ impl H5PosixFile {
         let off = self.heap_end;
         self.heap_end += len;
         self.index.insert(name.to_string(), (off, len));
-        let frag = rt.cal.hdf5_fragment_bytes as u64;
+        let frag = rt.cal.hdf5_fragment_bytes.get() as u64;
         let mut steps = vec![rt.lib_step(self.node, len as f64)];
         // fragmented data writes (sequential in the VFD)
         match data {
@@ -272,7 +272,7 @@ impl H5PosixFile {
             Payload::Bytes(pack_index_entry(name, off, len)),
         )?);
         let md_span = H5_INDEX_BASE
-            .saturating_sub(rt.cal.hdf5_md_bytes as u64)
+            .saturating_sub(rt.cal.hdf5_md_bytes.get() as u64)
             .max(1);
         for i in 1..rt.cal.hdf5_md_ops_per_write {
             let md_off = (self.index.len() as u64 * 64 + i as u64 * 8) % md_span;
@@ -280,7 +280,7 @@ impl H5PosixFile {
                 self.node,
                 self.handle,
                 md_off,
-                Payload::Sized(rt.cal.hdf5_md_bytes as u64),
+                Payload::Sized(rt.cal.hdf5_md_bytes.get() as u64),
             )?);
         }
         Ok(Step::seq(steps))
@@ -308,9 +308,9 @@ impl H5PosixFile {
         let &(off, len) = self.index.get(name).ok_or(Hdf5Error::NoSuchDataset)?;
         let mut steps = vec![rt.lib_step(self.node, len as f64)];
         // chunk index lookup
-        let (_, s) = fs.read(self.node, self.handle, 0, rt.cal.hdf5_md_bytes as u64)?;
+        let (_, s) = fs.read(self.node, self.handle, 0, rt.cal.hdf5_md_bytes.get() as u64)?;
         steps.push(s);
-        let frag = rt.cal.hdf5_fragment_bytes as u64;
+        let frag = rt.cal.hdf5_fragment_bytes.get() as u64;
         let mut out: Option<Vec<u8>> = None;
         let mut sized = 0u64;
         let mut pos = 0u64;
@@ -344,7 +344,7 @@ impl H5PosixFile {
             self.node,
             self.handle,
             0,
-            Payload::Sized(rt.cal.hdf5_md_bytes as u64),
+            Payload::Sized(rt.cal.hdf5_md_bytes.get() as u64),
         )?;
         let s2 = fs.close(self.node, self.handle)?;
         Ok(Step::span("hdf5", "close", 0, Step::seq([s1, s2])))

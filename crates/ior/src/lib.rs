@@ -53,7 +53,6 @@ pub struct IorConfig {
     pub client_nodes: usize,
     /// Transfer size per operation (1 MiB in most figures, 1 KiB in
     /// Fig. 2).
-    // simlint::dim(bytes)
     pub transfer_size: u64,
     /// Operations per process (10k in the paper; scaled down by default
     /// in the harness).

@@ -36,7 +36,6 @@ pub struct MdtestConfig {
     pub files_per_proc: usize,
     /// Bytes written into each created file (3901 bytes in IO500's
     /// mdtest-hard; 0 for pure metadata).
-    // simlint::dim(bytes)
     pub write_bytes: u64,
 }
 

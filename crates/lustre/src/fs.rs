@@ -17,7 +17,7 @@ use cluster::payload::{Payload, ReadPayload};
 use cluster::posix::{components, FileId, FileStat, FsError, PosixFs};
 use cluster::Topology;
 use daos_core::{RetryExec, RetryPolicy, RetryStats};
-use simkit::{ResourceId, Scheduler, Step};
+use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Data-mode mirror of the store (bytes or sizes only).
@@ -35,7 +35,6 @@ pub struct StripeOpts {
     /// OSTs per file.
     pub count: usize,
     /// Stripe unit in bytes.
-    // simlint::dim(bytes)
     pub size: u64,
 }
 
@@ -91,8 +90,8 @@ pub struct LustreSystem {
     locks: BTreeSet<(u32, usize, usize)>,
     /// Round-robin allocator for stripe starting OSTs.
     next_ost: usize,
-    op_ns: u64,
-    rtt_ns: u64,
+    op_ns: SimTime,
+    rtt_ns: SimTime,
     lock_rtts: u32,
     /// Retry machinery around the data path (off by default).
     retry: RetryExec,
@@ -173,7 +172,7 @@ impl LustreSystem {
         Step::seq([
             Step::delay(self.op_ns),
             Step::delay(self.rtt_ns),
-            Step::transfer(n, [self.mds_svc]),
+            Step::transfer(Bytes(n), [self.mds_svc]),
         ])
     }
 
@@ -213,9 +212,12 @@ impl LustreSystem {
         let cli = &self.topo.clients[client];
         let dev = ost.ost as usize % srv.nvme_w.len();
         Step::seq([
-            Step::transfer(1.0, [self.ost_svc[ost.server as usize][ost.ost as usize]]),
             Step::transfer(
-                bytes,
+                Bytes(1.0),
+                [self.ost_svc[ost.server as usize][ost.ost as usize]],
+            ),
+            Step::transfer(
+                Bytes(bytes),
                 [cli.nic_tx, srv.nic_rx, srv.nvme_w[dev], srv.nvme_w_pool],
             ),
             Step::delay(self.topo.cal.nvme_write_lat_ns),
@@ -227,10 +229,13 @@ impl LustreSystem {
         let cli = &self.topo.clients[client];
         let dev = ost.ost as usize % srv.nvme_r.len();
         Step::seq([
-            Step::transfer(1.0, [self.ost_svc[ost.server as usize][ost.ost as usize]]),
+            Step::transfer(
+                Bytes(1.0),
+                [self.ost_svc[ost.server as usize][ost.ost as usize]],
+            ),
             Step::delay(self.topo.cal.nvme_read_lat_ns),
             Step::transfer(
-                bytes,
+                Bytes(bytes),
                 [srv.nvme_r[dev], srv.nvme_r_pool, srv.nic_tx, cli.nic_rx],
             ),
         ])
@@ -284,7 +289,7 @@ impl LustreSystem {
                 rtts += self.lock_rtts as u64;
             }
         }
-        Step::delay(rtts * self.rtt_ns)
+        Step::delay(self.rtt_ns * rtts)
     }
 }
 
@@ -587,7 +592,7 @@ impl LustreSystem {
 mod tests {
     use super::*;
     use cluster::{ClusterSpec, GIB, MIB};
-    use simkit::{run, OpId, SimTime, World};
+    use simkit::{run, OpId, World};
 
     struct Sink(SimTime);
     impl World for Sink {
@@ -650,9 +655,9 @@ mod tests {
         // some stripes onto the same OST, which aggregates their bytes)
         fn sum_transfers(s: &Step, out: &mut (usize, f64)) {
             match s {
-                Step::Transfer { units, .. } if *units >= 1.0 * MIB => {
+                Step::Transfer { units, .. } if units.get() >= 1.0 * MIB => {
                     out.0 += 1;
-                    out.1 += *units;
+                    out.1 += units.get();
                 }
                 Step::Seq(v) | Step::Par(v) => v.iter().for_each(|s| sum_transfers(s, out)),
                 Step::Span { inner, .. } => sum_transfers(inner, out),

@@ -16,7 +16,7 @@ fn data_bytes(s: &Step, sched: &Scheduler) -> f64 {
                 .iter()
                 .any(|&r| sched.resource_name(r).contains("nvme")) =>
         {
-            *units
+            units.get()
         }
         Step::Seq(v) | Step::Par(v) => v.iter().map(|s| data_bytes(s, sched)).sum(),
         Step::Span { inner, .. } => data_bytes(inner, sched),

@@ -91,7 +91,6 @@ pub struct ChaosConfig {
     /// Width of the incident window in nanoseconds; all incident starts
     /// and their paired recoveries land in
     /// `[window_start, window_start + window_ns]`.
-    // simlint::dim(ns)
     pub window_ns: u64,
     /// Maximum number of incidents (a degrade/restore or crash/restart
     /// pair counts as one incident, two events).
@@ -111,7 +110,6 @@ pub struct ChaosConfig {
     /// is a no-op).
     pub max_scale: f64,
     /// Ceiling for [`FaultAction::DelayedCompletion`] added latency.
-    // simlint::dim(ns)
     pub max_extra_ns: u64,
 }
 

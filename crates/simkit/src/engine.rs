@@ -199,8 +199,6 @@ pub struct Scheduler {
     pub stat_flow_visits: u64,
     /// Diagnostics: total progressive-filling iterations.
     pub stat_fill_iters: u64,
-    /// Diagnostics: wall time in settle/rebuild/solve/events (ns).
-    pub stat_ns: [u64; 4],
 }
 
 impl Default for Scheduler {
@@ -237,7 +235,6 @@ impl Scheduler {
             stat_recomputes: 0,
             stat_flow_visits: 0,
             stat_fill_iters: 0,
-            stat_ns: [0; 4],
         }
     }
 
@@ -420,7 +417,6 @@ impl Scheduler {
     /// (see [`crate::telemetry`]).  Off by default; telemetry observes
     /// the schedule read-only, so enabling it never changes event times
     /// or the replay digest — the same contract as spans.
-    // simlint::dim(window_ns: ns)
     // simlint::allow(digest-taint) — pre-run configuration: telemetry is a read-only observer; op completions fold into the replay digest unchanged
     pub fn enable_telemetry(&mut self, window_ns: u64) {
         let mut tel = Telemetry::enabled(window_ns);
@@ -486,13 +482,9 @@ impl Scheduler {
         self.exec(step, Parent::Op(op), SpanId::NONE);
     }
 
-    /// Submit an op chain that starts after `delay_ns`.
-    pub fn submit_after(&mut self, delay_ns: u64, step: Step, op: OpId) {
-        self.exec(
-            Step::delay(delay_ns).then(step),
-            op_parent(op),
-            SpanId::NONE,
-        );
+    /// Submit an op chain that starts after `delay`.
+    pub fn submit_after(&mut self, delay: SimTime, step: Step, op: OpId) {
+        self.exec(Step::delay(delay).then(step), op_parent(op), SpanId::NONE);
     }
 
     // ---- interpreter ----------------------------------------------------
@@ -502,11 +494,11 @@ impl Scheduler {
     fn exec(&mut self, step: Step, parent: Parent, span: SpanId) {
         match step {
             Step::Noop => self.complete_parent(parent),
-            Step::Delay(ns) => {
+            Step::Delay(d) => {
                 let seq = self.timer_seq;
                 self.timer_seq += 1;
                 self.timers.push(Reverse(Timer {
-                    at: self.now + ns,
+                    at: self.now + d.as_nanos(),
                     seq,
                     parent,
                 }));
@@ -515,7 +507,7 @@ impl Scheduler {
                 }
             }
             Step::Transfer { units, path } => {
-                debug_assert!(units > 0.0 && !path.is_empty());
+                debug_assert!(!units.is_drained() && !path.is_empty());
                 debug_assert!(path.iter().all(|r| (r.0 as usize) < self.caps.len()));
                 if let Some(ids) = self.tel_ids {
                     self.telemetry.counter_add(ids.flow_starts, self.now, 1);
@@ -528,10 +520,10 @@ impl Scheduler {
                     }
                 }
                 self.flows.insert(Flow {
-                    remaining: Bytes(units),
+                    remaining: units,
                     rate: Rate::ZERO,
                     deadline: SimTime::NEVER,
-                    eps: Bytes(units * 1e-9),
+                    eps: Bytes(units.get() * 1e-9),
                     path,
                     parent,
                 });
@@ -679,18 +671,12 @@ impl Scheduler {
 
     /// Recompute max-min fair rates and flow deadlines.
     fn recompute_rates(&mut self) {
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t0 = std::time::Instant::now();
         self.settle_to(self.now);
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t1 = std::time::Instant::now();
         self.fair.begin(self.caps.len());
         // simlint::allow(hot-state-scan) — a full re-share is the max-min model: every live flow's rate may change when any flow joins or leaves; incremental re-solve is ROADMAP item 2
         for (key, f) in self.flows.iter() {
             self.fair.add_flow(key, &f.path);
         }
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t2 = std::time::Instant::now();
         self.stat_recomputes += 1;
         self.stat_flow_visits += self.flows.len() as u64;
         let fill_iters = self.fair.solve(&self.caps) as u64;
@@ -700,11 +686,6 @@ impl Scheduler {
             self.telemetry
                 .counter_add(ids.fill_iters, self.now, fill_iters);
         }
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t3 = std::time::Instant::now();
-        self.stat_ns[0] += (t1 - t0).as_nanos() as u64;
-        self.stat_ns[1] += (t2 - t1).as_nanos() as u64;
-        self.stat_ns[2] += (t3 - t2).as_nanos() as u64;
         let now = self.now;
         // Disjoint field borrows: `fair` is read while `flows` is written.
         let flows = &mut self.flows;
@@ -752,9 +733,6 @@ impl Scheduler {
     /// Fire everything scheduled at exactly `t` (flows and timers).
     // simlint::hot_root — timer drain + flow completion: runs once per event batch
     fn fire_events_at(&mut self, t: SimTime) {
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let te = std::time::Instant::now();
-        self.stat_ns[3] = self.stat_ns[3].wrapping_add(te.elapsed().as_nanos() as u64);
         self.settle_to(t);
         // Timers first: their parents may be sequences that feed flows.
         while let Some(Reverse(timer)) = self.timers.peek() {
@@ -905,7 +883,7 @@ mod tests {
     fn single_transfer_takes_units_over_capacity() {
         let mut s = Scheduler::new();
         let r = s.add_resource("disk", 200.0);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = Recorder::default();
         run(&mut s, &mut w);
         assert_eq!(w.completed.len(), 1);
@@ -916,8 +894,8 @@ mod tests {
     fn two_flows_share_fairly() {
         let mut s = Scheduler::new();
         let r = s.add_resource("disk", 100.0);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
-        s.submit(Step::transfer(100.0, [r]), OpId(2));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(2));
         let mut w = Recorder::default();
         run(&mut s, &mut w);
         // 200 units through 100 units/s: both finish at t=2.
@@ -934,9 +912,12 @@ mod tests {
         // (100+100)/100 = 2.0s, with A done at 1.5s.
         let mut s = Scheduler::new();
         let r = s.add_resource("disk", 100.0);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         s.submit(
-            Step::seq([Step::delay(500_000_000), Step::transfer(100.0, [r])]),
+            Step::seq([
+                Step::delay(SimTime(500_000_000)),
+                Step::transfer(Bytes(100.0), [r]),
+            ]),
             OpId(2),
         );
         let mut w = Recorder::default();
@@ -953,7 +934,10 @@ mod tests {
         let fast = s.add_resource("fast", 100.0);
         let slow = s.add_resource("slow", 10.0);
         s.submit(
-            Step::par([Step::transfer(10.0, [fast]), Step::transfer(10.0, [slow])]),
+            Step::par([
+                Step::transfer(Bytes(10.0), [fast]),
+                Step::transfer(Bytes(10.0), [slow]),
+            ]),
             OpId(1),
         );
         let mut w = Recorder::default();
@@ -965,7 +949,11 @@ mod tests {
     fn seq_of_delays_sums() {
         let mut s = Scheduler::new();
         s.submit(
-            Step::seq([Step::delay(1_000), Step::delay(2_000), Step::delay(3_000)]),
+            Step::seq([
+                Step::delay(SimTime(1_000)),
+                Step::delay(SimTime(2_000)),
+                Step::delay(SimTime(3_000)),
+            ]),
             OpId(7),
         );
         let mut w = Recorder::default();
@@ -984,8 +972,11 @@ mod tests {
         // at 100 -> done 1.25.
         s.submit(
             Step::par([
-                Step::transfer(100.0, [r]),
-                Step::seq([Step::delay(500_000_000), Step::transfer(25.0, [r])]),
+                Step::transfer(Bytes(100.0), [r]),
+                Step::seq([
+                    Step::delay(SimTime(500_000_000)),
+                    Step::transfer(Bytes(25.0), [r]),
+                ]),
             ]),
             OpId(1),
         );
@@ -999,7 +990,7 @@ mod tests {
         let mut s = Scheduler::new();
         let r = s.add_resource("r", 1000.0);
         for i in 0..64 {
-            s.submit(Step::transfer(10.0, [r]), OpId(i));
+            s.submit(Step::transfer(Bytes(10.0), [r]), OpId(i));
         }
         let mut w = Recorder::default();
         run(&mut s, &mut w);
@@ -1021,7 +1012,7 @@ mod tests {
             fn on_op_complete(&mut self, _op: OpId, sched: &mut Scheduler) {
                 if self.left > 0 {
                     self.left -= 1;
-                    sched.submit(Step::transfer(10.0, [self.r]), OpId(0));
+                    sched.submit(Step::transfer(Bytes(10.0), [self.r]), OpId(0));
                 } else {
                     self.done_at = sched.now();
                 }
@@ -1034,7 +1025,7 @@ mod tests {
             r,
             done_at: SimTime::ZERO,
         };
-        s.submit(Step::transfer(10.0, [r]), OpId(0));
+        s.submit(Step::transfer(Bytes(10.0), [r]), OpId(0));
         run(&mut s, &mut p);
         assert!((secs(p.done_at) - 5.0).abs() < 1e-6);
     }
@@ -1043,7 +1034,7 @@ mod tests {
     fn run_for_respects_limit() {
         let mut s = Scheduler::new();
         let r = s.add_resource("r", 1.0);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = Recorder::default();
         let out = run_for(&mut s, &mut w, SimTime::from_secs_f64(2.0));
         assert_eq!(out, RunOutcome::TimeLimit);
@@ -1059,7 +1050,7 @@ mod tests {
     fn zero_capacity_stalls_and_recovers() {
         let mut s = Scheduler::new();
         let r = s.add_resource("r", 0.0);
-        s.submit(Step::transfer(10.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(10.0), [r]), OpId(1));
         let mut w = Recorder::default();
         assert_eq!(run_for(&mut s, &mut w, SimTime::NEVER), RunOutcome::Stalled);
         s.set_capacity(r, 10.0);
@@ -1074,7 +1065,7 @@ mod tests {
     fn capacity_change_rescales_in_flight() {
         let mut s = Scheduler::new();
         let r = s.add_resource("r", 10.0);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = Recorder::default();
         run_for(&mut s, &mut w, SimTime::from_secs_f64(5.0)); // 50 units left
         s.set_capacity(r, 100.0);
@@ -1086,7 +1077,7 @@ mod tests {
     fn monitor_accounts_busy_units() {
         let mut s = Scheduler::with_monitor();
         let r = s.add_resource("r", 100.0);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = Recorder::default();
         run(&mut s, &mut w);
         assert!((s.monitor().units(r) - 100.0).abs() < 1e-6);
@@ -1099,7 +1090,7 @@ mod tests {
         let mut s = Scheduler::new();
         let nic = s.add_resource("nic", 50.0);
         let ssd = s.add_resource("ssd", 20.0);
-        s.submit(Step::transfer(40.0, [nic, ssd]), OpId(1));
+        s.submit(Step::transfer(Bytes(40.0), [nic, ssd]), OpId(1));
         let mut w = Recorder::default();
         run(&mut s, &mut w);
         assert!((secs(w.completed[0].1) - 2.0).abs() < 1e-6);
@@ -1109,7 +1100,11 @@ mod tests {
     fn submit_after_delays_start() {
         let mut s = Scheduler::new();
         let r = s.add_resource("r", 10.0);
-        s.submit_after(1_000_000_000, Step::transfer(10.0, [r]), OpId(1));
+        s.submit_after(
+            SimTime(1_000_000_000),
+            Step::transfer(Bytes(10.0), [r]),
+            OpId(1),
+        );
         let mut w = Recorder::default();
         run(&mut s, &mut w);
         assert!((secs(w.completed[0].1) - 2.0).abs() < 1e-6);
@@ -1150,7 +1145,7 @@ mod tests {
             },
         );
         s.install_faults(plan);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
         // 0.5s at 100 (50 units) + 0.5s at 50 (25) + 0.25s at 100 (25)
@@ -1175,7 +1170,7 @@ mod tests {
             },
         );
         s.install_faults(plan);
-        s.submit(Step::transfer(10.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(10.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
         assert_eq!(w.faults.len(), 2);
@@ -1200,14 +1195,14 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.at(SimTime::from_secs_f64(2.0), FaultAction::TargetCrash(1));
         s.install_faults(plan);
-        s.submit(Step::transfer(50.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(50.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
         assert!((secs(s.now()) - 0.5).abs() < 1e-9);
         assert_eq!(s.pending_fault_count(), 1, "fault stays armed");
         assert!(w.faults.is_empty());
         // next phase crosses t=2.0 → the fault fires mid-run
-        s.submit(Step::transfer(300.0, [r]), OpId(2));
+        s.submit(Step::transfer(Bytes(300.0), [r]), OpId(2));
         run(&mut s, &mut w);
         assert_eq!(w.faults.len(), 1);
         assert!((secs(w.faults[0].1) - 2.0).abs() < 1e-9);
@@ -1224,7 +1219,7 @@ mod tests {
                 plan.at(SimTime::from_millis(1), FaultAction::TargetCrash(3));
                 s.install_faults(plan);
             }
-            s.submit(Step::transfer(100.0, [r]), OpId(1));
+            s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
             let mut w = FaultRecorder::default();
             run_digest(&mut s, &mut w)
         };
@@ -1248,8 +1243,8 @@ mod tests {
                 "write",
                 100,
                 Step::seq([
-                    Step::delay(1_000),
-                    Step::span("libdaos", "update", 100, Step::transfer(100.0, [r])),
+                    Step::delay(SimTime(1_000)),
+                    Step::span("libdaos", "update", 100, Step::transfer(Bytes(100.0), [r])),
                 ]),
             ),
             OpId(1),
@@ -1287,8 +1282,8 @@ mod tests {
                         "write",
                         10,
                         Step::seq([
-                            Step::delay(i * 100),
-                            Step::span("libdaos", "update", 10, Step::transfer(10.0, [r])),
+                            Step::delay(SimTime(i * 100)),
+                            Step::span("libdaos", "update", 10, Step::transfer(Bytes(10.0), [r])),
                         ]),
                     ),
                     OpId(i),
@@ -1323,8 +1318,8 @@ mod tests {
                         "write",
                         10,
                         Step::seq([
-                            Step::delay(i * 100),
-                            Step::span("libdaos", "update", 10, Step::transfer(10.0, [r])),
+                            Step::delay(SimTime(i * 100)),
+                            Step::span("libdaos", "update", 10, Step::transfer(Bytes(10.0), [r])),
                         ]),
                     ),
                     OpId(i),
@@ -1362,7 +1357,7 @@ mod tests {
         let mut plan = FaultPlan::new();
         let ev_id = plan.at(SimTime::from_millis(1), FaultAction::TargetCrash(9));
         s.install_faults(plan);
-        s.submit(Step::transfer(100.0, [r]), OpId(1));
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
         assert_eq!(s.spans().marks().len(), 1);
@@ -1378,9 +1373,12 @@ mod tests {
             let b = s.add_resource("b", 77.0);
             for i in 0..50u64 {
                 let step = if i % 2 == 0 {
-                    Step::transfer(10.0 + i as f64, [a, b])
+                    Step::transfer(Bytes(10.0 + i as f64), [a, b])
                 } else {
-                    Step::seq([Step::delay(i * 1000), Step::transfer(5.0, [b])])
+                    Step::seq([
+                        Step::delay(SimTime(i * 1000)),
+                        Step::transfer(Bytes(5.0), [b]),
+                    ])
                 };
                 s.submit(step, OpId(i));
             }

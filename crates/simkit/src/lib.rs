@@ -27,7 +27,7 @@
 //!   structures; only *time* is simulated here.
 //!
 //! ```
-//! use simkit::{Scheduler, Step, World, OpId, run};
+//! use simkit::{Bytes, Scheduler, Step, World, OpId, run};
 //!
 //! struct Once(bool);
 //! impl World for Once {
@@ -38,7 +38,7 @@
 //!
 //! let mut sched = Scheduler::new();
 //! let disk = sched.add_resource("disk", 100.0); // 100 units/s
-//! sched.submit(Step::transfer(50.0, [disk]), OpId(1));
+//! sched.submit(Step::transfer(Bytes(50.0), [disk]), OpId(1));
 //! let mut world = Once(false);
 //! run(&mut sched, &mut world);
 //! assert!(world.0);

@@ -145,7 +145,6 @@ pub struct PathContribution {
     pub op: &'static str,
     /// Critical-path self-time (ns): wall time where a span of this kind
     /// was the deepest active span on the path that determined completion.
-    // simlint::dim(ns)
     pub self_ns: u64,
 }
 

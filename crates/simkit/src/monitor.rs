@@ -29,7 +29,6 @@ pub struct Monitor {
     /// Total units moved through each resource.
     busy_units: Vec<f64>,
     /// Window width in ns (0 = totals only).
-    // simlint::dim(ns)
     window_ns: u64,
     /// Per-resource, per-window units (outer: resource, inner: window).
     series: Vec<Vec<f64>>,
@@ -65,7 +64,6 @@ impl Monitor {
 
     /// A recording monitor that additionally samples utilisation into
     /// fixed windows of `window_ns` nanoseconds.
-    // simlint::dim(window_ns: ns)
     pub fn windowed(window_ns: u64) -> Self {
         assert!(window_ns > 0, "window width must be positive");
         Monitor {

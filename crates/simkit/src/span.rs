@@ -52,7 +52,6 @@ pub struct SpanRecord {
     /// Operation within the layer ("write", "kv_put", "rebuild", …).
     pub op: &'static str,
     /// Payload bytes moved under this span (0 for metadata ops).
-    // simlint::dim(bytes)
     pub bytes: u64,
     /// Retry attempt ordinal (0 = first try; >0 marks retried work).
     pub attempt: u32,

@@ -1,5 +1,8 @@
 //! Work descriptions: op chains built from delays and shared transfers.
 
+use crate::time::SimTime;
+use crate::units::Bytes;
+
 /// Identifier of a capacity resource registered with the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceId(pub u32);
@@ -13,13 +16,13 @@ pub struct ResourceId(pub u32);
 pub enum Step {
     /// Completes immediately.  `Seq`/`Par` of nothing normalise to this.
     Noop,
-    /// A fixed latency in nanoseconds (CPU overhead, RPC round trip,
-    /// device latency…).  Not subject to sharing.
-    Delay(u64),
+    /// A fixed latency (CPU overhead, RPC round trip, device latency…).
+    /// Not subject to sharing.
+    Delay(SimTime),
     /// Move `units` through every resource in `path` simultaneously at
     /// the max-min fair rate.  Units are bytes for bandwidth resources
     /// and operations for service resources.
-    Transfer { units: f64, path: Vec<ResourceId> },
+    Transfer { units: Bytes, path: Vec<ResourceId> },
     /// Run sub-steps one after the other.
     Seq(Vec<Step>),
     /// Run sub-steps concurrently; completes when all complete.
@@ -44,25 +47,26 @@ pub enum Step {
 }
 
 impl Step {
-    /// A fixed delay of `ns` nanoseconds (no-op when zero).
+    /// A fixed delay of `d` (no-op when zero).
     ///
-    /// This is the nanosecond sink of the whole simulator: every latency
-    /// eventually funnels through here, so the stage-4 dimension pass
-    /// checks each call site's argument against `ns`.
-    // simlint::dim(ns: ns)
+    /// Every latency of the simulator funnels through here, so it takes a
+    /// [`SimTime`] and nothing else: a raw nanosecond count or a float of
+    /// seconds does not compile.
+    ///
+    /// ```compile_fail
+    /// simkit::Step::delay(5_000u64);
+    /// ```
+    ///
+    /// ```compile_fail
+    /// simkit::Step::delay(2.5e-6);
+    /// ```
     #[inline]
-    pub fn delay(ns: u64) -> Step {
-        if ns == 0 {
+    pub fn delay(d: SimTime) -> Step {
+        if d == SimTime::ZERO {
             Step::Noop
         } else {
-            Step::Delay(ns)
+            Step::Delay(d)
         }
-    }
-
-    /// A fixed delay given in microseconds.
-    #[inline]
-    pub fn delay_us(us: f64) -> Step {
-        Step::delay((us * 1_000.0).round() as u64)
     }
 
     /// A shared transfer of `units` through `path`.
@@ -70,14 +74,26 @@ impl Step {
     /// Degenerate transfers (no units, or an empty path) normalise to
     /// [`Step::Noop`]: a zero-byte move takes no time, and a move that
     /// touches no modelled resource is a modelling error we make harmless.
-    // simlint::dim(units: bytes)
+    ///
+    /// The amount is a [`Bytes`]; a [`Rate`](crate::units::Rate) or a raw
+    /// float does not compile.
+    ///
+    /// ```compile_fail
+    /// use simkit::{ResourceId, Rate, Step};
+    /// Step::transfer(Rate(1e9), [ResourceId(0)]);
+    /// ```
+    ///
+    /// ```compile_fail
+    /// use simkit::{ResourceId, Step};
+    /// Step::transfer(4096.0, [ResourceId(0)]);
+    /// ```
     // simlint::allow(hot-alloc) — Step-tree construction owns its path vector by design; arena-allocated op chains are ROADMAP item 2
-    pub fn transfer(units: f64, path: impl IntoIterator<Item = ResourceId>) -> Step {
+    pub fn transfer(units: Bytes, path: impl IntoIterator<Item = ResourceId>) -> Step {
         let path: Vec<ResourceId> = path.into_iter().collect();
-        if units <= 0.0 || path.is_empty() {
+        if units.is_drained() || path.is_empty() {
             return Step::Noop;
         }
-        debug_assert!(units.is_finite());
+        debug_assert!(units.get().is_finite());
         Step::Transfer { units, path }
     }
 
@@ -164,7 +180,7 @@ impl Step {
     pub fn total_units(&self) -> f64 {
         match self {
             Step::Noop | Step::Delay(_) => 0.0,
-            Step::Transfer { units, .. } => *units,
+            Step::Transfer { units, .. } => units.get(),
             Step::Seq(v) | Step::Par(v) => v.iter().map(Step::total_units).sum(),
             Step::Span { inner, .. } => inner.total_units(),
         }
@@ -175,7 +191,7 @@ impl Step {
     pub fn critical_delay_ns(&self) -> u64 {
         match self {
             Step::Noop | Step::Transfer { .. } => 0,
-            Step::Delay(ns) => *ns,
+            Step::Delay(d) => d.as_nanos(),
             Step::Seq(v) => v.iter().map(Step::critical_delay_ns).sum(),
             Step::Par(v) => v.iter().map(Step::critical_delay_ns).max().unwrap_or(0),
             Step::Span { inner, .. } => inner.critical_delay_ns(),
@@ -193,20 +209,20 @@ mod tests {
 
     #[test]
     fn degenerate_transfers_normalise() {
-        assert!(Step::transfer(0.0, [r(1)]).is_noop());
-        assert!(Step::transfer(10.0, []).is_noop());
-        assert!(!Step::transfer(10.0, [r(1)]).is_noop());
+        assert!(Step::transfer(Bytes(0.0), [r(1)]).is_noop());
+        assert!(Step::transfer(Bytes(10.0), []).is_noop());
+        assert!(!Step::transfer(Bytes(10.0), [r(1)]).is_noop());
     }
 
     #[test]
     fn seq_par_flatten() {
         assert!(Step::seq([]).is_noop());
         assert!(Step::par([Step::Noop, Step::Noop]).is_noop());
-        match Step::seq([Step::delay(5)]) {
-            Step::Delay(5) => {}
+        match Step::seq([Step::delay(SimTime(5))]) {
+            Step::Delay(SimTime(5)) => {}
             s => panic!("expected flattened delay, got {s:?}"),
         }
-        match Step::seq([Step::delay(5), Step::Noop, Step::delay(6)]) {
+        match Step::seq([Step::delay(SimTime(5)), Step::Noop, Step::delay(SimTime(6))]) {
             Step::Seq(v) => assert_eq!(v.len(), 2),
             s => panic!("expected Seq, got {s:?}"),
         }
@@ -214,7 +230,9 @@ mod tests {
 
     #[test]
     fn then_builds_flat_sequences() {
-        let s = Step::delay(1).then(Step::delay(2)).then(Step::delay(3));
+        let s = Step::delay(SimTime(1))
+            .then(Step::delay(SimTime(2)))
+            .then(Step::delay(SimTime(3)));
         match &s {
             Step::Seq(v) => assert_eq!(v.len(), 3),
             other => panic!("expected flat Seq, got {other:?}"),
@@ -226,8 +244,11 @@ mod tests {
     #[test]
     fn totals() {
         let s = Step::seq([
-            Step::transfer(10.0, [r(0)]),
-            Step::par([Step::transfer(5.0, [r(1)]), Step::delay(100)]),
+            Step::transfer(Bytes(10.0), [r(0)]),
+            Step::par([
+                Step::transfer(Bytes(5.0), [r(1)]),
+                Step::delay(SimTime(100)),
+            ]),
         ]);
         assert!((s.total_units() - 15.0).abs() < 1e-12);
         assert_eq!(s.critical_delay_ns(), 100);
@@ -236,7 +257,7 @@ mod tests {
     #[test]
     fn span_wraps_and_normalises() {
         assert!(Step::span("l", "o", 0, Step::Noop).is_noop());
-        let s = Step::span("dfuse", "write", 8, Step::delay(5));
+        let s = Step::span("dfuse", "write", 8, Step::delay(SimTime(5)));
         assert_eq!(s.critical_delay_ns(), 5);
         match &s {
             Step::Span {
@@ -247,20 +268,11 @@ mod tests {
                 inner,
             } => {
                 assert_eq!((*layer, *op, *bytes, *attempt), ("dfuse", "write", 8, 0));
-                assert!(matches!(**inner, Step::Delay(5)));
+                assert!(matches!(**inner, Step::Delay(SimTime(5))));
             }
             other => panic!("expected Span, got {other:?}"),
         }
-        let t = Step::span("l", "o", 0, Step::transfer(4.0, [r(1)]));
+        let t = Step::span("l", "o", 0, Step::transfer(Bytes(4.0), [r(1)]));
         assert!((t.total_units() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_us_rounds() {
-        match Step::delay_us(1.5) {
-            Step::Delay(ns) => assert_eq!(ns, 1_500),
-            s => panic!("{s:?}"),
-        }
-        assert!(Step::delay_us(0.0).is_noop());
     }
 }

@@ -83,7 +83,6 @@ pub struct MetricView<'a> {
 pub struct Telemetry {
     enabled: bool,
     /// Window width in ns (0 while disabled).
-    // simlint::dim(ns)
     window_ns: u64,
     metrics: Vec<Metric>,
     names: BTreeMap<String, MetricId>,
@@ -102,7 +101,6 @@ impl Telemetry {
     }
 
     /// A recording registry sampling into `window_ns`-wide windows.
-    // simlint::dim(window_ns: ns)
     pub fn enabled(window_ns: u64) -> Telemetry {
         assert!(window_ns > 0, "telemetry window width must be positive");
         Telemetry {
@@ -381,7 +379,6 @@ pub enum SloKind {
         /// Quantile in permille (999 = p99.9).
         quantile_permille: u32,
         /// Inclusive latency ceiling in nanoseconds.
-        // simlint::dim(ns)
         max_ns: u64,
     },
     /// No matching resource may sustain utilisation at or above
@@ -417,7 +414,6 @@ pub struct SloRule {
 impl SloRule {
     /// Latency-quantile rule: the `quantile_permille` latency of every
     /// matching `(layer, op)` must stay at or below `max_ns`.
-    // simlint::dim(max_ns: ns)
     pub fn latency(
         name: &str,
         layer: &str,

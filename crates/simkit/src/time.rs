@@ -1,9 +1,10 @@
 //! Simulation time as integer nanoseconds.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
-/// A point in simulated time, in nanoseconds since the start of the run.
+/// A point in simulated time, in nanoseconds since the start of the run;
+/// also the type of every simulated duration (a latency, a delay).
 ///
 /// Integer nanoseconds keep event ordering exact and let symmetric
 /// processes land on *identical* timestamps, which the engine exploits to
@@ -66,6 +67,13 @@ impl SimTime {
     pub fn secs_since(self, earlier: SimTime) -> f64 {
         self.nanos_since(earlier) as f64 / 1e9
     }
+
+    /// This duration scaled by a dimensionless factor, **truncating** to
+    /// whole nanoseconds exactly like `(ns as f64 * factor) as u64`.
+    #[inline]
+    pub fn scale(self, factor: f64) -> SimTime {
+        SimTime((self.0 as f64 * factor) as u64)
+    }
 }
 
 impl Add<u64> for SimTime {
@@ -80,6 +88,15 @@ impl AddAssign<u64> for SimTime {
     #[inline]
     fn add_assign(&mut self, ns: u64) {
         self.0 = self.0.saturating_add(ns);
+    }
+}
+
+/// A duration repeated `n` times (`n` round trips, `n` servers).
+impl Mul<u64> for SimTime {
+    type Output = SimTime;
+    #[inline]
+    fn mul(self, n: u64) -> SimTime {
+        SimTime(self.0 * n)
     }
 }
 
@@ -133,6 +150,9 @@ mod tests {
         assert_eq!(SimTime::from_micros(4) - t, 0, "saturating");
         assert_eq!(t.nanos_since(SimTime::ZERO), 10_000);
         assert!((t.secs_since(SimTime::ZERO) - 1e-5).abs() < 1e-15);
+        assert_eq!(t * 3, SimTime::from_micros(30));
+        assert_eq!(SimTime(70_000).scale(1.5), SimTime(105_000));
+        assert_eq!(SimTime(3).scale(0.5), SimTime(1), "truncates");
     }
 
     #[test]

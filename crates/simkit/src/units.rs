@@ -7,7 +7,19 @@
 //! home for that arithmetic: [`Bytes`] and [`Rate`] newtypes whose
 //! operators encode the legal combinations (`Bytes / Rate → SimTime`,
 //! `Rate * seconds → Bytes`), plus the raw conversion helpers for call
-//! sites that must stay `f64`.
+//! sites that must stay `f64`.  [`Step::delay`](crate::Step::delay) and
+//! [`Step::transfer`](crate::Step::transfer) accept only these types, so
+//! the compiler rejects a mixed or unconverted expression:
+//!
+//! ```compile_fail
+//! use simkit::{Bytes, SimTime};
+//! let _ = Bytes(4096.0) + SimTime::from_nanos(10);
+//! ```
+//!
+//! ```compile_fail
+//! use simkit::{Bytes, Rate};
+//! let _: Bytes = Bytes(4096.0) / Rate(1e9);
+//! ```
 //!
 //! **Digest neutrality.** Every helper here reproduces the exact `f64`
 //! expression it replaced, including evaluation order and the
@@ -16,16 +28,13 @@
 //! [`SimTime::from_secs_f64`] (it replaces
 //! `((bytes / rate) * 1e9).ceil() as u64`).  Swapping one for the other
 //! shifts event timestamps by one nanosecond and changes every replay
-//! digest downstream — that is exactly the bug class the `simlint`
-//! stage-4 dimension pass exists to catch.
-//!
-//! The `simlint::dim(...)` markers below register these types and
-//! helpers with that pass; see `DESIGN.md` §14 for the marker grammar.
+//! digest downstream, so a call site that truncated keeps calling
+//! [`secs_to_ns`] explicitly.
 
 use crate::time::SimTime;
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Sub, SubAssign};
 
 /// One kibibyte in bytes.
 pub const KIB: f64 = 1024.0;
@@ -51,12 +60,10 @@ pub const NS_PER_SEC_INT: u64 = 1_000_000_000;
 /// Kept as `f64` because the max-min solver divides capacities
 /// fractionally; the newtype exists so the *dimension* travels with the
 /// value.
-// simlint::dim(bytes)
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bytes(pub f64);
 
 /// A transfer rate in bytes (or service units) per second.
-// simlint::dim(bytes_per_sec)
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Rate(pub f64);
 
@@ -97,6 +104,12 @@ impl Rate {
     #[inline]
     pub fn max(self, other: Rate) -> Rate {
         Rate(self.0.max(other.0))
+    }
+
+    /// Smaller of two rates.
+    #[inline]
+    pub fn min(self, other: Rate) -> Rate {
+        Rate(self.0.min(other.0))
     }
 
     /// Work moved at this rate over `secs` seconds.
@@ -182,7 +195,6 @@ impl SubAssign for Rate {
 /// `((remaining / rate) * 1e9).ceil() as u64` always has.
 impl Div<Rate> for Bytes {
     type Output = SimTime;
-    // simlint::dim(rhs: bytes_per_sec, return: ns)
     #[inline]
     fn div(self, rhs: Rate) -> SimTime {
         SimTime::from_secs_f64(self.0 / rhs.0)
@@ -196,6 +208,13 @@ impl Mul<f64> for Rate {
     #[inline]
     fn mul(self, scale: f64) -> Rate {
         Rate(self.0 * scale)
+    }
+}
+
+impl MulAssign<f64> for Rate {
+    #[inline]
+    fn mul_assign(&mut self, scale: f64) {
+        self.0 *= scale;
     }
 }
 
@@ -227,7 +246,6 @@ impl fmt::Display for Rate {
 /// [`SimTime::from_secs_f64`], which ceils.  Callers that switched
 /// between the two would move every downstream event by a nanosecond and
 /// break replay digests.
-// simlint::dim(s: secs, return: ns)
 #[inline]
 pub fn secs_to_ns(s: f64) -> u64 {
     (s * NS_PER_SEC) as u64
@@ -236,7 +254,6 @@ pub fn secs_to_ns(s: f64) -> u64 {
 /// Integer nanoseconds → fractional seconds.
 ///
 /// Replaces bare `ns as f64 / 1e9`.
-// simlint::dim(ns: ns, return: secs)
 #[inline]
 pub fn ns_to_secs(ns: u64) -> f64 {
     ns as f64 / NS_PER_SEC
@@ -248,7 +265,6 @@ pub fn ns_to_secs(ns: u64) -> f64 {
 /// Preserves the exact expression `(1e9 / per_sec) as u64`: computing
 /// `secs_to_ns(1.0 / per_sec)` instead performs two roundings and is
 /// *not* bit-identical for all inputs.
-// simlint::dim(return: ns)
 #[inline]
 pub fn ops_interval_ns(per_sec: f64) -> u64 {
     (NS_PER_SEC / per_sec) as u64
@@ -346,6 +362,10 @@ mod tests {
         assert_eq!(Rate(100.0) * 0.5, Rate(50.0));
         assert_eq!(Rate(100.0) / 4.0, Rate(25.0));
         assert_eq!(Rate(1.0).max(Rate(2.0)), Rate(2.0));
+        assert_eq!(Rate(1.0).min(Rate(2.0)), Rate(1.0));
+        let mut r = Rate(100.0);
+        r *= 0.25;
+        assert_eq!(r, Rate(25.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration tests for the engine's performance features: event
 //! coalescing, the banded fair-share solver, and their accuracy bounds.
 
-use simkit::{run, OpId, Scheduler, SimTime, Step, World};
+use simkit::{run, Bytes, OpId, Scheduler, SimTime, Step, World};
 
 struct Collect(Vec<(u64, SimTime)>);
 impl World for Collect {
@@ -23,7 +23,7 @@ fn staggered_makespan(quantum_ns: u64, tol: f64) -> f64 {
             if self.left[p] > 0 {
                 self.left[p] -= 1;
                 let r = self.res[(p * 7 + self.left[p] as usize) % self.res.len()];
-                sched.submit(Step::transfer(10.0, [r]), op);
+                sched.submit(Step::transfer(Bytes(10.0), [r]), op);
             }
         }
     }
@@ -39,7 +39,11 @@ fn staggered_makespan(quantum_ns: u64, tol: f64) -> f64 {
     };
     for p in 0..64usize {
         let r = w.res[(p * 7 + 20) % w.res.len()];
-        sched.submit_after(p as u64 * 1_000, Step::transfer(10.0, [r]), OpId(p as u64));
+        sched.submit_after(
+            SimTime(p as u64 * 1_000),
+            Step::transfer(Bytes(10.0), [r]),
+            OpId(p as u64),
+        );
     }
     run(&mut sched, &mut w);
     sched.now().as_secs_f64()
@@ -67,7 +71,10 @@ fn coalescing_batches_near_simultaneous_completions() {
     for i in 0..16u64 {
         // sizes differ by 0.001 units -> sub-µs completion differences
         // even at the fair-shared rate
-        sched.submit(Step::transfer(1000.0 + i as f64 * 0.001, [r]), OpId(i));
+        sched.submit(
+            Step::transfer(Bytes(1000.0 + i as f64 * 0.001), [r]),
+            OpId(i),
+        );
     }
     let mut w = Collect(Vec::new());
     run(&mut sched, &mut w);
@@ -79,7 +86,7 @@ fn coalescing_batches_near_simultaneous_completions() {
 fn zero_quantum_keeps_exact_times() {
     let mut sched = Scheduler::new();
     let r = sched.add_resource("r", 100.0);
-    sched.submit(Step::transfer(50.0, [r]), OpId(1));
+    sched.submit(Step::transfer(Bytes(50.0), [r]), OpId(1));
     let mut w = Collect(Vec::new());
     run(&mut sched, &mut w);
     assert_eq!(w.0[0].1.as_nanos(), 500_000_000);
@@ -93,7 +100,7 @@ fn banded_solver_never_exceeds_capacity_grossly() {
     sched.set_fairshare_tolerance(0.05);
     let r = sched.add_resource("r", 1000.0);
     for i in 0..32u64 {
-        sched.submit(Step::transfer(100.0, [r]), OpId(i));
+        sched.submit(Step::transfer(Bytes(100.0), [r]), OpId(i));
     }
     let mut w = Collect(Vec::new());
     run(&mut sched, &mut w);
@@ -114,10 +121,16 @@ fn deeply_nested_chains_execute_in_order() {
     // of both branches.
     let step = Step::par([
         Step::seq([
-            Step::delay(100_000_000), // 0.1 s
-            Step::par([Step::transfer(100.0, [r]), Step::transfer(100.0, [r])]),
+            Step::delay(SimTime(100_000_000)), // 0.1 s
+            Step::par([
+                Step::transfer(Bytes(100.0), [r]),
+                Step::transfer(Bytes(100.0), [r]),
+            ]),
         ]),
-        Step::seq([Step::transfer(300.0, [r]), Step::delay(50_000_000)]),
+        Step::seq([
+            Step::transfer(Bytes(300.0), [r]),
+            Step::delay(SimTime(50_000_000)),
+        ]),
     ]);
     sched.submit(step, OpId(9));
     let mut w = Collect(Vec::new());
@@ -138,7 +151,7 @@ fn many_independent_resources_scale() {
         .map(|i| sched.add_resource(format!("d{i}"), 100.0))
         .collect();
     for (i, &r) in res.iter().enumerate() {
-        sched.submit(Step::transfer(100.0, [r]), OpId(i as u64));
+        sched.submit(Step::transfer(Bytes(100.0), [r]), OpId(i as u64));
     }
     let mut w = Collect(Vec::new());
     run(&mut sched, &mut w);
@@ -152,7 +165,7 @@ fn trace_records_completions_in_order() {
     sched.set_trace(simkit::Trace::bounded(16));
     let r = sched.add_resource("r", 100.0);
     for i in 0..4u64 {
-        sched.submit(Step::transfer(10.0 * (i + 1) as f64, [r]), OpId(i));
+        sched.submit(Step::transfer(Bytes(10.0 * (i + 1) as f64), [r]), OpId(i));
     }
     let mut w = Collect(Vec::new());
     run(&mut sched, &mut w);

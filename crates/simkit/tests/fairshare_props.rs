@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use simkit::fairshare::FairShare;
-use simkit::units::Rate;
-use simkit::{run, OpId, ResourceId, Scheduler, Step, World};
+use simkit::units::{Bytes, Rate};
+use simkit::{run, OpId, ResourceId, Scheduler, SimTime, Step, World};
 
 /// Random scenario: capacities plus flows with 1..=4 distinct resources.
 fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
@@ -104,7 +104,7 @@ proptest! {
         let mut s = Scheduler::new();
         let r = s.add_resource("r", cap);
         for i in 0..n {
-            s.submit_after(i as u64 * stagger_ns, Step::transfer(unit, [r]), OpId(i as u64));
+            s.submit_after(SimTime(i as u64 * stagger_ns), Step::transfer(Bytes(unit), [r]), OpId(i as u64));
         }
         let mut w = Last(simkit::SimTime::ZERO);
         run(&mut s, &mut w);

@@ -27,9 +27,8 @@
 //!   retriable: retrying after data loss can never succeed.
 //!
 //! The index built here is shared by the stage-3 cost pass
-//! ([`crate::cost`]) and the stage-4 dimension pass ([`crate::dim`]):
-//! their body facts are extracted in the same parse and cached in the
-//! same JSON index.
+//! ([`crate::cost`]): its body facts are extracted in the same parse and
+//! cached in the same JSON index.
 //!
 //! # Registration markers
 //!
@@ -94,10 +93,6 @@ pub const MARKERS: &[&str] = &[
 
 /// Identifier treated as the retriable classification in remap checks.
 const RETRIABLE_TOKEN: &str = "Retriable";
-
-/// Physical dimensions understood by the stage-4 pass
-/// (`simlint::dim(<unit>)` / `simlint::dim(name: unit, return: unit)`).
-pub const UNITS: &[&str] = &["bytes", "bytes_per_sec", "ns", "secs"];
 
 /// Descriptor for a flow rule (stage 2 has no per-line predicate, so it
 /// does not reuse [`crate::Rule`]).
@@ -178,28 +173,6 @@ pub struct FnFact {
     /// Full scans over fields of a registered sim-state type, recorded
     /// only for methods of such types: `(line, rendered expression)`.
     pub state_loops: Vec<(u32, String)>,
-    /// Stage-4 additive mixing events: `(line, left unit, right unit)`
-    /// for a `+`/`-`/`+=`/`-=` whose operands carry unlike dimensions.
-    pub dim_mixed: Vec<(u32, String, String)>,
-    /// Stage-4 sink violations: `(line, callee, expected unit, got)` for
-    /// a call argument whose dimension disagrees with the callee's
-    /// registered parameter dimension (`got` is a unit name or a derived
-    /// expression like `bytes*bytes_per_sec`).
-    pub dim_sinks: Vec<(u32, String, String, String)>,
-    /// Stage-4 raw conversion literals: `(line, literal)` for `1e9`,
-    /// `1_000_000_000`, `1073741824` or `1024.0 * 1024.0` in a body
-    /// (the analysis exempts units modules by path).
-    pub dim_lits: Vec<(u32, String)>,
-}
-
-/// Dimension signature of one function for the stage-4 pass: the units
-/// of its (0-based, non-`self`) parameters and of its return value.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DimSig {
-    /// `(parameter position, unit)` for each dimensioned parameter.
-    pub params: Vec<(u32, String)>,
-    /// Unit of the return value, when registered.
-    pub ret: Option<String>,
 }
 
 /// The parsed item index for the workspace: the unit that is cached
@@ -216,15 +189,6 @@ pub struct Index {
     pub span_source: BTreeSet<String>,
     /// Enum variants registered with `terminal_error`, as `Enum::Variant`.
     pub terminals: BTreeSet<String>,
-    /// Stage-4: type name → unit, from `simlint::dim(unit)` on structs
-    /// plus the built-in simkit unit types.
-    pub dim_types: BTreeMap<String, String>,
-    /// Stage-4: `Type::field` → unit, from field markers or a field's
-    /// type resolving through `dim_types`.
-    pub dim_fields: BTreeMap<String, String>,
-    /// Stage-4: `Type::fn` (or bare fn name) → dimension signature, from
-    /// `simlint::dim(name: unit, return: unit)` markers plus built-ins.
-    pub dim_sigs: BTreeMap<String, DimSig>,
     /// All indexed functions, in deterministic (file, line) order.
     pub fns: Vec<FnFact>,
 }
@@ -266,7 +230,6 @@ const SELF_SOURCES: &[&str] = &[
     include_str!("lex.rs"),
     include_str!("flow.rs"),
     include_str!("cost.rs"),
-    include_str!("dim.rs"),
     include_str!("json.rs"),
     include_str!("main.rs"),
 ];
@@ -349,62 +312,6 @@ fn markers_for(
     out
 }
 
-/// Dimension annotations found per 1-based line (inside `//` comments
-/// only).  Each entry is `(key, unit)` where the key is `""` for the
-/// bare form `simlint::dim(bytes)`, a parameter name for
-/// `simlint::dim(s: secs)`, or `"return"`.  Units not listed in
-/// [`UNITS`] are dropped silently — the pass is advisory and an
-/// unknown unit most likely means a marker from a newer simlint.
-fn scan_dim_markers(lines: &[&str]) -> BTreeMap<usize, Vec<(String, String)>> {
-    let mut out: BTreeMap<usize, Vec<(String, String)>> = BTreeMap::new();
-    for (i, raw) in lines.iter().enumerate() {
-        let Some(pos) = raw.find("//") else { continue };
-        let comment = &raw[pos..];
-        let needle = "simlint::dim(";
-        let Some(mpos) = comment.find(needle) else {
-            continue;
-        };
-        let rest = &comment[mpos + needle.len()..];
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        for part in rest[..close].split(',') {
-            let (key, unit) = match part.split_once(':') {
-                Some((k, u)) => (k.trim(), u.trim()),
-                None => ("", part.trim()),
-            };
-            if UNITS.contains(&unit) {
-                out.entry(i + 1)
-                    .or_default()
-                    .push((key.to_string(), unit.to_string()));
-            }
-        }
-    }
-    out
-}
-
-/// Dimension annotations attached to a declaration at `line` (1-based):
-/// same-line trailing comment, or any comment/attribute line directly
-/// above — the same attachment walk as [`markers_for`].
-fn dims_for(
-    line: usize,
-    lines: &[&str],
-    dmarks: &BTreeMap<usize, Vec<(String, String)>>,
-) -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = dmarks.get(&line).into_iter().flatten().cloned().collect();
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        let t = lines[l - 1].trim();
-        if t.starts_with("//") || t.starts_with("#[") || t.starts_with("#!") {
-            out.extend(dmarks.get(&l).into_iter().flatten().cloned());
-        } else {
-            break;
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Item parsing
 // ---------------------------------------------------------------------------
@@ -418,12 +325,6 @@ struct RawFn {
     line: u32,
     mut_self: bool,
     markers: BTreeSet<String>,
-    /// Non-`self` parameter names in declaration order (`""` for
-    /// unnamed pattern parameters, to keep positions aligned).
-    params: Vec<String>,
-    /// `simlint::dim` annotations attached to the declaration:
-    /// `(key, unit)` with key `""`/`"return"`/a parameter name.
-    dims: Vec<(String, String)>,
     /// Token range of the body, outer braces excluded.
     body: std::ops::Range<usize>,
 }
@@ -432,10 +333,6 @@ struct RawFn {
 struct StructP {
     name: String,
     markers: BTreeSet<String>,
-    /// Bare `simlint::dim(unit)` on the struct declaration.
-    dim: Option<String>,
-    /// `(field name, marker unit, type head ident)` per named field.
-    fields: Vec<(String, Option<String>, Option<String>)>,
 }
 
 struct FileParse {
@@ -454,7 +351,6 @@ pub(crate) const CALL_KEYWORDS: &[&str] = &[
 fn parse_file(source: &str) -> FileParse {
     let lines: Vec<&str> = source.lines().collect();
     let marks = scan_markers(&lines);
-    let dmarks = scan_dim_markers(&lines);
     let toks = lex(source);
     let mut fns = Vec::new();
     let mut structs = Vec::new();
@@ -494,20 +390,11 @@ fn parse_file(source: &str) -> FileParse {
             p = body_open; // the `{` (or stream end); main loop opens it
         } else if t.is_ident("struct") {
             if let Some(name_tok) = toks.get(p + 1).filter(|t| t.kind == TokKind::Ident) {
-                let nline = name_tok.line as usize;
-                let m = markers_for(nline, &lines, &marks);
-                let dim = dims_for(nline, &lines, &dmarks)
-                    .into_iter()
-                    .find(|(k, _)| k.is_empty())
-                    .map(|(_, u)| u);
-                let (fields, end) = parse_struct_body(&toks, p + 2, &lines, &dmarks);
                 structs.push(StructP {
                     name: name_tok.text.clone(),
-                    markers: m,
-                    dim,
-                    fields,
+                    markers: markers_for(name_tok.line as usize, &lines, &marks),
                 });
-                p = end;
+                p = skip_item(&toks, p + 2);
             } else {
                 p += 1;
             }
@@ -523,14 +410,7 @@ fn parse_file(source: &str) -> FileParse {
                 p += 1;
             }
         } else if t.is_ident("fn") {
-            match parse_fn(
-                &toks,
-                p,
-                &lines,
-                &marks,
-                &dmarks,
-                impl_stack.last().map(|(n, _)| n),
-            ) {
+            match parse_fn(&toks, p, &lines, &marks, impl_stack.last().map(|(n, _)| n)) {
                 Some((raw, end)) => {
                     fns.push(raw);
                     p = end;
@@ -677,130 +557,11 @@ pub(crate) fn skip_angle_brackets(toks: &[Tok], mut p: usize) -> usize {
 /// Parse a `fn` item starting at the `fn` keyword.  Returns the raw
 /// record and the index past the body (or past the `;` for a bodyless
 /// trait method, in which case no record is produced).
-/// Skip a balanced `(…)`/`[…]`/`{…}` region starting at its opener.
-pub(crate) fn skip_balanced(toks: &[Tok], mut p: usize) -> usize {
-    let mut depth = 0usize;
-    while p < toks.len() {
-        let t = &toks[p];
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return p + 1;
-            }
-        }
-        p += 1;
-    }
-    p
-}
-
-/// One parsed named field: `(field name, marker unit, type head ident)`.
-type FieldDim = (String, Option<String>, Option<String>);
-
-/// Parse a struct declaration starting after its name: generics, then a
-/// unit `;`, a tuple body (fields unnamed, skipped) or a named-field
-/// body.  Returns one [`FieldDim`] per named field and the index past
-/// the whole item.
-fn parse_struct_body(
-    toks: &[Tok],
-    mut p: usize,
-    lines: &[&str],
-    dmarks: &BTreeMap<usize, Vec<(String, String)>>,
-) -> (Vec<FieldDim>, usize) {
-    let mut fields = Vec::new();
-    let mut saw_where = false;
-    while p < toks.len() {
-        let t = &toks[p];
-        if t.is_punct("<") {
-            p = skip_angle_brackets(toks, p);
-        } else if t.is_punct(";") {
-            return (fields, p + 1); // unit struct
-        } else if t.is_punct("(") {
-            if saw_where {
-                // Paren inside a where clause (`F: Fn(u32)`), not a
-                // tuple body; step over it and keep looking.
-                p = skip_balanced(toks, p);
-                continue;
-            }
-            // Tuple struct: skip the parens, then the trailing `;`.
-            p = skip_balanced(toks, p);
-            while p < toks.len() && !toks[p].is_punct(";") {
-                p += 1;
-            }
-            return (fields, (p + 1).min(toks.len()));
-        } else if t.is_punct("{") {
-            break;
-        } else {
-            saw_where |= t.is_ident("where");
-            p += 1;
-        }
-    }
-    if p >= toks.len() {
-        return (fields, p);
-    }
-    p += 1; // past `{`
-    while p < toks.len() {
-        let t = &toks[p];
-        if t.is_punct("}") {
-            return (fields, p + 1);
-        }
-        if t.is_punct("#") {
-            let (e, _) = parse_attribute(toks, p);
-            p = e;
-            continue;
-        }
-        if t.kind == TokKind::Ident
-            && !t.is_ident("pub")
-            && toks.get(p + 1).is_some_and(|n| n.is_punct(":"))
-        {
-            let mdim = dims_for(t.line as usize, lines, dmarks)
-                .into_iter()
-                .find(|(k, _)| k.is_empty())
-                .map(|(_, u)| u);
-            // Type head: first ident after `:`, `&`/`*` stripped; two
-            // adjacent idents mean the first was a lifetime (the lexer
-            // drops the tick from `&'a Bytes`).
-            let mut q = p + 2;
-            let mut head: Option<String> = None;
-            while q < toks.len() {
-                let ty = &toks[q];
-                if ty.kind == TokKind::Ident && !ty.is_ident("mut") && !ty.is_ident("dyn") {
-                    if toks.get(q + 1).is_some_and(|n| n.kind == TokKind::Ident) {
-                        q += 1;
-                        continue;
-                    }
-                    head = Some(ty.text.clone());
-                    break;
-                } else if ty.is_punct("&") || ty.is_punct("*") {
-                    q += 1;
-                } else {
-                    break;
-                }
-            }
-            fields.push((t.text.clone(), mdim, head));
-            p += 2;
-            continue;
-        }
-        // Nested regions in a field's type can hold `,` tokens; skip
-        // them wholesale so they never read as field separators.
-        if t.is_punct("(") || t.is_punct("[") {
-            p = skip_balanced(toks, p);
-        } else if t.is_punct("<") {
-            p = skip_angle_brackets(toks, p);
-        } else {
-            p += 1;
-        }
-    }
-    (fields, p)
-}
-
 fn parse_fn(
     toks: &[Tok],
     p: usize,
     lines: &[&str],
     marks: &BTreeMap<usize, Vec<String>>,
-    dmarks: &BTreeMap<usize, Vec<(String, String)>>,
     impl_type: Option<&String>,
 ) -> Option<(RawFn, usize)> {
     let name_tok = toks.get(p + 1)?;
@@ -816,8 +577,7 @@ fn parse_fn(
     if !toks.get(q).is_some_and(|t| t.is_punct("(")) {
         return None;
     }
-    // Scan the parameter list; detect a `self` receiver with `mut` and
-    // collect parameter names for the stage-4 dimension pass.
+    // Scan the parameter list; detect a `self` receiver with `mut`.
     let mut depth = 0usize;
     let mut groups: Vec<Vec<&Tok>> = vec![Vec::new()];
     while q < toks.len() {
@@ -843,22 +603,6 @@ fn parse_fn(
     }
     let mut_self =
         groups[0].iter().any(|t| t.is_ident("self")) && groups[0].iter().any(|t| t.is_ident("mut"));
-    let mut params: Vec<String> = Vec::new();
-    for g in &groups {
-        if g.is_empty() || g.iter().any(|t| t.is_ident("self")) {
-            continue; // empty list, or the receiver
-        }
-        let mut k = 0usize;
-        while g.get(k).is_some_and(|t| t.is_ident("mut")) {
-            k += 1;
-        }
-        // `""` for pattern parameters keeps later names positional.
-        let name = match (g.get(k), g.get(k + 1)) {
-            (Some(n), Some(c)) if n.kind == TokKind::Ident && c.is_punct(":") => n.text.clone(),
-            _ => String::new(),
-        };
-        params.push(name);
-    }
     // Return type / where clause up to the body or `;`.  `;` inside
     // brackets (`-> [u8; 4]`) does not terminate the signature.
     let mut nested = 0usize;
@@ -903,8 +647,6 @@ fn parse_fn(
             line,
             mut_self,
             markers: markers_for(line as usize, lines, marks),
-            params,
-            dims: dims_for(line as usize, lines, dmarks),
             body: body_start..body_end,
         },
         (q + 1).min(toks.len()),
@@ -1323,49 +1065,6 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
         }
     }
 
-    // Stage-4 dimension registrations: built-in knowledge of the simkit
-    // unit types seeds the tables, markers extend them.
-    let mut dim_types = crate::dim::builtin_types();
-    let mut dim_sigs = crate::dim::builtin_sigs();
-    for (_, fp) in &parses {
-        for sp in &fp.structs {
-            if let Some(u) = &sp.dim {
-                dim_types.insert(sp.name.clone(), u.clone());
-            }
-        }
-        for raw in &fp.fns {
-            let mut sig = DimSig::default();
-            for (key, unit) in &raw.dims {
-                if key.is_empty() || key == "return" {
-                    sig.ret = Some(unit.clone());
-                } else if let Some(pos) = raw.params.iter().position(|p| p == key) {
-                    sig.params.push((pos as u32, unit.clone()));
-                }
-            }
-            if sig != DimSig::default() {
-                sig.params.sort();
-                dim_sigs.insert(raw.qual.clone(), sig);
-            }
-        }
-    }
-    // Field dimensions: an explicit marker wins; otherwise the field's
-    // type head resolves through the (now complete) type table, so
-    // `remaining: Bytes` registers without a marker.
-    let mut dim_fields: BTreeMap<String, String> = BTreeMap::new();
-    for (_, fp) in &parses {
-        for sp in &fp.structs {
-            for (fname, mdim, thead) in &sp.fields {
-                let unit = mdim
-                    .clone()
-                    .or_else(|| thead.as_ref().and_then(|t| dim_types.get(t).cloned()));
-                if let Some(u) = unit {
-                    dim_fields.insert(format!("{}::{}", sp.name, fname), u);
-                }
-            }
-        }
-    }
-    let tables = crate::dim::DimTables::new(&dim_types, &dim_fields, &dim_sigs);
-
     let mut fns = Vec::new();
     for (path, fp) in &parses {
         for raw in &fp.fns {
@@ -1385,9 +1084,6 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
                 allocs: Vec::new(),
                 map_ops: Vec::new(),
                 state_loops: Vec::new(),
-                dim_mixed: Vec::new(),
-                dim_sinks: Vec::new(),
-                dim_lits: Vec::new(),
             };
             analyze_body(
                 &fp.toks,
@@ -1404,15 +1100,6 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
                     .is_some_and(|t| sim_state.contains(t)),
                 &mut fact,
             );
-            crate::dim::collect_dim_facts(
-                &fp.toks,
-                raw.body.clone(),
-                &tables,
-                &raw.params,
-                &raw.qual,
-                raw.impl_type.as_deref(),
-                &mut fact,
-            );
             fns.push(fact);
         }
     }
@@ -1422,9 +1109,6 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
         sim_state,
         span_source,
         terminals,
-        dim_types,
-        dim_fields,
-        dim_sigs,
         fns,
     }
 }
@@ -1836,7 +1520,7 @@ use crate::json_escape;
 /// Serialize the index to JSON (one object; findings-style escaping).
 pub fn index_to_json(index: &Index) -> String {
     let mut s = String::new();
-    s.push_str("{\"version\":4,");
+    s.push_str("{\"version\":5,");
     s.push_str(&format!("\"fingerprint\":\"{:016x}\",", index.fingerprint));
     let str_arr = |items: &BTreeSet<String>| {
         let inner: Vec<String> = items
@@ -1845,35 +1529,9 @@ pub fn index_to_json(index: &Index) -> String {
             .collect();
         format!("[{}]", inner.join(","))
     };
-    let str_map = |items: &BTreeMap<String, String>| {
-        let inner: Vec<String> = items
-            .iter()
-            .map(|(k, v)| format!("[\"{}\",\"{}\"]", json_escape(k), json_escape(v)))
-            .collect();
-        format!("[{}]", inner.join(","))
-    };
     s.push_str(&format!("\"sim_state\":{},", str_arr(&index.sim_state)));
     s.push_str(&format!("\"span_source\":{},", str_arr(&index.span_source)));
     s.push_str(&format!("\"terminals\":{},", str_arr(&index.terminals)));
-    s.push_str(&format!("\"dim_types\":{},", str_map(&index.dim_types)));
-    s.push_str(&format!("\"dim_fields\":{},", str_map(&index.dim_fields)));
-    let sigs: Vec<String> = index
-        .dim_sigs
-        .iter()
-        .map(|(q, sig)| {
-            let ps: Vec<String> = sig
-                .params
-                .iter()
-                .map(|(pos, u)| format!("[{pos},\"{}\"]", json_escape(u)))
-                .collect();
-            let ret = match &sig.ret {
-                Some(u) => format!("\"{}\"", json_escape(u)),
-                None => "null".to_string(),
-            };
-            format!("[\"{}\",[{}],{}]", json_escape(q), ps.join(","), ret)
-        })
-        .collect();
-    s.push_str(&format!("\"dim_sigs\":[{}],", sigs.join(",")));
     s.push_str("\"fns\":[");
     for (i, f) in index.fns.iter().enumerate() {
         if i > 0 {
@@ -1947,32 +1605,7 @@ pub fn index_to_json(index: &Index) -> String {
             .iter()
             .map(|(l, w)| format!("[{l},\"{}\"]", json_escape(w)))
             .collect();
-        s.push_str(&format!("\"state_loops\":[{}],", scans.join(",")));
-        let mixed: Vec<String> = f
-            .dim_mixed
-            .iter()
-            .map(|(l, a, b)| format!("[{l},\"{}\",\"{}\"]", json_escape(a), json_escape(b)))
-            .collect();
-        s.push_str(&format!("\"dim_mixed\":[{}],", mixed.join(",")));
-        let sinks: Vec<String> = f
-            .dim_sinks
-            .iter()
-            .map(|(l, c, e, g)| {
-                format!(
-                    "[{l},\"{}\",\"{}\",\"{}\"]",
-                    json_escape(c),
-                    json_escape(e),
-                    json_escape(g)
-                )
-            })
-            .collect();
-        s.push_str(&format!("\"dim_sinks\":[{}],", sinks.join(",")));
-        let lits: Vec<String> = f
-            .dim_lits
-            .iter()
-            .map(|(l, t)| format!("[{l},\"{}\"]", json_escape(t)))
-            .collect();
-        s.push_str(&format!("\"dim_lits\":[{}]}}", lits.join(",")));
+        s.push_str(&format!("\"state_loops\":[{}]}}", scans.join(",")));
     }
     s.push_str("]}");
     s
@@ -1981,7 +1614,7 @@ pub fn index_to_json(index: &Index) -> String {
 /// Deserialize an index written by [`index_to_json`].
 pub fn index_from_json(s: &str) -> Result<Index, String> {
     let v = Json::parse(s)?;
-    if v.get("version").and_then(|x| x.as_u64()) != Some(4) {
+    if v.get("version").and_then(|x| x.as_u64()) != Some(5) {
         return Err("unsupported index version".to_string());
     }
     let fingerprint = v
@@ -2000,51 +1633,6 @@ pub fn index_from_json(s: &str) -> Result<Index, String> {
     let sim_state = str_set("sim_state")?;
     let span_source = str_set("span_source")?;
     let terminals = str_set("terminals")?;
-    let str_map = |key: &str| -> Result<BTreeMap<String, String>, String> {
-        let mut out = BTreeMap::new();
-        for e in v
-            .get(key)
-            .and_then(|x| x.as_arr())
-            .ok_or_else(|| format!("missing {key}"))?
-        {
-            let a = e.as_arr().ok_or("bad map entry")?;
-            if a.len() != 2 {
-                return Err("bad map entry arity".to_string());
-            }
-            out.insert(
-                a[0].as_str().ok_or("bad map key")?.to_string(),
-                a[1].as_str().ok_or("bad map value")?.to_string(),
-            );
-        }
-        Ok(out)
-    };
-    let dim_types = str_map("dim_types")?;
-    let dim_fields = str_map("dim_fields")?;
-    let mut dim_sigs = BTreeMap::new();
-    for e in v
-        .get("dim_sigs")
-        .and_then(|x| x.as_arr())
-        .ok_or("missing dim_sigs")?
-    {
-        let a = e.as_arr().ok_or("bad dim_sig")?;
-        if a.len() != 3 {
-            return Err("bad dim_sig arity".to_string());
-        }
-        let qual = a[0].as_str().ok_or("bad dim_sig qual")?.to_string();
-        let mut params = Vec::new();
-        for pe in a[1].as_arr().ok_or("bad dim_sig params")? {
-            let pa = pe.as_arr().ok_or("bad dim_sig param")?;
-            if pa.len() != 2 {
-                return Err("bad dim_sig param arity".to_string());
-            }
-            params.push((
-                pa[0].as_u64().ok_or("bad dim_sig param pos")? as u32,
-                pa[1].as_str().ok_or("bad dim_sig param unit")?.to_string(),
-            ));
-        }
-        let ret = a[2].as_str().map(|s| s.to_string());
-        dim_sigs.insert(qual, DimSig { params, ret });
-    }
     let mut fns = Vec::new();
     for fv in v.get("fns").and_then(|x| x.as_arr()).ok_or("missing fns")? {
         let gs = |key: &str| -> Result<String, String> {
@@ -2145,41 +1733,6 @@ pub fn index_from_json(s: &str) -> Result<Index, String> {
                 .into_iter()
                 .map(|(k, l)| (l, k))
                 .collect(),
-            dim_mixed: {
-                let mut out = Vec::new();
-                for e in fv.get("dim_mixed").and_then(|x| x.as_arr()).unwrap_or(&[]) {
-                    let a = e.as_arr().ok_or("bad dim_mixed")?;
-                    if a.len() != 3 {
-                        return Err("bad dim_mixed arity".to_string());
-                    }
-                    out.push((
-                        a[0].as_u64().ok_or("bad dim_mixed line")? as u32,
-                        a[1].as_str().ok_or("bad dim_mixed left")?.to_string(),
-                        a[2].as_str().ok_or("bad dim_mixed right")?.to_string(),
-                    ));
-                }
-                out
-            },
-            dim_sinks: {
-                let mut out = Vec::new();
-                for e in fv.get("dim_sinks").and_then(|x| x.as_arr()).unwrap_or(&[]) {
-                    let a = e.as_arr().ok_or("bad dim_sink")?;
-                    if a.len() != 4 {
-                        return Err("bad dim_sink arity".to_string());
-                    }
-                    out.push((
-                        a[0].as_u64().ok_or("bad dim_sink line")? as u32,
-                        a[1].as_str().ok_or("bad dim_sink callee")?.to_string(),
-                        a[2].as_str().ok_or("bad dim_sink expected")?.to_string(),
-                        a[3].as_str().ok_or("bad dim_sink got")?.to_string(),
-                    ));
-                }
-                out
-            },
-            dim_lits: pair_list("dim_lits", true)?
-                .into_iter()
-                .map(|(k, l)| (l, k))
-                .collect(),
         });
     }
     Ok(Index {
@@ -2187,9 +1740,6 @@ pub fn index_from_json(s: &str) -> Result<Index, String> {
         sim_state,
         span_source,
         terminals,
-        dim_types,
-        dim_fields,
-        dim_sigs,
         fns,
     })
 }

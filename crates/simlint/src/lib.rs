@@ -47,7 +47,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod cost;
-pub mod dim;
 pub mod flow;
 pub mod json;
 pub mod lex;
@@ -350,7 +349,6 @@ fn rule_ids() -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = rules().iter().map(|r| r.id).collect();
     ids.extend(flow::flow_rules().iter().map(|r| r.id));
     ids.extend(cost::cost_rules().iter().map(|r| r.id));
-    ids.extend(dim::dim_rules().iter().map(|r| r.id));
     ids
 }
 
@@ -832,7 +830,7 @@ mod tests {
 
     #[test]
     fn env_dependent_allow_suppression() {
-        let src = "// simlint::allow(env-dependent-sim) — opt-in diagnostics toggle, no effect on results\nlet d = std::env::var_os(\"SIMKIT_DIAG\").is_some();\n";
+        let src = "// simlint::allow(env-dependent-sim) — opt-in diagnostics toggle, no effect on results\nlet d = std::env::var_os(\"SIM_VERBOSE\").is_some();\n";
         assert!(rules_hit(src, SIM_LIB).is_empty());
     }
 

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use simlint::json::Json;
-use simlint::{cost, dim, flow, lint_tree, rules, Finding, Severity};
+use simlint::{cost, flow, lint_tree, rules, Finding, Severity};
 
 fn usage() -> &'static str {
     "simlint — determinism lint for the daos-io-sim workspace\n\n\
@@ -25,10 +25,10 @@ fn usage() -> &'static str {
      --deny            exit non-zero if any unsuppressed, non-baselined\n\
                        error-level finding remains\n\
      --json            emit findings as JSON lines instead of human text\n\
-     --list-rules      print the rule registry (both stages) and exit\n\
+     --list-rules      print the rule registry (every stage) and exit\n\
      --root DIR        lint DIR instead of the inferred workspace root\n\
-     --no-flow         skip the stage-2/3/4 passes (call-graph, cost and\n\
-                       dimension analyses)\n\
+     --no-flow         skip the stage-2/3 passes (call-graph and cost\n\
+                       analyses)\n\
      --baseline FILE   accept findings recorded in FILE: they are still\n\
                        reported, but do not fail --deny\n\
      --write-baseline FILE  record current error findings as the baseline\n\
@@ -134,9 +134,6 @@ fn main() -> ExitCode {
                 for r in cost::cost_rules() {
                     println!("{:<30} {:<5} {}", r.id, r.severity.to_string(), r.summary);
                 }
-                for r in dim::dim_rules() {
-                    println!("{:<30} {:<5} {}", r.id, r.severity.to_string(), r.summary);
-                }
                 return ExitCode::SUCCESS;
             }
             "--root" => path_arg(&mut args, "--root").map(|p| root = Some(p)),
@@ -192,7 +189,6 @@ fn main() -> ExitCode {
         }
         findings.extend(flow::analyze(&index, &sources));
         findings.extend(cost::analyze(&index, &sources));
-        findings.extend(dim::analyze(&index, &sources));
         findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     }
 

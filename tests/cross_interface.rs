@@ -7,7 +7,7 @@ use daos_core::{ContainerProps, DaosSystem, DataMode, ObjectClass};
 use daos_dfs::{Dfs, DfsOpts};
 use daos_dfuse::{DfuseMount, DfuseOpts};
 use fdb_sim::{Fdb, FdbCeph, FdbDaos, FdbPosix, FieldKey};
-use simkit::{run, OpId, Scheduler, SimTime, SplitMix64, Step, World};
+use simkit::{run, Bytes, OpId, Scheduler, SimTime, SplitMix64, Step, World};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -130,7 +130,7 @@ fn fdb_round_trips_on_all_three_stores() {
                 size: 1 << 20,
             },
         );
-        let mut fdb = FdbPosix::new(fs, (1u64 << 20) as f64).unwrap();
+        let mut fdb = FdbPosix::new(fs, Bytes((1u64 << 20) as f64)).unwrap();
         exec(
             &mut sched,
             fdb.archive(0, 0, &key, Payload::Bytes(field.clone()))

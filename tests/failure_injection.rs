@@ -5,7 +5,7 @@ use cluster::posix::PosixFs;
 use cluster::{ClusterSpec, Payload};
 use daos_core::{ContainerProps, DaosError, DaosSystem, DataMode, ObjectClass, TargetId};
 use daos_dfs::{Dfs, DfsOpts};
-use simkit::{run, run_for, OpId, RunOutcome, Scheduler, SimTime, SplitMix64, Step, World};
+use simkit::{run, run_for, Bytes, OpId, RunOutcome, Scheduler, SimTime, SplitMix64, Step, World};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -152,7 +152,7 @@ fn engine_reports_stall_and_recovers_on_capacity_restore() {
     // examples use.
     let mut sched = Scheduler::new();
     let r = sched.add_resource("flaky", 100.0);
-    sched.submit(Step::transfer(100.0, [r]), OpId(7));
+    sched.submit(Step::transfer(Bytes(100.0), [r]), OpId(7));
     let mut w = Done(SimTime::ZERO);
     // run half the transfer, then fail the device
     let out = run_for(&mut sched, &mut w, SimTime::from_secs_f64(0.5));
