@@ -100,28 +100,52 @@ pub struct PoolMap {
     servable: usize,
 }
 
-/// The placement of one object: shard groups of equal width.
+/// The placement of one object: shard groups of equal width, stored
+/// flat so that a layout over every target of a pool is one allocation.
 ///
-/// * plain (`S*`/`SX`): `groups[g] = [target]`;
-/// * replication: `groups[g] = [replica0, replica1, …]`;
-/// * erasure coding: `groups[g] = [data0 … data(k-1), parity0 …]`.
+/// * plain (`S*`/`SX`): `group(g) = [target]`;
+/// * replication: `group(g) = [replica0, replica1, …]`;
+/// * erasure coding: `group(g) = [data0 … data(k-1), parity0 …]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
-    /// Shard groups in dkey order.
-    pub groups: Vec<Vec<TargetId>>,
+    /// Group members, shard groups in dkey order, `width` per group.
+    members: Vec<TargetId>,
+    /// Targets per shard group (≥ 1).
+    width: usize,
     /// The class the layout was generated for.
     pub class: ObjectClass,
 }
 
 impl Layout {
+    /// Number of shard groups.
+    pub fn group_count(&self) -> usize {
+        self.members.len() / self.width
+    }
+
+    /// Members of shard group `g`.
+    pub fn group(&self, g: usize) -> &[TargetId] {
+        &self.members[g * self.width..(g + 1) * self.width]
+    }
+
+    /// Shard groups in dkey order.
+    pub fn groups(&self) -> std::slice::Chunks<'_, TargetId> {
+        self.members.chunks(self.width)
+    }
+
+    /// Shard groups in dkey order, for remapping members in place
+    /// (rebuild and migration).
+    pub fn groups_mut(&mut self) -> std::slice::ChunksMut<'_, TargetId> {
+        self.members.chunks_mut(self.width)
+    }
+
     /// Group responsible for a dkey (Array chunk index or KV dkey hash).
     pub fn group_for(&self, dkey_hash: u64) -> &[TargetId] {
-        &self.groups[(dkey_hash % self.groups.len() as u64) as usize]
+        self.group(self.group_index(dkey_hash))
     }
 
     /// Index of the group responsible for a dkey.
     pub fn group_index(&self, dkey_hash: u64) -> usize {
-        (dkey_hash % self.groups.len() as u64) as usize
+        (dkey_hash % self.group_count() as u64) as usize
     }
 }
 
@@ -437,14 +461,18 @@ impl PoolMap {
             }
             round += 1;
         }
-        let groups = (0..groups_n)
-            .map(|g| {
-                (0..width)
-                    .map(|m| interleaved[(g * width + m) % interleaved.len()])
-                    .collect()
-            })
+        // group g, member m is interleaved[(g * width + m) % len]
+        let members = interleaved
+            .iter()
+            .copied()
+            .cycle()
+            .take(groups_n * width)
             .collect();
-        Layout { groups, class }
+        Layout {
+            members,
+            width,
+            class,
+        }
     }
 }
 
@@ -622,7 +650,7 @@ mod tests {
         pm.drain_server(0);
         assert!(pm.version() > v);
         let l3 = pm.layout(&oid, ObjectClass::RP_2);
-        for g in &l3.groups {
+        for g in l3.groups() {
             for t in g {
                 assert_ne!(t.server, 0, "drained server excluded from new layouts");
             }
@@ -635,8 +663,8 @@ mod tests {
         let mut alloc = OidAllocator::new();
         let oid = alloc.next(ObjectClass::S1, 0);
         let l = pm.layout(&oid, ObjectClass::S1);
-        assert_eq!(l.groups.len(), 1);
-        assert_eq!(l.groups[0].len(), 1);
+        assert_eq!(l.group_count(), 1);
+        assert_eq!(l.group(0).len(), 1);
     }
 
     #[test]
@@ -645,8 +673,8 @@ mod tests {
         let mut alloc = OidAllocator::new();
         let oid = alloc.next(ObjectClass::SX, 0);
         let l = pm.layout(&oid, ObjectClass::SX);
-        assert_eq!(l.groups.len(), 64);
-        let mut seen: Vec<TargetId> = l.groups.iter().map(|g| g[0]).collect();
+        assert_eq!(l.group_count(), 64);
+        let mut seen: Vec<TargetId> = l.groups().map(|g| g[0]).collect();
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), 64, "every target appears exactly once");
@@ -658,9 +686,9 @@ mod tests {
         let mut alloc = OidAllocator::new();
         let oid = alloc.next(ObjectClass::EC_2P1, 0);
         let l = pm.layout(&oid, ObjectClass::EC_2P1);
-        for g in &l.groups {
+        for g in l.groups() {
             assert_eq!(g.len(), 3);
-            let mut m = g.clone();
+            let mut m = g.to_vec();
             m.sort();
             m.dedup();
             assert_eq!(m.len(), 3, "group members must be distinct targets");
@@ -677,7 +705,7 @@ mod tests {
             let l1 = pm.layout(&oid, ObjectClass::S1);
             let l2 = pm.layout(&oid, ObjectClass::S1);
             assert_eq!(l1, l2, "deterministic");
-            starts.insert(l1.groups[0][0]);
+            starts.insert(l1.group(0)[0]);
         }
         assert!(
             starts.len() > 32,
@@ -694,7 +722,7 @@ mod tests {
         for _ in 0..32 {
             let oid = alloc.next(ObjectClass::RP_2, 0);
             let l = pm.layout(&oid, ObjectClass::RP_2);
-            for g in &l.groups {
+            for g in l.groups() {
                 for t in g {
                     assert_eq!(t.server, 1, "placement must skip down server");
                 }
@@ -711,7 +739,7 @@ mod tests {
         for _ in 0..16 {
             let oid = alloc.next(ObjectClass::RP_2, 0);
             let l = pm.layout(&oid, ObjectClass::RP_2);
-            for g in &l.groups {
+            for g in l.groups() {
                 for t in g {
                     assert!(
                         t.server == 1 || t.server == 2,
@@ -728,7 +756,7 @@ mod tests {
         let mut alloc = OidAllocator::new();
         let oid = alloc.next(ObjectClass::SX, 0);
         let l = pm.layout(&oid, ObjectClass::SX);
-        assert_eq!(l.group_for(5), l.group_for(5 + 16 * l.groups.len() as u64));
-        assert_eq!(l.group_index(3), 3 % l.groups.len());
+        assert_eq!(l.group_for(5), l.group_for(5 + 16 * l.group_count() as u64));
+        assert_eq!(l.group_index(3), 3 % l.group_count());
     }
 }

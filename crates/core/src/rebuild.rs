@@ -169,7 +169,7 @@ mod tests {
             for _ in 0..32 {
                 let oid = alloc.next(class, 0);
                 let layout = pool.layout(&oid, class);
-                for group in &layout.groups {
+                for group in layout.groups() {
                     // treat each member in turn as the down shard
                     // (as rebuild does after further exclusions)
                     for &down in group {

@@ -465,24 +465,6 @@ impl DaosSystem {
         }
     }
 
-    /// Observe crashes: the first op from each client node touching a
-    /// crashed-but-undetected target fails once with
-    /// [`DaosError::TargetDown`].  Called by every data-path operation
-    /// *before* any state mutation, so a retried op re-executes cleanly.
-    fn check_detection(&mut self, client: usize, group: &[TargetId]) -> Result<(), DaosError> {
-        if self.undetected.is_empty() {
-            return Ok(());
-        }
-        for t in group {
-            if let Some(seen) = self.undetected.get_mut(t) {
-                if seen.insert(client) {
-                    return Err(DaosError::TargetDown);
-                }
-            }
-        }
-        Ok(())
-    }
-
     // ---- cost-chain helpers ------------------------------------------------
 
     fn client_overhead(&self) -> Step {
@@ -697,24 +679,11 @@ impl DaosSystem {
             .ok_or(DaosError::NoSuchContainer)
     }
 
-    // simlint::allow(hot-alloc) — clones the per-class codec config at object-create time only
-    fn ec_for(&mut self, class: ObjectClass) -> Option<ErasureCode> {
-        match class {
-            ObjectClass::ErasureCoded { k, p } => Some(
-                self.ec_cache
-                    .entry((k, p))
-                    .or_insert_with(|| ErasureCode::new(k as usize, p as usize))
-                    .clone(),
-            ),
-            _ => None,
-        }
-    }
-
     // ---- objects --------------------------------------------------------------
 
     /// Create an Array object.  Object creation is client-local in DAOS:
     /// the OID is generated and the layout computed without any RPC.
-    // simlint::allow(hot-alloc) — create-time layout ownership; runs once per object, not per I/O
+    // simlint::allow(hot-alloc) — computes the object's layout (one flat member vector) once per object, not per I/O
     pub fn array_create(
         &mut self,
         _client: usize,
@@ -722,10 +691,10 @@ impl DaosSystem {
         class: ObjectClass,
         chunk_size: u64,
     ) -> Result<(Oid, Step), DaosError> {
-        let pool = self.pool.clone();
         let c = self.cont_mut(cid)?;
         let oid = c.alloc.next(class, 0);
-        let layout = pool.layout_salted(&oid, class, cid.0 as u64 + 1);
+        let layout = self.pool.layout_salted(&oid, class, cid.0 as u64 + 1);
+        let c = self.cont_mut(cid)?;
         c.objects.insert(
             oid,
             ObjectEntry {
@@ -737,7 +706,7 @@ impl DaosSystem {
     }
 
     /// Create a Key-Value object.
-    // simlint::allow(hot-alloc) — create-time layout ownership; runs once per object, not per I/O
+    // simlint::allow(hot-alloc) — computes the object's layout (one flat member vector) once per object, not per I/O
     pub fn kv_create(
         &mut self,
         _client: usize,
@@ -747,10 +716,10 @@ impl DaosSystem {
         if !class.supports_kv() {
             return Err(DaosError::InvalidClass);
         }
-        let pool = self.pool.clone();
         let c = self.cont_mut(cid)?;
         let oid = c.alloc.next(class, FLAG_KV);
-        let layout = pool.layout_salted(&oid, class, cid.0 as u64 + 1);
+        let layout = self.pool.layout_salted(&oid, class, cid.0 as u64 + 1);
+        let c = self.cont_mut(cid)?;
         c.objects.insert(
             oid,
             ObjectEntry {
@@ -789,7 +758,7 @@ impl DaosSystem {
 
     /// Insert/update a key.  The value lands on the dkey's shard group;
     /// replicated classes write every replica in parallel.
-    // simlint::allow(hot-alloc) — op construction: the owned key/value ride the op chain; arena-allocated chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — op construction: collects one write step per servable replica, and the ledger (when on) keeps a copy of the value; nothing grows with pool size
     pub fn kv_put(
         &mut self,
         client: usize,
@@ -799,21 +768,13 @@ impl DaosSystem {
         value: Payload,
     ) -> Result<Step, DaosError> {
         let bytes = value.len() as f64;
-        let group: Vec<TargetId> = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey_hash(key))
-            .to_vec();
-        self.check_detection(client, &group)?;
+        let dkey = dkey_hash(key);
+        let group = find_obj(&self.containers, cid, oid)?.layout.group_for(dkey);
+        check_detection(&mut self.undetected, client, group)?;
         // degraded writes land on the servable members only (drained and
         // reintegrating targets still accept updates for shards they
         // hold); a fully-down group cannot accept the update
-        let up: Vec<TargetId> = group
-            .iter()
-            .copied()
-            .filter(|&t| self.pool.is_servable(t))
-            .collect();
-        if up.is_empty() {
+        if !group.iter().any(|&t| self.pool.is_servable(t)) {
             return Err(DaosError::Unavailable);
         }
         // clone for the ledger before the payload moves into the store
@@ -830,8 +791,12 @@ impl DaosSystem {
         if let (Some(l), Some(v)) = (self.ledger.as_mut(), acked) {
             l.record_kv_put(cid, oid, key, &v);
         }
-        let writes = up
+        let writes = self
+            .obj(cid, oid)?
+            .layout
+            .group_for(dkey)
             .iter()
+            .filter(|&&t| self.pool.is_servable(t))
             .map(|&t| self.write_to_target(client, t, bytes.max(64.0)))
             .collect::<Vec<_>>();
         Ok(Step::span(
@@ -843,7 +808,7 @@ impl DaosSystem {
     }
 
     /// Fetch a key's value.  Reads from the first up replica.
-    // simlint::allow(hot-alloc) — op construction: the owned key rides the op chain; arena-allocated chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — returns an owned copy of the value bytes in Full data mode; nothing grows with pool size
     pub fn kv_get(
         &mut self,
         client: usize,
@@ -851,17 +816,13 @@ impl DaosSystem {
         oid: Oid,
         key: &[u8],
     ) -> Result<(ReadPayload, Step), DaosError> {
-        let pool = self.pool.clone();
-        let group: Vec<TargetId> = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey_hash(key))
-            .to_vec();
-        self.check_detection(client, &group)?;
+        let dkey = dkey_hash(key);
+        let group = find_obj(&self.containers, cid, oid)?.layout.group_for(dkey);
+        check_detection(&mut self.undetected, client, group)?;
         // verified read: recompute the stored value checksum and
         // transparently repair rot the replication still covers; rot on
         // every replica refuses loudly instead of serving bad bytes
-        let repair = self.kv_verify_repair(cid, oid, key, &group)?;
+        let repair = self.kv_verify_repair(cid, oid, key)?;
         let entry = self.obj(cid, oid)?;
         let value = match &entry.data {
             ObjData::Kv(kv) => kv.get(key).ok_or(DaosError::NoSuchKey)?,
@@ -871,10 +832,12 @@ impl DaosSystem {
             Payload::Bytes(b) => ReadPayload::Bytes(b.clone()),
             Payload::Sized(n) => ReadPayload::Sized(*n),
         };
-        let t = group
+        let t = entry
+            .layout
+            .group_for(dkey)
             .iter()
             .copied()
-            .find(|&t| pool.is_servable(t))
+            .find(|&t| self.pool.is_servable(t))
             .ok_or(DaosError::Unavailable)?;
         let bytes = (read.len() as f64).max(64.0);
         let step = Step::span(
@@ -892,7 +855,7 @@ impl DaosSystem {
     }
 
     /// Remove a key.
-    // simlint::allow(hot-alloc) — op construction: the owned key rides the op chain; arena-allocated chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — op construction: collects one write step per servable replica; nothing grows with pool size
     pub fn kv_remove(
         &mut self,
         client: usize,
@@ -900,18 +863,10 @@ impl DaosSystem {
         oid: Oid,
         key: &[u8],
     ) -> Result<Step, DaosError> {
-        let group: Vec<TargetId> = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey_hash(key))
-            .to_vec();
-        self.check_detection(client, &group)?;
-        let up: Vec<TargetId> = group
-            .iter()
-            .copied()
-            .filter(|&t| self.pool.is_servable(t))
-            .collect();
-        if up.is_empty() {
+        let dkey = dkey_hash(key);
+        let group = find_obj(&self.containers, cid, oid)?.layout.group_for(dkey);
+        check_detection(&mut self.undetected, client, group)?;
+        if !group.iter().any(|&t| self.pool.is_servable(t)) {
             return Err(DaosError::Unavailable);
         }
         let entry = self.obj_mut(cid, oid)?;
@@ -926,8 +881,12 @@ impl DaosSystem {
         if let Some(l) = self.ledger.as_mut() {
             l.record_kv_remove(cid, oid, key);
         }
-        let ops = up
+        let ops = self
+            .obj(cid, oid)?
+            .layout
+            .group_for(dkey)
             .iter()
+            .filter(|&&t| self.pool.is_servable(t))
             .map(|&t| self.write_to_target(client, t, 64.0))
             .collect::<Vec<_>>();
         Ok(Step::span(
@@ -948,18 +907,17 @@ impl DaosSystem {
         oid: Oid,
         prefix: &[u8],
     ) -> Result<(Vec<Vec<u8>>, Step), DaosError> {
-        let pool = self.pool.clone();
         let entry = self.obj(cid, oid)?;
         let keys = match &entry.data {
             ObjData::Kv(kv) => kv.list(prefix),
             ObjData::Array(_) => return Err(DaosError::WrongObjectType),
         };
         let key_bytes: f64 = keys.iter().map(|k| k.len() as f64).sum::<f64>().max(64.0);
-        let groups = entry.layout.groups.clone();
-        let per_group_bytes = key_bytes / groups.len() as f64;
-        let reads = groups
-            .iter()
-            .filter_map(|g| g.iter().copied().find(|&t| pool.is_servable(t)))
+        let per_group_bytes = key_bytes / entry.layout.group_count() as f64;
+        let reads = entry
+            .layout
+            .groups()
+            .filter_map(|g| g.iter().copied().find(|&t| self.pool.is_servable(t)))
             .map(|t| self.read_from_target(client, t, per_group_bytes))
             .collect::<Vec<_>>();
         let step = Step::span(
@@ -978,7 +936,7 @@ impl DaosSystem {
     /// `k + p` cells of `chunk/k` bytes each (plus client-side encode
     /// time) — the mechanics behind the paper's ½ and ⅔ redundancy
     /// write bandwidths.
-    // simlint::allow(hot-alloc) — op construction: the payload clone rides the op chain; arena-allocated chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — op construction: collects write steps per touched group and member; nothing grows with pool size
     pub fn array_write(
         &mut self,
         client: usize,
@@ -992,13 +950,10 @@ impl DaosSystem {
         if len == 0 {
             return Ok(Step::Noop);
         }
-        let entry = self.obj(cid, oid)?;
-        let layout = entry.layout.clone();
-        let class = layout.class;
-        let ec = self.ec_for(class);
         // group index -> bytes written to that group
         let group_bytes = {
             let entry = self.obj(cid, oid)?;
+            let layout = &entry.layout;
             let arr = match &entry.data {
                 ObjData::Array(a) => a,
                 ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
@@ -1017,11 +972,13 @@ impl DaosSystem {
         // fault detection and write availability, before the mutation:
         // a failing write must leave the store untouched so a retry
         // re-executes cleanly
+        let layout = &find_obj(&self.containers, cid, oid)?.layout;
+        let class = layout.class;
         for &g in group_bytes.keys() {
-            self.check_detection(client, &layout.groups[g])?;
+            check_detection(&mut self.undetected, client, layout.group(g))?;
         }
         for &g in group_bytes.keys() {
-            let group = &layout.groups[g];
+            let group = layout.group(g);
             let up = group.iter().filter(|&&t| self.pool.is_servable(t)).count();
             let writable = match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
@@ -1042,9 +999,10 @@ impl DaosSystem {
         let repair = self.array_prewrite_integrity(cid, oid, offset, len)?;
         // apply the mutation
         {
-            let entry = self.obj_mut(cid, oid)?;
+            let ec = ec_for(&mut self.ec_cache, class);
+            let entry = find_obj_mut(&mut self.containers, cid, oid)?;
             match &mut entry.data {
-                ObjData::Array(a) => a.write(offset, &payload, mode, ec.as_ref()),
+                ObjData::Array(a) => a.write(offset, &payload, mode, ec),
                 ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
             }
         }
@@ -1052,10 +1010,11 @@ impl DaosSystem {
             l.record_array_write(cid, oid, offset, &payload);
         }
         // build the cost chain
+        let layout = &self.obj(cid, oid)?.layout;
         let mut group_steps = Vec::with_capacity(group_bytes.len());
         let mut encode_bytes = 0.0;
         for (g, bytes) in group_bytes {
-            let group = &layout.groups[g];
+            let group = layout.group(g);
             match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
                     group_steps.push(self.write_to_target(client, group[0], bytes));
@@ -1100,7 +1059,7 @@ impl DaosSystem {
     /// Read `len` bytes at `offset`.  Replicated chunks fail over to an
     /// up replica; erasure-coded chunks with lost cells read `k`
     /// surviving cells and pay a reconstruction delay.
-    // simlint::allow(hot-alloc) — op construction plus degraded-path shard selection; per submitted op, not per engine event
+    // simlint::allow(hot-alloc) — op construction: collects read steps per touched group, plus the EC cell mask and survivors on degraded reads; nothing grows with pool size
     pub fn array_read(
         &mut self,
         client: usize,
@@ -1115,18 +1074,13 @@ impl DaosSystem {
         // fault detection: observe crashes on every group this range
         // touches before serving anything
         if !self.undetected.is_empty() {
-            let touched: Vec<Vec<TargetId>> = {
-                let entry = self.obj(cid, oid)?;
-                match &entry.data {
-                    ObjData::Array(a) => a
-                        .chunks_in_range(offset, len)
-                        .map(|c| entry.layout.group_for(chunk_dkey_hash(c)).to_vec())
-                        .collect(),
-                    ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-                }
+            let entry = find_obj(&self.containers, cid, oid)?;
+            let ObjData::Array(a) = &entry.data else {
+                return Err(DaosError::WrongObjectType);
             };
-            for g in &touched {
-                self.check_detection(client, g)?;
+            for c in a.chunks_in_range(offset, len) {
+                let group = entry.layout.group_for(chunk_dkey_hash(c));
+                check_detection(&mut self.undetected, client, group)?;
             }
         }
         // verified read: recompute stored checksums over the touched
@@ -1135,12 +1089,11 @@ impl DaosSystem {
         // serving bad bytes
         let repair = self.array_verify_repair(cid, oid, offset, len)?;
         let mode = self.mode;
-        let pool = self.pool.clone();
-        let entry = self.obj(cid, oid)?;
-        let layout = entry.layout.clone();
-        let class = layout.class;
-        let ec = self.ec_for(class);
-        let entry = self.obj(cid, oid)?;
+        let class = self.obj(cid, oid)?.layout.class;
+        let ec = ec_for(&mut self.ec_cache, class);
+        let pool = &self.pool;
+        let entry = find_obj(&self.containers, cid, oid)?;
+        let layout = &entry.layout;
         let arr = match &entry.data {
             ObjData::Array(a) => a,
             ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
@@ -1169,7 +1122,7 @@ impl DaosSystem {
                 }
             }
         };
-        let data = arr.read(offset, len, mode, ec.as_ref(), &avail)?;
+        let data = arr.read(offset, len, mode, ec, &avail)?;
         // cost: per touched group, read bytes from the serving target(s)
         let mut gb: BTreeMap<usize, f64> = BTreeMap::new();
         for chunk in arr.chunks_in_range(offset, len) {
@@ -1181,7 +1134,7 @@ impl DaosSystem {
         let mut group_steps = Vec::with_capacity(gb.len());
         let mut decode_bytes = 0.0;
         for (g, bytes) in gb {
-            let group = &layout.groups[g];
+            let group = layout.group(g);
             match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
                     group_steps.push(self.read_from_target(client, group[0], bytes));
@@ -1245,14 +1198,12 @@ impl DaosSystem {
     /// Query the array size (highest written byte + 1).  Costs a round
     /// trip and a request-service op — exactly the per-read overhead
     /// Field I/O pays and fdb-hammer avoids (§III-B).
-    // simlint::allow(hot-alloc) — clones the object handle for the metadata op chain
     pub fn array_get_size(
         &mut self,
         client: usize,
         cid: ContainerId,
         oid: Oid,
     ) -> Result<(u64, Step), DaosError> {
-        let pool = self.pool.clone();
         let entry = self.obj(cid, oid)?;
         let size = match &entry.data {
             ObjData::Array(a) => a.size(),
@@ -1260,10 +1211,10 @@ impl DaosSystem {
         };
         let t = entry
             .layout
-            .groups
-            .iter()
-            .flat_map(|g| g.iter().copied())
-            .find(|&t| pool.is_servable(t))
+            .groups()
+            .flatten()
+            .copied()
+            .find(|&t| self.pool.is_servable(t))
             .ok_or(DaosError::Unavailable)?;
         let step = Step::span(
             "libdaos",
@@ -1288,7 +1239,7 @@ impl DaosSystem {
         size: u64,
     ) -> Result<Step, DaosError> {
         let entry = self.obj_mut(cid, oid)?;
-        let t = entry.layout.groups[0][0];
+        let t = entry.layout.group(0)[0];
         let cs = match &mut entry.data {
             ObjData::Array(a) => {
                 a.set_size(size);
@@ -1420,7 +1371,6 @@ impl DaosSystem {
         cid: ContainerId,
         oid: Oid,
         key: &[u8],
-        group: &[TargetId],
     ) -> Result<Step, DaosError> {
         let verdict = {
             let entry = self.obj(cid, oid)?;
@@ -1437,7 +1387,7 @@ impl DaosSystem {
             }
             Some(false) => {
                 self.csum.verified += 1;
-                self.repair_kv_rot(cid, oid, key, group)
+                self.repair_kv_rot(cid, oid, key)
             }
         }
     }
@@ -1449,13 +1399,12 @@ impl DaosSystem {
     /// is rotten or the damage is unknown to the registry.
     // simlint::panic_root — integrity path runs under injected faults: must never panic
     // simlint::allow(hot-alloc) — repair path: runs only when rot was detected, not per I/O
-    fn repair_kv_rot(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        key: &[u8],
-        group: &[TargetId],
-    ) -> Result<Step, DaosError> {
+    fn repair_kv_rot(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) -> Result<Step, DaosError> {
+        let group = self
+            .obj(cid, oid)?
+            .layout
+            .group_for(dkey_hash(key))
+            .to_vec();
         let rkey = (cid.0, oid);
         let rotten: BTreeSet<u64> = self
             .rot
@@ -1606,23 +1555,25 @@ impl DaosSystem {
         oid: Oid,
         mismatches: &[CsumMismatch],
     ) -> Result<Step, DaosError> {
-        let (layout, cs) = {
+        let (class, cs) = {
             let entry = self.obj(cid, oid)?;
             let cs = match &entry.data {
                 ObjData::Array(a) => a.chunk_size(),
                 ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
             };
-            (entry.layout.clone(), cs)
+            (entry.layout.class, cs)
         };
-        let class = layout.class;
-        let ec = self.ec_for(class);
         let rkey = (cid.0, oid);
         let mut moves: Vec<Step> = Vec::new();
         let mut span_bytes = 0u64;
         for mm in mismatches {
             let chunk = mm.chunk;
             let lo = chunk * cs;
-            let group = layout.group_for(chunk_dkey_hash(chunk)).to_vec();
+            let group = self
+                .obj(cid, oid)?
+                .layout
+                .group_for(chunk_dkey_hash(chunk))
+                .to_vec();
             let flips: Vec<u64> = self
                 .rot
                 .extents
@@ -1670,12 +1621,13 @@ impl DaosSystem {
                 return Err(DaosError::BadChecksum);
             }
             {
-                let entry = self.obj_mut(cid, oid)?;
+                let ec = ec_for(&mut self.ec_cache, class);
+                let entry = find_obj_mut(&mut self.containers, cid, oid)?;
                 if let ObjData::Array(a) = &mut entry.data {
                     for &o in &flips {
                         a.corrupt_at(o);
                     }
-                    if let Some(ec) = ec.as_ref() {
+                    if let Some(ec) = ec {
                         for &(o, pi) in &parity_flips {
                             a.corrupt_parity_at(o, pi as usize, ec);
                         }
@@ -1916,12 +1868,12 @@ impl DaosSystem {
         {
             return true;
         }
-        let Some(ec) = self.ec_for(class) else {
+        let Some(ec) = ec_for(&mut self.ec_cache, class) else {
             return false;
         };
-        let flipped = match self.obj_mut(cid, oid) {
+        let flipped = match find_obj_mut(&mut self.containers, cid, oid) {
             Ok(entry) => match &mut entry.data {
-                ObjData::Array(a) => a.corrupt_parity_at(lo, parity_idx as usize, &ec),
+                ObjData::Array(a) => a.corrupt_parity_at(lo, parity_idx as usize, ec),
                 ObjData::Kv(_) => false,
             },
             Err(_) => false,
@@ -2115,7 +2067,7 @@ impl DaosSystem {
                     };
                     reads.push(self.scrub_read_cost(&group, (bytes as f64).max(64.0)));
                     if !ok {
-                        if let Ok(step) = self.repair_kv_rot(cid, oid, &k, &group) {
+                        if let Ok(step) = self.repair_kv_rot(cid, oid, &k) {
                             repairs.push(step);
                         }
                     }
@@ -2186,13 +2138,13 @@ impl DaosSystem {
             for entry in cont.objects.values_mut() {
                 report.objects_scanned += 1;
                 let class = entry.layout.class;
-                let ngroups = entry.layout.groups.len().max(1);
+                let ngroups = entry.layout.group_count().max(1);
                 let obj_bytes = match &entry.data {
                     ObjData::Array(a) => a.size() as f64,
                     ObjData::Kv(kv) => kv.len() as f64 * 512.0,
                 };
                 let group_share = obj_bytes / ngroups as f64;
-                for group in entry.layout.groups.iter_mut() {
+                for group in entry.layout.groups_mut() {
                     for m in 0..group.len() {
                         let t = group[m];
                         // repair fully-down members only: drained and
@@ -2383,7 +2335,7 @@ impl DaosSystem {
             for (oid, entry) in cont.objects.iter_mut() {
                 report.objects_scanned += 1;
                 let class = entry.layout.class;
-                let ngroups = entry.layout.groups.len().max(1);
+                let ngroups = entry.layout.group_count().max(1);
                 let obj_bytes = match &entry.data {
                     ObjData::Array(a) => a.size() as f64,
                     ObjData::Kv(kv) => kv.len() as f64 * 512.0,
@@ -2395,7 +2347,7 @@ impl DaosSystem {
                     | ObjectClass::Replicated { .. } => group_share,
                     ObjectClass::ErasureCoded { k, .. } => group_share / k as f64,
                 };
-                for (g, group) in entry.layout.groups.iter_mut().enumerate() {
+                for (g, group) in entry.layout.groups_mut().enumerate() {
                     for m in 0..group.len() {
                         let from = group[m];
                         let h = move_hash(oid, g, m);
@@ -2466,7 +2418,7 @@ impl DaosSystem {
             // rebuild it triggered) may have invalidated this move
             let valid = match self.obj(cid, oid) {
                 Ok(entry) => {
-                    entry.layout.groups.get(g).and_then(|grp| grp.get(m)) == Some(&plan.dst)
+                    entry.layout.groups().nth(g).and_then(|grp| grp.get(m)) == Some(&plan.dst)
                         && self.pool.is_servable(plan.dst)
                 }
                 Err(_) => false,
@@ -2487,7 +2439,9 @@ impl DaosSystem {
                 .collect();
             if sources.is_empty() {
                 if let Ok(entry) = self.obj(cid, oid) {
-                    sources = entry.layout.groups[g]
+                    sources = entry
+                        .layout
+                        .group(g)
                         .iter()
                         .copied()
                         .filter(|&t| t != plan.dst && self.pool.is_servable(t))
@@ -2718,7 +2672,7 @@ impl DaosSystem {
         let mut report = OracleReport::default();
         for cont in self.containers.iter().flatten() {
             for (oid, entry) in &cont.objects {
-                for (g, group) in entry.layout.groups.iter().enumerate() {
+                for (g, group) in entry.layout.groups().enumerate() {
                     report.checked_groups += 1;
                     let down: Vec<String> = group
                         .iter()
@@ -2822,17 +2776,11 @@ impl DaosSystem {
     }
 
     fn obj(&self, cid: ContainerId, oid: Oid) -> Result<&ObjectEntry, DaosError> {
-        self.cont(cid)?
-            .objects
-            .get(&oid)
-            .ok_or(DaosError::NoSuchObject)
+        find_obj(&self.containers, cid, oid)
     }
 
     fn obj_mut(&mut self, cid: ContainerId, oid: Oid) -> Result<&mut ObjectEntry, DaosError> {
-        self.cont_mut(cid)?
-            .objects
-            .get_mut(&oid)
-            .ok_or(DaosError::NoSuchObject)
+        find_obj_mut(&mut self.containers, cid, oid)
     }
 }
 
@@ -2853,6 +2801,75 @@ pub struct PoolInfo {
     pub array_bytes: f64,
     /// Key-Value entries stored.
     pub kv_entries: usize,
+}
+
+/// Observe crashes: the first op from each client node touching a
+/// crashed-but-undetected target fails once with
+/// [`DaosError::TargetDown`].  Called by every data-path operation
+/// *before* any state mutation, so a retried op re-executes cleanly.
+/// Takes the detection map alone so that callers can pass a group
+/// borrowed from a layout of the same system.
+fn check_detection(
+    undetected: &mut BTreeMap<TargetId, BTreeSet<usize>>,
+    client: usize,
+    group: &[TargetId],
+) -> Result<(), DaosError> {
+    if undetected.is_empty() {
+        return Ok(());
+    }
+    for t in group {
+        if let Some(seen) = undetected.get_mut(t) {
+            if seen.insert(client) {
+                return Err(DaosError::TargetDown);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The erasure code of an EC class (`None` otherwise), built on first
+/// use and borrowed from the cache thereafter.  Takes the cache alone
+/// so that callers can hold the code while mutating an object.
+fn ec_for(cache: &mut BTreeMap<(u8, u8), ErasureCode>, class: ObjectClass) -> Option<&ErasureCode> {
+    match class {
+        ObjectClass::ErasureCoded { k, p } => Some(
+            cache
+                .entry((k, p))
+                .or_insert_with(|| ErasureCode::new(k as usize, p as usize)),
+        ),
+        _ => None,
+    }
+}
+
+/// Object lookup over the container table alone, so that callers can
+/// borrow an entry while mutating other fields of the system.
+fn find_obj(
+    containers: &[Option<Container>],
+    cid: ContainerId,
+    oid: Oid,
+) -> Result<&ObjectEntry, DaosError> {
+    containers
+        .get(cid.0 as usize)
+        .and_then(|c| c.as_ref())
+        .ok_or(DaosError::NoSuchContainer)?
+        .objects
+        .get(&oid)
+        .ok_or(DaosError::NoSuchObject)
+}
+
+/// Mutable [`find_obj`].
+fn find_obj_mut(
+    containers: &mut [Option<Container>],
+    cid: ContainerId,
+    oid: Oid,
+) -> Result<&mut ObjectEntry, DaosError> {
+    containers
+        .get_mut(cid.0 as usize)
+        .and_then(|c| c.as_mut())
+        .ok_or(DaosError::NoSuchContainer)?
+        .objects
+        .get_mut(&oid)
+        .ok_or(DaosError::NoSuchObject)
 }
 
 /// Wrap repair copies as a `csum.repair` span ([`Step::Noop`] when the
@@ -3170,7 +3187,7 @@ mod tests {
             .next()
             .unwrap()
             .layout
-            .groups[0][0];
+            .group(0)[0];
         sys.exclude_target(t);
         assert_eq!(
             sys.array_read(0, cid, oid, 0, 4096).unwrap_err(),
@@ -3442,14 +3459,14 @@ mod attr_tests {
         exec(&mut sched, s);
         let home = sys.containers[cid.0 as usize].as_ref().unwrap().objects[&oid]
             .layout
-            .groups[0][0];
+            .group(0)[0];
         sys.drain_server(home.server);
         let report = sys.rebalance_plan();
         assert!(report.moves_planned >= 1);
         // the migration destination dies before the wave ships
         let dst = sys.containers[cid.0 as usize].as_ref().unwrap().objects[&oid]
             .layout
-            .groups[0][0];
+            .group(0)[0];
         assert_ne!(dst.server, home.server);
         sys.crash_target(dst);
         // every move to the dead destination is dropped as stale

@@ -52,7 +52,7 @@ proptest! {
         for _ in 0..objects {
             let oid = alloc.next(ObjectClass::S1, 0);
             let l = pm.layout(&oid, ObjectClass::S1);
-            counts[pm.index(l.groups[0][0])] += 1;
+            counts[pm.index(l.group(0)[0])] += 1;
         }
         let mean = objects as f64 / n as f64;
         let max = *counts.iter().max().unwrap() as f64;
