@@ -1129,7 +1129,8 @@ impl DaosSystem {
             let c_start = chunk * cs;
             let c_end = c_start + cs;
             let seg = (offset + len).min(c_end) - offset.max(c_start);
-            *gb.entry(layout.group_index(chunk)).or_default() += seg as f64;
+            *gb.entry(layout.group_index(chunk_dkey_hash(chunk)))
+                .or_default() += seg as f64;
         }
         let mut group_steps = Vec::with_capacity(gb.len());
         let mut decode_bytes = 0.0;
@@ -3193,6 +3194,44 @@ mod tests {
             sys.array_read(0, cid, oid, 0, 4096).unwrap_err(),
             DaosError::Unavailable
         );
+    }
+
+    #[test]
+    fn rp2_read_fails_over_within_the_group_holding_the_chunk() {
+        // RP_2 over the whole pool: chunk `c` lives in group
+        // `group_index(chunk_dkey_hash(c))`.  With both replicas of some
+        // other group down, the chunk stays readable, and the read is
+        // charged to the group that holds it.
+        let (mut sched, mut sys) = system(4, 1, DataMode::Full);
+        let (cid, s) = sys.cont_create(0, ContainerProps::default());
+        exec(&mut sched, s);
+        let cs = 1u64 << 16;
+        let (oid, s) = sys.array_create(0, cid, ObjectClass::rp_gx(2), cs).unwrap();
+        exec(&mut sched, s);
+        // a chunk whose raw index names a group disjoint from its own
+        let layout = &sys.obj(cid, oid).unwrap().layout;
+        let (c, other) = (0..64u64)
+            .find_map(|c| {
+                let own = layout.group_for(chunk_dkey_hash(c));
+                let other = layout.group_for(c);
+                own.iter()
+                    .all(|t| !other.contains(t))
+                    .then(|| (c, other.to_vec()))
+            })
+            .expect("some chunk index names a group disjoint from its own");
+        let data = vec![7u8; cs as usize];
+        let s = sys
+            .array_write(0, cid, oid, c * cs, Payload::Bytes(data.clone()))
+            .unwrap();
+        exec(&mut sched, s);
+        for t in other {
+            sys.exclude_target(t);
+        }
+        let (r, s) = sys
+            .array_read(0, cid, oid, c * cs, cs)
+            .expect("the chunk's own group is healthy");
+        exec(&mut sched, s);
+        assert_eq!(r.bytes().unwrap(), &data[..]);
     }
 
     #[test]
