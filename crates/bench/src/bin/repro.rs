@@ -1,28 +1,25 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [targets...] [--out DIR]
+//! repro [targets...] [--out DIR] [--family NAME] [--seeds N] [--schedule FILE]
 //!
 //! targets: hw fig1 fig2 fig3 fig4 fig5 fig6 fig6-rf2 fig7 fig8 fig9
-//!          lustre-ior ceph-ior faulted chaos chaos-replay chaos-shrink
-//!          rebalance rebalance-replay scrub scrub-replay scaleout
-//!          trace report bench-engine all quick
+//!          lustre-ior ceph-ior faulted swarm replay shrink scaleout
+//!          trace report bench-engine ablations mdtest analyze all quick
 //! ```
 //!
-//! `chaos` runs the seeded fault swarm (`--seeds N`, default 8) over
-//! both scenario families, archiving and shrinking any failing
-//! schedule; `chaos-replay --schedule FILE` reruns an archived schedule
-//! byte-identically; `chaos-shrink --schedule FILE` delta-debugs it to
-//! a minimal reproducer.
-//!
-//! `rebalance` swarms the live-membership family (server adds, drains,
-//! crashes aimed at migration traffic) with the same archive/shrink
-//! machinery; `rebalance-replay --schedule FILE` reruns an archived
-//! rebalance schedule.  `scrub` swarms the integrity family (bit-rot
-//! chaos against the checksum/scrub machinery) and writes the
-//! per-case `integrity.json` artifact; `scrub-replay --schedule FILE`
-//! reruns an archived integrity schedule.  `scaleout` runs the
-//! 4 → 256 server ladder
+//! `swarm --family NAME` runs the seeded fault swarm (`--seeds N`,
+//! default 8) over one chaos family: `faulted` (crashes, weather and
+//! bit rot under the full oracle suite), `engine` (capacity weather
+//! over every generic scenario, determinism oracle), `rebalance` (server
+//! adds, drains and crashes aimed at migration traffic) or `integrity`
+//! (bit-rot races against the checksum/scrub machinery, which also
+//! writes the per-case `integrity.json` artifact).  A failing case
+//! archives its schedule as `<family>-<scenario>-seed<N>.json`, with a
+//! traced replay and a shrunken `.min.json` reproducer next to it.
+//! `replay --schedule FILE` reruns an archived schedule of any family
+//! byte-identically; `shrink --schedule FILE` delta-debugs a failing one
+//! to a minimal reproducer.  `scaleout` runs the 4 → 256 server ladder
 //! against the paper's +3.86 GiB/s-per-server claim and writes the
 //! `scaleout.json` verdict artifact.
 //!
@@ -45,16 +42,24 @@
 //! than 10% below the committed `BENCH_engine.json` — or if a digest or
 //! op count drifted at all (a determinism regression, not a slowdown).
 
-use benchkit::chaos;
+use benchkit::chaos::{self, Family, FamilyOps};
 use benchkit::faulted::{self, FaultedScenario};
 use benchkit::figures::{self, Figure};
-use benchkit::integrity;
-use benchkit::rebalance;
-use benchkit::report;
+use benchkit::integrity::{render_integrity_json, IntegrityFamily};
+use benchkit::report::{self, slug};
 use benchkit::scenarios::{analyze_scenario, RunSpec, Scenario};
 use cluster::{Calibration, GIB};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Write `data` to `out/name`, reporting where it went.
+fn save(out: &Path, name: &str, data: &str) {
+    let path = out.join(name);
+    match std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, data)) {
+        Ok(()) => println!("saved {}", path.display()),
+        Err(e) => eprintln!("warning: could not save {}: {e}", path.display()),
+    }
+}
 
 fn emit(figs: Vec<Figure>, out: &Path, all: &mut Vec<Figure>) {
     for f in figs {
@@ -67,14 +72,6 @@ fn emit(figs: Vec<Figure>, out: &Path, all: &mut Vec<Figure>) {
         }
         all.push(f);
     }
-}
-
-/// Artifact-safe file stem for a scenario display name.
-fn slug(name: &str) -> String {
-    name.to_ascii_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 /// Causal traces: run every scenario once with span recording on, print
@@ -142,331 +139,119 @@ fn run_faulted_family(cal: &Calibration, out: &Path) {
         }
     }
     let json = faulted::render_json(&reports);
-    let path = out.join("faulted.json");
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("saved {}", path.display());
-    }
+    save(out, "faulted.json", &json);
     if !all_ok {
         eprintln!("faulted replay diverged: determinism regression");
         std::process::exit(1);
     }
 }
 
-/// Write a failing case's schedule artifact (and its shrunken minimal
-/// reproducer) under `out/`, returning the archive path.
-fn archive_failure(
-    v: &chaos::ChaosVerdict,
-    spec: &RunSpec,
-    cal: &Calibration,
-    out: &Path,
-    shrinkable: bool,
-) -> PathBuf {
-    let stem = format!("chaos-{}-seed{:#06x}", slug(&v.scenario), v.seed);
-    let path = out.join(format!("{stem}.json"));
-    let json = chaos::schedule_json(&v.scenario, v.seed, spec, &v.plan);
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-        return path;
-    }
-    println!("archived failing schedule: {}", path.display());
-    if !shrinkable {
-        return path;
-    }
-    let scen = FaultedScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == v.scenario)
-        .expect("faulted scenario");
-    // a traced replay of the failing schedule: the critical-path report
-    // and Chrome trace ship as CI artifacts next to the schedule itself
-    let topts = faulted::FaultedOpts {
-        plan: faulted::PlanSource::Fixed(v.plan.clone()),
-        mode: daos_core::DataMode::Full,
-        oracles: false,
-        traced: true,
-        ..faulted::FaultedOpts::default()
-    };
-    let (_, exports) = faulted::run_faulted_with(spec, scen, cal, &topts);
-    if let Some(exports) = exports {
-        if let Err(e) = report::save_trace(&exports, out, &format!("faulted-{}", slug(&v.scenario)))
-        {
-            eprintln!("warning: could not save failing-run trace: {e}");
-        }
-    }
-    let outcome = chaos::shrink_failing(spec, scen, cal, &v.plan);
-    if outcome.reproduced {
-        let min_path = out.join(format!("{stem}.min.json"));
-        let min_json = chaos::schedule_json(&v.scenario, v.seed, spec, &outcome.plan);
-        if std::fs::write(&min_path, &min_json).is_ok() {
-            println!(
-                "shrunk {} -> {} events ({} probes): {}",
-                v.plan.len(),
-                outcome.plan.len(),
-                outcome.probes,
-                min_path.display()
-            );
-            println!(
-                "replay: cargo run --release --bin repro -- chaos-replay --schedule {}",
-                min_path.display()
-            );
-        }
-    } else {
-        eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
-    }
-    path
-}
-
-/// The chaos swarm: N seeds over the faulted family (full oracle suite)
-/// and the engine family (determinism oracle over all 12 generic
-/// scenarios).  Failing schedules are archived and shrunk; any failure
-/// exits non-zero.
-fn run_chaos_swarm_target(cal: &Calibration, out: &Path, seeds: u64) {
-    let seed_block: Vec<u64> = (0..seeds).collect();
-    let spec = chaos::default_chaos_spec();
-    println!(
-        "--- faulted family ({} scenarios x {seeds} seeds, full oracles)",
-        FaultedScenario::ALL.len()
-    );
-    let faulted = chaos::run_chaos_swarm(&spec, cal, &seed_block);
-    print!("{}", faulted.render());
-    let mut failed = false;
-    for v in faulted.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        archive_failure(v, &spec, cal, out, true);
-    }
-    let mut espec = RunSpec::new(4, 2, 4);
-    espec.ops_per_proc = 16;
-    println!(
-        "--- engine family ({} scenarios x {seeds} seeds, determinism oracle)",
-        Scenario::ALL.len()
-    );
-    let engine = chaos::run_engine_swarm(&espec, cal, &seed_block);
-    print!("{}", engine.render());
-    for v in engine.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        archive_failure(v, &espec, cal, out, false);
-    }
-    if failed {
-        eprintln!("chaos swarm found invariant violations");
-        std::process::exit(1);
-    }
-}
-
-/// Replay an archived schedule byte-for-byte and report the verdict.
-/// Exits non-zero when the replay still violates an invariant (i.e. the
-/// archived failure reproduces).
-fn run_chaos_replay(cal: &Calibration, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = chaos::replay_archived(&arch, cal).expect("scenario resolves");
-    println!("{}", v.render_line());
-    if !v.passed() {
-        print!("{}", v.oracle.render());
-        std::process::exit(1);
-    }
-}
-
-/// Shrink an archived failing schedule to a minimal reproducer and
-/// write it next to the input as `<stem>.min.json`.
-fn run_chaos_shrink(cal: &Calibration, out: &Path, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = chaos::replay_archived(&arch, cal).expect("scenario resolves");
-    if v.passed() {
-        eprintln!("schedule does not fail any oracle; nothing to shrink");
-        std::process::exit(1);
-    }
-    archive_failure(&v, &arch.spec, cal, out, true);
-}
-
-/// Write a failing rebalance case's schedule (and its shrunken minimal
-/// reproducer) under `out/`.
-fn archive_rebalance_failure(
+/// Archive a failing case and report what was written.
+fn print_archive(
+    family: FamilyOps,
     v: &chaos::ChaosVerdict,
     spec: &RunSpec,
     cal: &Calibration,
     out: &Path,
 ) {
-    let stem = format!("rebalance-{}-seed{:#06x}", slug(&v.scenario), v.seed);
-    let path = out.join(format!("{stem}.json"));
-    let json = chaos::schedule_json(&v.scenario, v.seed, spec, &v.plan);
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-        return;
-    }
-    println!("archived failing schedule: {}", path.display());
-    let scen = rebalance::RebalanceScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == v.scenario)
-        .expect("rebalance scenario");
-    let outcome = rebalance::shrink_failing_rebalance(spec, scen, cal, &v.plan);
-    if outcome.reproduced {
-        let min_path = out.join(format!("{stem}.min.json"));
-        let min_json = chaos::schedule_json(&v.scenario, v.seed, spec, &outcome.plan);
-        if std::fs::write(&min_path, &min_json).is_ok() {
+    let a = match (family.archive)(v, spec, cal, out) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("warning: could not archive {}: {e}", v.scenario);
+            return;
+        }
+    };
+    println!("archived failing schedule: {}", a.path.display());
+    match &a.min_path {
+        Some(min_path) => {
             println!(
                 "shrunk {} -> {} events ({} probes): {}",
                 v.plan.len(),
-                outcome.plan.len(),
-                outcome.probes,
+                a.shrunk.plan.len(),
+                a.shrunk.probes,
                 min_path.display()
             );
             println!(
-                "replay: cargo run --release --bin repro -- rebalance-replay --schedule {}",
+                "replay: cargo run --release --bin repro -- replay --schedule {}",
                 min_path.display()
             );
         }
-    } else {
-        eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
+        None => eprintln!("shrinker could not reproduce the failure (flaky oracle?)"),
     }
 }
 
-/// The rebalance swarm: N seeds of live membership churn (adds, drains,
-/// migration-aimed crashes) over the redundant scenario classes, full
-/// oracle suite.  Failing schedules are archived and shrunk; any
-/// failure exits non-zero.
-fn run_rebalance_swarm_target(cal: &Calibration, out: &Path, seeds: u64) {
+/// Swarm one chaos family over seeds `0..seeds`, printing one line per
+/// case.  The integrity family also writes the per-case
+/// `integrity.json` artifact.  Failing cases are archived, traced and
+/// shrunk; any failure exits non-zero.
+fn run_swarm_target(cal: &Calibration, out: &Path, family: Option<&str>, seeds: u64) {
+    let Some(family) = family.and_then(chaos::family) else {
+        let names: Vec<&str> = chaos::FAMILIES.iter().map(|f| f.name).collect();
+        eprintln!("swarm needs --family {}", names.join("|"));
+        std::process::exit(2);
+    };
     let seed_block: Vec<u64> = (0..seeds).collect();
-    let spec = rebalance::default_rebalance_spec();
-    println!(
-        "--- rebalance family ({} scenarios x {seeds} seeds, full oracles)",
-        rebalance::RebalanceScenario::SWARM.len()
-    );
-    let report = rebalance::run_rebalance_swarm(&spec, cal, &seed_block);
+    let spec = (family.default_spec)();
+    println!("--- {} family ({seeds} seeds)", family.name);
+    let report = (family.swarm)(&spec, cal, &seed_block);
     print!("{}", report.render());
-    let mut failed = false;
-    for v in report.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        archive_rebalance_failure(v, &spec, cal, out);
+    if family.name == IntegrityFamily::NAME {
+        let json = render_integrity_json(&report.verdicts);
+        save(out, "integrity.json", &json);
     }
-    if failed {
-        eprintln!("rebalance swarm found invariant violations");
+    for v in report.failures() {
+        print!("{}", v.oracle.render());
+        print_archive(family, v, &spec, cal, out);
+    }
+    if !report.passed() {
+        eprintln!("{} swarm found invariant violations", family.name);
         std::process::exit(1);
     }
 }
 
-/// Replay an archived rebalance schedule byte-for-byte; exits non-zero
-/// when the replay still violates an invariant.
-fn run_rebalance_replay(cal: &Calibration, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = rebalance::replay_archived_rebalance(&arch, cal).expect("scenario resolves");
+/// Load an archived schedule of any family, replay it byte-for-byte
+/// and print the case line.
+fn replay_schedule(
+    cal: &Calibration,
+    schedule: Option<&Path>,
+) -> (chaos::ArchivedSchedule, chaos::ChaosVerdict) {
+    let Some(schedule) = schedule else {
+        eprintln!("replay and shrink need --schedule FILE");
+        std::process::exit(2);
+    };
+    let replayed = std::fs::read_to_string(schedule)
+        .map_err(|e| format!("cannot read {}: {e}", schedule.display()))
+        .and_then(|input| chaos::parse_schedule(&input))
+        .and_then(|arch| chaos::replay(&arch, cal).map(|v| (arch, v)));
+    let (arch, v) = replayed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("{}", v.render_line());
+    (arch, v)
+}
+
+/// Replay an archived schedule; exits non-zero when the case still
+/// fails (the archived failure reproduces).
+fn run_replay_target(cal: &Calibration, schedule: Option<&Path>) {
+    let (_, v) = replay_schedule(cal, schedule);
     if !v.passed() {
         print!("{}", v.oracle.render());
         std::process::exit(1);
     }
 }
 
-/// The integrity swarm: N seeds of bit-rot chaos over the scrub/read
-/// race, rot-under-rebalance, and rot-beyond-redundancy scenarios, the
-/// scenario-aware verdict applied (the planted beyond-redundancy cases
-/// must fail *loudly* to count as green).  Writes the per-case
-/// `integrity.json` artifact; failing schedules are archived, shrunk,
-/// and — for the faulted-backed scenarios — replayed with tracing on so
-/// the critical-path artifacts ship next to the schedule.  Any failure
-/// exits non-zero.
-fn run_scrub_target(cal: &Calibration, out: &Path, seeds: u64) {
-    let seed_block: Vec<u64> = (0..seeds).collect();
-    let spec = integrity::default_integrity_spec();
-    println!(
-        "--- integrity family ({} scenarios x {seeds} seeds, bit-rot chaos)",
-        integrity::IntegrityScenario::ALL.len()
-    );
-    let (report, verdicts) = integrity::run_integrity_swarm(&spec, cal, &seed_block);
-    print!("{}", report.render());
-    for v in &verdicts {
-        println!("{}", v.render_line());
-    }
-    let path = out.join("integrity.json");
-    let json = integrity::render_integrity_json(&verdicts);
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("saved {}", path.display());
-    }
-    let mut failed = false;
-    for v in report.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        let scen = integrity::IntegrityScenario::ALL
-            .into_iter()
-            .find(|s| s.name() == v.scenario)
-            .expect("integrity scenario");
-        let stem = format!("integrity-{}-seed{:#06x}", slug(&v.scenario), v.seed);
-        let path = out.join(format!("{stem}.json"));
-        let json = chaos::schedule_json(&v.scenario, v.seed, &spec, &v.plan);
-        if std::fs::write(&path, &json).is_ok() {
-            println!("archived failing schedule: {}", path.display());
-        }
-        // traced replay of the failing schedule (the rebalance-backed
-        // scenario has no traced runner; its schedule still archives)
-        if scen != integrity::IntegrityScenario::RotUnderRebalance {
-            let topts = faulted::FaultedOpts {
-                plan: faulted::PlanSource::Fixed(v.plan.clone()),
-                mode: daos_core::DataMode::Full,
-                oracles: false,
-                traced: true,
-                scrub: scen == integrity::IntegrityScenario::ScrubReadRace,
-                tolerate_unavailable: true,
-                ..faulted::FaultedOpts::default()
-            };
-            let (_, exports) =
-                faulted::run_faulted_with(&spec, FaultedScenario::IorEasyRp2, cal, &topts);
-            if let Some(exports) = exports {
-                if let Err(e) =
-                    report::save_trace(&exports, out, &format!("integrity-{}", slug(&v.scenario)))
-                {
-                    eprintln!("warning: could not save failing-run trace: {e}");
-                }
-            }
-        }
-        let outcome = integrity::shrink_failing_integrity(&spec, scen, cal, v.seed, &v.plan);
-        if outcome.reproduced {
-            let min_path = out.join(format!("{stem}.min.json"));
-            let min_json = chaos::schedule_json(&v.scenario, v.seed, &spec, &outcome.plan);
-            if std::fs::write(&min_path, &min_json).is_ok() {
-                println!(
-                    "shrunk {} -> {} events ({} probes): {}",
-                    v.plan.len(),
-                    outcome.plan.len(),
-                    outcome.probes,
-                    min_path.display()
-                );
-                println!(
-                    "replay: cargo run --release --bin repro -- scrub-replay --schedule {}",
-                    min_path.display()
-                );
-            }
-        } else {
-            eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
-        }
-    }
-    if failed {
-        eprintln!("integrity swarm found invariant violations");
+/// Archive a failing schedule again under `out/`, traced and shrunk to
+/// a minimal reproducer.
+fn run_shrink_target(cal: &Calibration, out: &Path, schedule: Option<&Path>) {
+    let (arch, v) = replay_schedule(cal, schedule);
+    if v.passed() {
+        eprintln!("schedule does not fail any oracle; nothing to shrink");
         std::process::exit(1);
     }
-}
-
-/// Replay an archived integrity schedule byte-for-byte; exits non-zero
-/// when the case fails its scenario-aware expectation.
-fn run_scrub_replay(cal: &Calibration, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = integrity::replay_archived_integrity(&arch, cal).expect("scenario resolves");
-    println!("{}", v.render_line());
-    if !v.passed() {
-        print!("{}", v.chaos.oracle.render());
-        std::process::exit(1);
-    }
+    print!("{}", v.oracle.render());
+    let family = chaos::family_of(v.scenario).expect("a replayed scenario has a family");
+    print_archive(family, &v, &arch.spec, cal, out);
 }
 
 /// The scale-out ladder: 4 → 256 servers against the paper's
@@ -476,13 +261,8 @@ fn run_scrub_replay(cal: &Calibration, schedule: &Path) {
 fn run_scaleout_target(cal: &Calibration, out: &Path) {
     let report = benchkit::scaleout::run_scaleout(cal);
     print!("{}", report.render());
-    let path = out.join("scaleout.json");
     let json = report.render_json();
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("saved {}", path.display());
-    }
+    save(out, "scaleout.json", &json);
     if !report.passed() {
         eprintln!("scale-out ladder failed a claim verdict");
         std::process::exit(1);
@@ -587,12 +367,7 @@ fn run_bench_engine(out: &Path) {
         "{{\n\"ops\":{BENCH_OPS},\n\"calibration_iters_per_sec\":{cal:.0},\n\"families\":[\n{}\n]\n}}\n",
         entries.join(",\n")
     );
-    let path = out.join("BENCH_engine.json");
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("saved {}", path.display());
-    }
+    save(out, "BENCH_engine.json", &json);
 
     let committed = Path::new("BENCH_engine.json");
     let prev = match std::fs::read_to_string(committed) {
@@ -684,17 +459,9 @@ fn run_report_target(cal: &Calibration, out: &Path) {
         }
         print!("{}", a.report.render_text());
         let stem = format!("report-{}", slug(scen.name()));
-        let save = |suffix: &str, data: &str| {
-            let path = out.join(format!("{stem}{suffix}"));
-            if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, data)) {
-                eprintln!("warning: could not save {}: {e}", path.display());
-            } else {
-                println!("saved {}", path.display());
-            }
-        };
-        save(".report.json", &a.report.render_json());
-        save(".report.txt", &a.report.render_text());
-        save(".counters.trace.json", &a.trace_json);
+        save(out, &format!("{stem}.report.json"), &a.report.render_json());
+        save(out, &format!("{stem}.report.txt"), &a.report.render_text());
+        save(out, &format!("{stem}.counters.trace.json"), &a.trace_json);
         summary.push((scen.name().to_string(), a.report.verdicts.clone()));
     }
 
@@ -720,12 +487,7 @@ fn run_report_target(cal: &Calibration, out: &Path) {
         .collect();
     let mut json = Json::Obj(vec![("scenarios".to_string(), Json::Arr(scenarios))]).render();
     json.push('\n');
-    let path = out.join("SLO_report.json");
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-    } else {
-        println!("saved {}", path.display());
-    }
+    save(out, "SLO_report.json", &json);
 
     let committed = Path::new("SLO_baseline.json");
     let prev = match std::fs::read_to_string(committed) {
@@ -831,6 +593,7 @@ fn main() {
     let mut out = PathBuf::from("results");
     let mut seeds: u64 = 8;
     let mut schedule: Option<PathBuf> = None;
+    let mut family: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -848,9 +611,12 @@ fn main() {
             "--schedule" => {
                 schedule = Some(PathBuf::from(it.next().expect("--schedule needs a file")));
             }
+            "--family" => {
+                family = Some(it.next().expect("--family needs a name"));
+            }
             "-h" | "--help" => {
                 println!(
-                    "usage: repro [hw|fig1..fig9|fig6-rf2|lustre-ior|ceph-ior|faulted|trace|report|bench-engine|ablations|mdtest|analyze|chaos|chaos-replay|chaos-shrink|rebalance|rebalance-replay|scrub|scrub-replay|scaleout|all|quick]* [--out DIR] [--seeds N] [--schedule FILE]"
+                    "usage: repro [hw|fig1..fig9|fig6-rf2|lustre-ior|ceph-ior|faulted|trace|report|bench-engine|ablations|mdtest|analyze|swarm|replay|shrink|scaleout|all|quick]* [--out DIR] [--family NAME] [--seeds N] [--schedule FILE]"
                 );
                 return;
             }
@@ -904,34 +670,9 @@ fn main() {
             "lustre-ior" => emit(vec![figures::ior_lustre_table(&cal)], &out, &mut collected),
             "ceph-ior" => emit(vec![figures::ior_ceph_table(&cal)], &out, &mut collected),
             "faulted" => run_faulted_family(&cal, &out),
-            "chaos" => run_chaos_swarm_target(&cal, &out, seeds),
-            "chaos-replay" => run_chaos_replay(
-                &cal,
-                schedule
-                    .as_deref()
-                    .expect("chaos-replay needs --schedule FILE"),
-            ),
-            "chaos-shrink" => run_chaos_shrink(
-                &cal,
-                &out,
-                schedule
-                    .as_deref()
-                    .expect("chaos-shrink needs --schedule FILE"),
-            ),
-            "rebalance" => run_rebalance_swarm_target(&cal, &out, seeds),
-            "scrub" => run_scrub_target(&cal, &out, seeds),
-            "scrub-replay" => run_scrub_replay(
-                &cal,
-                schedule
-                    .as_deref()
-                    .expect("scrub-replay needs --schedule FILE"),
-            ),
-            "rebalance-replay" => run_rebalance_replay(
-                &cal,
-                schedule
-                    .as_deref()
-                    .expect("rebalance-replay needs --schedule FILE"),
-            ),
+            "swarm" => run_swarm_target(&cal, &out, family.as_deref(), seeds),
+            "replay" => run_replay_target(&cal, schedule.as_deref()),
+            "shrink" => run_shrink_target(&cal, &out, schedule.as_deref()),
             "scaleout" => run_scaleout_target(&cal, &out),
             "trace" => run_traces(&cal, &out),
             "report" => run_report_target(&cal, &out),

@@ -1,33 +1,47 @@
-//! The chaos swarm: seeded schedule generation × invariant oracles ×
-//! automatic shrinking, glued to the benchmark scenario families.
+//! The chaos harness: seeded schedule generation × invariant oracles ×
+//! automatic shrinking, one copy for every fault family.
 //!
-//! One **case** is `(scenario, seed)`: the seed samples a random
-//! [`FaultPlan`] from the deployment's fault surface, the scenario runs
-//! under it twice from fresh state, and the verdict combines the
-//! durability/consistency oracles of the run with a determinism check
-//! over the two replay digests.  A **swarm** is a seed block over a
-//! scenario family; any failing case's schedule is serializable to a
-//! self-contained JSON artifact from which [`replay_archived`] reruns
-//! the exact case, and [`shrink_failing`] delta-debugs the schedule down
-//! to a minimal reproducer using deterministic replay as the oracle.
+//! One **case** is `(scenario, seed)`: the seed picks a [`FaultPlan`]
+//! for the scenario, the scenario runs under it twice from fresh state,
+//! and the verdict combines the run's invariant oracles with a
+//! determinism check over the two replay digests, judged by the
+//! family's case-ok predicate.  A **swarm** is a seed block over a
+//! family's scenarios.  Any case archives to a self-contained JSON
+//! schedule ([`schedule_json`]) from which [`replay`] reruns it
+//! exactly; [`archive_case`] writes a failing case's schedule, a traced
+//! replay and the minimal reproducer [`shrink_case`] delta-debugs it
+//! down to.
 //!
-//! Two families are covered:
+//! A family implements [`Family`]: its scenarios, its sweep point, the
+//! plan for a seed, one run under a plan and its case-ok predicate.
+//! There are four, listed in [`FAMILIES`]:
 //!
-//! * the **faulted family** ([`FaultedScenario::ALL`]): full fault
-//!   surface (server crashes, restarts, slow disks, NIC brownouts,
-//!   delayed completions) with the durability ledger recording every
-//!   acked write in `Full` data mode and every oracle auditing after
-//!   quiescence;
-//! * the **engine family** ([`Scenario::ALL`]): capacity-weather
-//!   schedules (slow disks / NIC brownouts only — safe against drivers
-//!   with no fault-aware world) where the invariant is that the run
-//!   completes and replays bit-identically.
+//! * **faulted** ([`FaultedFamily`]): the full fault surface (server
+//!   crashes, restarts, slow disks, NIC brownouts, delayed completions,
+//!   bit rot) with the durability ledger recording every acked write in
+//!   `Full` data mode and every oracle auditing after quiescence;
+//! * **engine** ([`EngineFamily`]): capacity-weather schedules (slow
+//!   disks / NIC brownouts only — safe against drivers with no
+//!   fault-aware world) over every generic scenario, where the
+//!   invariant is that the run completes and replays bit-identically;
+//! * **rebalance** ([`crate::rebalance::RebalanceFamily`]): live
+//!   membership churn layered over the faulted surface;
+//! * **integrity** ([`crate::integrity::IntegrityFamily`]): bit-rot
+//!   races against the checksum and scrub machinery.
+//!
+//! Scenario names are unique across the families, so an archive's
+//! `scenario` field names its family too.
 
 use crate::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
+use crate::integrity::IntegrityFamily;
+use crate::rebalance::RebalanceFamily;
+use crate::report::{save_trace, slug};
 use crate::scenarios::{run_scenario_chaos, RunSpec, Scenario};
+use crate::tracing::SpanExports;
 use cluster::{Calibration, ClusterSpec, Topology};
-use daos_core::{DataMode, OracleKind, OracleReport, TargetId, Violation};
+use daos_core::{CsumStats, DataMode, OracleKind, OracleReport, ScrubReport, TargetId, Violation};
 use simkit::{generate, shrink, ChaosConfig, ChaosSpace, FaultPlan, Scheduler, ShrinkOutcome};
+use std::path::{Path, PathBuf};
 
 /// The sweep point the chaos swarm runs at: the faulted family's
 /// deployment shape with a reduced op count and transfer size, because
@@ -39,18 +53,21 @@ pub fn default_chaos_spec() -> RunSpec {
     spec
 }
 
+/// A scratch build of a `servers`-server deployment: resource ids
+/// depend only on registration order, so the ids it enumerates match
+/// the real run's topology build exactly.
+pub(crate) fn scratch_topology(servers: usize, spec: &RunSpec, cal: &Calibration) -> Topology {
+    let mut sched = Scheduler::new();
+    ClusterSpec::new(servers, spec.client_nodes)
+        .with_cal(cal.clone())
+        .build(&mut sched)
+}
+
 /// Enumerate the fault surface of the deployment `spec` describes:
 /// whole-server crash groups, every NVMe read/write device, both NIC
 /// directions, and per-server delayed-completion payloads.
 pub fn chaos_space(spec: &RunSpec, cal: &Calibration) -> ChaosSpace {
-    // A scratch scheduler: resource ids depend only on registration
-    // order, so the ids enumerated here match the real run's topology
-    // build exactly.
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(spec.servers, spec.client_nodes)
-        .with_cal(cal.clone())
-        .build(&mut sched);
-    let mut space = engine_space(&topo);
+    let mut space = engine_space(&scratch_topology(spec.servers, spec, cal));
     space.crash_groups = (0..spec.servers as u16)
         .map(|server| {
             (0..cal.targets_per_server as u16)
@@ -82,130 +99,253 @@ pub fn engine_space(topo: &Topology) -> ChaosSpace {
     space
 }
 
+/// What one run of a family scenario under a plan observed.
+#[derive(Debug, Clone, Default)]
+pub struct CaseRun {
+    /// Post-quiescence invariant audit.
+    pub oracle: OracleReport,
+    /// Replay digest.
+    pub digest: u64,
+    /// Checksum activity, for families judged on it.
+    pub csum: Option<CsumStats>,
+    /// Scrubber progress, for scenarios that scrub.
+    pub scrub: Option<ScrubReport>,
+    /// The causal trace, when one was asked for and the family's runner
+    /// records spans.
+    pub exports: Option<SpanExports>,
+}
+
+/// A scenario family the harness can swarm, archive, replay and shrink.
+/// Implementors supply only what differs between families.
+pub trait Family {
+    /// The family's scenario type.
+    type Scenario: Copy + 'static;
+    /// The `repro swarm --family` name and artifact-stem prefix.
+    const NAME: &'static str;
+    /// Every scenario an archive may name.
+    const ALL: &'static [Self::Scenario];
+    /// The scenarios a swarm runs.
+    const SWARM: &'static [Self::Scenario] = Self::ALL;
+
+    /// Display name of `scen`, unique across every family.
+    fn scenario_name(scen: Self::Scenario) -> &'static str;
+    /// The sweep point a swarm runs at.
+    fn default_spec() -> RunSpec;
+    /// The schedule `seed` picks for `scen`.
+    fn seed_plan(spec: &RunSpec, cal: &Calibration, scen: Self::Scenario, seed: u64) -> FaultPlan;
+    /// One run of `scen` under `plan` from fresh state, span-traced when
+    /// `traced` (an observer: the digest must not change).
+    fn run_under(
+        spec: &RunSpec,
+        scen: Self::Scenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        traced: bool,
+    ) -> CaseRun;
+    /// Whether a case is green.
+    fn case_ok(_scen: Self::Scenario, v: &ChaosVerdict) -> bool {
+        v.oracle.ok()
+    }
+}
+
+/// The faulted family: every [`FaultedScenario`] under schedules drawn
+/// from [`chaos_space`], full oracle suite.
+pub struct FaultedFamily;
+
+impl Family for FaultedFamily {
+    type Scenario = FaultedScenario;
+    const NAME: &'static str = "faulted";
+    const ALL: &'static [FaultedScenario] = &FaultedScenario::ALL;
+
+    fn scenario_name(scen: FaultedScenario) -> &'static str {
+        scen.name()
+    }
+
+    fn default_spec() -> RunSpec {
+        default_chaos_spec()
+    }
+
+    fn seed_plan(spec: &RunSpec, cal: &Calibration, _: FaultedScenario, seed: u64) -> FaultPlan {
+        generate(&chaos_space(spec, cal), &ChaosConfig::default(), seed)
+    }
+
+    fn run_under(
+        spec: &RunSpec,
+        scen: FaultedScenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        traced: bool,
+    ) -> CaseRun {
+        let opts = FaultedOpts {
+            plan: PlanSource::Fixed(plan.clone()),
+            mode: DataMode::Full,
+            oracles: true,
+            traced,
+            ..FaultedOpts::default()
+        };
+        let (report, exports) = run_faulted_with(spec, scen, cal, &opts);
+        CaseRun {
+            oracle: report.oracles.unwrap_or_default(),
+            digest: report.digest,
+            exports,
+            ..CaseRun::default()
+        }
+    }
+}
+
+/// The engine family: every generic [`Scenario`] under capacity weather
+/// drawn from [`engine_space`], determinism as the invariant.
+pub struct EngineFamily;
+
+impl Family for EngineFamily {
+    type Scenario = Scenario;
+    const NAME: &'static str = "engine";
+    const ALL: &'static [Scenario] = &Scenario::ALL;
+
+    fn scenario_name(scen: Scenario) -> &'static str {
+        scen.name()
+    }
+
+    fn default_spec() -> RunSpec {
+        let mut spec = RunSpec::new(4, 2, 4);
+        spec.ops_per_proc = 16;
+        spec
+    }
+
+    fn seed_plan(spec: &RunSpec, cal: &Calibration, _: Scenario, seed: u64) -> FaultPlan {
+        let topo = scratch_topology(spec.servers, spec, cal);
+        generate(&engine_space(&topo), &ChaosConfig::default(), seed)
+    }
+
+    /// The generic drivers record no spans under a fault plan, so a
+    /// traced run exports nothing.
+    fn run_under(
+        spec: &RunSpec,
+        scen: Scenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        _traced: bool,
+    ) -> CaseRun {
+        let (_, digest) = run_scenario_chaos(spec, scen, cal, plan);
+        let mut oracle = OracleReport::default();
+        oracle.checked_groups += 1;
+        CaseRun {
+            oracle,
+            digest,
+            ..CaseRun::default()
+        }
+    }
+}
+
 /// One chaos case verdict.
 #[derive(Debug, Clone)]
 pub struct ChaosVerdict {
     /// Scenario display name.
-    pub scenario: String,
+    pub scenario: &'static str,
     /// The generating seed.
     pub seed: u64,
-    /// The sampled schedule (phase-relative event times).
+    /// The schedule (event times relative to the family's anchor).
     pub plan: FaultPlan,
-    /// Merged oracle report (durability, reconstruction, redundancy,
-    /// interface consistency, determinism).
+    /// Oracle report of the first run plus the determinism check.
     pub oracle: OracleReport,
     /// Replay digest of the first run.
     pub digest: u64,
+    /// Checksum activity of the first run, for families judged on it.
+    pub csum: Option<CsumStats>,
+    /// Scrubber progress of the first run, for scenarios that scrub.
+    pub scrub: Option<ScrubReport>,
+    ok: bool,
 }
 
 impl ChaosVerdict {
-    /// Every invariant green.
+    /// The family's case-ok predicate held.
     pub fn passed(&self) -> bool {
-        self.oracle.ok()
+        self.ok
     }
 
-    /// One status line: `seed 0x0017 IOR-easy/RP_2+crash 3 faults ok`.
+    /// One status line: `seed 0x0017 IOR-easy/RP_2+crash 3 faults ok`,
+    /// with the checksum counters appended when the family reports them.
     pub fn render_line(&self) -> String {
-        format!(
+        let mut line = format!(
             "seed {:#06x}  {:<24} {} faults  digest {:#018x}  {}",
             self.seed,
             self.scenario,
             self.plan.len(),
             self.digest,
-            if self.passed() {
+            if self.ok {
                 "ok".to_string()
             } else {
                 format!("FAILED ({} violations)", self.oracle.violations.len())
             }
-        )
+        );
+        if let Some(c) = &self.csum {
+            line.push_str(&format!(
+                "  detected {} repaired {} unrepairable {} served_corrupt {}",
+                c.detected, c.repaired, c.unrepairable, c.served_corrupt
+            ));
+        }
+        line
     }
 }
 
-pub(crate) fn determinism_violation(scenario: &str, a: u64, b: u64) -> Violation {
-    Violation {
-        oracle: OracleKind::Determinism,
-        subject: scenario.to_string(),
-        detail: format!("replay digests diverge: {a:#018x} vs {b:#018x}"),
-    }
-}
-
-/// Run one faulted-family chaos case: generate the seed's schedule, run
-/// it twice from fresh state with the ledger recording and all oracles
-/// auditing, and fold a determinism check over the two digests.
-pub fn run_chaos_case(
+/// Run one case under an explicit schedule: twice from fresh state,
+/// with a determinism check folded over the two digests, judged by
+/// [`Family::case_ok`].
+pub fn run_case<F: Family>(
     spec: &RunSpec,
-    scen: FaultedScenario,
-    cal: &Calibration,
-    seed: u64,
-) -> ChaosVerdict {
-    let space = chaos_space(spec, cal);
-    let plan = generate(&space, &ChaosConfig::default(), seed);
-    run_planned_case(spec, scen, cal, seed, plan)
-}
-
-/// Run a faulted-family case under an explicit schedule (the replay and
-/// shrink entry point — [`run_chaos_case`] is this plus generation).
-pub fn run_planned_case(
-    spec: &RunSpec,
-    scen: FaultedScenario,
+    scen: F::Scenario,
     cal: &Calibration,
     seed: u64,
     plan: FaultPlan,
 ) -> ChaosVerdict {
-    let opts = FaultedOpts {
-        plan: PlanSource::Fixed(plan.clone()),
-        mode: DataMode::Full,
-        oracles: true,
-        ..FaultedOpts::default()
-    };
-    let (first, _) = run_faulted_with(spec, scen, cal, &opts);
-    let (second, _) = run_faulted_with(spec, scen, cal, &opts);
-    let mut oracle = first.oracles.clone().unwrap_or_default();
-    if first.digest != second.digest {
-        oracle.violations.push(determinism_violation(
-            scen.name(),
-            first.digest,
-            second.digest,
-        ));
+    let first = F::run_under(spec, scen, cal, &plan, false);
+    let rerun = F::run_under(spec, scen, cal, &plan, false).digest;
+    judge::<F>(scen, seed, plan, first, Some(rerun))
+}
+
+/// The verdict on `run`: a determinism violation when the digest of a
+/// `rerun` diverges from it, then the family's case-ok predicate.
+fn judge<F: Family>(
+    scen: F::Scenario,
+    seed: u64,
+    plan: FaultPlan,
+    run: CaseRun,
+    rerun: Option<u64>,
+) -> ChaosVerdict {
+    let scenario = F::scenario_name(scen);
+    let mut oracle = run.oracle;
+    if let Some(rerun) = rerun.filter(|&d| d != run.digest) {
+        oracle.violations.push(Violation {
+            oracle: OracleKind::Determinism,
+            subject: scenario.to_string(),
+            detail: format!(
+                "replay digests diverge: {:#018x} vs {rerun:#018x}",
+                run.digest
+            ),
+        });
     }
-    ChaosVerdict {
-        scenario: scen.name().to_string(),
+    let mut v = ChaosVerdict {
+        scenario,
         seed,
         plan,
         oracle,
-        digest: first.digest,
-    }
+        digest: run.digest,
+        csum: run.csum,
+        scrub: run.scrub,
+        ok: false,
+    };
+    v.ok = F::case_ok(scen, &v);
+    v
 }
 
-/// Run one engine-family chaos case: capacity-weather schedule over a
-/// generic scenario, determinism as the invariant.
-pub fn run_engine_case(
+/// Run one case under the schedule `seed` picks.
+pub fn run_seed<F: Family>(
     spec: &RunSpec,
-    scen: Scenario,
+    scen: F::Scenario,
     cal: &Calibration,
     seed: u64,
 ) -> ChaosVerdict {
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(spec.servers, spec.client_nodes)
-        .with_cal(cal.clone())
-        .build(&mut sched);
-    let plan = generate(&engine_space(&topo), &ChaosConfig::default(), seed);
-    let (_, a) = run_scenario_chaos(spec, scen, cal, &plan);
-    let (_, b) = run_scenario_chaos(spec, scen, cal, &plan);
-    let mut oracle = OracleReport::default();
-    oracle.checked_groups += 1;
-    if a != b {
-        oracle
-            .violations
-            .push(determinism_violation(scen.name(), a, b));
-    }
-    ChaosVerdict {
-        scenario: scen.name().to_string(),
-        seed,
-        plan,
-        oracle,
-        digest: a,
-    }
+    run_case::<F>(spec, scen, cal, seed, F::seed_plan(spec, cal, scen, seed))
 }
 
 /// A swarm's collected verdicts.
@@ -233,64 +373,43 @@ impl SwarmReport {
             out.push_str(&v.render_line());
             out.push('\n');
         }
-        let failed = self.verdicts.len() - self.verdicts.iter().filter(|v| v.passed()).count();
         out.push_str(&format!(
             "swarm: {} cases, {} failed\n",
             self.verdicts.len(),
-            failed
+            self.failures().len()
         ));
         out
     }
 }
 
-/// Swarm the faulted family: every scenario in [`FaultedScenario::ALL`]
-/// under every seed in `seeds`, full oracle suite.
-pub fn run_chaos_swarm(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
-    let mut report = SwarmReport::default();
-    for &seed in seeds {
-        for scen in FaultedScenario::ALL {
-            report.verdicts.push(run_chaos_case(spec, scen, cal, seed));
-        }
-    }
-    report
+/// Swarm a family: every scenario in [`Family::SWARM`] under every seed
+/// in `seeds`.
+pub fn swarm<F: Family>(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
+    let verdicts = seeds
+        .iter()
+        .flat_map(|&seed| {
+            F::SWARM
+                .iter()
+                .map(move |&scen| run_seed::<F>(spec, scen, cal, seed))
+        })
+        .collect();
+    SwarmReport { verdicts }
 }
 
-/// Swarm the engine family: every scenario in [`Scenario::ALL`] under
-/// every seed in `seeds`, determinism oracle.
-pub fn run_engine_swarm(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
-    let mut report = SwarmReport::default();
-    for &seed in seeds {
-        for &scen in Scenario::ALL.iter() {
-            report.verdicts.push(run_engine_case(spec, scen, cal, seed));
-        }
-    }
-    report
-}
-
-/// Shrink a failing faulted-family schedule to a minimal reproducer.
-/// The oracle is deterministic replay: a candidate subset "fails" when
-/// any invariant oracle reports a violation under it.  Probes run
-/// single-sided (no second determinism run) — the shrunken plan's final
-/// verdict should be re-established with [`run_planned_case`].
-pub fn shrink_failing(
+/// Shrink a failing schedule to a minimal reproducer: a candidate
+/// subset "fails" when its case is not green.  Probes run once (no
+/// determinism rerun); re-establish the final verdict with
+/// [`run_case`].
+pub fn shrink_case<F: Family>(
     spec: &RunSpec,
-    scen: FaultedScenario,
+    scen: F::Scenario,
     cal: &Calibration,
+    seed: u64,
     plan: &FaultPlan,
 ) -> ShrinkOutcome {
-    let opts_for = |p: &FaultPlan| FaultedOpts {
-        plan: PlanSource::Fixed(p.clone()),
-        mode: DataMode::Full,
-        oracles: true,
-        ..FaultedOpts::default()
-    };
     shrink(plan, |candidate| {
-        let (report, _) = run_faulted_with(spec, scen, cal, &opts_for(candidate));
-        !report
-            .oracles
-            .as_ref()
-            .map(OracleReport::ok)
-            .unwrap_or(true)
+        let run = F::run_under(spec, scen, cal, candidate, false);
+        !judge::<F>(scen, seed, candidate.clone(), run, None).passed()
     })
 }
 
@@ -303,7 +422,7 @@ pub fn schedule_json(scenario: &str, seed: u64, spec: &RunSpec, plan: &FaultPlan
             "{{\"scenario\": \"{}\", \"seed\": {}, ",
             "\"spec\": {{\"servers\": {}, \"client_nodes\": {}, \"ppn\": {}, ",
             "\"ops_per_proc\": {}, \"transfer\": {}, \"queue_depth\": {}, \"seed\": {}}}, ",
-            "\"replay\": \"cargo run --release --bin repro -- chaos-replay --schedule <this file>\", ",
+            "\"replay\": \"cargo run --release --bin repro -- replay --schedule <this file>\", ",
             "\"plan\": {}}}"
         ),
         scenario,
@@ -322,8 +441,7 @@ pub fn schedule_json(scenario: &str, seed: u64, spec: &RunSpec, plan: &FaultPlan
 /// A parsed schedule artifact.
 #[derive(Debug, Clone)]
 pub struct ArchivedSchedule {
-    /// Scenario display name (resolved against [`FaultedScenario::ALL`]
-    /// by [`replay_archived`]).
+    /// Scenario display name (names the family too).
     pub scenario: String,
     /// The generating seed (provenance; the plan is authoritative).
     pub seed: u64,
@@ -369,20 +487,126 @@ pub fn parse_schedule(input: &str) -> Result<ArchivedSchedule, String> {
     })
 }
 
-/// Rerun an archived schedule byte-for-byte: resolve the scenario by
-/// name and replay the stored plan at the stored deployment shape.
-pub fn replay_archived(arch: &ArchivedSchedule, cal: &Calibration) -> Result<ChaosVerdict, String> {
-    let scen = FaultedScenario::ALL
+/// One family's harness entry points, for choosing a family at run
+/// time (see [`FAMILIES`]).
+#[derive(Clone, Copy)]
+pub struct FamilyOps {
+    /// [`Family::NAME`].
+    pub name: &'static str,
+    /// [`Family::default_spec`].
+    pub default_spec: fn() -> RunSpec,
+    /// [`swarm`] over this family.
+    pub swarm: fn(&RunSpec, &Calibration, &[u64]) -> SwarmReport,
+    /// [`archive_case`] a failing case of this family.
+    pub archive: fn(&ChaosVerdict, &RunSpec, &Calibration, &Path) -> std::io::Result<Archive>,
+    /// Every scenario name in [`Family::ALL`].
+    pub scenario_names: fn() -> Vec<&'static str>,
+    replay: fn(&ArchivedSchedule, &Calibration) -> Option<ChaosVerdict>,
+}
+
+const fn ops<F: Family>() -> FamilyOps {
+    FamilyOps {
+        name: F::NAME,
+        default_spec: F::default_spec,
+        swarm: swarm::<F>,
+        archive: archive_case::<F>,
+        scenario_names: || F::ALL.iter().map(|&s| F::scenario_name(s)).collect(),
+        replay: |arch, cal| {
+            let scen = find_scenario::<F>(&arch.scenario)?;
+            Some(run_case::<F>(
+                &arch.spec,
+                scen,
+                cal,
+                arch.seed,
+                arch.plan.clone(),
+            ))
+        },
+    }
+}
+
+/// Every chaos family.
+pub const FAMILIES: [FamilyOps; 4] = [
+    ops::<FaultedFamily>(),
+    ops::<EngineFamily>(),
+    ops::<RebalanceFamily>(),
+    ops::<IntegrityFamily>(),
+];
+
+/// The family called `name`.
+pub fn family(name: &str) -> Option<FamilyOps> {
+    FAMILIES.into_iter().find(|f| f.name == name)
+}
+
+/// The family whose [`Family::ALL`] holds `scenario`.
+pub fn family_of(scenario: &str) -> Option<FamilyOps> {
+    FAMILIES
         .into_iter()
-        .find(|s| s.name() == arch.scenario)
-        .ok_or_else(|| format!("unknown scenario {:?}", arch.scenario))?;
-    Ok(run_planned_case(
-        &arch.spec,
-        scen,
-        cal,
-        arch.seed,
-        arch.plan.clone(),
-    ))
+        .find(|f| (f.scenario_names)().contains(&scenario))
+}
+
+fn find_scenario<F: Family>(scenario: &str) -> Option<F::Scenario> {
+    F::ALL
+        .iter()
+        .copied()
+        .find(|&s| F::scenario_name(s) == scenario)
+}
+
+/// Rerun an archived schedule byte-for-byte: resolve the scenario by
+/// name in whichever family holds it and replay the stored plan at the
+/// stored deployment shape.
+pub fn replay(arch: &ArchivedSchedule, cal: &Calibration) -> Result<ChaosVerdict, String> {
+    family_of(&arch.scenario)
+        .and_then(|f| (f.replay)(arch, cal))
+        .ok_or_else(|| format!("unknown scenario {:?}", arch.scenario))
+}
+
+/// What [`archive_case`] wrote for a failing case.
+#[derive(Debug, Clone)]
+pub struct Archive {
+    /// The schedule artifact, `<family>-<scenario>-seed<N>.json`.
+    pub path: PathBuf,
+    /// The shrinker's result.
+    pub shrunk: ShrinkOutcome,
+    /// The minimal reproducer (`<stem>.min.json`), when the shrinker
+    /// reproduced the failure.
+    pub min_path: Option<PathBuf>,
+}
+
+/// Archive a failing case of family `F` under `out/`: its schedule, a
+/// traced replay through the same family run under the same stem (when
+/// the runner records spans), and the shrunken minimal reproducer.
+pub fn archive_case<F: Family>(
+    v: &ChaosVerdict,
+    spec: &RunSpec,
+    cal: &Calibration,
+    out: &Path,
+) -> std::io::Result<Archive> {
+    let scen = find_scenario::<F>(v.scenario).ok_or_else(|| {
+        let msg = format!("{} is not a {} scenario", v.scenario, F::NAME);
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
+    })?;
+    let stem = format!("{}-{}-seed{:#06x}", F::NAME, slug(v.scenario), v.seed);
+    let path = out.join(format!("{stem}.json"));
+    std::fs::create_dir_all(out)?;
+    std::fs::write(&path, schedule_json(v.scenario, v.seed, spec, &v.plan))?;
+    if let Some(exports) = F::run_under(spec, scen, cal, &v.plan, true).exports {
+        save_trace(&exports, out, &stem)?;
+    }
+    let shrunk = shrink_case::<F>(spec, scen, cal, v.seed, &v.plan);
+    let min_path = shrunk
+        .reproduced
+        .then(|| out.join(format!("{stem}.min.json")));
+    if let Some(min_path) = &min_path {
+        std::fs::write(
+            min_path,
+            schedule_json(v.scenario, v.seed, spec, &shrunk.plan),
+        )?;
+    }
+    Ok(Archive {
+        path,
+        shrunk,
+        min_path,
+    })
 }
 
 #[cfg(test)]
@@ -399,13 +623,13 @@ mod tests {
     fn chaos_case_is_deterministic_and_green() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let a = run_chaos_case(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
+        let a = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
         assert!(a.passed(), "seed 7 must be green:\n{}", a.oracle.render());
-        let b = run_chaos_case(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
+        let b = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
         assert_eq!(a.digest, b.digest, "same seed, same case digest");
         assert_eq!(a.plan.to_json(), b.plan.to_json());
         // different seed, different schedule
-        let c = run_chaos_case(&spec, FaultedScenario::IorEasyRp2, &cal, 8);
+        let c = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 8);
         assert_ne!(a.plan.to_json(), c.plan.to_json());
     }
 
@@ -413,12 +637,12 @@ mod tests {
     fn schedule_artifact_round_trips_and_replays_identically() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let v = run_chaos_case(&spec, FaultedScenario::IorHardEc2p1, &cal, 3);
-        let json = schedule_json(&v.scenario, v.seed, &spec, &v.plan);
+        let v = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorHardEc2p1, &cal, 3);
+        let json = schedule_json(v.scenario, v.seed, &spec, &v.plan);
         let arch = parse_schedule(&json).expect("parses");
         assert_eq!(arch.scenario, v.scenario);
         assert_eq!(arch.plan.to_json(), v.plan.to_json());
-        let replayed = replay_archived(&arch, &cal).expect("replays");
+        let replayed = replay(&arch, &cal).expect("replays");
         assert_eq!(replayed.digest, v.digest, "archived schedule pins the run");
     }
 
@@ -427,7 +651,7 @@ mod tests {
         let mut spec = RunSpec::new(2, 1, 2);
         spec.ops_per_proc = 8;
         let cal = Calibration::default();
-        let v = run_engine_case(&spec, Scenario::IorDaos, &cal, 11);
+        let v = run_seed::<EngineFamily>(&spec, Scenario::IorDaos, &cal, 11);
         assert!(v.passed(), "{}", v.oracle.render());
         assert!(!v.plan.is_empty(), "engine space must sample something");
     }

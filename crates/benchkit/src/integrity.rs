@@ -22,17 +22,16 @@
 //!   oracle here means the integrity machinery served or masked
 //!   corrupt data — exactly what [`integrity_case_ok`] fails.
 //!
-//! Verdict machinery — double-run determinism folds, schedule archiving
-//! via [`crate::chaos::schedule_json`], shrinking — is shared with the
-//! chaos module.
+//! [`IntegrityFamily`] plugs the three into the shared [`crate::chaos`]
+//! harness, judged by [`integrity_case_ok`].
 
-use crate::chaos::{determinism_violation, ChaosVerdict, SwarmReport};
+use crate::chaos::{default_chaos_spec, CaseRun, ChaosVerdict, Family};
 use crate::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
 use crate::rebalance::{run_rebalance_with, RebalanceOpts, RebalanceScenario};
 use crate::scenarios::RunSpec;
 use cluster::Calibration;
-use daos_core::{CsumStats, DataMode, OracleKind, OracleReport, ScrubReport, Violation};
-use simkit::{shrink, FaultAction, FaultPlan, Json, ShrinkOutcome, SimTime, SplitMix64};
+use daos_core::{DataMode, OracleKind};
+use simkit::{FaultAction, FaultPlan, Json, SimTime, SplitMix64};
 
 /// One millisecond in nanoseconds (plan-building readability).
 const MS: u64 = 1_000_000;
@@ -71,12 +70,6 @@ impl IntegrityScenario {
     }
 }
 
-/// The sweep point the integrity family runs at: the chaos shape (small
-/// ops, `Full` data mode so rot flips real bytes).
-pub fn default_integrity_spec() -> RunSpec {
-    crate::chaos::default_chaos_spec()
-}
-
 /// The seeded failure schedule for one integrity case, event times
 /// relative to the write→read phase boundary.
 pub fn integrity_plan(scen: IntegrityScenario, seed: u64) -> FaultPlan {
@@ -105,7 +98,7 @@ pub fn integrity_plan(scen: IntegrityScenario, seed: u64) -> FaultPlan {
             plan.at(
                 SimTime(MS),
                 FaultAction::AddServer {
-                    server: default_integrity_spec().servers as u64,
+                    server: default_chaos_spec().servers as u64,
                 },
             );
             plan.at(SimTime(2 * MS), FaultAction::DrainServer { server: 0 });
@@ -135,72 +128,73 @@ pub fn integrity_plan(scen: IntegrityScenario, seed: u64) -> FaultPlan {
     plan
 }
 
-/// One integrity case verdict: the shared chaos verdict plus the
-/// checksum/scrub activity the invariants are judged against.
-#[derive(Debug, Clone)]
-pub struct IntegrityVerdict {
-    /// Oracle + determinism verdict, archivable schedule included.
-    pub chaos: ChaosVerdict,
-    /// Checksum activity of the first run (post-audit snapshot).
-    pub csum: CsumStats,
-    /// Scrubber progress of the first run, when the scenario scrubs.
-    pub scrub: Option<ScrubReport>,
-}
+/// The integrity family: every [`IntegrityScenario`] under its seeded
+/// [`integrity_plan`], at the chaos sweep point (small ops, `Full` data
+/// mode so rot flips real bytes).
+pub struct IntegrityFamily;
 
-impl IntegrityVerdict {
-    /// One status line, integrity counters included.
-    pub fn render_line(&self) -> String {
-        format!(
-            "{}  detected {} repaired {} unrepairable {} served_corrupt {}",
-            self.chaos.render_line(),
-            self.csum.detected,
-            self.csum.repaired,
-            self.csum.unrepairable,
-            self.csum.served_corrupt,
-        )
+impl Family for IntegrityFamily {
+    type Scenario = IntegrityScenario;
+    const NAME: &'static str = "integrity";
+    const ALL: &'static [IntegrityScenario] = &IntegrityScenario::ALL;
+
+    fn scenario_name(scen: IntegrityScenario) -> &'static str {
+        scen.name()
     }
 
-    /// The per-case row of the `integrity.json` artifact.
-    pub fn to_json(&self) -> Json {
-        let scrub = self.scrub.unwrap_or_default();
-        Json::Obj(vec![
-            ("scenario".into(), Json::Str(self.chaos.scenario.clone())),
-            ("seed".into(), Json::num_u64(self.chaos.seed)),
-            ("ok".into(), Json::Bool(self.passed())),
-            ("verified".into(), Json::num_u64(self.csum.verified)),
-            ("detected".into(), Json::num_u64(self.csum.detected)),
-            ("repaired".into(), Json::num_u64(self.csum.repaired)),
-            (
-                "repaired_bytes".into(),
-                Json::num_u64(self.csum.repaired_bytes),
-            ),
-            ("unrepairable".into(), Json::num_u64(self.csum.unrepairable)),
-            (
-                "served_corrupt".into(),
-                Json::num_u64(self.csum.served_corrupt),
-            ),
-            ("scrub_units".into(), Json::num_u64(scrub.units_scanned)),
-            ("scrub_passes".into(), Json::num_u64(scrub.passes)),
-            (
-                "violations".into(),
-                Json::num_u64(self.chaos.oracle.violations.len() as u64),
-            ),
-            (
-                "digest".into(),
-                Json::Str(format!("{:#018x}", self.chaos.digest)),
-            ),
-        ])
+    fn default_spec() -> RunSpec {
+        default_chaos_spec()
     }
 
-    /// Scenario-aware pass check (see [`integrity_case_ok`]).
-    pub fn passed(&self) -> bool {
-        let scen = IntegrityScenario::ALL
-            .into_iter()
-            .find(|s| s.name() == self.chaos.scenario);
-        match scen {
-            Some(s) => integrity_case_ok(s, self),
-            None => self.chaos.passed(),
+    fn seed_plan(_: &RunSpec, _: &Calibration, scen: IntegrityScenario, seed: u64) -> FaultPlan {
+        integrity_plan(scen, seed)
+    }
+
+    /// The rebalance-backed scenario records no spans, so its traced run
+    /// exports nothing.
+    fn run_under(
+        spec: &RunSpec,
+        scen: IntegrityScenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        traced: bool,
+    ) -> CaseRun {
+        if scen == IntegrityScenario::RotUnderRebalance {
+            let opts = RebalanceOpts {
+                plan: PlanSource::Fixed(plan.clone()),
+                mode: DataMode::Full,
+                oracles: true,
+                ..RebalanceOpts::default()
+            };
+            let report = run_rebalance_with(spec, RebalanceScenario::IorEasyRp2, cal, &opts);
+            return CaseRun {
+                oracle: report.oracles.unwrap_or_default(),
+                digest: report.digest,
+                csum: Some(report.csum),
+                ..CaseRun::default()
+            };
         }
+        let opts = FaultedOpts {
+            plan: PlanSource::Fixed(plan.clone()),
+            mode: DataMode::Full,
+            oracles: true,
+            traced,
+            scrub: scen == IntegrityScenario::ScrubReadRace,
+            tolerate_unavailable: scen == IntegrityScenario::RotBeyondRedundancy,
+            ..FaultedOpts::default()
+        };
+        let (report, exports) = run_faulted_with(spec, FaultedScenario::IorEasyRp2, cal, &opts);
+        CaseRun {
+            oracle: report.oracles.unwrap_or_default(),
+            digest: report.digest,
+            csum: Some(report.csum),
+            scrub: report.scrub,
+            exports,
+        }
+    }
+
+    fn case_ok(scen: IntegrityScenario, v: &ChaosVerdict) -> bool {
+        integrity_case_ok(scen, v)
     }
 }
 
@@ -209,201 +203,54 @@ impl IntegrityVerdict {
 /// case must fail **loudly** — at least one violation, every violation a
 /// [`OracleKind::Corruption`], and no determinism divergence hiding in
 /// the report.  Corrupt bytes are never served, in either regime.
-pub fn integrity_case_ok(scen: IntegrityScenario, v: &IntegrityVerdict) -> bool {
-    if v.csum.served_corrupt != 0 {
+pub fn integrity_case_ok(scen: IntegrityScenario, v: &ChaosVerdict) -> bool {
+    let csum = v.csum.unwrap_or_default();
+    if csum.served_corrupt != 0 {
         return false;
     }
     match scen {
         IntegrityScenario::ScrubReadRace | IntegrityScenario::RotUnderRebalance => {
-            v.chaos.passed() && v.csum.detected >= 1 && v.csum.repaired >= 1
+            v.oracle.ok() && csum.detected >= 1 && csum.repaired >= 1
         }
         IntegrityScenario::RotBeyondRedundancy => {
-            !v.chaos.oracle.violations.is_empty()
-                && v.chaos
-                    .oracle
+            !v.oracle.violations.is_empty()
+                && v.oracle
                     .violations
                     .iter()
                     .all(|viol| viol.oracle == OracleKind::Corruption)
-                && v.csum.unrepairable >= 1
+                && csum.unrepairable >= 1
         }
     }
 }
 
-/// Run one integrity case under an explicit schedule, twice from fresh
-/// state, folding a determinism check over the two digests — the replay
-/// and shrink entry point ([`run_integrity_case`] is this plus plan
-/// generation).
-pub fn run_planned_integrity_case(
-    spec: &RunSpec,
-    scen: IntegrityScenario,
-    cal: &Calibration,
-    seed: u64,
-    plan: FaultPlan,
-) -> IntegrityVerdict {
-    let (mut oracle, csum, scrub, digest_a, digest_b) = match scen {
-        IntegrityScenario::RotUnderRebalance => {
-            let opts = RebalanceOpts {
-                plan: PlanSource::Fixed(plan.clone()),
-                mode: DataMode::Full,
-                oracles: true,
-                ..RebalanceOpts::default()
-            };
-            let first = run_rebalance_with(spec, RebalanceScenario::IorEasyRp2, cal, &opts);
-            let second = run_rebalance_with(spec, RebalanceScenario::IorEasyRp2, cal, &opts);
-            (
-                first.oracles.clone().unwrap_or_default(),
-                first.csum,
-                None,
-                first.digest,
-                second.digest,
-            )
-        }
-        IntegrityScenario::ScrubReadRace | IntegrityScenario::RotBeyondRedundancy => {
-            let opts = FaultedOpts {
-                plan: PlanSource::Fixed(plan.clone()),
-                mode: DataMode::Full,
-                oracles: true,
-                scrub: scen == IntegrityScenario::ScrubReadRace,
-                tolerate_unavailable: scen == IntegrityScenario::RotBeyondRedundancy,
-                ..FaultedOpts::default()
-            };
-            let (first, _) = run_faulted_with(spec, FaultedScenario::IorEasyRp2, cal, &opts);
-            let (second, _) = run_faulted_with(spec, FaultedScenario::IorEasyRp2, cal, &opts);
-            (
-                first.oracles.clone().unwrap_or_default(),
-                first.csum,
-                first.scrub,
-                first.digest,
-                second.digest,
-            )
-        }
-    };
-    if digest_a != digest_b {
-        oracle
-            .violations
-            .push(determinism_violation(scen.name(), digest_a, digest_b));
-    }
-    IntegrityVerdict {
-        chaos: ChaosVerdict {
-            scenario: scen.name().to_string(),
-            seed,
-            plan,
-            oracle,
-            digest: digest_a,
-        },
-        csum,
-        scrub,
-    }
-}
-
-/// Run one integrity chaos case: build the seed's schedule and run it
-/// as a planned case.
-pub fn run_integrity_case(
-    spec: &RunSpec,
-    scen: IntegrityScenario,
-    cal: &Calibration,
-    seed: u64,
-) -> IntegrityVerdict {
-    run_planned_integrity_case(spec, scen, cal, seed, integrity_plan(scen, seed))
-}
-
-/// Swarm the integrity family: every scenario under every seed, judged
-/// by [`integrity_case_ok`] (the planted rot-beyond-redundancy cases
-/// count as *failures of the swarm* when they come back green).
-pub fn run_integrity_swarm(
-    spec: &RunSpec,
-    cal: &Calibration,
-    seeds: &[u64],
-) -> (SwarmReport, Vec<IntegrityVerdict>) {
-    let mut report = SwarmReport::default();
-    let mut verdicts = Vec::new();
-    for &seed in seeds {
-        for scen in IntegrityScenario::ALL {
-            let v = run_integrity_case(spec, scen, cal, seed);
-            let mut chaos = v.chaos.clone();
-            if !v.passed() && chaos.oracle.ok() {
-                // a green oracle that should have screamed (or missing
-                // repair activity): surface it as an explicit violation
-                // so the shared swarm report renders the failure
-                chaos.oracle.violations.push(Violation {
-                    oracle: OracleKind::Corruption,
-                    subject: scen.name().to_string(),
-                    detail: format!(
-                        "integrity expectation unmet: detected {} repaired {} \
-                         unrepairable {} served_corrupt {}",
-                        v.csum.detected,
-                        v.csum.repaired,
-                        v.csum.unrepairable,
-                        v.csum.served_corrupt
-                    ),
-                });
-            } else if v.passed() && !chaos.oracle.ok() {
-                // expected loud failure: the case is green by design
-                chaos.oracle = OracleReport::default();
-                chaos.oracle.checked_groups += 1;
-            }
-            report.verdicts.push(chaos);
-            verdicts.push(v);
-        }
-    }
-    (report, verdicts)
-}
-
-/// Shrink an *interesting* integrity schedule to a minimal reproducer.
-/// For the repairable scenarios the preserved signature is the
-/// unexpected failure (`!`[`integrity_case_ok`]); for the planted
-/// rot-beyond-redundancy scenario it is the loud corruption verdict
-/// itself — the minimal schedule that still makes the oracle scream.
-/// Re-establish the final verdict with [`run_planned_integrity_case`].
-pub fn shrink_failing_integrity(
-    spec: &RunSpec,
-    scen: IntegrityScenario,
-    cal: &Calibration,
-    seed: u64,
-    plan: &FaultPlan,
-) -> ShrinkOutcome {
-    shrink(plan, |candidate| {
-        let v = run_planned_integrity_case(spec, scen, cal, seed, candidate.clone());
-        match scen {
-            IntegrityScenario::ScrubReadRace | IntegrityScenario::RotUnderRebalance => {
-                !integrity_case_ok(scen, &v)
-            }
-            IntegrityScenario::RotBeyondRedundancy => {
-                !v.chaos.oracle.violations.is_empty()
-                    && v.chaos
-                        .oracle
-                        .violations
-                        .iter()
-                        .all(|viol| viol.oracle == OracleKind::Corruption)
-            }
-        }
-    })
-}
-
-/// Rerun an archived integrity-family schedule: resolve the scenario
-/// against [`IntegrityScenario::ALL`] and replay the stored plan at the
-/// stored deployment shape.
-pub fn replay_archived_integrity(
-    arch: &crate::chaos::ArchivedSchedule,
-    cal: &Calibration,
-) -> Result<IntegrityVerdict, String> {
-    let scen = IntegrityScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == arch.scenario)
-        .ok_or_else(|| format!("unknown integrity scenario {:?}", arch.scenario))?;
-    Ok(run_planned_integrity_case(
-        &arch.spec,
-        scen,
-        cal,
-        arch.seed,
-        arch.plan.clone(),
-    ))
+/// The per-case row of the `integrity.json` artifact.
+fn case_json(v: &ChaosVerdict) -> Json {
+    let csum = v.csum.unwrap_or_default();
+    let scrub = v.scrub.unwrap_or_default();
+    Json::Obj(vec![
+        ("scenario".into(), Json::Str(v.scenario.to_string())),
+        ("seed".into(), Json::num_u64(v.seed)),
+        ("ok".into(), Json::Bool(v.passed())),
+        ("verified".into(), Json::num_u64(csum.verified)),
+        ("detected".into(), Json::num_u64(csum.detected)),
+        ("repaired".into(), Json::num_u64(csum.repaired)),
+        ("repaired_bytes".into(), Json::num_u64(csum.repaired_bytes)),
+        ("unrepairable".into(), Json::num_u64(csum.unrepairable)),
+        ("served_corrupt".into(), Json::num_u64(csum.served_corrupt)),
+        ("scrub_units".into(), Json::num_u64(scrub.units_scanned)),
+        ("scrub_passes".into(), Json::num_u64(scrub.passes)),
+        (
+            "violations".into(),
+            Json::num_u64(v.oracle.violations.len() as u64),
+        ),
+        ("digest".into(), Json::Str(format!("{:#018x}", v.digest))),
+    ])
 }
 
 /// Render integrity verdicts as the `integrity.json` artifact (stable
 /// field order, trailing newline).
-pub fn render_integrity_json(verdicts: &[IntegrityVerdict]) -> String {
-    let mut s = Json::Arr(verdicts.iter().map(IntegrityVerdict::to_json).collect()).render();
+pub fn render_integrity_json(verdicts: &[ChaosVerdict]) -> String {
+    let mut s = Json::Arr(verdicts.iter().map(case_json).collect()).render();
     s.push('\n');
     s
 }
@@ -411,26 +258,28 @@ pub fn render_integrity_json(verdicts: &[IntegrityVerdict]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::run_seed;
 
     fn tiny_spec() -> RunSpec {
-        let mut spec = default_integrity_spec();
+        let mut spec = default_chaos_spec();
         spec.ops_per_proc = 8;
         spec
     }
 
     #[test]
     fn scrub_read_race_repairs_everything() {
-        let v = run_integrity_case(
+        let v = run_seed::<IntegrityFamily>(
             &tiny_spec(),
             IntegrityScenario::ScrubReadRace,
             &Calibration::default(),
             3,
         );
         assert!(v.passed(), "{}", v.render_line());
-        assert!(v.csum.detected >= 1, "planted rot went undetected");
-        assert!(v.csum.repaired >= 1);
-        assert_eq!(v.csum.served_corrupt, 0);
-        assert_eq!(v.csum.unrepairable, 0, "single-copy rot always repairs");
+        let csum = v.csum.expect("integrity cases report checksums");
+        assert!(csum.detected >= 1, "planted rot went undetected");
+        assert!(csum.repaired >= 1);
+        assert_eq!(csum.served_corrupt, 0);
+        assert_eq!(csum.unrepairable, 0, "single-copy rot always repairs");
         let scrub = v.scrub.expect("scenario scrubs");
         assert_eq!(scrub.passes, 1, "exactly one full scrub pass");
         assert!(scrub.units_scanned > 0);
@@ -440,18 +289,24 @@ mod tests {
     fn rot_beyond_redundancy_fails_loudly_and_shrinks() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let v = run_integrity_case(&spec, IntegrityScenario::RotBeyondRedundancy, &cal, 5);
+        let scen = IntegrityScenario::RotBeyondRedundancy;
+        let v = run_seed::<IntegrityFamily>(&spec, scen, &cal, 5);
         assert!(v.passed(), "loud corruption expected:\n{}", v.render_line());
-        assert!(!v.chaos.oracle.ok(), "the oracle must scream");
-        assert_eq!(v.csum.served_corrupt, 0, "refused, not served");
-        // the two-event plan is already minimal: ddmin keeps both rots
-        let outcome = shrink_failing_integrity(
-            &spec,
-            IntegrityScenario::RotBeyondRedundancy,
-            &cal,
-            5,
-            &v.chaos.plan,
+        assert!(!v.oracle.ok(), "the oracle must scream");
+        assert_eq!(
+            v.csum.unwrap_or_default().served_corrupt,
+            0,
+            "refused, not served"
         );
+        // the two-event plan is already minimal: ddmin keeps both rots
+        let outcome = simkit::shrink(&v.plan, |candidate| {
+            let oracle = IntegrityFamily::run_under(&spec, scen, &cal, candidate, false).oracle;
+            !oracle.violations.is_empty()
+                && oracle
+                    .violations
+                    .iter()
+                    .all(|viol| viol.oracle == OracleKind::Corruption)
+        });
         assert!(outcome.reproduced);
         assert_eq!(
             outcome.plan.len(),
@@ -459,19 +314,5 @@ mod tests {
             "both rots are load-bearing: {:?}",
             outcome.plan
         );
-    }
-
-    #[test]
-    fn integrity_schedule_archives_and_replays_identically() {
-        let spec = tiny_spec();
-        let cal = Calibration::default();
-        let v = run_integrity_case(&spec, IntegrityScenario::ScrubReadRace, &cal, 9);
-        let json =
-            crate::chaos::schedule_json(&v.chaos.scenario, v.chaos.seed, &spec, &v.chaos.plan);
-        let arch = crate::chaos::parse_schedule(&json).expect("parses");
-        let replayed = replay_archived_integrity(&arch, &cal).expect("replays");
-        assert_eq!(replayed.chaos.digest, v.chaos.digest);
-        assert_eq!(replayed.csum, v.csum);
-        assert_eq!(replayed.scrub, v.scrub);
     }
 }

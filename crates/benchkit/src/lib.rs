@@ -34,9 +34,9 @@ pub mod verdict;
 pub mod workloads;
 
 pub use chaos::{
-    chaos_space, default_chaos_spec, engine_space, parse_schedule, replay_archived, run_chaos_case,
-    run_chaos_swarm, run_engine_case, run_engine_swarm, run_planned_case, schedule_json,
-    shrink_failing, ArchivedSchedule, ChaosVerdict, SwarmReport,
+    archive_case, chaos_space, default_chaos_spec, engine_space, family, family_of, parse_schedule,
+    replay, run_case, run_seed, schedule_json, shrink_case, swarm, Archive, ArchivedSchedule,
+    CaseRun, ChaosVerdict, EngineFamily, Family, FamilyOps, FaultedFamily, SwarmReport, FAMILIES,
 };
 pub use determinism::{replay_all, replay_scenario, ScenarioReplay};
 pub use driver::{run_phase, PhaseResult};
@@ -46,14 +46,11 @@ pub use faulted::{
 };
 pub use figures::{Figure, Point, Series};
 pub use integrity::{
-    default_integrity_spec, integrity_case_ok, integrity_plan, render_integrity_json,
-    replay_archived_integrity, run_integrity_case, run_integrity_swarm, run_planned_integrity_case,
-    shrink_failing_integrity, IntegrityScenario, IntegrityVerdict,
+    integrity_case_ok, integrity_plan, render_integrity_json, IntegrityFamily, IntegrityScenario,
 };
 pub use rebalance::{
-    default_rebalance_spec, rebalance_space, replay_archived_rebalance, run_planned_rebalance_case,
-    run_rebalance_case, run_rebalance_swarm, run_rebalance_with, shrink_failing_rebalance,
-    RebalanceOpts, RebalanceRunReport, RebalanceScenario,
+    rebalance_space, run_rebalance_with, RebalanceFamily, RebalanceOpts, RebalanceRunReport,
+    RebalanceScenario,
 };
 pub use runreport::{
     default_slo_rules, faulted_slo_rules, report_chaos_case, report_faulted, report_rebalance,

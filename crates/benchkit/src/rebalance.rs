@@ -23,12 +23,10 @@
 //!
 //! The chaos surface ([`rebalance_space`]) extends the faulted family's
 //! with the three rebalance dimensions (server adds, server drains,
-//! crashes aimed at migration sources/destinations), and the verdict
-//! machinery — durability/redundancy oracles, double-run determinism,
-//! schedule archiving, ddmin shrinking — is shared with
-//! [`crate::chaos`].
+//! crashes aimed at migration sources/destinations); [`RebalanceFamily`]
+//! plugs it into the shared [`crate::chaos`] harness.
 
-use crate::chaos::{determinism_violation, ChaosVerdict, SwarmReport};
+use crate::chaos::{default_chaos_spec, engine_space, scratch_topology, CaseRun, Family};
 use crate::driver::{run_phase, start_stagger, PhaseResult};
 use crate::faulted::PlanSource;
 use crate::scenarios::{exec, make_sched, RunSpec};
@@ -40,8 +38,8 @@ use daos_core::{
 };
 use ior_bench::{AccessOrder, Ior, IorBackend, IorConfig};
 use simkit::{
-    generate, run, shrink, ChaosConfig, ChaosSpace, FaultAction, FaultEvent, FaultPlan, OpId,
-    Scheduler, ShrinkOutcome, SimTime, Step, World,
+    generate, run, ChaosConfig, ChaosSpace, FaultAction, FaultEvent, FaultPlan, OpId, Scheduler,
+    SimTime, Step, World,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -104,13 +102,6 @@ impl RebalanceScenario {
     }
 }
 
-/// The sweep point the rebalance swarm runs at: the chaos shape (small
-/// ops, `Full` data mode materialises every byte) over four deployed
-/// servers with spare hardware to grow into.
-pub fn default_rebalance_spec() -> RunSpec {
-    crate::chaos::default_chaos_spec()
-}
-
 /// The rebalance fault surface for `spec`: the faulted family's full
 /// surface (whole-server crash groups, disks, NICs, delayed
 /// completions) plus the three rebalance dimensions — spare-server
@@ -122,11 +113,7 @@ pub fn default_rebalance_spec() -> RunSpec {
 /// topology (`servers + SPARE_SERVERS`), matching the real run's
 /// registration order exactly.
 pub fn rebalance_space(spec: &RunSpec, cal: &Calibration) -> ChaosSpace {
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(spec.servers + SPARE_SERVERS, spec.client_nodes)
-        .with_cal(cal.clone())
-        .build(&mut sched);
-    let mut space = crate::chaos::engine_space(&topo);
+    let mut space = engine_space(&scratch_topology(spec.servers + SPARE_SERVERS, spec, cal));
     let group = |server: u16| -> Vec<u64> {
         (0..cal.targets_per_server as u16)
             .map(|target| TargetId { server, target }.pack())
@@ -529,119 +516,62 @@ pub fn run_rebalance_with(
     }
 }
 
-/// Run a rebalance-family case under an explicit schedule, twice from
-/// fresh state, with the full oracle suite plus a digest determinism
-/// check — the replay and shrink entry point.
-pub fn run_planned_rebalance_case(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-    seed: u64,
-    plan: FaultPlan,
-) -> ChaosVerdict {
-    let opts = RebalanceOpts {
-        plan: PlanSource::Fixed(plan.clone()),
-        mode: DataMode::Full,
-        oracles: true,
-        ..RebalanceOpts::default()
-    };
-    let first = run_rebalance_with(spec, scen, cal, &opts);
-    let second = run_rebalance_with(spec, scen, cal, &opts);
-    let mut oracle = first.oracles.clone().unwrap_or_default();
-    if first.digest != second.digest {
-        oracle.violations.push(determinism_violation(
-            scen.name(),
-            first.digest,
-            second.digest,
-        ));
-    }
-    ChaosVerdict {
-        scenario: scen.name().to_string(),
-        seed,
-        plan,
-        oracle,
-        digest: first.digest,
-    }
-}
+/// The rebalance family: the redundant scenarios
+/// ([`RebalanceScenario::SWARM`]) under schedules drawn from
+/// [`rebalance_space`], at the chaos sweep point (small ops, `Full` data
+/// mode) over four deployed servers with spare hardware to grow into.
+pub struct RebalanceFamily;
 
-/// Run one rebalance chaos case: sample the seed's schedule from the
-/// rebalance fault surface and run it as a planned case.
-pub fn run_rebalance_case(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-    seed: u64,
-) -> ChaosVerdict {
-    let space = rebalance_space(spec, cal);
-    let plan = generate(&space, &ChaosConfig::default(), seed);
-    run_planned_rebalance_case(spec, scen, cal, seed, plan)
-}
+impl Family for RebalanceFamily {
+    type Scenario = RebalanceScenario;
+    const NAME: &'static str = "rebalance";
+    const ALL: &'static [RebalanceScenario] = &RebalanceScenario::ALL;
+    const SWARM: &'static [RebalanceScenario] = &RebalanceScenario::SWARM;
 
-/// Swarm the rebalance family: every scenario in
-/// [`RebalanceScenario::SWARM`] under every seed in `seeds`.
-pub fn run_rebalance_swarm(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
-    let mut report = SwarmReport::default();
-    for &seed in seeds {
-        for scen in RebalanceScenario::SWARM {
-            report
-                .verdicts
-                .push(run_rebalance_case(spec, scen, cal, seed));
-        }
+    fn scenario_name(scen: RebalanceScenario) -> &'static str {
+        scen.name()
     }
-    report
-}
 
-/// Shrink a failing rebalance-family schedule to a minimal reproducer
-/// (single-sided probes; re-establish the verdict with
-/// [`run_planned_rebalance_case`]).
-pub fn shrink_failing_rebalance(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-    plan: &FaultPlan,
-) -> ShrinkOutcome {
-    shrink(plan, |candidate| {
+    fn default_spec() -> RunSpec {
+        default_chaos_spec()
+    }
+
+    fn seed_plan(spec: &RunSpec, cal: &Calibration, _: RebalanceScenario, seed: u64) -> FaultPlan {
+        generate(&rebalance_space(spec, cal), &ChaosConfig::default(), seed)
+    }
+
+    /// The rebalance world records no spans, so a traced run exports
+    /// nothing.
+    fn run_under(
+        spec: &RunSpec,
+        scen: RebalanceScenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        _traced: bool,
+    ) -> CaseRun {
         let opts = RebalanceOpts {
-            plan: PlanSource::Fixed(candidate.clone()),
+            plan: PlanSource::Fixed(plan.clone()),
             mode: DataMode::Full,
             oracles: true,
             ..RebalanceOpts::default()
         };
         let report = run_rebalance_with(spec, scen, cal, &opts);
-        !report
-            .oracles
-            .as_ref()
-            .map(OracleReport::ok)
-            .unwrap_or(true)
-    })
-}
-
-/// Rerun an archived rebalance-family schedule: resolve the scenario
-/// against [`RebalanceScenario::ALL`] and replay the stored plan at the
-/// stored deployment shape.
-pub fn replay_archived_rebalance(
-    arch: &crate::chaos::ArchivedSchedule,
-    cal: &Calibration,
-) -> Result<ChaosVerdict, String> {
-    let scen = RebalanceScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == arch.scenario)
-        .ok_or_else(|| format!("unknown rebalance scenario {:?}", arch.scenario))?;
-    Ok(run_planned_rebalance_case(
-        &arch.spec,
-        scen,
-        cal,
-        arch.seed,
-        arch.plan.clone(),
-    ))
+        CaseRun {
+            oracle: report.oracles.unwrap_or_default(),
+            digest: report.digest,
+            ..CaseRun::default()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::chaos::run_seed;
+
     fn tiny_spec() -> RunSpec {
-        let mut spec = default_rebalance_spec();
+        let mut spec = default_chaos_spec();
         spec.ops_per_proc = 8;
         spec
     }
@@ -671,9 +601,9 @@ mod tests {
     fn rebalance_case_is_deterministic() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let a = run_rebalance_case(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
+        let a = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
         assert!(a.passed(), "seed 3 must be green:\n{}", a.oracle.render());
-        let b = run_rebalance_case(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
+        let b = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
         assert_eq!(a.digest, b.digest, "same seed, same case digest");
         assert_eq!(a.plan.to_json(), b.plan.to_json());
     }

@@ -8,6 +8,14 @@ use std::path::Path;
 /// Repetitions per data point (the paper uses 3).
 pub const REPS: usize = 3;
 
+/// Artifact-safe file stem for a scenario display name.
+pub fn slug(name: &str) -> String {
+    name.to_ascii_lowercase()
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+        .collect()
+}
+
 /// Render a figure as an aligned text table (series as columns).
 pub fn render_text(fig: &Figure) -> String {
     let mut out = String::new();

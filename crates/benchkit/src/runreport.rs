@@ -20,14 +20,15 @@
 //! committed `SLO_baseline.json` and fails CI when a rule that passed
 //! at the seed starts failing.
 
+use crate::chaos::{Family, FaultedFamily};
 use crate::driver::PhaseResult;
 use crate::faulted::{FaultedOpts, FaultedReport, FaultedScenario, PlanSource};
 use crate::rebalance::{RebalanceOpts, RebalanceRunReport, RebalanceScenario};
 use crate::scenarios::{make_sched, run_scenario_on, RunSpec, Scenario};
 use cluster::Calibration;
 use simkit::{
-    chrome_trace_json_with_counters, evaluate_slos, generate, layer_histograms, render_slo_text,
-    ChaosConfig, Json, Monitor, Rate, ResourceId, Scheduler, SloInputs, SloRule, SloVerdict,
+    chrome_trace_json_with_counters, evaluate_slos, layer_histograms, render_slo_text, Json,
+    Monitor, Rate, ResourceId, Scheduler, SloInputs, SloRule, SloVerdict,
 };
 use std::fmt::Write as _;
 
@@ -445,8 +446,7 @@ pub fn report_chaos_case(
     cal: &Calibration,
     seed: u64,
 ) -> FaultedReport {
-    let space = crate::chaos::chaos_space(spec, cal);
-    let plan = generate(&space, &ChaosConfig::default(), seed);
+    let plan = FaultedFamily::seed_plan(spec, cal, scen, seed);
     let opts = FaultedOpts {
         plan: PlanSource::Fixed(plan),
         traced: true,
@@ -591,7 +591,7 @@ mod tests {
 
     #[test]
     fn rebalance_report_carries_migration_counters() {
-        let mut spec = crate::rebalance::default_rebalance_spec();
+        let mut spec = crate::chaos::default_chaos_spec();
         spec.ops_per_proc = 24;
         let r = report_rebalance(
             &spec,

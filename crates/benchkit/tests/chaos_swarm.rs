@@ -1,14 +1,16 @@
-//! End-to-end chaos swarm acceptance: a seeded swarm runs green over
-//! both scenario families, and a deliberately planted invariant
-//! violation is detected by the oracles, shrunk to a minimal schedule
-//! by delta debugging, archived to JSON, and replayed byte-identically
-//! from the archive.
+//! End-to-end chaos harness acceptance: seeded swarms run green, every
+//! family's cases are pinned and replay from their archives, and a
+//! deliberately planted invariant violation is detected by the oracles,
+//! shrunk to a minimal schedule by delta debugging, archived to JSON,
+//! and replayed byte-identically from the archive.
 
 use benchkit::chaos::{
-    default_chaos_spec, parse_schedule, replay_archived, run_chaos_swarm, run_engine_swarm,
-    run_planned_case, schedule_json, shrink_failing,
+    default_chaos_spec, family, family_of, parse_schedule, replay, run_case, run_seed,
+    schedule_json, shrink_case, swarm, ChaosVerdict, EngineFamily, FaultedFamily, SwarmReport,
+    FAMILIES,
 };
 use benchkit::faulted::FaultedScenario;
+use benchkit::{IntegrityFamily, IntegrityScenario, RebalanceFamily, RebalanceScenario, RunSpec};
 use cluster::Calibration;
 use daos_core::{OracleKind, TargetId};
 use simkit::{FaultAction, FaultPlan, SimTime};
@@ -19,7 +21,7 @@ fn seeded_swarm_is_green_over_both_families() {
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
 
-    let faulted = run_chaos_swarm(&spec, &cal, &[1, 2]);
+    let faulted = swarm::<FaultedFamily>(&spec, &cal, &[1, 2]);
     assert_eq!(faulted.verdicts.len(), 2 * FaultedScenario::ALL.len());
     assert!(faulted.passed(), "faulted swarm:\n{}", faulted.render());
     // every case actually audited something
@@ -34,8 +36,126 @@ fn seeded_swarm_is_green_over_both_families() {
 
     let mut espec = benchkit::RunSpec::new(2, 1, 2);
     espec.ops_per_proc = 8;
-    let engine = run_engine_swarm(&espec, &cal, &[5]);
+    let engine = swarm::<EngineFamily>(&espec, &cal, &[5]);
     assert!(engine.passed(), "engine swarm:\n{}", engine.render());
+}
+
+#[test]
+fn scenario_names_are_unique_across_families() {
+    let names: Vec<&str> = FAMILIES.iter().flat_map(|f| (f.scenario_names)()).collect();
+    for (i, name) in names.iter().enumerate() {
+        assert!(!names[..i].contains(name), "{name} names two scenarios");
+    }
+    for f in FAMILIES {
+        assert_eq!(family(f.name).map(|g| g.name), Some(f.name));
+        for name in (f.scenario_names)() {
+            assert_eq!(family_of(name).map(|g| g.name), Some(f.name), "{name}");
+        }
+    }
+}
+
+/// Archive `v` as JSON, parse it back and replay it from the archive.
+fn assert_replays(v: &ChaosVerdict, spec: &RunSpec, cal: &Calibration) {
+    let json = schedule_json(v.scenario, v.seed, spec, &v.plan);
+    assert!(json.contains("repro -- replay --schedule"), "{json}");
+    let arch = parse_schedule(&json).expect("parses");
+    assert_eq!(arch.scenario, v.scenario);
+    assert_eq!(arch.plan.to_json(), v.plan.to_json());
+    let replayed = replay(&arch, cal).expect("replays");
+    assert_eq!(
+        replayed.digest, v.digest,
+        "{}: archive pins the run",
+        v.scenario
+    );
+    assert_eq!(replayed.passed(), v.passed());
+    assert_eq!(replayed.csum, v.csum);
+    assert_eq!(replayed.scrub, v.scrub);
+}
+
+#[test]
+fn one_case_per_family_archives_and_replays_identically() {
+    let mut spec = default_chaos_spec();
+    spec.ops_per_proc = 8;
+    let cal = Calibration::default();
+    let faulted = run_seed::<FaultedFamily>(&spec, FaultedScenario::FieldIoFaulted, &cal, 3);
+    assert_replays(&faulted, &spec, &cal);
+    let mut espec = RunSpec::new(2, 1, 2);
+    espec.ops_per_proc = 8;
+    let engine = run_seed::<EngineFamily>(&espec, benchkit::Scenario::IorDfs, &cal, 3);
+    assert_replays(&engine, &espec, &cal);
+    let rebalance = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorHardEc2p1, &cal, 3);
+    assert_replays(&rebalance, &spec, &cal);
+    let integrity =
+        run_seed::<IntegrityFamily>(&spec, IntegrityScenario::RotUnderRebalance, &cal, 9);
+    assert_replays(&integrity, &spec, &cal);
+}
+
+#[test]
+fn replay_rejects_an_unknown_scenario() {
+    let json = schedule_json(
+        "no/such-scenario",
+        1,
+        &default_chaos_spec(),
+        &FaultPlan::new(),
+    );
+    let arch = parse_schedule(&json).expect("parses");
+    let err = replay(&arch, &Calibration::default()).expect_err("unknown");
+    assert!(err.contains("no/such-scenario"), "{err}");
+}
+
+/// FNV-1a over every case's replay digest and plan JSON, in run order.
+fn fold_cases(report: &SwarmReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in &report.verdicts {
+        let bytes = v.digest.to_le_bytes();
+        for &b in bytes.iter().chain(v.plan.to_json().as_bytes()) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every family's plans and case digests at a tiny sweep point, pinned:
+/// a drift here is a behaviour change in some family's plan or run.
+#[test]
+fn family_case_digests_are_pinned() {
+    let cal = Calibration::default();
+    let seeds = [1, 2];
+    let mut spec = default_chaos_spec();
+    spec.ops_per_proc = 8;
+    let mut espec = RunSpec::new(2, 1, 2);
+    espec.ops_per_proc = 8;
+    let families = [
+        (
+            "faulted",
+            swarm::<FaultedFamily>(&spec, &cal, &seeds),
+            0xd345_e389_f03b_75d8,
+        ),
+        (
+            "engine",
+            swarm::<EngineFamily>(&espec, &cal, &seeds),
+            0x9211_e105_cbac_c33a,
+        ),
+        (
+            "rebalance",
+            swarm::<RebalanceFamily>(&spec, &cal, &seeds),
+            0x8bb4_8589_24ba_1dbe,
+        ),
+        (
+            "integrity",
+            swarm::<IntegrityFamily>(&spec, &cal, &seeds),
+            0x0439_ea87_2888_736e,
+        ),
+    ];
+    for (family, report, pinned) in families {
+        assert_eq!(
+            fold_cases(&report),
+            pinned,
+            "{family} cases drifted:\n{}",
+            report.render()
+        );
+    }
 }
 
 /// A schedule that genuinely breaks the redundancy invariant: the
@@ -95,7 +215,7 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
     let plan = planted_plan();
 
     // 1. detection: the redundancy oracle flags the stranded target
-    let verdict = run_planned_case(&spec, scen, &cal, 0xBAD, plan.clone());
+    let verdict = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, plan.clone());
     assert!(!verdict.passed(), "planted violation must be caught");
     assert!(
         verdict
@@ -109,7 +229,7 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
 
     // 2. shrinking: delta debugging reduces the schedule to the minimal
     // failing pair (trigger crash + stranded crash)
-    let outcome = shrink_failing(&spec, scen, &cal, &plan);
+    let outcome = shrink_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, &plan);
     assert!(outcome.reproduced, "shrinker must reproduce the failure");
     assert_eq!(
         outcome.plan.len(),
@@ -128,12 +248,12 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
 
     // 3. archive: JSON round-trips and the replay command reruns the
     // shrunken schedule byte-identically
-    let direct = run_planned_case(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
+    let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
     assert!(!direct.passed(), "shrunken schedule still fails");
     let json = schedule_json(scen.name(), 0xBAD, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
-    let replayed = replay_archived(&arch, &cal).expect("archive replays");
+    let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(
         replayed.digest, direct.digest,
         "replay from archive is byte-identical"

@@ -5,18 +5,17 @@
 //! loudly as Corruption, ddmin-shrinks to its minimal two-rot schedule,
 //! and replays byte-identically from the archived JSON.
 
-use benchkit::chaos::{parse_schedule, schedule_json};
-use benchkit::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
-use benchkit::integrity::{
-    default_integrity_spec, replay_archived_integrity, run_integrity_case, run_integrity_swarm,
-    run_planned_integrity_case, shrink_failing_integrity, IntegrityScenario,
+use benchkit::chaos::{
+    default_chaos_spec, parse_schedule, replay, run_case, run_seed, schedule_json, swarm, Family,
 };
+use benchkit::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
+use benchkit::integrity::{integrity_plan, IntegrityFamily, IntegrityScenario};
 use cluster::Calibration;
 use daos_core::{DataMode, OracleKind};
 use simkit::{FaultAction, FaultPlan, SimTime};
 
 fn tiny_spec() -> benchkit::RunSpec {
-    let mut spec = default_integrity_spec();
+    let mut spec = default_chaos_spec();
     spec.ops_per_proc = 8;
     spec
 }
@@ -74,17 +73,19 @@ fn seeded_rot_is_detected_and_repaired_on_rp2_and_ec() {
 fn integrity_swarm_is_green_over_every_scenario() {
     let spec = tiny_spec();
     let cal = Calibration::default();
-    let (report, verdicts) = run_integrity_swarm(&spec, &cal, &[1, 2]);
-    assert_eq!(verdicts.len(), 2 * IntegrityScenario::ALL.len());
+    let report = swarm::<IntegrityFamily>(&spec, &cal, &[1, 2]);
+    assert_eq!(report.verdicts.len(), 2 * IntegrityScenario::ALL.len());
     assert!(report.passed(), "integrity swarm:\n{}", report.render());
-    for v in &verdicts {
-        assert_eq!(v.csum.served_corrupt, 0, "{}", v.render_line());
-        assert!(v.csum.detected >= 1, "{}", v.render_line());
+    for v in &report.verdicts {
+        let csum = v.csum.expect("integrity cases report checksums");
+        assert_eq!(csum.served_corrupt, 0, "{}", v.render_line());
+        assert!(csum.detected >= 1, "{}", v.render_line());
     }
     // the scrubbing scenario completed exactly one throttled pass per run
-    for v in verdicts
+    for v in report
+        .verdicts
         .iter()
-        .filter(|v| v.chaos.scenario == IntegrityScenario::ScrubReadRace.name())
+        .filter(|v| v.scenario == IntegrityScenario::ScrubReadRace.name())
     {
         let scrub = v.scrub.expect("scrub-read-race scrubs");
         assert_eq!(scrub.passes, 1, "{}", v.render_line());
@@ -100,20 +101,29 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
     let scen = IntegrityScenario::RotBeyondRedundancy;
 
     // 1. detection: the planted double rot fails loudly as Corruption
-    let v = run_integrity_case(&spec, scen, &cal, 7);
+    let v = run_seed::<IntegrityFamily>(&spec, scen, &cal, 7);
     assert!(v.passed(), "loud corruption expected:\n{}", v.render_line());
-    assert!(!v.chaos.oracle.ok());
+    assert!(!v.oracle.ok());
     assert!(v
-        .chaos
         .oracle
         .violations
         .iter()
         .all(|viol| viol.oracle == OracleKind::Corruption));
-    assert_eq!(v.csum.served_corrupt, 0, "refused, never served");
-    assert!(v.csum.unrepairable >= 1);
+    let csum = v.csum.expect("integrity cases report checksums");
+    assert_eq!(csum.served_corrupt, 0, "refused, never served");
+    assert!(csum.unrepairable >= 1);
 
-    // 2. shrinking: ddmin keeps exactly the load-bearing rot pair
-    let outcome = shrink_failing_integrity(&spec, scen, &cal, 7, &v.chaos.plan);
+    // 2. shrinking: ddmin keeps exactly the load-bearing rot pair; the
+    // preserved signature is the loud corruption verdict itself (the
+    // case is green, so the harness's `!ok` probe would not shrink it)
+    let outcome = simkit::shrink(&v.plan, |candidate| {
+        let oracle = IntegrityFamily::run_under(&spec, scen, &cal, candidate, false).oracle;
+        !oracle.violations.is_empty()
+            && oracle
+                .violations
+                .iter()
+                .all(|viol| viol.oracle == OracleKind::Corruption)
+    });
     assert!(outcome.reproduced, "shrinker must reproduce the corruption");
     assert_eq!(outcome.plan.len(), 2, "both rots are load-bearing");
     for ev in outcome.plan.events() {
@@ -126,15 +136,37 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
 
     // 3. archive: the shrunken schedule round-trips through JSON and
     // replays byte-identically
-    let direct = run_planned_integrity_case(&spec, scen, &cal, 7, outcome.plan.clone());
-    assert!(!direct.chaos.oracle.ok(), "shrunken schedule still screams");
+    let direct = run_case::<IntegrityFamily>(&spec, scen, &cal, 7, outcome.plan.clone());
+    assert!(!direct.oracle.ok(), "shrunken schedule still screams");
     let json = schedule_json(scen.name(), 7, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
-    let replayed = replay_archived_integrity(&arch, &cal).expect("archive replays");
+    let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(
-        replayed.chaos.digest, direct.chaos.digest,
+        replayed.digest, direct.digest,
         "replay from archive is byte-identical"
     );
     assert_eq!(replayed.csum, direct.csum);
+}
+
+#[test]
+fn traced_integrity_case_keeps_its_digest() {
+    let spec = tiny_spec();
+    let cal = Calibration::default();
+    // the faulted-backed scenarios, whose runner records spans
+    for scen in [
+        IntegrityScenario::ScrubReadRace,
+        IntegrityScenario::RotBeyondRedundancy,
+    ] {
+        let plan = integrity_plan(scen, 4);
+        let plain = run_case::<IntegrityFamily>(&spec, scen, &cal, 4, plan.clone());
+        let traced = IntegrityFamily::run_under(&spec, scen, &cal, &plan, true);
+        assert_eq!(
+            traced.digest,
+            plain.digest,
+            "{}: spans moved the digest",
+            scen.name()
+        );
+        assert!(traced.exports.is_some(), "{}: no trace", scen.name());
+    }
 }

@@ -6,29 +6,28 @@
 //! reproducer, archived to JSON, and replayed byte-identically from the
 //! archive.
 
-use benchkit::chaos::{parse_schedule, schedule_json};
-use benchkit::rebalance::{
-    default_rebalance_spec, replay_archived_rebalance, run_planned_rebalance_case,
-    run_rebalance_swarm, shrink_failing_rebalance, RebalanceScenario,
+use benchkit::chaos::{
+    default_chaos_spec, parse_schedule, replay, run_case, schedule_json, shrink_case, swarm,
 };
+use benchkit::rebalance::{RebalanceFamily, RebalanceScenario};
 use cluster::Calibration;
 use daos_core::{OracleKind, TargetId};
 use simkit::{FaultAction, FaultPlan, SimTime};
 
 #[test]
 fn seeded_rebalance_swarm_is_green_over_redundant_classes() {
-    let mut spec = default_rebalance_spec();
+    let mut spec = default_chaos_spec();
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
 
-    let swarm = run_rebalance_swarm(&spec, &cal, &[1, 2]);
+    let report = swarm::<RebalanceFamily>(&spec, &cal, &[1, 2]);
     assert_eq!(
-        swarm.verdicts.len(),
+        report.verdicts.len(),
         2 * RebalanceScenario::SWARM.len(),
         "every seed runs every swarm scenario"
     );
-    assert!(swarm.passed(), "rebalance swarm:\n{}", swarm.render());
-    for v in &swarm.verdicts {
+    assert!(report.passed(), "rebalance swarm:\n{}", report.render());
+    for v in &report.verdicts {
         assert!(
             v.oracle.checked_kv + v.oracle.checked_extents > 0,
             "case {} seed {} audited nothing",
@@ -60,7 +59,7 @@ fn planted_lost_extent_plan() -> FaultPlan {
 
 #[test]
 fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
-    let mut spec = default_rebalance_spec();
+    let mut spec = default_chaos_spec();
     spec.servers = 2;
     spec.client_nodes = 1;
     // a long read phase keeps work in flight well past the drain, the
@@ -71,7 +70,7 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
     let plan = planted_lost_extent_plan();
 
     // 1. detection: the durability oracle flags the lost extents
-    let verdict = run_planned_rebalance_case(&spec, scen, &cal, 0x10EE, plan.clone());
+    let verdict = run_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, plan.clone());
     assert!(!verdict.passed(), "planted lost extents must be caught");
     assert!(
         verdict
@@ -85,7 +84,7 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
 
     // 2. shrinking: delta debugging strips the drain and the redundant
     // crashes down to a minimal reproducer
-    let outcome = shrink_failing_rebalance(&spec, scen, &cal, &plan);
+    let outcome = shrink_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, &plan);
     assert!(outcome.reproduced, "shrinker must reproduce the failure");
     assert!(
         outcome.plan.len() <= 2,
@@ -103,12 +102,12 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
 
     // 3. archive: JSON round-trips and the replay reruns the shrunken
     // schedule byte-identically
-    let direct = run_planned_rebalance_case(&spec, scen, &cal, 0x10EE, outcome.plan.clone());
+    let direct = run_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, outcome.plan.clone());
     assert!(!direct.passed(), "shrunken schedule still fails");
     let json = schedule_json(scen.name(), 0x10EE, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
-    let replayed = replay_archived_rebalance(&arch, &cal).expect("archive replays");
+    let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(
         replayed.digest, direct.digest,
         "replay from archive is byte-identical"

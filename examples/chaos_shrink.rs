@@ -8,8 +8,8 @@
 //! ```
 
 use benchkit::chaos::{
-    chaos_space, default_chaos_spec, parse_schedule, replay_archived, run_planned_case,
-    schedule_json, shrink_failing,
+    chaos_space, default_chaos_spec, parse_schedule, replay, run_case, schedule_json, shrink_case,
+    FaultedFamily,
 };
 use benchkit::faulted::FaultedScenario;
 use cluster::Calibration;
@@ -63,13 +63,13 @@ fn main() {
         ),
     );
 
-    let verdict = run_planned_case(&spec, scen, &cal, 0xBAD, plan.clone());
+    let verdict = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, plan.clone());
     println!("planted schedule ({} events):", plan.len());
     println!("{}", verdict.render_line());
     print!("{}", verdict.oracle.render());
 
     // --- 3. shrink to the minimal reproducer ------------------------------
-    let outcome = shrink_failing(&spec, scen, &cal, &plan);
+    let outcome = shrink_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, &plan);
     println!(
         "\nshrunk {} -> {} events in {} probes ({} dropped, {} windows tightened):",
         plan.len(),
@@ -83,8 +83,8 @@ fn main() {
     // --- 4. archive and replay byte-identically ---------------------------
     let json = schedule_json(scen.name(), 0xBAD, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("artifact parses");
-    let direct = run_planned_case(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
-    let replayed = replay_archived(&arch, &cal).expect("artifact replays");
+    let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
+    let replayed = replay(&arch, &cal).expect("artifact replays");
     println!("archived artifact:\n{json}\n");
     println!(
         "replay digest {:#018x} == direct digest {:#018x}: {}",
