@@ -162,13 +162,14 @@ fn print_archive(
         }
     };
     println!("archived failing schedule: {}", a.path.display());
-    match &a.min_path {
-        Some(min_path) => {
+    match &a.shrunk {
+        Some(shrunk) if shrunk.reproduced => {
+            let min_path = a.path.with_extension("min.json");
             println!(
                 "shrunk {} -> {} events ({} probes): {}",
                 v.plan.len(),
-                a.shrunk.plan.len(),
-                a.shrunk.probes,
+                shrunk.plan.len(),
+                shrunk.probes,
                 min_path.display()
             );
             println!(
@@ -176,7 +177,10 @@ fn print_archive(
                 min_path.display()
             );
         }
-        None => eprintln!("shrinker could not reproduce the failure (flaky oracle?)"),
+        Some(_) => eprintln!("shrinker could not reproduce the failure (flaky oracle?)"),
+        None => {
+            println!("not shrunk: only the determinism check failed, which one run cannot show")
+        }
     }
 }
 
@@ -209,12 +213,11 @@ fn run_swarm_target(cal: &Calibration, out: &Path, family: Option<&str>, seeds: 
     }
 }
 
-/// Load an archived schedule of any family, replay it byte-for-byte
-/// and print the case line.
-fn replay_schedule(
-    cal: &Calibration,
-    schedule: Option<&Path>,
-) -> (chaos::ArchivedSchedule, chaos::ChaosVerdict) {
+/// Replay an archived schedule of any family byte-for-byte and print
+/// the case line.  Plain `replay` exits non-zero when the archived
+/// failure reproduces; `shrink` archives a failing schedule again under
+/// `out/`, traced and shrunk to a minimal reproducer.
+fn run_replay_target(cal: &Calibration, out: &Path, schedule: Option<&Path>, shrink: bool) {
     let Some(schedule) = schedule else {
         eprintln!("replay and shrink need --schedule FILE");
         std::process::exit(2);
@@ -228,30 +231,18 @@ fn replay_schedule(
         std::process::exit(2);
     });
     println!("{}", v.render_line());
-    (arch, v)
-}
-
-/// Replay an archived schedule; exits non-zero when the case still
-/// fails (the archived failure reproduces).
-fn run_replay_target(cal: &Calibration, schedule: Option<&Path>) {
-    let (_, v) = replay_schedule(cal, schedule);
-    if !v.passed() {
-        print!("{}", v.oracle.render());
-        std::process::exit(1);
-    }
-}
-
-/// Archive a failing schedule again under `out/`, traced and shrunk to
-/// a minimal reproducer.
-fn run_shrink_target(cal: &Calibration, out: &Path, schedule: Option<&Path>) {
-    let (arch, v) = replay_schedule(cal, schedule);
-    if v.passed() {
+    if v.passed() && shrink {
         eprintln!("schedule does not fail any oracle; nothing to shrink");
         std::process::exit(1);
     }
-    print!("{}", v.oracle.render());
-    let family = chaos::family_of(v.scenario).expect("a replayed scenario has a family");
-    print_archive(family, &v, &arch.spec, cal, out);
+    if !v.passed() {
+        print!("{}", v.oracle.render());
+        if !shrink {
+            std::process::exit(1);
+        }
+        let family = chaos::family_of(v.scenario).expect("a replayed scenario has a family");
+        print_archive(family, &v, &arch.spec, cal, out);
+    }
 }
 
 /// The scale-out ladder: 4 → 256 servers against the paper's
@@ -671,8 +662,9 @@ fn main() {
             "ceph-ior" => emit(vec![figures::ior_ceph_table(&cal)], &out, &mut collected),
             "faulted" => run_faulted_family(&cal, &out),
             "swarm" => run_swarm_target(&cal, &out, family.as_deref(), seeds),
-            "replay" => run_replay_target(&cal, schedule.as_deref()),
-            "shrink" => run_shrink_target(&cal, &out, schedule.as_deref()),
+            "replay" | "shrink" => {
+                run_replay_target(&cal, &out, schedule.as_deref(), t == "shrink")
+            }
             "scaleout" => run_scaleout_target(&cal, &out),
             "trace" => run_traces(&cal, &out),
             "report" => run_report_target(&cal, &out),

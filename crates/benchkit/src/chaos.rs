@@ -142,6 +142,10 @@ pub trait Family {
         plan: &FaultPlan,
         traced: bool,
     ) -> CaseRun;
+    /// Whether [`Family::run_under`] records spans for `scen`.
+    fn traces(_scen: Self::Scenario) -> bool {
+        true
+    }
     /// Whether a case is green.
     fn case_ok(_scen: Self::Scenario, v: &ChaosVerdict) -> bool {
         v.oracle.ok()
@@ -217,8 +221,11 @@ impl Family for EngineFamily {
         generate(&engine_space(&topo), &ChaosConfig::default(), seed)
     }
 
-    /// The generic drivers record no spans under a fault plan, so a
-    /// traced run exports nothing.
+    /// The generic drivers record no spans under a fault plan.
+    fn traces(_: Scenario) -> bool {
+        false
+    }
+
     fn run_under(
         spec: &RunSpec,
         scen: Scenario,
@@ -563,18 +570,20 @@ pub fn replay(arch: &ArchivedSchedule, cal: &Calibration) -> Result<ChaosVerdict
 /// What [`archive_case`] wrote for a failing case.
 #[derive(Debug, Clone)]
 pub struct Archive {
-    /// The schedule artifact, `<family>-<scenario>-seed<N>.json`.
+    /// The schedule artifact, `<stem>.json` with stem
+    /// `<family>-<scenario>-seed<N>`; the minimal reproducer, when the
+    /// shrinker reproduced the failure, is `<stem>.min.json` beside it.
     pub path: PathBuf,
-    /// The shrinker's result.
-    pub shrunk: ShrinkOutcome,
-    /// The minimal reproducer (`<stem>.min.json`), when the shrinker
-    /// reproduced the failure.
-    pub min_path: Option<PathBuf>,
+    /// The shrinker's result; `None` when a single run of the case
+    /// passes (only the determinism check failed), which the shrinker's
+    /// single-run probes could never reproduce.
+    pub shrunk: Option<ShrinkOutcome>,
 }
 
 /// Archive a failing case of family `F` under `out/`: its schedule, a
 /// traced replay through the same family run under the same stem (when
-/// the runner records spans), and the shrunken minimal reproducer.
+/// the runner records spans; a trace that cannot be saved is only
+/// warned about), and the shrunken minimal reproducer.
 pub fn archive_case<F: Family>(
     v: &ChaosVerdict,
     spec: &RunSpec,
@@ -589,24 +598,24 @@ pub fn archive_case<F: Family>(
     let path = out.join(format!("{stem}.json"));
     std::fs::create_dir_all(out)?;
     std::fs::write(&path, schedule_json(v.scenario, v.seed, spec, &v.plan))?;
-    if let Some(exports) = F::run_under(spec, scen, cal, &v.plan, true).exports {
-        save_trace(&exports, out, &stem)?;
+    if let Some(exports) = F::traces(scen)
+        .then(|| F::run_under(spec, scen, cal, &v.plan, true).exports)
+        .flatten()
+    {
+        if let Err(e) = save_trace(&exports, out, &stem) {
+            eprintln!("warning: could not save the {stem} trace: {e}");
+        }
     }
-    let shrunk = shrink_case::<F>(spec, scen, cal, v.seed, &v.plan);
-    let min_path = shrunk
-        .reproduced
-        .then(|| out.join(format!("{stem}.min.json")));
-    if let Some(min_path) = &min_path {
-        std::fs::write(
-            min_path,
-            schedule_json(v.scenario, v.seed, spec, &shrunk.plan),
-        )?;
+    let mut single_run = v.clone();
+    let violations = &mut single_run.oracle.violations;
+    violations.retain(|x| x.oracle != OracleKind::Determinism);
+    let shrunk = (!F::case_ok(scen, &single_run))
+        .then(|| shrink_case::<F>(spec, scen, cal, v.seed, &v.plan));
+    if let Some(s) = shrunk.as_ref().filter(|s| s.reproduced) {
+        let min_json = schedule_json(v.scenario, v.seed, spec, &s.plan);
+        std::fs::write(path.with_extension("min.json"), min_json)?;
     }
-    Ok(Archive {
-        path,
-        shrunk,
-        min_path,
-    })
+    Ok(Archive { path, shrunk })
 }
 
 #[cfg(test)]
@@ -634,19 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_artifact_round_trips_and_replays_identically() {
-        let spec = tiny_spec();
-        let cal = Calibration::default();
-        let v = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorHardEc2p1, &cal, 3);
-        let json = schedule_json(v.scenario, v.seed, &spec, &v.plan);
-        let arch = parse_schedule(&json).expect("parses");
-        assert_eq!(arch.scenario, v.scenario);
-        assert_eq!(arch.plan.to_json(), v.plan.to_json());
-        let replayed = replay(&arch, &cal).expect("replays");
-        assert_eq!(replayed.digest, v.digest, "archived schedule pins the run");
-    }
-
-    #[test]
     fn engine_case_covers_generic_scenarios() {
         let mut spec = RunSpec::new(2, 1, 2);
         spec.ops_per_proc = 8;
@@ -654,5 +650,14 @@ mod tests {
         let v = run_seed::<EngineFamily>(&spec, Scenario::IorDaos, &cal, 11);
         assert!(v.passed(), "{}", v.oracle.render());
         assert!(!v.plan.is_empty(), "engine space must sample something");
+        // a failure of the determinism check alone is archived unshrunk:
+        // the shrinker's single runs never diverge
+        let run = EngineFamily::run_under(&spec, Scenario::IorDaos, &cal, &v.plan, false);
+        let diverged = judge::<EngineFamily>(Scenario::IorDaos, 11, v.plan, run, Some(!v.digest));
+        assert!(!diverged.passed());
+        let out = std::env::temp_dir().join(format!("chaos-unit-{}", std::process::id()));
+        let archive = archive_case::<EngineFamily>(&diverged, &spec, &cal, &out);
+        std::fs::remove_dir_all(&out).expect("removes the archive");
+        assert!(archive.expect("archives").shrunk.is_none());
     }
 }

@@ -150,8 +150,11 @@ impl Family for IntegrityFamily {
         integrity_plan(scen, seed)
     }
 
-    /// The rebalance-backed scenario records no spans, so its traced run
-    /// exports nothing.
+    /// The rebalance-backed scenario records no spans.
+    fn traces(scen: IntegrityScenario) -> bool {
+        scen != IntegrityScenario::RotUnderRebalance
+    }
+
     fn run_under(
         spec: &RunSpec,
         scen: IntegrityScenario,

@@ -540,8 +540,11 @@ impl Family for RebalanceFamily {
         generate(&rebalance_space(spec, cal), &ChaosConfig::default(), seed)
     }
 
-    /// The rebalance world records no spans, so a traced run exports
-    /// nothing.
+    /// The rebalance world records no spans.
+    fn traces(_: RebalanceScenario) -> bool {
+        false
+    }
+
     fn run_under(
         spec: &RunSpec,
         scen: RebalanceScenario,

@@ -5,8 +5,8 @@
 //! and replayed byte-identically from the archive.
 
 use benchkit::chaos::{
-    default_chaos_spec, family, family_of, parse_schedule, replay, run_case, run_seed,
-    schedule_json, shrink_case, swarm, ChaosVerdict, EngineFamily, FaultedFamily, SwarmReport,
+    archive_case, default_chaos_spec, family, family_of, parse_schedule, replay, run_case,
+    run_seed, schedule_json, shrink_case, swarm, ChaosVerdict, EngineFamily, FaultedFamily,
     FAMILIES,
 };
 use benchkit::faulted::FaultedScenario;
@@ -14,6 +14,9 @@ use benchkit::{IntegrityFamily, IntegrityScenario, RebalanceFamily, RebalanceSce
 use cluster::Calibration;
 use daos_core::{OracleKind, TargetId};
 use simkit::{FaultAction, FaultPlan, SimTime};
+
+mod common;
+use common::fold_cases;
 
 #[test]
 fn seeded_swarm_is_green_over_both_families() {
@@ -24,6 +27,12 @@ fn seeded_swarm_is_green_over_both_families() {
     let faulted = swarm::<FaultedFamily>(&spec, &cal, &[1, 2]);
     assert_eq!(faulted.verdicts.len(), 2 * FaultedScenario::ALL.len());
     assert!(faulted.passed(), "faulted swarm:\n{}", faulted.render());
+    assert_eq!(
+        fold_cases(&faulted),
+        0xd345_e389_f03b_75d8,
+        "faulted cases drifted:\n{}",
+        faulted.render()
+    );
     // every case actually audited something
     for v in &faulted.verdicts {
         assert!(
@@ -38,6 +47,13 @@ fn seeded_swarm_is_green_over_both_families() {
     espec.ops_per_proc = 8;
     let engine = swarm::<EngineFamily>(&espec, &cal, &[5]);
     assert!(engine.passed(), "engine swarm:\n{}", engine.render());
+    let pinned = swarm::<EngineFamily>(&espec, &cal, &[1, 2]);
+    assert_eq!(
+        fold_cases(&pinned),
+        0x9211_e105_cbac_c33a,
+        "engine cases drifted:\n{}",
+        pinned.render()
+    );
 }
 
 #[test]
@@ -77,7 +93,7 @@ fn one_case_per_family_archives_and_replays_identically() {
     let mut spec = default_chaos_spec();
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
-    let faulted = run_seed::<FaultedFamily>(&spec, FaultedScenario::FieldIoFaulted, &cal, 3);
+    let faulted = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorHardEc2p1, &cal, 3);
     assert_replays(&faulted, &spec, &cal);
     let mut espec = RunSpec::new(2, 1, 2);
     espec.ops_per_proc = 8;
@@ -85,8 +101,9 @@ fn one_case_per_family_archives_and_replays_identically() {
     assert_replays(&engine, &espec, &cal);
     let rebalance = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorHardEc2p1, &cal, 3);
     assert_replays(&rebalance, &spec, &cal);
-    let integrity =
-        run_seed::<IntegrityFamily>(&spec, IntegrityScenario::RotUnderRebalance, &cal, 9);
+    // a scrubbing case, so the replay is checked on the scrub report too
+    let integrity = run_seed::<IntegrityFamily>(&spec, IntegrityScenario::ScrubReadRace, &cal, 9);
+    assert!(integrity.scrub.is_some(), "scrub-read-race scrubs");
     assert_replays(&integrity, &spec, &cal);
 }
 
@@ -101,61 +118,6 @@ fn replay_rejects_an_unknown_scenario() {
     let arch = parse_schedule(&json).expect("parses");
     let err = replay(&arch, &Calibration::default()).expect_err("unknown");
     assert!(err.contains("no/such-scenario"), "{err}");
-}
-
-/// FNV-1a over every case's replay digest and plan JSON, in run order.
-fn fold_cases(report: &SwarmReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in &report.verdicts {
-        let bytes = v.digest.to_le_bytes();
-        for &b in bytes.iter().chain(v.plan.to_json().as_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Every family's plans and case digests at a tiny sweep point, pinned:
-/// a drift here is a behaviour change in some family's plan or run.
-#[test]
-fn family_case_digests_are_pinned() {
-    let cal = Calibration::default();
-    let seeds = [1, 2];
-    let mut spec = default_chaos_spec();
-    spec.ops_per_proc = 8;
-    let mut espec = RunSpec::new(2, 1, 2);
-    espec.ops_per_proc = 8;
-    let families = [
-        (
-            "faulted",
-            swarm::<FaultedFamily>(&spec, &cal, &seeds),
-            0xd345_e389_f03b_75d8,
-        ),
-        (
-            "engine",
-            swarm::<EngineFamily>(&espec, &cal, &seeds),
-            0x9211_e105_cbac_c33a,
-        ),
-        (
-            "rebalance",
-            swarm::<RebalanceFamily>(&spec, &cal, &seeds),
-            0x8bb4_8589_24ba_1dbe,
-        ),
-        (
-            "integrity",
-            swarm::<IntegrityFamily>(&spec, &cal, &seeds),
-            0x0439_ea87_2888_736e,
-        ),
-    ];
-    for (family, report, pinned) in families {
-        assert_eq!(
-            fold_cases(&report),
-            pinned,
-            "{family} cases drifted:\n{}",
-            report.render()
-        );
-    }
 }
 
 /// A schedule that genuinely breaks the redundancy invariant: the
@@ -227,9 +189,15 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
         verdict.oracle.render()
     );
 
-    // 2. shrinking: delta debugging reduces the schedule to the minimal
-    // failing pair (trigger crash + stranded crash)
-    let outcome = shrink_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, &plan);
+    // 2. archiving: the schedule and a traced replay are written, and
+    // delta debugging reduces the schedule to the minimal failing pair
+    // (trigger crash + stranded crash), written beside them
+    let out = std::env::temp_dir().join(format!("chaos-swarm-{}", std::process::id()));
+    let archive = archive_case::<FaultedFamily>(&verdict, &spec, &cal, &out).expect("archives");
+    let stem = archive.path.file_stem().expect("stem").to_string_lossy();
+    assert_eq!(stem, "faulted-ior-easy-rp-2-crash-seed0x0bad");
+    assert!(out.join(format!("{stem}.trace.json")).exists(), "traced");
+    let outcome = archive.shrunk.expect("a single run fails, so it shrinks");
     assert!(outcome.reproduced, "shrinker must reproduce the failure");
     assert_eq!(
         outcome.plan.len(),
@@ -246,12 +214,13 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
         );
     }
 
-    // 3. archive: JSON round-trips and the replay command reruns the
-    // shrunken schedule byte-identically
+    // 3. replay: the minimal reproducer's JSON round-trips and the
+    // replay command reruns the shrunken schedule byte-identically
     let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
     assert!(!direct.passed(), "shrunken schedule still fails");
-    let json = schedule_json(scen.name(), 0xBAD, &spec, &outcome.plan);
-    let arch = parse_schedule(&json).expect("archive parses");
+    let json = std::fs::read_to_string(archive.path.with_extension("min.json"));
+    std::fs::remove_dir_all(&out).expect("removes the archive");
+    let arch = parse_schedule(&json.expect("minimal reproducer written")).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
     let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(

@@ -14,6 +14,9 @@ use cluster::Calibration;
 use daos_core::{DataMode, OracleKind};
 use simkit::{FaultAction, FaultPlan, SimTime};
 
+mod common;
+use common::fold_cases;
+
 fn tiny_spec() -> benchkit::RunSpec {
     let mut spec = default_chaos_spec();
     spec.ops_per_proc = 8;
@@ -76,6 +79,12 @@ fn integrity_swarm_is_green_over_every_scenario() {
     let report = swarm::<IntegrityFamily>(&spec, &cal, &[1, 2]);
     assert_eq!(report.verdicts.len(), 2 * IntegrityScenario::ALL.len());
     assert!(report.passed(), "integrity swarm:\n{}", report.render());
+    assert_eq!(
+        fold_cases(&report),
+        0x0439_ea87_2888_736e,
+        "integrity cases drifted:\n{}",
+        report.render()
+    );
     for v in &report.verdicts {
         let csum = v.csum.expect("integrity cases report checksums");
         assert_eq!(csum.served_corrupt, 0, "{}", v.render_line());
@@ -153,11 +162,7 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
 fn traced_integrity_case_keeps_its_digest() {
     let spec = tiny_spec();
     let cal = Calibration::default();
-    // the faulted-backed scenarios, whose runner records spans
-    for scen in [
-        IntegrityScenario::ScrubReadRace,
-        IntegrityScenario::RotBeyondRedundancy,
-    ] {
+    for scen in IntegrityScenario::ALL {
         let plan = integrity_plan(scen, 4);
         let plain = run_case::<IntegrityFamily>(&spec, scen, &cal, 4, plan.clone());
         let traced = IntegrityFamily::run_under(&spec, scen, &cal, &plan, true);
@@ -167,6 +172,11 @@ fn traced_integrity_case_keeps_its_digest() {
             "{}: spans moved the digest",
             scen.name()
         );
-        assert!(traced.exports.is_some(), "{}: no trace", scen.name());
+        assert_eq!(
+            traced.exports.is_some(),
+            IntegrityFamily::traces(scen),
+            "{}: a trace exactly where the family says it records spans",
+            scen.name()
+        );
     }
 }

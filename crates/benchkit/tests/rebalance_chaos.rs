@@ -14,6 +14,9 @@ use cluster::Calibration;
 use daos_core::{OracleKind, TargetId};
 use simkit::{FaultAction, FaultPlan, SimTime};
 
+mod common;
+use common::fold_cases;
+
 #[test]
 fn seeded_rebalance_swarm_is_green_over_redundant_classes() {
     let mut spec = default_chaos_spec();
@@ -27,6 +30,12 @@ fn seeded_rebalance_swarm_is_green_over_redundant_classes() {
         "every seed runs every swarm scenario"
     );
     assert!(report.passed(), "rebalance swarm:\n{}", report.render());
+    assert_eq!(
+        fold_cases(&report),
+        0x8bb4_8589_24ba_1dbe,
+        "rebalance cases drifted:\n{}",
+        report.render()
+    );
     for v in &report.verdicts {
         assert!(
             v.oracle.checked_kv + v.oracle.checked_extents > 0,
