@@ -6,8 +6,7 @@
 
 use benchkit::chaos::{
     archive_case, default_chaos_spec, family, family_of, parse_schedule, replay, run_case,
-    run_seed, schedule_json, shrink_case, swarm, ChaosVerdict, EngineFamily, FaultedFamily,
-    FAMILIES,
+    run_seed, schedule_json, swarm, ChaosVerdict, EngineFamily, FaultedFamily, FAMILIES,
 };
 use benchkit::faulted::FaultedScenario;
 use benchkit::{IntegrityFamily, IntegrityScenario, RebalanceFamily, RebalanceScenario, RunSpec};

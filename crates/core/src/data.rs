@@ -9,6 +9,7 @@ use crate::csum::CsumCodec;
 use crate::ec::ErasureCode;
 use cluster::payload::{Payload, ReadPayload};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Whether object payloads carry real bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +123,15 @@ impl KvData {
     /// True when no keys are stored.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Keys in order from `anchor` (inclusive; `b""` for all keys),
+    /// borrowed: resuming a scan here costs one tree descent, and keys
+    /// inserted or removed before the anchor cannot shift it.
+    pub fn keys_from<'a>(&'a self, anchor: &[u8]) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.entries
+            .range::<[u8], _>((Bound::Included(anchor), Bound::Unbounded))
+            .map(|(k, _)| k.as_slice())
     }
 
     /// Keys in order, optionally restricted to a prefix.
@@ -466,9 +476,10 @@ impl ArrayData {
             .collect()
     }
 
-    /// Written chunk indices in order — the scrubber's scan domain.
-    pub fn written_chunks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chunks.keys().copied()
+    /// Written chunk indices in order from `first` (inclusive) — the
+    /// scrubber's scan domain, resumed by range.
+    pub fn written_chunks_from(&self, first: u64) -> impl Iterator<Item = u64> + '_ {
+        self.chunks.range(first..).map(|(&c, _)| c)
     }
 
     /// Bytes at rest backing chunk `idx` (cells included for EC; 0 for

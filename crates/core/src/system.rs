@@ -33,6 +33,7 @@ use cluster::payload::{Payload, ReadPayload};
 use cluster::{units, Calibration, Topology};
 use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 /// Errors surfaced by the DAOS API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,18 +294,57 @@ impl ScrubReport {
 #[derive(Debug, Clone, Default)]
 struct ScrubState {
     active: bool,
-    /// Next `(container, object, unit)` to scan; `None` while active
-    /// means start from the beginning.
-    cursor: Option<(u32, Oid, u64)>,
+    /// Next unit to scan; `None` while active means start from the
+    /// beginning.
+    cursor: Option<ScrubCursor>,
     report: ScrubReport,
+    /// Map entries (objects and units) the unit walk has visited.
+    #[cfg(test)]
+    visits: std::cell::Cell<u64>,
 }
 
-/// One unit of scrub work collected by the scan phase.
-enum ScrubUnit {
-    /// An array chunk and its verification result.
-    Chunk(u64, Option<CsumMismatch>),
-    /// A KV key and whether its value verified.
-    Key(Vec<u8>, bool),
+/// A stored unit's address, the position a scrub wave resumes from.
+#[derive(Debug, Clone)]
+struct ScrubCursor {
+    cont: ContainerId,
+    oid: Oid,
+    pos: ScrubPos,
+}
+
+/// Where inside its object a [`ScrubCursor`] points.
+#[derive(Debug, Clone)]
+enum ScrubPos {
+    /// An array chunk index.
+    Chunk(u64),
+    /// A KV key anchor, the way DAOS iterators resume: a wave resumes
+    /// at the first key `>=` the anchor, so keys inserted or removed
+    /// before it between waves cannot shift the scan.
+    Key(Vec<u8>),
+}
+
+/// One stored unit, borrowed from its object during a unit walk.
+enum UnitRef<'a> {
+    /// A written array chunk.
+    Chunk(&'a ArrayData, u64),
+    /// A KV key.
+    Key(&'a KvData, &'a [u8]),
+}
+
+impl UnitRef<'_> {
+    /// This unit's address inside its object.
+    // simlint::amortized — one key copy per scrub wave or injected fault, not per event
+    fn pos(&self) -> ScrubPos {
+        match *self {
+            UnitRef::Chunk(_, c) => ScrubPos::Chunk(c),
+            UnitRef::Key(_, k) => ScrubPos::Key(k.to_vec()),
+        }
+    }
+}
+
+/// Rot the scan phase of a scrub wave found, repaired in phase 2.
+enum ScrubRot {
+    Chunk(CsumMismatch),
+    Key(Vec<u8>),
 }
 
 /// A deployed DAOS pool with its API.
@@ -1720,37 +1760,38 @@ impl DaosSystem {
     /// toward (and past) the redundancy limit.  Returns `false` when
     /// the pool stores no rot-able bytes (e.g. Sized data mode).
     // simlint::panic_root — fault-handling path: must never panic
-    // simlint::allow(hot-alloc) — fault application: runs once per injected fault, not per event
     pub fn apply_bit_rot(&mut self, locus: u64, shard: u64) -> bool {
-        enum Unit {
-            Chunk(u64),
-            Key(Vec<u8>),
-        }
-        let mut units: Vec<(ContainerId, Oid, Unit)> = Vec::new();
-        for cont in self.containers.iter().flatten() {
-            for (oid, entry) in &cont.objects {
-                match &entry.data {
-                    ObjData::Array(a) => units.extend(
-                        a.written_chunks()
-                            .filter(|&c| a.chunk_stored_bytes(c) > 0)
-                            .map(|c| (cont.id, *oid, Unit::Chunk(c))),
-                    ),
-                    ObjData::Kv(kv) => units.extend(
-                        kv.list(b"")
-                            .into_iter()
-                            .map(|k| (cont.id, *oid, Unit::Key(k))),
-                    ),
-                }
-            }
-        }
-        if units.is_empty() {
+        // rot needs bytes at rest: chunks without any (Sized markers)
+        // are not candidates, KV keys always are
+        let rottable = |unit: &UnitRef| match *unit {
+            UnitRef::Chunk(a, c) => a.chunk_stored_bytes(c) > 0,
+            UnitRef::Key(..) => true,
+        };
+        let mut n = 0u64;
+        let _ = self.visit_units(None, |_, _, _, unit| {
+            n += rottable(&unit) as u64;
+            ControlFlow::Continue(())
+        });
+        if n == 0 {
             return false;
         }
-        let idx = (locus % units.len() as u64) as usize;
-        let (cid, oid, unit) = units.swap_remove(idx);
-        match unit {
-            Unit::Chunk(c) => self.plant_chunk_rot(cid, oid, c, locus, shard),
-            Unit::Key(k) => self.plant_kv_rot(cid, oid, &k, shard),
+        let mut skip = locus % n;
+        let mut pick = None;
+        let _ = self.visit_units(None, |cid, oid, _, unit| {
+            if !rottable(&unit) {
+                return ControlFlow::Continue(());
+            }
+            if skip > 0 {
+                skip -= 1;
+                return ControlFlow::Continue(());
+            }
+            pick = Some((cid, oid, unit.pos()));
+            ControlFlow::Break(())
+        });
+        match pick {
+            Some((cid, oid, ScrubPos::Chunk(c))) => self.plant_chunk_rot(cid, oid, c, locus, shard),
+            Some((cid, oid, ScrubPos::Key(k))) => self.plant_kv_rot(cid, oid, &k, shard),
+            None => false,
         }
     }
 
@@ -1959,126 +2000,79 @@ impl DaosSystem {
         if !self.scrub.active {
             return None;
         }
-        // phase 1: scan forward from the cursor, collecting work
-        let start = self.scrub.cursor;
-        let mut work: Vec<(ContainerId, Oid, u64, ScrubUnit)> = Vec::new();
-        let mut next: Option<(u32, Oid, u64)> = None;
-        'scan: for (ci, cont) in self.containers.iter().enumerate() {
-            let Some(cont) = cont else { continue };
-            if let Some((scid, _, _)) = start {
-                if (ci as u32) < scid {
-                    continue;
-                }
+        // phase 1: scan forward from the cursor, verifying each unit and
+        // building its read while the object is borrowed
+        let start = self.scrub.cursor.take();
+        let mut next = None;
+        let (mut units, mut wave_bytes) = (0usize, 0u64);
+        let mut reads: Vec<Step> = Vec::new();
+        let mut rotten: Vec<(ContainerId, Oid, ScrubRot)> = Vec::new();
+        let _ = self.visit_units(start.as_ref(), |cont, oid, entry, unit| {
+            if units == max_units {
+                let pos = unit.pos();
+                next = Some(ScrubCursor { cont, oid, pos });
+                return ControlFlow::Break(());
             }
-            for (oid, entry) in &cont.objects {
-                let from_unit = match start {
-                    Some((scid, soid, u)) if ci as u32 == scid => {
-                        if *oid < soid {
-                            continue;
+            units += 1;
+            match unit {
+                UnitRef::Chunk(a, c) => {
+                    let bytes = a.chunk_stored_bytes(c);
+                    let group = entry.layout.group_for(chunk_dkey_hash(c));
+                    let per_member = match entry.layout.class {
+                        ObjectClass::ErasureCoded { .. } => {
+                            bytes as f64 / group.len().max(1) as f64
                         }
-                        if *oid == soid {
-                            u
-                        } else {
-                            0
-                        }
+                        _ => bytes as f64,
+                    };
+                    reads.push(self.scrub_read_cost(group, per_member));
+                    wave_bytes += bytes;
+                    if let Some(mm) = a.verify_chunk(c) {
+                        rotten.push((cont, oid, ScrubRot::Chunk(mm)));
                     }
-                    _ => 0,
-                };
-                match &entry.data {
-                    ObjData::Array(a) => {
-                        for c in a.written_chunks().filter(|&c| c >= from_unit) {
-                            if work.len() >= max_units {
-                                next = Some((ci as u32, *oid, c));
-                                break 'scan;
-                            }
-                            work.push((
-                                cont.id,
-                                *oid,
-                                a.chunk_stored_bytes(c),
-                                ScrubUnit::Chunk(c, a.verify_chunk(c)),
-                            ));
-                        }
-                    }
-                    ObjData::Kv(kv) => {
-                        for (u, k) in kv
-                            .list(b"")
-                            .into_iter()
-                            .enumerate()
-                            .skip(from_unit as usize)
-                        {
-                            if work.len() >= max_units {
-                                next = Some((ci as u32, *oid, u as u64));
-                                break 'scan;
-                            }
-                            let ok = kv.verify(&k).unwrap_or(true);
-                            let bytes = kv.get(&k).map(|v| v.len()).unwrap_or(0);
-                            work.push((cont.id, *oid, bytes, ScrubUnit::Key(k, ok)));
-                        }
+                }
+                UnitRef::Key(kv, k) => {
+                    let bytes = kv.get(k).map(|v| v.len()).unwrap_or(0);
+                    let group = entry.layout.group_for(dkey_hash(k));
+                    reads.push(self.scrub_read_cost(group, (bytes as f64).max(64.0)));
+                    wave_bytes += bytes;
+                    if !kv.verify(k).unwrap_or(true) {
+                        rotten.push((cont, oid, ScrubRot::Key(k.to_vec())));
                     }
                 }
             }
-        }
+            ControlFlow::Continue(())
+        });
         self.scrub.cursor = next;
-        if next.is_none() {
+        if self.scrub.cursor.is_none() {
             self.scrub.active = false;
             self.scrub.report.passes += 1;
         }
-        if work.is_empty() {
+        if units == 0 {
             return None;
         }
-        // phase 2: charge the scan reads and apply repairs
-        let mut reads: Vec<Step> = Vec::new();
-        let mut repairs: Vec<Step> = Vec::new();
-        let mut wave_bytes = 0u64;
-        for (cid, oid, bytes, unit) in work {
-            self.scrub.report.units_scanned += 1;
-            self.scrub.report.bytes_scanned += bytes;
-            self.csum.verified += 1;
-            wave_bytes += bytes;
-            let before = self.csum;
-            match unit {
-                ScrubUnit::Chunk(c, mm) => {
-                    let (group, per_member) = match self.obj(cid, oid) {
-                        Ok(entry) => {
-                            let group = entry.layout.group_for(chunk_dkey_hash(c)).to_vec();
-                            let per = match entry.layout.class {
-                                ObjectClass::ErasureCoded { .. } => {
-                                    bytes as f64 / group.len().max(1) as f64
-                                }
-                                _ => bytes as f64,
-                            };
-                            (group, per)
-                        }
-                        Err(_) => continue,
-                    };
-                    reads.push(self.scrub_read_cost(&group, per_member));
-                    if let Some(mm) = mm {
-                        // beyond-redundancy rot is counted and left in
-                        // place: reads refuse it, the oracle names it
-                        if let Ok(step) = self.repair_array_rot(cid, oid, std::slice::from_ref(&mm))
-                        {
-                            repairs.push(step);
-                        }
+        // phase 2: count the scan and apply repairs; beyond-redundancy
+        // rot is counted and left in place: reads refuse it, the oracle
+        // names it
+        self.scrub.report.units_scanned += units as u64;
+        self.scrub.report.bytes_scanned += wave_bytes;
+        self.csum.verified += units as u64;
+        let before = self.csum;
+        let repairs: Vec<Step> = rotten
+            .into_iter()
+            .filter_map(|(cid, oid, rot)| {
+                match rot {
+                    ScrubRot::Chunk(mm) => {
+                        self.repair_array_rot(cid, oid, std::slice::from_ref(&mm))
                     }
+                    ScrubRot::Key(k) => self.repair_kv_rot(cid, oid, &k),
                 }
-                ScrubUnit::Key(k, ok) => {
-                    let group = match self.obj(cid, oid) {
-                        Ok(entry) => entry.layout.group_for(dkey_hash(&k)).to_vec(),
-                        Err(_) => continue,
-                    };
-                    reads.push(self.scrub_read_cost(&group, (bytes as f64).max(64.0)));
-                    if !ok {
-                        if let Ok(step) = self.repair_kv_rot(cid, oid, &k) {
-                            repairs.push(step);
-                        }
-                    }
-                }
-            }
-            let after = self.csum;
-            self.scrub.report.detected += after.detected - before.detected;
-            self.scrub.report.repaired += after.repaired - before.repaired;
-            self.scrub.report.unrepairable += after.unrepairable - before.unrepairable;
-        }
+                .ok()
+            })
+            .collect();
+        let after = self.csum;
+        self.scrub.report.detected += after.detected - before.detected;
+        self.scrub.report.repaired += after.repaired - before.repaired;
+        self.scrub.report.unrepairable += after.unrepairable - before.unrepairable;
         self.scrub.report.waves += 1;
         let wave = if repairs.is_empty() {
             Step::par(reads)
@@ -2086,6 +2080,61 @@ impl DaosSystem {
             Step::seq([Step::par(reads), Step::seq(repairs)])
         };
         Some(Step::span("scrub", "wave", wave_bytes, wave))
+    }
+
+    /// Walk the stored units (written array chunks and KV keys) in
+    /// container / object / unit order from `from` (inclusive; `None`
+    /// starts at the beginning) until `f` breaks.  Resuming seeks each
+    /// level by range, so a walk never visits an object or unit that
+    /// lies before the cursor.
+    fn visit_units<'a>(
+        &'a self,
+        from: Option<&ScrubCursor>,
+        mut f: impl FnMut(ContainerId, Oid, &'a ObjectEntry, UnitRef<'a>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let first = from.map_or(0, |c| c.cont.0 as usize);
+        for cont in self.containers.iter().skip(first).flatten() {
+            // only the cursor's own container and object resume mid-way
+            let here = from.filter(|c| c.cont == cont.id);
+            let objects = match here {
+                Some(c) => cont.objects.range(c.oid..),
+                None => cont.objects.range(..),
+            };
+            for (&oid, entry) in objects {
+                self.count_visit();
+                let pos = here.filter(|c| c.oid == oid).map(|c| &c.pos);
+                match &entry.data {
+                    ObjData::Array(a) => {
+                        let first = match pos {
+                            Some(ScrubPos::Chunk(c)) => *c,
+                            _ => 0,
+                        };
+                        for c in a.written_chunks_from(first) {
+                            self.count_visit();
+                            f(cont.id, oid, entry, UnitRef::Chunk(a, c))?;
+                        }
+                    }
+                    ObjData::Kv(kv) => {
+                        let anchor = match pos {
+                            Some(ScrubPos::Key(k)) => k.as_slice(),
+                            _ => &[],
+                        };
+                        for k in kv.keys_from(anchor) {
+                            self.count_visit();
+                            f(cont.id, oid, entry, UnitRef::Key(kv, k))?;
+                        }
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Count one map entry visited by [`DaosSystem::visit_units`]; the
+    /// linear-work test reads the tally.
+    fn count_visit(&self) {
+        #[cfg(test)]
+        self.scrub.visits.set(self.scrub.visits.get() + 1);
     }
 
     /// Target-local scan cost: each servable group member reads its
@@ -2721,11 +2770,11 @@ impl DaosSystem {
             Ok(entry) => match &entry.data {
                 ObjData::Array(_) => None,
                 ObjData::Kv(kv) => {
-                    let keys = kv.list(b"");
-                    if keys.is_empty() {
+                    if kv.is_empty() {
                         return false;
                     }
-                    Some(keys[(offset % keys.len() as u64) as usize].clone())
+                    let nth = (offset % kv.len() as u64) as usize;
+                    kv.keys_from(b"").nth(nth).map(<[u8]>::to_vec)
                 }
             },
             Err(_) => return false,
@@ -3304,6 +3353,46 @@ mod tests {
         exec(&mut sched, s);
         assert_eq!(sys.object_count(cid).unwrap(), 0);
         assert!(sys.obj_punch(0, cid, oid).is_err());
+    }
+
+    /// A scrub pass resumes each wave from its cursor by range, so the
+    /// map entries it visits stay linear in what it scans: every unit
+    /// and object once, plus the cursor's object and unit again per
+    /// wave.  Re-walking from the start of the pool on every wave
+    /// breaks this bound quadratically at wave size 1.
+    #[test]
+    fn scrub_pass_visits_are_linear_in_stored_units() {
+        const ARRAYS: u64 = 4;
+        for scale in [1u64, 10, 100] {
+            let (_sched, mut sys) = system(4, 1, DataMode::Sized);
+            let (cid, _) = sys.cont_create(0, ContainerProps::default());
+            let (kv, _) = sys.kv_create(0, cid, ObjectClass::RP_2).unwrap();
+            for i in 0..16 * scale {
+                let key = format!("key/{i:06}");
+                sys.kv_put(0, cid, kv, key.as_bytes(), Payload::Sized(64))
+                    .unwrap();
+            }
+            for class in [ObjectClass::RP_2, ObjectClass::EC_2P1] {
+                for _ in 0..ARRAYS / 2 {
+                    let (a, _) = sys.array_create(0, cid, class, 4096).unwrap();
+                    sys.array_write(0, cid, a, 0, Payload::Sized(4 * scale * 4096))
+                        .unwrap();
+                }
+            }
+            let (units, objects) = (16 * scale + ARRAYS * 4 * scale, 1 + ARRAYS);
+            sys.scrub.visits.set(0);
+            sys.scrub_start();
+            while sys.scrub_wave(1).is_some() {}
+            let report = sys.scrub_progress();
+            assert_eq!(report.units_scanned, units);
+            assert_eq!(report.waves, units);
+            assert_eq!(report.passes, 1);
+            let visits = sys.scrub.visits.get();
+            assert!(
+                visits <= units + objects + 2 * report.waves,
+                "{visits} visits for {units} units in {objects} objects at scale {scale}"
+            );
+        }
     }
 }
 

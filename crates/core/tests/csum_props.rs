@@ -3,9 +3,9 @@
 //! hole/sized/EC layouts without false positives, bit rot anywhere is
 //! either transparently repaired or refused loudly (never served), and
 //! a scrub pass resumes byte-identically after a mid-pass crash of the
-//! driving loop.
+//! driving loop and from its key anchor when keys change between waves.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cluster::{ClusterSpec, Payload};
 use daos_core::{ContainerId, ContainerProps, DaosSystem, DataMode, ObjectClass, Oid, OracleKind};
@@ -30,9 +30,13 @@ fn rand_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
 
 const CHUNK: u64 = 4096;
 
-/// Deploy a 4-server pool with the ledger on and write a KV object plus
-/// one array per class, seeded deterministically so two calls with the
-/// same seed build byte-identical systems.
+/// Keys in the fixture's KV object: enough that every wave size from 1
+/// to 6 resumes inside it more than once, through its key anchor.
+const KV_KEYS: u64 = 24;
+
+/// Deploy a 4-server pool with the ledger on and write a KV object of
+/// [`KV_KEYS`] keys plus one array per class, seeded deterministically
+/// so two calls with the same seed build byte-identical systems.
 fn fixture(seed: u64) -> (Scheduler, DaosSystem, ContainerId, Oid, Oid, Oid) {
     let mut sched = Scheduler::new();
     let topo = ClusterSpec::new(4, 1).build(&mut sched);
@@ -69,6 +73,15 @@ fn fixture(seed: u64) -> (Scheduler, DaosSystem, ContainerId, Oid, Oid, Oid) {
         exec(
             &mut sched,
             daos.array_write(0, cid, ec, i * CHUNK, Payload::Bytes(b))
+                .unwrap(),
+        );
+    }
+    for i in 4..KV_KEYS {
+        let key = format!("k/{i:04}");
+        let val = rand_bytes(&mut rng, 96);
+        exec(
+            &mut sched,
+            daos.kv_put(0, cid, kv, key.as_bytes(), Payload::Bytes(val))
                 .unwrap(),
         );
     }
@@ -267,5 +280,87 @@ proptest! {
         let rb = db.verify_durability(0);
         prop_assert_eq!(ra.ok(), rb.ok());
         prop_assert_eq!(ra.violations.len(), rb.violations.len());
+    }
+
+    /// A pass resumes a KV object from a key anchor, so keys inserted
+    /// or removed between waves never make it skip or repeat a key:
+    /// every key present for the whole pass is scanned exactly once, a
+    /// removed key is never scanned after its removal, and the pass
+    /// still ends.  Every value has its own power-of-two size, so the
+    /// growth of `bytes_scanned` over a wave names exactly the keys it
+    /// read.
+    #[test]
+    fn scrub_resumes_from_its_key_anchor_across_inserts_and_removes(
+        wave in 1usize..7,
+        // fewer edits than keys, so the object never empties
+        edits in proptest::collection::vec((any::<bool>(), any::<u16>()), 1..KV_KEYS as usize),
+    ) {
+        let mut sched = Scheduler::new();
+        let topo = ClusterSpec::new(4, 1).build(&mut sched);
+        let mut daos = DaosSystem::deploy(&topo, &mut sched, 4, DataMode::Sized);
+        let (cid, _) = daos.cont_create(0, ContainerProps::default());
+        let (kv, _) = daos.kv_create(0, cid, ObjectClass::RP_2).unwrap();
+        // key -> the bit its value size sets
+        let mut live: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
+        let mut next_bit = 0u32;
+        let mut put = |daos: &mut DaosSystem, live: &mut BTreeMap<_, _>, key: Vec<u8>| {
+            daos.kv_put(0, cid, kv, &key, Payload::Sized(1 << next_bit))
+                .unwrap();
+            live.insert(key, next_bit);
+            next_bit += 1;
+        };
+        for i in 0..KV_KEYS {
+            put(&mut daos, &mut live, format!("k/{i:04}").into_bytes());
+        }
+        let whole_pass: BTreeSet<u32> = live.values().copied().collect();
+        let mut removed: BTreeSet<u32> = BTreeSet::new();
+        let mut scans: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut edits = edits.into_iter();
+        daos.scrub_start();
+        loop {
+            let before = daos.scrub_progress().bytes_scanned;
+            if daos.scrub_wave(wave).is_none() {
+                break;
+            }
+            let read = daos.scrub_progress().bytes_scanned - before;
+            for bit in (0..64).filter(|b| read >> b & 1 == 1) {
+                prop_assert!(
+                    !removed.contains(&bit),
+                    "key of bit {} scanned after its removal",
+                    bit
+                );
+                *scans.entry(bit).or_default() += 1;
+            }
+            match edits.next() {
+                // a new key right after an existing one, ahead of or
+                // behind the anchor
+                Some((true, pick)) => {
+                    let after = live.keys().nth(pick as usize % live.len()).unwrap();
+                    let mut key = after.clone();
+                    key.push(b'+');
+                    if !live.contains_key(&key) {
+                        put(&mut daos, &mut live, key);
+                    }
+                }
+                Some((false, pick)) => {
+                    let key = live.keys().nth(pick as usize % live.len()).unwrap().clone();
+                    daos.kv_remove(0, cid, kv, &key).unwrap();
+                    let bit = live.remove(&key).unwrap();
+                    removed.insert(bit);
+                }
+                None => {}
+            }
+        }
+        for bit in whole_pass.difference(&removed) {
+            prop_assert_eq!(
+                scans.get(bit).copied(),
+                Some(1),
+                "key of bit {} not scanned exactly once",
+                bit
+            );
+        }
+        prop_assert!(scans.values().all(|&n| n == 1), "no key is scanned twice");
+        prop_assert!(!daos.scrub_active());
+        prop_assert_eq!(daos.scrub_progress().passes, 1);
     }
 }
