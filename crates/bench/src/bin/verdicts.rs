@@ -6,53 +6,17 @@
 //! verdicts [results-dir]
 //! ```
 
-use benchkit::figures::{Figure, Point, Series};
-use std::collections::BTreeMap;
-use std::fs;
 use std::path::Path;
-
-fn load_figure(path: &Path) -> Option<Figure> {
-    let id = path.file_stem()?.to_str()?.to_string();
-    let text = fs::read_to_string(path).ok()?;
-    let mut series: BTreeMap<String, Vec<Point>> = BTreeMap::new();
-    for line in text.lines().skip(1) {
-        let mut parts = line.rsplitn(4, ',');
-        let std: f64 = parts.next()?.parse().ok()?;
-        let mean: f64 = parts.next()?.parse().ok()?;
-        let x: f64 = parts.next()?.parse().ok()?;
-        let name = parts.next()?.to_string();
-        series.entry(name).or_default().push(Point { x, mean, std });
-    }
-    Some(Figure {
-        id: id.clone(),
-        title: id,
-        x_label: String::new(),
-        y_label: String::new(),
-        series: series
-            .into_iter()
-            .map(|(name, points)| Series { name, points })
-            .collect(),
-    })
-}
 
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| "results".into());
-    let mut figs = Vec::new();
-    let entries = match fs::read_dir(&dir) {
-        Ok(e) => e,
+    let figs = match benchkit::report::load_dir(Path::new(&dir)) {
+        Ok(figs) => figs,
         Err(e) => {
             eprintln!("cannot read {dir}: {e}");
             std::process::exit(1);
         }
     };
-    for entry in entries.flatten() {
-        let p = entry.path();
-        if p.extension().is_some_and(|e| e == "csv") {
-            if let Some(f) = load_figure(&p) {
-                figs.push(f);
-            }
-        }
-    }
     println!("loaded {} figures from {dir}", figs.len());
     let verdicts = benchkit::verdict::evaluate(&figs);
     print!("{}", benchkit::verdict::render(&verdicts));

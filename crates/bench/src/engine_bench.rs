@@ -76,14 +76,11 @@ struct Driver {
 }
 
 impl Driver {
-    fn path(&mut self, hops: usize) -> Vec<ResourceId> {
+    fn path<const HOPS: usize>(&mut self) -> [ResourceId; HOPS] {
         let n = self.resources.len() as u64;
-        (0..hops)
-            .map(|_| self.resources[self.rng.next_below(n) as usize])
-            .collect()
+        std::array::from_fn(|_| self.resources[self.rng.next_below(n) as usize])
     }
 
-    // simlint::allow(hot-alloc) — op construction: each bench op owns its Step tree, exactly like the modelled clients do
     fn make_step(&mut self) -> Step {
         let kind = match self.kind {
             Kind::Fanout => 0,
@@ -96,7 +93,7 @@ impl Driver {
             // resources — recompute-heavy, completion batches overlap.
             0 => {
                 let units = Bytes(4096.0 + self.rng.next_below(4096) as f64);
-                let path = self.path(3);
+                let path = self.path::<3>();
                 Step::transfer(units, path)
             }
             // Deep chains: eight back-to-back transfers — stresses
@@ -105,7 +102,7 @@ impl Driver {
                 let hops: Vec<Step> = (0..8)
                     .map(|_| {
                         let units = Bytes(512.0 + self.rng.next_below(512) as f64);
-                        let path = self.path(1);
+                        let path = self.path::<1>();
                         Step::transfer(units, path)
                     })
                     .collect();
@@ -116,7 +113,7 @@ impl Driver {
             _ => {
                 let delay = SimTime::from_nanos(1_000 + self.rng.next_below(100_000));
                 let units = Bytes(256.0 + self.rng.next_below(256) as f64);
-                let path = self.path(1);
+                let path = self.path::<1>();
                 Step::delay(delay).then(Step::transfer(units, path))
             }
         }

@@ -351,6 +351,17 @@ pub fn fig5(cal: &Calibration) -> Vec<Figure> {
         .collect()
 }
 
+/// Figure ids of Fig. 6, `(write, read)` for IOR then fdb-hammer.  The
+/// RF2 variant has ids of its own, so that its CSVs never overwrite the
+/// EC figures the verdicts read.
+pub(crate) fn fig6_ids(rf2: bool) -> [(&'static str, &'static str); 2] {
+    if rf2 {
+        [("fig6-rf2a", "fig6-rf2b"), ("fig6-rf2c", "fig6-rf2d")]
+    } else {
+        [("fig6a", "fig6b"), ("fig6c", "fig6d")]
+    }
+}
+
 /// Fig. 6: redundancy — EC 2+1 Arrays/files, RP_2 Key-Values/dirs,
 /// 16 servers.  With `rf2` the data class is RP_2 as well (the §III-D
 /// replication paragraph).
@@ -360,16 +371,13 @@ pub fn fig6(cal: &Calibration, rf2: bool) -> Vec<Figure> {
     } else {
         (ObjectClass::EC_2P1, "EC 2+1")
     };
-    let cases = [
-        (("fig6a", "fig6b"), Scenario::IorDaos),
-        (("fig6c", "fig6d"), Scenario::FdbDaos),
-    ];
-    cases
-        .iter()
+    fig6_ids(rf2)
+        .into_iter()
+        .zip([Scenario::IorDaos, Scenario::FdbDaos])
         .flat_map(|(ids, scen)| {
             opt_pair(
-                *ids,
-                *scen,
+                ids,
+                scen,
                 16,
                 (Metric::WriteBw, Metric::ReadBw),
                 cal,

@@ -1,6 +1,6 @@
 //! Rendering figures to aligned text tables and CSV files.
 
-use crate::figures::Figure;
+use crate::figures::{Figure, Point, Series};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -73,6 +73,50 @@ pub fn render_csv(fig: &Figure) -> String {
 pub fn save_csv(fig: &Figure, dir: &Path) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
     fs::write(dir.join(format!("{}.csv", fig.id)), render_csv(fig))
+}
+
+/// Read back a figure written by [`save_csv`]: the id is the file stem
+/// and the series keep the order they have in the file.  Titles and
+/// axis labels are not stored, so they come back empty.  `None` when the
+/// file cannot be read or a row does not parse.
+pub fn load_csv(path: &Path) -> Option<Figure> {
+    let id = path.file_stem()?.to_str()?.to_string();
+    let text = fs::read_to_string(path).ok()?;
+    let mut series: Vec<Series> = Vec::new();
+    for line in text.lines().skip(1) {
+        let mut parts = line.rsplitn(4, ',');
+        let std: f64 = parts.next()?.parse().ok()?;
+        let mean: f64 = parts.next()?.parse().ok()?;
+        let x: f64 = parts.next()?.parse().ok()?;
+        let name = parts.next()?;
+        let point = Point { x, mean, std };
+        match series.iter_mut().find(|s| s.name == name) {
+            Some(s) => s.points.push(point),
+            None => series.push(Series {
+                name: name.to_string(),
+                points: vec![point],
+            }),
+        }
+    }
+    Some(Figure {
+        id,
+        title: String::new(),
+        x_label: String::new(),
+        y_label: String::new(),
+        series,
+    })
+}
+
+/// Every figure [`load_csv`] can read from the `*.csv` files of `dir`,
+/// in file-name order.
+pub fn load_dir(dir: &Path) -> std::io::Result<Vec<Figure>> {
+    let mut paths: Vec<_> = fs::read_dir(dir)?
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "csv"))
+        .collect();
+    paths.sort();
+    Ok(paths.iter().filter_map(|p| load_csv(p)).collect())
 }
 
 /// Write a traced run's artifacts under `dir`: the Chrome trace as

@@ -6,6 +6,7 @@
 //! form of `EXPERIMENTS.md`.
 
 use crate::figures::{peak, Figure};
+use crate::scenarios::Scenario;
 
 /// A single claim check.
 #[derive(Debug, Clone)]
@@ -158,11 +159,10 @@ pub fn evaluate(figs: &[Figure]) -> Vec<Verdict> {
         figs,
         &["fig5a"],
         |f| {
-            let s = f[0]
-                .series
-                .iter()
-                .find(|s| s.name.contains("libdaos"))
-                .unwrap();
+            let name = Scenario::IorDaos.name();
+            let Some(s) = f[0].series.iter().find(|s| s.name == name) else {
+                return (false, format!("no {name} series"));
+            };
             let y16 = s
                 .points
                 .iter()
@@ -338,7 +338,8 @@ pub fn render(verdicts: &[Verdict]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{Point, Series};
+    use crate::figures::{fig6_ids, Point, Series, FIG5_SCENARIOS};
+    use crate::report::{load_dir, save_csv};
 
     fn fig(id: &str, peak_val: f64) -> Figure {
         Figure {
@@ -355,6 +356,77 @@ mod tests {
                 }],
             }],
         }
+    }
+
+    fn series(name: &str, points: &[(f64, f64)]) -> Series {
+        Series {
+            name: name.into(),
+            points: points
+                .iter()
+                .map(|&(x, mean)| Point { x, mean, std: 0.0 })
+                .collect(),
+        }
+    }
+
+    fn figure(id: &str, series: Vec<Series>) -> Figure {
+        Figure {
+            id: id.into(),
+            title: id.into(),
+            x_label: "x".into(),
+            y_label: "y".into(),
+            series,
+        }
+    }
+
+    /// The verdicts read from saved CSVs are the ones computed in
+    /// process, on a figure set with both ways the two used to part:
+    /// Fig. 6's EC and RF2 runs writing the same files, and a Fig. 5
+    /// whose HDF5 series sorts before the IOR one it must not be
+    /// mistaken for.
+    #[test]
+    fn verdicts_survive_a_csv_round_trip() {
+        let mut figs = vec![
+            fig("fig1a", 57.0),
+            fig("fig1b", 85.0),
+            figure(
+                "fig5a",
+                FIG5_SCENARIOS
+                    .iter()
+                    .map(|scen| match scen {
+                        Scenario::IorDaos => series(scen.name(), &[(16.0, 57.0), (24.0, 83.0)]),
+                        _ => series(scen.name(), &[(16.0, 15.7), (24.0, 15.7)]),
+                    })
+                    .collect(),
+            ),
+        ];
+        // EC 2+1 writes at about 2/3 and reads unharmed; RF2 writes at
+        // half and, here, reads slower, so either would fail the EC checks
+        for (rf2, (write, read)) in [(false, (38.0, 85.0)), (true, (28.5, 60.0))] {
+            for (w, r) in fig6_ids(rf2) {
+                figs.push(fig(w, write));
+                figs.push(fig(r, read));
+            }
+        }
+        let in_process = evaluate(&figs);
+        let claims: Vec<&str> = in_process.iter().map(|v| v.claim.as_str()).collect();
+        for claim in ["Fig5-scaling", "C3-ec-write", "C3-ec-read"] {
+            assert!(claims.contains(&claim), "{claim} not evaluated: {claims:?}");
+        }
+        assert!(in_process.iter().all(|v| v.pass), "{in_process:?}");
+
+        let dir = std::env::temp_dir().join(format!("benchkit-verdicts-{}", std::process::id()));
+        for f in &figs {
+            save_csv(f, &dir).expect("save figure");
+        }
+        let loaded = load_dir(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let from_csv = evaluate(&loaded.expect("load figures"));
+        let key = |v: &[Verdict]| -> Vec<(String, bool, String)> {
+            v.iter()
+                .map(|v| (v.claim.clone(), v.pass, v.evidence.clone()))
+                .collect()
+        };
+        assert_eq!(key(&in_process), key(&from_csv));
     }
 
     #[test]

@@ -56,11 +56,11 @@ pub struct CsumMismatch {
 
 /// A Key-Value object: ordered map from small keys to values.  Every
 /// value carries a whole-value checksum computed on put and verified on
-/// fetch and by the scrubber.
+/// fetch and by the scrubber; the two live in one entry, so a put copies
+/// its key once and descends the tree once.
 #[derive(Debug, Clone, Default)]
 pub struct KvData {
-    entries: BTreeMap<Vec<u8>, Payload>,
-    csums: BTreeMap<Vec<u8>, u64>,
+    entries: BTreeMap<Vec<u8>, (Payload, u64)>,
     codec: CsumCodec,
 }
 
@@ -80,20 +80,19 @@ impl KvData {
     /// Insert or replace a value, recording its whole-value checksum.
     // simlint::allow(hot-alloc) — the KV store owns its value bytes: copying the payload in is the put contract
     pub fn put(&mut self, key: &[u8], value: Payload) {
-        self.csums.insert(key.to_vec(), self.value_sum(&value));
-        self.entries.insert(key.to_vec(), value);
+        let sum = self.value_sum(&value);
+        self.entries.insert(key.to_vec(), (value, sum));
     }
 
     /// Look up a value.
     pub fn get(&self, key: &[u8]) -> Option<&Payload> {
-        self.entries.get(key)
+        self.entries.get(key).map(|(v, _)| v)
     }
 
     /// Does the stored value still verify against its checksum?
     /// `None` when the key does not exist.
     pub fn verify(&self, key: &[u8]) -> Option<bool> {
-        let v = self.entries.get(key)?;
-        let stored = self.csums.get(key)?;
+        let (v, stored) = self.entries.get(key)?;
         Some(self.value_sum(v) == *stored)
     }
 
@@ -101,7 +100,7 @@ impl KvData {
     /// hook.  Returns `false` for sized values (no bytes at rest).
     pub fn corrupt_value(&mut self, key: &[u8]) -> bool {
         match self.entries.get_mut(key) {
-            Some(Payload::Bytes(b)) if !b.is_empty() => {
+            Some((Payload::Bytes(b), _)) if !b.is_empty() => {
                 b[0] ^= 0xFF;
                 true
             }
@@ -111,7 +110,6 @@ impl KvData {
 
     /// Remove a key; true if it existed.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        self.csums.remove(key);
         self.entries.remove(key).is_some()
     }
 

@@ -41,6 +41,7 @@
 
 pub mod class;
 pub mod container;
+mod cost;
 pub mod csum;
 pub mod data;
 pub mod ec;

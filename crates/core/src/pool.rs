@@ -93,9 +93,12 @@ pub struct PoolMap {
     targets_per_server: usize,
     version: u64,
     state: Vec<TargetState>,
-    /// Cached `Up` count, maintained on every transition so lookup
-    /// paths never rescan the state vector.
-    up: usize,
+    /// Cached `Up` targets in linear order, maintained on every
+    /// transition so that placement and lookup paths never rescan or
+    /// copy the state vector.
+    up: Vec<TargetId>,
+    /// Cached number of servers with at least one `Up` target.
+    up_servers: usize,
     /// Cached non-`Down` count (targets able to serve I/O).
     servable: usize,
 }
@@ -155,14 +158,32 @@ impl PoolMap {
     pub fn new(servers: usize, targets_per_server: usize) -> Self {
         assert!(servers > 0 && targets_per_server > 0);
         let total = servers * targets_per_server;
-        PoolMap {
+        PoolMap::with_states(servers, targets_per_server, 0, vec![TargetState::Up; total])
+    }
+
+    /// A map over the given per-target states, with its caches built.
+    fn with_states(
+        servers: usize,
+        targets_per_server: usize,
+        version: u64,
+        state: Vec<TargetState>,
+    ) -> Self {
+        let mut pm = PoolMap {
             servers,
             targets_per_server,
-            version: 0,
-            state: vec![TargetState::Up; total],
-            up: total,
-            servable: total,
-        }
+            version,
+            state,
+            up: Vec::new(),
+            up_servers: 0,
+            servable: 0,
+        };
+        pm.up = (0..pm.state.len())
+            .filter(|&i| pm.state[i] == TargetState::Up)
+            .map(|i| pm.target_at(i))
+            .collect();
+        pm.up_servers = (0..servers as u16).filter(|&s| pm.server_has_up(s)).count();
+        pm.servable = pm.state.iter().filter(|&&s| s != TargetState::Down).count();
+        pm
     }
 
     /// Engines in the pool.
@@ -188,7 +209,14 @@ impl PoolMap {
 
     /// Number of `Up` targets (placement-eligible), O(1).
     pub fn up_count(&self) -> usize {
-        self.up
+        self.up.len()
+    }
+
+    /// Does `server` have an `Up` target?  One search of the cached
+    /// list, which keeps each server's targets adjacent.
+    fn server_has_up(&self, server: u16) -> bool {
+        let first = self.up.partition_point(|t| t.server < server);
+        self.up.get(first).is_some_and(|t| t.server == server)
     }
 
     /// Number of non-`Down` targets (able to serve I/O), O(1).
@@ -227,16 +255,31 @@ impl PoolMap {
     }
 
     /// The single transition point: applies the new state, maintains the
-    /// cached counts, and bumps the version — only when the state
-    /// actually changes, so no-op transitions leave the version alone.
+    /// cached up list and counts, and bumps the version — only when the
+    /// state actually changes, so no-op transitions leave the version
+    /// alone.
     fn set_state(&mut self, t: TargetId, new: TargetState) {
         let i = self.index(t);
         let old = self.state[i];
         if old == new {
             return;
         }
-        self.up -= (old == TargetState::Up) as usize;
-        self.up += (new == TargetState::Up) as usize;
+        if old == TargetState::Up {
+            if let Ok(at) = self.up.binary_search(&t) {
+                self.up.remove(at);
+            }
+            if !self.server_has_up(t.server) {
+                self.up_servers -= 1;
+            }
+        }
+        if new == TargetState::Up {
+            if !self.server_has_up(t.server) {
+                self.up_servers += 1;
+            }
+            if let Err(at) = self.up.binary_search(&t) {
+                self.up.insert(at, t);
+            }
+        }
         self.servable -= (old != TargetState::Down) as usize;
         self.servable += (new != TargetState::Down) as usize;
         self.state[i] = new;
@@ -323,12 +366,8 @@ impl PoolMap {
     }
 
     /// Currently-up targets, in linear order.
-    // simlint::allow(hot-alloc) — collects the live-target view for a placement decision; runs per create/rebuild, not per I/O event (counting paths use the cached up_count instead)
-    pub fn up_targets(&self) -> Vec<TargetId> {
-        (0..self.state.len())
-            .filter(|&i| self.state[i] == TargetState::Up)
-            .map(|i| self.target_at(i))
-            .collect()
+    pub fn up_targets(&self) -> &[TargetId] {
+        &self.up
     }
 
     /// Serialize to the pool-map JSON format (compact, stable field
@@ -390,16 +429,12 @@ impl PoolMap {
                     .ok_or_else(|| format!("state {i}: unknown state \"{name}\""))?,
             );
         }
-        let up = state.iter().filter(|&&s| s == TargetState::Up).count();
-        let servable = state.iter().filter(|&&s| s != TargetState::Down).count();
-        Ok(PoolMap {
+        Ok(PoolMap::with_states(
             servers,
             targets_per_server,
             version,
             state,
-            up,
-            servable,
-        })
+        ))
     }
 
     /// Generate the layout for an object: a **per-object pseudorandom
@@ -420,9 +455,20 @@ impl PoolMap {
     /// permutation.  DAOS object ids are only unique within a container,
     /// so placement salts them with container identity; without this,
     /// object `N` of every container would land on the same targets.
-    // simlint::allow(hot-alloc) — placement computes a fresh layout per object create (and rebuild remap), not per I/O event
+    ///
+    /// The permutation is a seeded Fisher-Yates pass from the back over
+    /// the up targets, and the members are the shuffled targets
+    /// interleaved by server (see [`interleave`]).  When no more members
+    /// are needed than there are up servers, the members are the first
+    /// target of each of the first servers the pass fixes, so the pass
+    /// can stop there (see [`first_servers`]): it makes the same draws
+    /// in the same order, and an `S1` object costs one draw on any pool.
+    /// A lazy step costs a scan of the members and swaps so far, so the
+    /// lazy pass is taken while at most half of the up servers must be
+    /// met; nearer the up-server count the whole pass is cheaper, and
+    /// both give the same members.
     pub fn layout_salted(&self, oid: &Oid, class: ObjectClass, salt: u64) -> Layout {
-        let mut up = self.up_targets();
+        let up = &self.up;
         assert!(!up.is_empty(), "no targets up");
         let width = class.group_width();
         assert!(
@@ -430,50 +476,100 @@ impl PoolMap {
             "class {class} needs {width} targets, only {} up",
             up.len()
         );
-        let groups_n = class.shard_groups(up.len());
-        // seeded Fisher-Yates shuffle
+        let need = class.shard_groups(up.len()) * width;
         let mut rng = simkit::SplitMix64::new(
             oid.placement_hash() ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
-        for i in (1..up.len()).rev() {
-            let j = rng.next_below(i as u64 + 1) as usize;
-            up.swap(i, j);
-        }
-        // fault-domain awareness: interleave the shuffled targets by
-        // server so that the members of a shard group land on distinct
-        // nodes whenever enough nodes are up (replicas and EC cells must
-        // survive a node loss)
-        let mut per_server: Vec<Vec<TargetId>> = vec![Vec::new(); self.servers];
-        let mut server_order: Vec<usize> = Vec::new();
-        for t in up.iter().rev() {
-            if per_server[t.server as usize].is_empty() {
-                server_order.push(t.server as usize);
-            }
-            per_server[t.server as usize].push(*t);
-        }
-        let mut interleaved: Vec<TargetId> = Vec::with_capacity(up.len());
-        let mut round = 0;
-        while interleaved.len() < up.len() {
-            for &s in &server_order {
-                if let Some(&t) = per_server[s].get(round) {
-                    interleaved.push(t);
-                }
-            }
-            round += 1;
-        }
-        // group g, member m is interleaved[(g * width + m) % len]
-        let members = interleaved
-            .iter()
-            .copied()
-            .cycle()
-            .take(groups_n * width)
-            .collect();
+        let members = if 2 * need <= self.up_servers {
+            first_servers(up, need, &mut rng)
+        } else {
+            interleave(up, self.servers, need, &mut rng)
+        };
         Layout {
             members,
             width,
             class,
         }
     }
+}
+
+/// The Fisher-Yates pass of [`PoolMap::layout_salted`], run lazily: step
+/// `i` draws `j ≤ i` and fixes position `i` to the target at `j`, and
+/// the interleave meets the servers in the order the steps fix them.
+/// Returns the first target of each of the first `need` distinct servers
+/// fixed, which is the interleave's first round, and stops there.
+///
+/// Only the positions a swap moved a target into are recorded, so a
+/// pass costs no copy of `up`; the caller guarantees that `up` spans at
+/// least `need` servers.
+// simlint::allow(hot-alloc) — one member vector per object create or rebuild remap; the swap record stays empty when the first step suffices (every `S1` object)
+fn first_servers(up: &[TargetId], need: usize, rng: &mut simkit::SplitMix64) -> Vec<TargetId> {
+    let mut members: Vec<TargetId> = Vec::with_capacity(need);
+    let mut moved: Vec<(usize, TargetId)> = Vec::new();
+    let at = |moved: &[(usize, TargetId)], k: usize| {
+        moved.iter().find(|m| m.0 == k).map_or(up[k], |m| m.1)
+    };
+    for i in (0..up.len()).rev() {
+        let j = if i == 0 {
+            0
+        } else {
+            rng.next_below(i as u64 + 1) as usize
+        };
+        let t = at(&moved, j);
+        if !members.iter().any(|m| m.server == t.server) {
+            members.push(t);
+            if members.len() == need {
+                break;
+            }
+        }
+        // position `i` is never read again; `j` now holds what was at `i`
+        if j != i {
+            let displaced = at(&moved, i);
+            match moved.iter_mut().find(|m| m.0 == j) {
+                Some(m) => m.1 = displaced,
+                None => moved.push((j, displaced)),
+            }
+        }
+    }
+    members
+}
+
+/// The whole Fisher-Yates pass over a copy of `up`, then the shuffled
+/// targets interleaved by server so that the members of a shard group
+/// land on distinct nodes whenever enough nodes are up (replicas and EC
+/// cells must survive a node loss).  Member `m` is
+/// `interleaved[m % len]`.
+// simlint::allow(hot-alloc) — the whole-pool pass runs once per create of an object that spans more members than up servers (`SX`, `GX` and EC classes), not per I/O event
+fn interleave(
+    up: &[TargetId],
+    servers: usize,
+    need: usize,
+    rng: &mut simkit::SplitMix64,
+) -> Vec<TargetId> {
+    let mut up = up.to_vec();
+    for i in (1..up.len()).rev() {
+        let j = rng.next_below(i as u64 + 1) as usize;
+        up.swap(i, j);
+    }
+    let mut per_server: Vec<Vec<TargetId>> = vec![Vec::new(); servers];
+    let mut server_order: Vec<usize> = Vec::new();
+    for t in up.iter().rev() {
+        if per_server[t.server as usize].is_empty() {
+            server_order.push(t.server as usize);
+        }
+        per_server[t.server as usize].push(*t);
+    }
+    let mut interleaved: Vec<TargetId> = Vec::with_capacity(up.len());
+    let mut round = 0;
+    while interleaved.len() < up.len() {
+        for &s in &server_order {
+            if let Some(&t) = per_server[s].get(round) {
+                interleaved.push(t);
+            }
+        }
+        round += 1;
+    }
+    interleaved.iter().copied().cycle().take(need).collect()
 }
 
 #[cfg(test)]
@@ -525,7 +621,12 @@ mod tests {
         pm.retire_drained();
         assert_eq!((pm.up_count(), pm.servable_count()), (4, 4));
         // the caches always agree with a fresh scan
-        assert_eq!(pm.up_count(), pm.up_targets().len());
+        let scan: Vec<TargetId> = (0..pm.total_targets())
+            .map(|i| pm.target_at(i))
+            .filter(|&t| pm.is_up(t))
+            .collect();
+        assert_eq!(pm.up_targets(), &scan[..]);
+        assert_eq!(pm.up_servers, 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::class::ObjectClass;
 use crate::container::{Container, ContainerId, ContainerProps, ObjectEntry};
+use crate::cost::{CostModel, ServerRes};
 use crate::data::{
     ArrayData, CellAvailability, CsumMismatch, DataError, DataMode, KvData, ObjData,
 };
@@ -30,8 +31,8 @@ use crate::oid::{Oid, FLAG_KV};
 use crate::pool::{PoolMap, TargetId};
 use crate::rebuild::{pick_replacement, RebuildReport};
 use cluster::payload::{Payload, ReadPayload};
-use cluster::{units, Calibration, Topology};
-use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step};
+use cluster::{Calibration, Topology};
+use simkit::{Bytes, Scheduler, Step};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
@@ -75,15 +76,6 @@ impl From<DataError> for DaosError {
             DataError::Unavailable => DaosError::Unavailable,
         }
     }
-}
-
-/// Per-engine service resources.
-#[derive(Debug, Clone)]
-struct ServerRes {
-    /// RPC/data processing pipe of the engine (bytes/s, both directions).
-    engine_xfer: ResourceId,
-    /// Per-target request service (ops/s).
-    tgt_svc: Vec<ResourceId>,
 }
 
 /// One planned shard move, addressed by `(container, object, group,
@@ -197,6 +189,17 @@ struct RotState {
 impl RotState {
     fn touches(&self, key: &(u32, Oid)) -> bool {
         self.extents.contains_key(key) || self.parity.contains_key(key) || self.kv.contains_key(key)
+    }
+
+    /// Forget the rot registered on a KV value that was replaced,
+    /// removed or repaired.
+    fn clear_kv(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) {
+        if let Some(m) = self.kv.get_mut(&(cid.0, oid)) {
+            m.remove(key);
+            if m.is_empty() {
+                self.kv.remove(&(cid.0, oid));
+            }
+        }
     }
 }
 
@@ -350,15 +353,13 @@ enum ScrubRot {
 /// A deployed DAOS pool with its API.
 // simlint::sim_state — replay-visible simulation state
 pub struct DaosSystem {
-    topo: Topology,
-    cal: Calibration,
+    /// The hardware, calibration and engine resources op chains are
+    /// built over, apart from the object store so that a data op can
+    /// build its chain while it holds its object mutably.
+    cost: CostModel,
     pool: PoolMap,
     mode: DataMode,
     containers: Vec<Option<Container>>,
-    srv_res: Vec<ServerRes>,
-    /// The pool metadata / container service replica group: a fixed-size
-    /// service that does NOT scale with the server count.
-    pool_md_svc: ResourceId,
     ec_cache: BTreeMap<(u8, u8), ErasureCode>,
     /// Crashed targets ([`DaosSystem::crash_target`]) mapped to the
     /// client nodes that have already observed the failure.  The first
@@ -368,10 +369,6 @@ pub struct DaosSystem {
     /// Administrative exclusion ([`DaosSystem::exclude_target`]) is
     /// already propagated through the pool map and triggers no error.
     undetected: BTreeMap<TargetId, BTreeSet<usize>>,
-    /// Per-server extra completion latency (ns) injected by
-    /// delayed-completion faults; applied to every data-path op chain
-    /// touching the server's targets.
-    extra_delay: BTreeMap<u16, u64>,
     /// Shadow record of acknowledged writes for the durability oracles
     /// ([`DaosSystem::enable_ledger`]).  `None` (the default) costs
     /// nothing; when enabled it is written by the data paths but never
@@ -410,16 +407,18 @@ impl DaosSystem {
             .collect();
         let pool_md_svc = sched.add_resource("daos.pool_md", cal.pool_md_iops);
         DaosSystem {
-            topo: topo.clone(),
             pool: PoolMap::new(servers, cal.targets_per_server),
-            cal,
+            cost: CostModel {
+                topo: topo.clone(),
+                cal,
+                srv_res,
+                pool_md_svc,
+                extra_delay: BTreeMap::new(),
+            },
             mode,
             containers: Vec::new(),
-            srv_res,
-            pool_md_svc,
             ec_cache: BTreeMap::new(),
             undetected: BTreeMap::new(),
-            extra_delay: BTreeMap::new(),
             ledger: None,
             migration: MigrationState::default(),
             rot: RotState::default(),
@@ -435,7 +434,7 @@ impl DaosSystem {
 
     /// The hardware topology the pool is deployed on.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.cost.topo
     }
 
     /// Data mode the system was deployed with.
@@ -445,7 +444,7 @@ impl DaosSystem {
 
     /// Calibration in effect.
     pub fn cal(&self) -> &Calibration {
-        &self.cal
+        &self.cost.cal
     }
 
     /// Number of engines (server nodes) in the pool.
@@ -499,120 +498,15 @@ impl DaosSystem {
     // simlint::panic_root — fault-handling path: must never panic
     pub fn set_extra_delay(&mut self, server: u16, extra_ns: u64) {
         if extra_ns == 0 {
-            self.extra_delay.remove(&server);
+            self.cost.extra_delay.remove(&server);
         } else {
-            self.extra_delay.insert(server, extra_ns);
+            self.cost.extra_delay.insert(server, extra_ns);
         }
-    }
-
-    // ---- cost-chain helpers ------------------------------------------------
-
-    fn client_overhead(&self) -> Step {
-        Step::delay(self.cal.libdaos_op_ns)
-    }
-
-    fn rtt(&self) -> Step {
-        Step::delay(self.cal.net_rtt_ns)
-    }
-
-    fn dev_for(&self, t: TargetId) -> usize {
-        t.target as usize % self.topo.servers[t.server as usize].nvme_w.len()
-    }
-
-    /// Request service + data movement + device latency for a write of
-    /// `bytes` from `client` to target `t`.
-    fn write_to_target(&self, client: usize, t: TargetId, bytes: f64) -> Step {
-        let srv = &self.topo.servers[t.server as usize];
-        let res = &self.srv_res[t.server as usize];
-        let cli = &self.topo.clients[client];
-        let dev = self.dev_for(t);
-        // small writes land in the engine's write-ahead log (DRAM-backed
-        // on these VMs) and skip the bulk device latency
-        let lat = if bytes >= self.cal.bulk_io_threshold.get() {
-            self.cal.nvme_write_lat_ns
-        } else {
-            self.cal.small_write_lat_ns
-        };
-        let lat = lat + self.extra_delay.get(&t.server).copied().unwrap_or(0);
-        Step::span(
-            "target",
-            "write",
-            bytes as u64,
-            Step::seq([
-                self.tgt_request_sized(t, bytes),
-                Step::transfer(
-                    Bytes(bytes),
-                    [
-                        cli.nic_tx,
-                        srv.nic_rx,
-                        res.engine_xfer,
-                        srv.nvme_w[dev],
-                        srv.nvme_w_pool,
-                    ],
-                ),
-                Step::delay(lat),
-            ]),
-        )
-    }
-
-    /// Request-service cost at a target.  Small operations contend on
-    /// the shared per-target service (the Fig. 2 IOPS ceilings); bulk
-    /// transfers, whose service time is negligible against their data
-    /// movement, pay it as a fixed delay — halving the simulator's event
-    /// count for bandwidth workloads without changing where they
-    /// saturate.
-    fn tgt_request_sized(&self, t: TargetId, bytes: f64) -> Step {
-        if bytes >= self.cal.bulk_io_threshold.get() {
-            Step::delay(SimTime::from_nanos(units::ops_interval_ns(
-                self.cal.target_svc_iops,
-            )))
-        } else {
-            Step::transfer(
-                Bytes(1.0),
-                [self.srv_res[t.server as usize].tgt_svc[t.target as usize]],
-            )
-        }
-    }
-
-    /// Request service + data movement + device latency for a read of
-    /// `bytes` from target `t` to `client`.
-    fn read_from_target(&self, client: usize, t: TargetId, bytes: f64) -> Step {
-        let srv = &self.topo.servers[t.server as usize];
-        let res = &self.srv_res[t.server as usize];
-        let cli = &self.topo.clients[client];
-        let dev = self.dev_for(t);
-        let extra = self.extra_delay.get(&t.server).copied().unwrap_or(0);
-        Step::span(
-            "target",
-            "read",
-            bytes as u64,
-            Step::seq([
-                self.tgt_request_sized(t, bytes),
-                Step::delay(self.cal.nvme_read_lat_ns + extra),
-                Step::transfer(
-                    Bytes(bytes),
-                    [
-                        srv.nvme_r[dev],
-                        srv.nvme_r_pool,
-                        res.engine_xfer,
-                        srv.nic_tx,
-                        cli.nic_rx,
-                    ],
-                ),
-            ]),
-        )
-    }
-
-    /// Client-side erasure-code encode or decode of `bytes`.  Truncates
-    /// to whole nanoseconds, where `Bytes / Rate` would round up.
-    fn ec_codec(&self, bytes: f64) -> Step {
-        let secs = bytes / self.cal.ec_encode_bw.get();
-        Step::delay(SimTime::from_nanos(units::secs_to_ns(secs)))
     }
 
     /// `n` operations against the pool metadata replica group.
     pub fn pool_md_op(&self, n: f64) -> Step {
-        Step::seq([self.rtt(), Step::transfer(Bytes(n), [self.pool_md_svc])])
+        self.cost.pool_md_op(n)
     }
 
     // ---- containers ---------------------------------------------------------
@@ -623,13 +517,14 @@ impl DaosSystem {
     pub fn cont_create(&mut self, _client: usize, props: ContainerProps) -> (ContainerId, Step) {
         let id = ContainerId(self.containers.len() as u32);
         self.containers.push(Some(Container::new(id, props)));
-        let collective = self.cal.cont_collective_ns_per_server * self.pool.server_count() as u64;
+        let collective =
+            self.cost.cal.cont_collective_ns_per_server * self.pool.server_count() as u64;
         let step = Step::span(
             "libdaos",
             "cont_create",
             0,
             Step::seq([
-                self.client_overhead(),
+                self.cost.client_overhead(),
                 self.pool_md_op(1.0),
                 Step::delay(collective),
             ]),
@@ -642,14 +537,17 @@ impl DaosSystem {
     pub fn cont_open(&mut self, _client: usize, id: ContainerId) -> Result<Step, DaosError> {
         let c = self.cont_mut(id)?;
         c.open_handles += 1;
-        Ok(Step::seq([self.client_overhead(), self.pool_md_op(1.0)]))
+        Ok(Step::seq([
+            self.cost.client_overhead(),
+            self.pool_md_op(1.0),
+        ]))
     }
 
     /// Close a container handle.
     pub fn cont_close(&mut self, _client: usize, id: ContainerId) -> Result<Step, DaosError> {
         let c = self.cont_mut(id)?;
         c.open_handles = c.open_handles.saturating_sub(1);
-        Ok(Step::seq([self.client_overhead(), self.rtt()]))
+        Ok(Step::seq([self.cost.client_overhead(), self.cost.rtt()]))
     }
 
     /// Destroy a container and all its objects.
@@ -668,7 +566,10 @@ impl DaosSystem {
         if let Some(l) = self.ledger.as_mut() {
             l.record_cont_destroy(id);
         }
-        Ok(Step::seq([self.client_overhead(), self.pool_md_op(1.0)]))
+        Ok(Step::seq([
+            self.cost.client_overhead(),
+            self.pool_md_op(1.0),
+        ]))
     }
 
     /// Take a container snapshot; returns its epoch.
@@ -678,7 +579,7 @@ impl DaosSystem {
         _client: usize,
         id: ContainerId,
     ) -> Result<(u64, Step), DaosError> {
-        let step = Step::seq([self.client_overhead(), self.pool_md_op(1.0)]);
+        let step = Step::seq([self.cost.client_overhead(), self.pool_md_op(1.0)]);
         let c = self.cont_mut(id)?;
         Ok((c.snapshot(), step))
     }
@@ -691,7 +592,7 @@ impl DaosSystem {
         id: ContainerId,
         epoch: u64,
     ) -> Result<Step, DaosError> {
-        let step = Step::seq([self.client_overhead(), self.pool_md_op(1.0)]);
+        let step = Step::seq([self.cost.client_overhead(), self.pool_md_op(1.0)]);
         let c = self.cont_mut(id)?;
         if c.snapshot_destroy(epoch) {
             Ok(step)
@@ -723,7 +624,6 @@ impl DaosSystem {
 
     /// Create an Array object.  Object creation is client-local in DAOS:
     /// the OID is generated and the layout computed without any RPC.
-    // simlint::allow(hot-alloc) — computes the object's layout (one flat member vector) once per object, not per I/O
     pub fn array_create(
         &mut self,
         _client: usize,
@@ -742,11 +642,10 @@ impl DaosSystem {
                 data: ObjData::Array(ArrayData::new(chunk_size)),
             },
         );
-        Ok((oid, self.client_overhead()))
+        Ok((oid, self.cost.client_overhead()))
     }
 
     /// Create a Key-Value object.
-    // simlint::allow(hot-alloc) — computes the object's layout (one flat member vector) once per object, not per I/O
     pub fn kv_create(
         &mut self,
         _client: usize,
@@ -767,7 +666,7 @@ impl DaosSystem {
                 data: ObjData::Kv(KvData::new()),
             },
         );
-        Ok((oid, self.client_overhead()))
+        Ok((oid, self.cost.client_overhead()))
     }
 
     /// Remove an object entirely (`daos_obj_punch`).
@@ -786,7 +685,7 @@ impl DaosSystem {
         if let Some(l) = self.ledger.as_mut() {
             l.record_punch(cid, oid);
         }
-        Ok(Step::seq([self.client_overhead(), self.rtt()]))
+        Ok(Step::seq([self.cost.client_overhead(), self.cost.rtt()]))
     }
 
     /// Number of live objects in a container.
@@ -797,8 +696,9 @@ impl DaosSystem {
     // ---- Key-Value API -----------------------------------------------------------
 
     /// Insert/update a key.  The value lands on the dkey's shard group;
-    /// replicated classes write every replica in parallel.
-    // simlint::allow(hot-alloc) — op construction: collects one write step per servable replica, and the ledger (when on) keeps a copy of the value; nothing grows with pool size
+    /// replicated classes write every replica in parallel.  One object
+    /// lookup: the store is updated and the cost chain built from the
+    /// same borrow.
     pub fn kv_put(
         &mut self,
         client: usize,
@@ -808,8 +708,8 @@ impl DaosSystem {
         value: Payload,
     ) -> Result<Step, DaosError> {
         let bytes = value.len() as f64;
-        let dkey = dkey_hash(key);
-        let group = find_obj(&self.containers, cid, oid)?.layout.group_for(dkey);
+        let entry = find_obj_mut(&mut self.containers, cid, oid)?;
+        let group = entry.layout.group_for(dkey_hash(key));
         check_detection(&mut self.undetected, client, group)?;
         // degraded writes land on the servable members only (drained and
         // reintegrating targets still accept updates for shards they
@@ -817,37 +717,38 @@ impl DaosSystem {
         if !group.iter().any(|&t| self.pool.is_servable(t)) {
             return Err(DaosError::Unavailable);
         }
-        // clone for the ledger before the payload moves into the store
-        let acked = self.ledger.is_some().then(|| value.clone());
-        let entry = self.obj_mut(cid, oid)?;
-        match &mut entry.data {
-            ObjData::Kv(kv) => kv.put(key, value),
-            ObjData::Array(_) => return Err(DaosError::WrongObjectType),
+        let ObjData::Kv(kv) = &mut entry.data else {
+            return Err(DaosError::WrongObjectType);
+        };
+        // copy for the ledger before the payload moves into the store
+        if let Some(l) = self.ledger.as_mut() {
+            l.record_kv_put(cid, oid, key, &value);
         }
+        kv.put(key, value);
         // the value (and its checksum) were replaced wholesale: latent
         // rot in the old value is healed, so its registry entry must go
         // before it could mis-direct a later repair re-flip
-        self.rot_clear_kv(cid, oid, key);
-        if let (Some(l), Some(v)) = (self.ledger.as_mut(), acked) {
-            l.record_kv_put(cid, oid, key, &v);
-        }
-        let writes = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey)
+        self.rot.clear_kv(cid, oid, key);
+        let writes = group
             .iter()
             .filter(|&&t| self.pool.is_servable(t))
-            .map(|&t| self.write_to_target(client, t, bytes.max(64.0)))
+            .map(|&t| self.cost.write_to_target(client, t, bytes.max(64.0)))
             .collect::<Vec<_>>();
         Ok(Step::span(
             "libdaos",
             "kv_put",
             bytes as u64,
-            Step::seq([self.client_overhead(), self.rtt(), Step::par(writes)]),
+            Step::seq([
+                self.cost.client_overhead(),
+                self.cost.rtt(),
+                Step::par(writes),
+            ]),
         ))
     }
 
-    /// Fetch a key's value.  Reads from the first up replica.
+    /// Fetch a key's value.  Reads from the first up replica.  One
+    /// object lookup on the clean path; a repair looks the object up
+    /// again after it.
     // simlint::allow(hot-alloc) — returns an owned copy of the value bytes in Full data mode; nothing grows with pool size
     pub fn kv_get(
         &mut self,
@@ -857,13 +758,25 @@ impl DaosSystem {
         key: &[u8],
     ) -> Result<(ReadPayload, Step), DaosError> {
         let dkey = dkey_hash(key);
-        let group = find_obj(&self.containers, cid, oid)?.layout.group_for(dkey);
-        check_detection(&mut self.undetected, client, group)?;
+        let mut entry = find_obj(&self.containers, cid, oid)?;
+        check_detection(&mut self.undetected, client, entry.layout.group_for(dkey))?;
         // verified read: recompute the stored value checksum and
         // transparently repair rot the replication still covers; rot on
         // every replica refuses loudly instead of serving bad bytes
-        let repair = self.kv_verify_repair(cid, oid, key)?;
-        let entry = self.obj(cid, oid)?;
+        let ObjData::Kv(kv) = &entry.data else {
+            return Err(DaosError::WrongObjectType);
+        };
+        let verdict = kv.verify(key);
+        if verdict.is_some() {
+            self.csum.verified += 1;
+        }
+        let repair = if verdict == Some(false) {
+            let repair = self.repair_kv_rot(cid, oid, key)?;
+            entry = find_obj(&self.containers, cid, oid)?;
+            repair
+        } else {
+            Step::Noop
+        };
         let value = match &entry.data {
             ObjData::Kv(kv) => kv.get(key).ok_or(DaosError::NoSuchKey)?,
             ObjData::Array(_) => return Err(DaosError::WrongObjectType),
@@ -885,17 +798,16 @@ impl DaosSystem {
             "kv_get",
             read.len(),
             Step::seq([
-                self.client_overhead(),
-                self.rtt(),
+                self.cost.client_overhead(),
+                self.cost.rtt(),
                 repair,
-                self.read_from_target(client, t, bytes),
+                self.cost.read_from_target(client, t, bytes),
             ]),
         );
         Ok((read, step))
     }
 
     /// Remove a key.
-    // simlint::allow(hot-alloc) — op construction: collects one write step per servable replica; nothing grows with pool size
     pub fn kv_remove(
         &mut self,
         client: usize,
@@ -917,7 +829,7 @@ impl DaosSystem {
         if !existed {
             return Err(DaosError::NoSuchKey);
         }
-        self.rot_clear_kv(cid, oid, key);
+        self.rot.clear_kv(cid, oid, key);
         if let Some(l) = self.ledger.as_mut() {
             l.record_kv_remove(cid, oid, key);
         }
@@ -927,13 +839,13 @@ impl DaosSystem {
             .group_for(dkey)
             .iter()
             .filter(|&&t| self.pool.is_servable(t))
-            .map(|&t| self.write_to_target(client, t, 64.0))
+            .map(|&t| self.cost.write_to_target(client, t, 64.0))
             .collect::<Vec<_>>();
         Ok(Step::span(
             "libdaos",
             "kv_remove",
             0,
-            Step::seq([self.client_overhead(), self.rtt(), Step::par(ops)]),
+            Step::seq([self.cost.client_overhead(), self.cost.rtt(), Step::par(ops)]),
         ))
     }
 
@@ -958,13 +870,17 @@ impl DaosSystem {
             .layout
             .groups()
             .filter_map(|g| g.iter().copied().find(|&t| self.pool.is_servable(t)))
-            .map(|t| self.read_from_target(client, t, per_group_bytes))
+            .map(|t| self.cost.read_from_target(client, t, per_group_bytes))
             .collect::<Vec<_>>();
         let step = Step::span(
             "libdaos",
             "kv_list",
             key_bytes as u64,
-            Step::seq([self.client_overhead(), self.rtt(), Step::par(reads)]),
+            Step::seq([
+                self.cost.client_overhead(),
+                self.cost.rtt(),
+                Step::par(reads),
+            ]),
         );
         Ok((keys, step))
     }
@@ -976,7 +892,6 @@ impl DaosSystem {
     /// `k + p` cells of `chunk/k` bytes each (plus client-side encode
     /// time) — the mechanics behind the paper's ½ and ⅔ redundancy
     /// write bandwidths.
-    // simlint::allow(hot-alloc) — op construction: collects write steps per touched group and member; nothing grows with pool size
     pub fn array_write(
         &mut self,
         client: usize,
@@ -1057,7 +972,7 @@ impl DaosSystem {
             let group = layout.group(g);
             match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                    group_steps.push(self.write_to_target(client, group[0], bytes));
+                    group_steps.push(self.cost.write_to_target(client, group[0], bytes));
                 }
                 ObjectClass::Replicated { .. } => {
                     // degraded mode: down replicas receive nothing until
@@ -1065,7 +980,7 @@ impl DaosSystem {
                     let writes = group
                         .iter()
                         .filter(|&&t| self.pool.is_servable(t))
-                        .map(|&t| self.write_to_target(client, t, bytes))
+                        .map(|&t| self.cost.write_to_target(client, t, bytes))
                         .collect::<Vec<_>>();
                     group_steps.push(Step::par(writes));
                 }
@@ -1075,21 +990,21 @@ impl DaosSystem {
                     let writes = group
                         .iter()
                         .filter(|&&t| self.pool.is_servable(t))
-                        .map(|&t| self.write_to_target(client, t, cell))
+                        .map(|&t| self.cost.write_to_target(client, t, cell))
                         .collect::<Vec<_>>();
                     group_steps.push(Step::par(writes));
                 }
             }
         }
-        let encode = self.ec_codec(encode_bytes);
+        let encode = self.cost.ec_codec(encode_bytes);
         Ok(Step::span(
             "libdaos",
             "array_write",
             len,
             Step::seq([
-                self.client_overhead(),
+                self.cost.client_overhead(),
                 encode,
-                self.rtt(),
+                self.cost.rtt(),
                 repair,
                 Step::par(group_steps),
             ]),
@@ -1178,7 +1093,7 @@ impl DaosSystem {
             let group = layout.group(g);
             match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                    group_steps.push(self.read_from_target(client, group[0], bytes));
+                    group_steps.push(self.cost.read_from_target(client, group[0], bytes));
                 }
                 ObjectClass::Replicated { .. } => {
                     let t = group
@@ -1186,7 +1101,7 @@ impl DaosSystem {
                         .copied()
                         .find(|&t| pool.is_servable(t))
                         .ok_or(DaosError::Unavailable)?;
-                    group_steps.push(self.read_from_target(client, t, bytes));
+                    group_steps.push(self.cost.read_from_target(client, t, bytes));
                 }
                 ObjectClass::ErasureCoded { k, .. } => {
                     let k = k as usize;
@@ -1196,7 +1111,7 @@ impl DaosSystem {
                     if healthy {
                         let reads = data_targets
                             .iter()
-                            .map(|&t| self.read_from_target(client, t, cell))
+                            .map(|&t| self.cost.read_from_target(client, t, cell))
                             .collect::<Vec<_>>();
                         group_steps.push(Step::par(reads));
                     } else {
@@ -1213,21 +1128,21 @@ impl DaosSystem {
                         decode_bytes += bytes;
                         let reads = survivors
                             .iter()
-                            .map(|&t| self.read_from_target(client, t, cell))
+                            .map(|&t| self.cost.read_from_target(client, t, cell))
                             .collect::<Vec<_>>();
                         group_steps.push(Step::par(reads));
                     }
                 }
             }
         }
-        let decode = self.ec_codec(decode_bytes);
+        let decode = self.cost.ec_codec(decode_bytes);
         let step = Step::span(
             "libdaos",
             "array_read",
             len,
             Step::seq([
-                self.client_overhead(),
-                self.rtt(),
+                self.cost.client_overhead(),
+                self.cost.rtt(),
                 repair,
                 Step::par(group_steps),
                 decode,
@@ -1262,9 +1177,9 @@ impl DaosSystem {
             "array_get_size",
             0,
             Step::seq([
-                self.client_overhead(),
-                self.rtt(),
-                self.read_from_target(client, t, 64.0),
+                self.cost.client_overhead(),
+                self.cost.rtt(),
+                self.cost.read_from_target(client, t, 64.0),
             ]),
         );
         Ok((size, step))
@@ -1312,9 +1227,9 @@ impl DaosSystem {
             "array_set_size",
             0,
             Step::seq([
-                self.client_overhead(),
-                self.rtt(),
-                self.write_to_target(client, t, 64.0),
+                self.cost.client_overhead(),
+                self.cost.rtt(),
+                self.cost.write_to_target(client, t, 64.0),
             ]),
         );
         Ok(step)
@@ -1332,7 +1247,7 @@ impl DaosSystem {
         name: &str,
         value: &[u8],
     ) -> Result<Step, DaosError> {
-        let step = Step::seq([self.client_overhead(), self.pool_md_op(1.0)]);
+        let step = Step::seq([self.cost.client_overhead(), self.pool_md_op(1.0)]);
         let c = self.cont_mut(id)?;
         c.attrs.insert(name.to_string(), value.to_vec());
         Ok(step)
@@ -1346,7 +1261,7 @@ impl DaosSystem {
         id: ContainerId,
         name: &str,
     ) -> Result<(Vec<u8>, Step), DaosError> {
-        let step = Step::seq([self.client_overhead(), self.pool_md_op(1.0)]);
+        let step = Step::seq([self.cost.client_overhead(), self.pool_md_op(1.0)]);
         let c = self.cont(id)?;
         let v = c.attrs.get(name).cloned().ok_or(DaosError::NoSuchKey)?;
         Ok((v, step))
@@ -1359,7 +1274,7 @@ impl DaosSystem {
         _client: usize,
         id: ContainerId,
     ) -> Result<(Vec<String>, Step), DaosError> {
-        let step = Step::seq([self.client_overhead(), self.pool_md_op(1.0)]);
+        let step = Step::seq([self.cost.client_overhead(), self.pool_md_op(1.0)]);
         let c = self.cont(id)?;
         Ok((c.attrs.keys().cloned().collect(), step))
     }
@@ -1375,7 +1290,7 @@ impl DaosSystem {
         let servers = self.pool.server_count();
         let reads: Vec<Step> = (0..servers)
             .map(|s| {
-                self.read_from_target(
+                self.cost.read_from_target(
                     client,
                     TargetId {
                         server: s as u16,
@@ -1390,7 +1305,11 @@ impl DaosSystem {
         oids.sort();
         Ok((
             oids,
-            Step::seq([self.client_overhead(), self.rtt(), Step::par(reads)]),
+            Step::seq([
+                self.cost.client_overhead(),
+                self.cost.rtt(),
+                Step::par(reads),
+            ]),
         ))
     }
 
@@ -1400,37 +1319,6 @@ impl DaosSystem {
     /// telemetry).
     pub fn csum_stats(&self) -> CsumStats {
         self.csum
-    }
-
-    /// Verify a KV value's stored checksum and transparently repair rot
-    /// the replication still covers.  Returns the repair cost step
-    /// ([`Step::Noop`] when the value is clean or absent) or
-    /// [`DaosError::BadChecksum`] when the rot exceeds redundancy.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    fn kv_verify_repair(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        key: &[u8],
-    ) -> Result<Step, DaosError> {
-        let verdict = {
-            let entry = self.obj(cid, oid)?;
-            match &entry.data {
-                ObjData::Kv(kv) => kv.verify(key),
-                ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-            }
-        };
-        match verdict {
-            None => Ok(Step::Noop),
-            Some(true) => {
-                self.csum.verified += 1;
-                Ok(Step::Noop)
-            }
-            Some(false) => {
-                self.csum.verified += 1;
-                self.repair_kv_rot(cid, oid, key)
-            }
-        }
     }
 
     /// Repair a KV value whose checksum failed: re-flip the registered
@@ -1469,7 +1357,7 @@ impl DaosSystem {
                 ObjData::Array(_) => return Err(DaosError::WrongObjectType),
             }
         };
-        self.rot_clear_kv(cid, oid, key);
+        self.rot.clear_kv(cid, oid, key);
         self.csum.repaired += rotten.len() as u64;
         self.csum.repaired_bytes += bytes * rotten.len() as u64;
         // cost: a clean replica feeds a rewrite of each rotten one
@@ -1740,15 +1628,6 @@ impl DaosSystem {
             }
         }
         Ok(repair_span(span_bytes, moves))
-    }
-
-    fn rot_clear_kv(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) {
-        if let Some(m) = self.rot.kv.get_mut(&(cid.0, oid)) {
-            m.remove(key);
-            if m.is_empty() {
-                self.rot.kv.remove(&(cid.0, oid));
-            }
-        }
     }
 
     /// Apply a bit-rot fault: deterministically select the `locus`-th
@@ -2146,15 +2025,15 @@ impl DaosSystem {
             .iter()
             .filter(|&&t| self.pool.is_servable(t))
             .map(|&t| {
-                let srv = &self.topo.servers[t.server as usize];
-                let res = &self.srv_res[t.server as usize];
-                let dev = self.dev_for(t);
+                let srv = &self.cost.topo.servers[t.server as usize];
+                let res = &self.cost.srv_res[t.server as usize];
+                let dev = self.cost.dev_for(t);
                 Step::seq([
                     Step::transfer(
                         Bytes(bytes_each),
                         [srv.nvme_r[dev], srv.nvme_r_pool, res.engine_xfer],
                     ),
-                    Step::delay(self.cal.nvme_read_lat_ns),
+                    Step::delay(self.cost.cal.nvme_read_lat_ns),
                 ])
             })
             .collect();
@@ -2277,15 +2156,15 @@ impl DaosSystem {
         dst: TargetId,
         write_bytes: f64,
     ) -> Step {
-        let dsts = &self.topo.servers[dst.server as usize];
-        let dres = &self.srv_res[dst.server as usize];
-        let ddev = self.dev_for(dst);
+        let dsts = &self.cost.topo.servers[dst.server as usize];
+        let dres = &self.cost.srv_res[dst.server as usize];
+        let ddev = self.cost.dev_for(dst);
         let reads = sources
             .iter()
             .map(|&src| {
-                let ssrv = &self.topo.servers[src.server as usize];
-                let sres = &self.srv_res[src.server as usize];
-                let sdev = self.dev_for(src);
+                let ssrv = &self.cost.topo.servers[src.server as usize];
+                let sres = &self.cost.srv_res[src.server as usize];
+                let sdev = self.cost.dev_for(src);
                 Step::transfer(
                     Bytes(read_each),
                     [
@@ -2303,13 +2182,13 @@ impl DaosSystem {
             "move",
             write_bytes as u64,
             Step::seq([
-                Step::delay(self.cal.net_rtt_ns),
+                Step::delay(self.cost.cal.net_rtt_ns),
                 Step::par(reads),
                 Step::transfer(
                     Bytes(write_bytes),
                     [dres.engine_xfer, dsts.nvme_w[ddev], dsts.nvme_w_pool],
                 ),
-                Step::delay(self.cal.nvme_write_lat_ns),
+                Step::delay(self.cost.cal.nvme_write_lat_ns),
             ]),
         )
     }
@@ -2330,19 +2209,22 @@ impl DaosSystem {
     /// `Reint` state — they receive migrated shards and serve them, but
     /// new layouts skip them until [`DaosSystem::finish_rebalance`]
     /// promotes them.  Returns the new server's rank.
-    // simlint::allow(digest-taint) — membership op: driven by fault-plan actions, whose canonical encoding is already folded into the replay digest at install time
     pub fn add_server(&mut self, sched: &mut Scheduler) -> u16 {
         let s = self.pool.server_count();
         assert!(
-            s < self.topo.server_count(),
+            s < self.cost.topo.server_count(),
             "topology has no spare server hardware to add"
         );
         let rank = self.pool.add_server();
-        self.srv_res.push(ServerRes {
-            engine_xfer: sched
-                .add_resource(format!("daos{s}.engine"), self.cal.engine_xfer_bw.get()),
-            tgt_svc: (0..self.cal.targets_per_server)
-                .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), self.cal.target_svc_iops))
+        self.cost.srv_res.push(ServerRes {
+            engine_xfer: sched.add_resource(
+                format!("daos{s}.engine"),
+                self.cost.cal.engine_xfer_bw.get(),
+            ),
+            tgt_svc: (0..self.cost.cal.targets_per_server)
+                .map(|t| {
+                    sched.add_resource(format!("daos{s}.tgt{t}"), self.cost.cal.target_svc_iops)
+                })
                 .collect(),
         });
         rank
@@ -2352,7 +2234,6 @@ impl DaosSystem {
     /// serving their shards but leave new layouts; plan a rebalance to
     /// move the shards off, then [`DaosSystem::finish_rebalance`]
     /// retires them.
-    // simlint::allow(digest-taint) — membership op: driven by fault-plan actions, whose canonical encoding is already folded into the replay digest at install time
     pub fn drain_server(&mut self, server: u16) {
         self.pool.drain_server(server);
     }
@@ -2539,7 +2420,6 @@ impl DaosSystem {
     /// any shard the planner could not move off a drained target becomes
     /// unavailable here, which is exactly what the durability oracles
     /// are watching for.
-    // simlint::allow(digest-taint) — membership op: driven by fault-plan actions, whose canonical encoding is already folded into the replay digest at install time
     pub fn finish_rebalance(&mut self) {
         self.pool.retire_drained();
         self.pool.promote_reint();
@@ -2578,7 +2458,6 @@ impl DaosSystem {
     /// Call once after deploy, before the workload; the ledger is then
     /// maintained by every mutating data path and consumed by
     /// [`DaosSystem::verify_durability`].
-    // simlint::allow(digest-taint) — oracle bookkeeping: written by data paths, never read by them; cannot alter any schedule
     pub fn enable_ledger(&mut self) {
         self.ledger = Some(DurabilityLedger::new());
     }
@@ -2598,7 +2477,6 @@ impl DaosSystem {
     /// length in Sized mode.  Returned [`Step`] costs are discarded —
     /// this is an offline audit, run after quiescence, that must not
     /// perturb the simulated schedule.
-    // simlint::allow(digest-taint) — offline audit: cost steps are discarded and only crash-detection bookkeeping is touched, after the workload has quiesced
     pub fn verify_durability(&mut self, client: usize) -> OracleReport {
         let Some(ledger) = self.ledger.clone() else {
             return OracleReport::default();

@@ -1,10 +1,12 @@
 //! Guards that building one DAOS data op costs the same on any pool
-//! size: an `SX` `array_write`, `array_read`, `array_get_size` and
-//! `kv_get` make exactly as many heap allocations, of exactly as many
+//! size: an `SX` `array_write`, `array_read`, `array_get_size`, `kv_put`
+//! and `kv_get`, and the `array_create` and `kv_create` of an `S1`
+//! object, make exactly as many heap allocations, of exactly as many
 //! bytes, on a 4-server pool as on a 128-server pool.  An `SX` layout
 //! has one shard group per target and the pool map one state per
 //! target, so any per-op copy of either shows up here as allocations
-//! or bytes that grow with the pool.
+//! or bytes that grow with the pool; so does an `S1` placement that
+//! copies or shuffles every up target to keep one.
 //!
 //! The counting allocator keeps thread-local counts, so tests running
 //! in parallel on other threads do not disturb the measurement.
@@ -68,8 +70,8 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, u64) {
 }
 
 /// Allocations and bytes of one op of each kind on a fresh pool of
-/// `servers` engines: `[array_write, array_read, array_get_size, kv_get]`.
-fn op_allocs(servers: usize) -> [(u64, u64); 4] {
+/// `servers` engines, in the order of [`OPS`].
+fn op_allocs(servers: usize) -> [(u64, u64); 7] {
     let mut sched = Scheduler::new();
     let topo = ClusterSpec::new(servers, 1).build(&mut sched);
     let mut sys = DaosSystem::deploy(&topo, &mut sched, servers, DataMode::Sized);
@@ -85,8 +87,24 @@ fn op_allocs(servers: usize) -> [(u64, u64); 4] {
     let read = allocs_in(|| sys.array_read(0, cid, arr, 0, 1 << 20).unwrap());
     let size = allocs_in(|| sys.array_get_size(0, cid, arr).unwrap());
     let get = allocs_in(|| sys.kv_get(0, cid, kv, b"key").unwrap());
-    [write, read, size, get]
+    let put = allocs_in(|| {
+        sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
+            .unwrap()
+    });
+    let create_array = allocs_in(|| sys.array_create(0, cid, ObjectClass::S1, 1 << 20).unwrap());
+    let create_kv = allocs_in(|| sys.kv_create(0, cid, ObjectClass::S1).unwrap());
+    [write, read, size, get, put, create_array, create_kv]
 }
+
+const OPS: [&str; 7] = [
+    "array_write",
+    "array_read",
+    "array_get_size",
+    "kv_get",
+    "kv_put",
+    "array_create S1",
+    "kv_create S1",
+];
 
 #[test]
 fn op_allocations_do_not_grow_with_pool_size() {
@@ -98,7 +116,6 @@ fn op_allocations_do_not_grow_with_pool_size() {
     );
     assert_eq!(
         small, large,
-        "(allocations, bytes) per op [array_write, array_read, array_get_size, kv_get] \
-         differ between a 4-server and a 128-server pool"
+        "(allocations, bytes) per op {OPS:?} differ between a 4-server and a 128-server pool"
     );
 }

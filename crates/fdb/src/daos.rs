@@ -18,6 +18,7 @@ use daos_core::{
 use simkit::Step;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::rc::Rc;
 
 /// How often a shared-catalogue KV update accompanies an archive (the
@@ -133,6 +134,12 @@ impl FdbDaos {
     }
 }
 
+/// Replace `buf` with axis key `i` of a field, `axis/{i}/{key}`.
+fn axis_key(buf: &mut String, i: u32, key: &FieldKey) {
+    buf.clear();
+    let _ = write!(buf, "axis/{i}/{key}");
+}
+
 fn map_daos(e: DaosError) -> FdbError {
     match e {
         DaosError::NoSuchKey | DaosError::NoSuchObject => FdbError::FieldNotFound,
@@ -168,21 +175,23 @@ impl FdbDaos {
         // the process's exclusive index KV …
         let entry = self.entry_payload(oid, len);
         let mut kv_steps = Vec::new();
-        let keystr = key.to_string();
+        // every key of the field is built into this one buffer
+        let mut kbuf = String::new();
         {
             let mut daos = self.daos.borrow_mut();
+            let _ = write!(kbuf, "{key}");
             let s = daos
-                .kv_put(node, self.cid, index_kv, keystr.as_bytes(), entry)
+                .kv_put(node, self.cid, index_kv, kbuf.as_bytes(), entry)
                 .map_err(map_daos)?;
             kv_steps.push(s);
             for i in 1..self.kv_ops_per_field.saturating_sub(1) {
-                let axis_key = format!("axis/{}/{}", i, keystr);
+                axis_key(&mut kbuf, i, key);
                 let p = match daos.data_mode() {
                     DataMode::Full => Payload::Bytes(vec![0; 64]),
                     DataMode::Sized => Payload::Sized(64),
                 };
                 let s = daos
-                    .kv_put(node, self.cid, index_kv, axis_key.as_bytes(), p)
+                    .kv_put(node, self.cid, index_kv, kbuf.as_bytes(), p)
                     .map_err(map_daos)?;
                 kv_steps.push(s);
             }
@@ -220,18 +229,19 @@ impl FdbDaos {
             .get(&owner)
             .map(|s| s.index_kv)
             .ok_or(FdbError::FieldNotFound)?;
-        let keystr = key.to_string();
+        let mut kbuf = String::new();
+        let _ = write!(kbuf, "{key}");
         let mut daos = self.daos.borrow_mut();
         let (_, s1) = daos
-            .kv_get(node, self.cid, index_kv, keystr.as_bytes())
+            .kv_get(node, self.cid, index_kv, kbuf.as_bytes())
             .map_err(map_daos)?;
         // axis/metadata gets, overlapped with the data read; the length
         // comes from the index entry — no array_get_size round trip.
         let mut gets = Vec::new();
         for i in 1..self.kv_ops_per_field.saturating_sub(1) {
-            let axis_key = format!("axis/{}/{}", i, keystr);
+            axis_key(&mut kbuf, i, key);
             let (_, s) = daos
-                .kv_get(node, self.cid, index_kv, axis_key.as_bytes())
+                .kv_get(node, self.cid, index_kv, kbuf.as_bytes())
                 .map_err(map_daos)?;
             gets.push(s);
         }

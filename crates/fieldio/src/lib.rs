@@ -21,6 +21,7 @@ use daos_core::{
 use simkit::Step;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::rc::Rc;
 
 /// Errors surfaced by the benchmark library.
@@ -70,6 +71,13 @@ pub struct FieldIo {
 
 /// Shared KV updates per field (the rest go to the exclusive KV).
 const SHARED_KV_OPS: u32 = 3;
+
+/// Replace `buf` with index key `i` of field `idx` of process `proc`,
+/// `f/{proc}/{idx}/{i}`: one buffer serves every key of a field.
+fn index_key(buf: &mut String, proc: usize, idx: usize, i: u32) {
+    buf.clear();
+    let _ = write!(buf, "f/{proc}/{idx}/{i}");
+}
 
 impl FieldIo {
     /// Set up the benchmark in `cid`.  The paper's optimal classes:
@@ -203,8 +211,9 @@ impl FieldIo {
         let s2 = daos.array_write(node, self.cid, oid, 0, data)?;
         let mode = daos.data_mode();
         let mut kv_steps = Vec::new();
+        let mut key = String::new();
         for i in 0..self.kv_ops_per_field {
-            let key = format!("f/{proc}/{idx}/{i}");
+            index_key(&mut key, proc, idx, i);
             let value = self.index_entry(mode);
             let target = if i < SHARED_KV_OPS {
                 self.shared_kvs[i as usize % self.shared_kvs.len()]
@@ -248,8 +257,9 @@ impl FieldIo {
         let mut daos = self.daos.borrow_mut();
         // index lookups mirror the write-side distribution
         let mut kv_steps = Vec::new();
+        let mut key = String::new();
         for i in 0..self.kv_ops_per_field {
-            let key = format!("f/{proc}/{idx}/{i}");
+            index_key(&mut key, proc, idx, i);
             let target = if i < SHARED_KV_OPS {
                 self.shared_kvs[i as usize % self.shared_kvs.len()]
             } else {
@@ -285,17 +295,17 @@ impl FieldIo {
     ///
     /// Offline audit for the chaos oracles: returned `Step` costs are
     /// discarded and the simulated schedule is not perturbed.
-    // simlint::allow(digest-taint) — offline audit: cost steps are discarded; only crash-detection bookkeeping is touched, after quiescence
     pub fn verify_consistency(&mut self, node: usize) -> OracleReport {
         let mut report = OracleReport::default();
         let mut daos = self.daos.borrow_mut();
         // detection is monotone per (client, target), so one retry per
         // pool target bounds the TargetDown absorption loop
         let budget = daos.pool().total_targets();
+        let mut key = String::new();
         for (&(proc, idx), &(oid, len)) in &self.fields {
             report.checked_kv += 1;
             for i in 0..self.kv_ops_per_field {
-                let key = format!("f/{proc}/{idx}/{i}");
+                index_key(&mut key, proc, idx, i);
                 let target = if i < SHARED_KV_OPS {
                     self.shared_kvs[i as usize % self.shared_kvs.len()]
                 } else {

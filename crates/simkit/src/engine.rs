@@ -8,7 +8,7 @@ use crate::faults::{FaultAction, FaultEvent, FaultPlan};
 use crate::monitor::Monitor;
 use crate::slab::Slab;
 use crate::span::{SpanId, SpanLog};
-use crate::step::{ResourceId, Step};
+use crate::step::{Path, ResourceId, Step};
 use crate::telemetry::{MetricId, Telemetry};
 use crate::time::SimTime;
 use crate::trace::Trace;
@@ -85,7 +85,7 @@ struct Flow {
     /// against f64 settlement drift, scaled to the flow's size so tiny
     /// transfers are not cut short measurably.
     eps: Bytes,
-    path: Vec<ResourceId>,
+    path: Path,
     parent: Parent,
 }
 
@@ -395,7 +395,6 @@ impl Scheduler {
 
     /// Replace the utilisation monitor (e.g. a windowed one — see
     /// [`Monitor::windowed`]).
-    // simlint::allow(digest-taint) — pre-run configuration: every subsequent flow completion folds its effect into the digest
     pub fn set_monitor(&mut self, monitor: Monitor) {
         self.monitor = monitor;
     }
@@ -403,7 +402,6 @@ impl Scheduler {
     /// Turn on causal span recording (see [`crate::span`]).  Spans are
     /// off by default; enabling them never changes the schedule or the
     /// replay digest — only the span log and its separate span digest.
-    // simlint::allow(digest-taint) — pre-run configuration: span events fold into the span digest, op completions into the replay digest
     pub fn enable_spans(&mut self) {
         self.spans = SpanLog::recording();
     }
@@ -417,7 +415,6 @@ impl Scheduler {
     /// (see [`crate::telemetry`]).  Off by default; telemetry observes
     /// the schedule read-only, so enabling it never changes event times
     /// or the replay digest — the same contract as spans.
-    // simlint::allow(digest-taint) — pre-run configuration: telemetry is a read-only observer; op completions fold into the replay digest unchanged
     pub fn enable_telemetry(&mut self, window_ns: u64) {
         let mut tel = Telemetry::enabled(window_ns);
         self.tel_ids = Some(EngineMetricIds::register(&mut tel));

@@ -74,7 +74,7 @@ pub use monitor::Monitor;
 pub use rng::SplitMix64;
 pub use shrink::{shrink, ShrinkOutcome};
 pub use span::{SpanId, SpanLog, SpanMark, SpanRecord};
-pub use step::{ResourceId, Step};
+pub use step::{Path, ResourceId, Step, MAX_HOPS};
 pub use telemetry::{
     evaluate_slos, render_slo_text, MetricId, MetricKind, MetricView, SloInputs, SloKind, SloRule,
     SloVerdict, Telemetry,

@@ -297,7 +297,6 @@ pub fn chrome_trace_json(log: &SpanLog) -> String {
 /// marks first, then one `ph: "C"` event per metric per window (see
 /// [`crate::telemetry::Telemetry::counter_events_json`]).  Byte-stable
 /// for identical inputs, like every exporter here.
-// simlint::allow(hot-alloc) — post-run trace export: runs once per run after the clock stops (hot reachability is a same-name call edge)
 pub fn chrome_trace_json_with_counters(
     log: &SpanLog,
     telemetry: &crate::telemetry::Telemetry,

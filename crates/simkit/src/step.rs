@@ -2,10 +2,73 @@
 
 use crate::time::SimTime;
 use crate::units::Bytes;
+use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a capacity resource registered with the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ResourceId(pub u32);
+
+/// The most resources one transfer crosses.  The longest modelled path
+/// is a DAOS read: device, device pool, engine, server NIC, client NIC.
+pub const MAX_HOPS: usize = 5;
+
+/// The resources of one transfer, held inline: a transfer step and the
+/// flow it becomes own no heap memory.  Derefs to `&[ResourceId]`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Path {
+    len: u8,
+    hops: [ResourceId; MAX_HOPS],
+}
+
+impl Path {
+    /// A path over `hops`, in order.  A path longer than [`MAX_HOPS`]
+    /// does not compile.
+    ///
+    /// ```compile_fail
+    /// simkit::step::Path::new([simkit::ResourceId(0); 6]);
+    /// ```
+    pub fn new<const N: usize>(hops: [ResourceId; N]) -> Path {
+        const {
+            assert!(
+                N <= MAX_HOPS,
+                "a transfer crosses at most MAX_HOPS resources"
+            )
+        };
+        let mut path = Path {
+            len: N as u8,
+            hops: [ResourceId(0); MAX_HOPS],
+        };
+        for (slot, hop) in path.hops.iter_mut().zip(hops) {
+            *slot = hop;
+        }
+        path
+    }
+}
+
+impl Deref for Path {
+    type Target = [ResourceId];
+
+    #[inline]
+    fn deref(&self) -> &[ResourceId] {
+        &self.hops[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Path {
+    type Item = &'a ResourceId;
+    type IntoIter = std::slice::Iter<'a, ResourceId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// One node of an op chain.
 ///
@@ -22,7 +85,7 @@ pub enum Step {
     /// Move `units` through every resource in `path` simultaneously at
     /// the max-min fair rate.  Units are bytes for bandwidth resources
     /// and operations for service resources.
-    Transfer { units: Bytes, path: Vec<ResourceId> },
+    Transfer { units: Bytes, path: Path },
     /// Run sub-steps one after the other.
     Seq(Vec<Step>),
     /// Run sub-steps concurrently; completes when all complete.
@@ -87,18 +150,27 @@ impl Step {
     /// use simkit::{ResourceId, Step};
     /// Step::transfer(4096.0, [ResourceId(0)]);
     /// ```
-    // simlint::allow(hot-alloc) — Step-tree construction owns its path vector by design; arena-allocated op chains are ROADMAP item 2
-    pub fn transfer(units: Bytes, path: impl IntoIterator<Item = ResourceId>) -> Step {
-        let path: Vec<ResourceId> = path.into_iter().collect();
-        if units.is_drained() || path.is_empty() {
+    ///
+    /// The path is an array of at most [`MAX_HOPS`] resources, held
+    /// inline; a longer one does not compile.
+    ///
+    /// ```compile_fail
+    /// use simkit::{Bytes, ResourceId, Step};
+    /// Step::transfer(Bytes(1.0), [ResourceId(0); 6]);
+    /// ```
+    pub fn transfer<const N: usize>(units: Bytes, path: [ResourceId; N]) -> Step {
+        if units.is_drained() || N == 0 {
             return Step::Noop;
         }
         debug_assert!(units.get().is_finite());
-        Step::Transfer { units, path }
+        Step::Transfer {
+            units,
+            path: Path::new(path),
+        }
     }
 
     /// Sequential composition, dropping no-ops and flattening singletons.
-    // simlint::allow(hot-alloc) — Step-tree construction allocates its child list by design; arena-allocated op chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — Step-tree construction allocates its child list by design; transfer paths are inline, so child lists and span boxes are a tree's only heap nodes
     pub fn seq(steps: impl IntoIterator<Item = Step>) -> Step {
         let mut v: Vec<Step> = steps.into_iter().filter(|s| !s.is_noop()).collect();
         match v.len() {
@@ -109,7 +181,7 @@ impl Step {
     }
 
     /// Parallel composition, dropping no-ops and flattening singletons.
-    // simlint::allow(hot-alloc) — Step-tree construction allocates its child list by design; arena-allocated op chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — Step-tree construction allocates its child list by design; transfer paths are inline, so child lists and span boxes are a tree's only heap nodes
     pub fn par(steps: impl IntoIterator<Item = Step>) -> Step {
         let mut v: Vec<Step> = steps.into_iter().filter(|s| !s.is_noop()).collect();
         match v.len() {
@@ -120,7 +192,7 @@ impl Step {
     }
 
     /// Append `next` after `self`, reusing an existing `Seq` spine.
-    // simlint::allow(hot-alloc) — Step-tree construction allocates its Seq spine by design; arena-allocated op chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — Step-tree construction allocates its Seq spine by design; transfer paths are inline, so child lists and span boxes are a tree's only heap nodes
     pub fn then(self, next: Step) -> Step {
         match (self, next) {
             (Step::Noop, n) => n,
@@ -150,7 +222,7 @@ impl Step {
 
     /// Like [`Step::span`] with an explicit retry-attempt ordinal
     /// (non-zero marks work re-issued by a retry executor).
-    // simlint::allow(hot-alloc) — the span wrapper boxes its inner step by design; arena-allocated op chains are ROADMAP item 2
+    // simlint::allow(hot-alloc) — the span wrapper boxes its inner step by design; transfer paths are inline, so child lists and span boxes are a tree's only heap nodes
     pub fn span_attempt(
         layer: &'static str,
         op: &'static str,
@@ -212,6 +284,17 @@ mod tests {
         assert!(Step::transfer(Bytes(0.0), [r(1)]).is_noop());
         assert!(Step::transfer(Bytes(10.0), []).is_noop());
         assert!(!Step::transfer(Bytes(10.0), [r(1)]).is_noop());
+    }
+
+    #[test]
+    fn paths_hold_their_hops_inline() {
+        let path = Path::new([r(3), r(1), r(4), r(1), r(5)]);
+        assert_eq!(&*path, &[r(3), r(1), r(4), r(1), r(5)]);
+        assert_eq!(format!("{:?}", Path::new([r(2)])), "[ResourceId(2)]");
+        match Step::transfer(Bytes(1.0), [r(7), r(8)]) {
+            Step::Transfer { path, .. } => assert_eq!(&*path, &[r(7), r(8)]),
+            s => panic!("expected Transfer, got {s:?}"),
+        }
     }
 
     #[test]

@@ -156,7 +156,6 @@ impl Telemetry {
     }
 
     /// Add `delta` to counter `id` at sim time `at`.
-    // simlint::allow(hot-alloc) — lazy window-row growth: one resize per newly-entered window, then in-window updates never allocate
     pub fn counter_add(&mut self, id: MetricId, at: SimTime, delta: u64) {
         if !self.enabled {
             return;
@@ -174,7 +173,6 @@ impl Telemetry {
     /// Set gauge `id` to `value` at sim time `at`.  Windows crossed
     /// since the previous update are filled with the carried level, so
     /// the per-window maxima are exact.
-    // simlint::allow(hot-alloc) — lazy window-row growth: one resize per newly-entered window, then in-window updates never allocate
     pub fn gauge_set(&mut self, id: MetricId, at: SimTime, value: u64) {
         if !self.enabled {
             return;
@@ -320,7 +318,6 @@ impl Telemetry {
     /// sub-tracks; gauges emit the per-window maximum.  Deterministic:
     /// metrics in registration order, windows in time order, integer
     /// formatting throughout.
-    // simlint::allow(hot-alloc) — post-run export: runs once per run after the clock stops
     pub fn counter_events_json(&self) -> String {
         let mut out = String::new();
         if !self.enabled || self.metrics.is_empty() {

@@ -40,7 +40,6 @@ fn usage() -> &'static str {
 fn workspace_root() -> PathBuf {
     // When run via `cargo run -p simlint`, the manifest dir is
     // <workspace>/crates/simlint; its grandparent is the workspace root.
-    // simlint::allow(env-dependent-sim) — CLI path discovery, not sim logic
     if let Some(dir) = std::env::var_os("CARGO_MANIFEST_DIR") {
         let p = PathBuf::from(dir);
         if let Some(root) = p.ancestors().nth(2) {
@@ -101,7 +100,6 @@ fn main() -> ExitCode {
     let mut write_baseline_to: Option<PathBuf> = None;
     let mut save_index: Option<PathBuf> = None;
     let mut load_index: Option<PathBuf> = None;
-    // simlint::allow(env-dependent-sim) — CLI argument parsing, not sim logic
     let mut args = std::env::args().skip(1);
     let path_arg = |args: &mut dyn Iterator<Item = String>, flag: &str| match args.next() {
         Some(d) => Ok(PathBuf::from(d)),
