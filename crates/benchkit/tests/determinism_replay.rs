@@ -5,8 +5,17 @@
 //! iteration (or sim logic starts reading clocks/environment), this test
 //! is what catches it.
 
-use benchkit::{replay_all, RunSpec, Scenario};
+mod common;
+
+use benchkit::{
+    default_chaos_spec, replay_all, run_faulted_with, run_rebalance_with, FaultedOpts,
+    FaultedScenario, RebalanceOpts, RebalanceScenario, RunSpec, Scenario,
+};
 use cluster::Calibration;
+
+/// FNV-1a fold of every builtin-plan digest (see
+/// [`builtin_plan_digests_are_pinned`]).
+const BUILTIN_PLAN_FOLD: u64 = 0x0c82_90d9_8ec9_e3a3;
 
 #[test]
 fn every_scenario_replays_identically() {
@@ -49,4 +58,36 @@ fn digest_distinguishes_workload_shape() {
     let ra = benchkit::run_scenario_digest(&a, Scenario::IorDaos, &cal).1;
     let rb = benchkit::run_scenario_digest(&b, Scenario::IorDaos, &cal).1;
     assert_ne!(ra, rb);
+}
+
+#[test]
+fn builtin_plan_digests_are_pinned() {
+    // Every faulted scenario with the scrubber off and on, then every
+    // rebalance scenario, each under its builtin schedule.  Double-run
+    // equality alone would let a driver change drift every digest and
+    // stay green; the pinned fold catches any schedule change.
+    let spec = default_chaos_spec();
+    let cal = Calibration::default();
+    let mut digests = Vec::new();
+    for scen in FaultedScenario::ALL {
+        for scrub in [false, true] {
+            let opts = FaultedOpts {
+                scrub,
+                ..FaultedOpts::default()
+            };
+            let (r, _) = run_faulted_with(&spec, scen, &cal, &opts);
+            assert!(r.rebuild.is_some(), "{}: no rebuild ran", scen.name());
+            digests.push(r.digest);
+        }
+    }
+    for scen in RebalanceScenario::ALL {
+        let r = run_rebalance_with(&spec, scen, &cal, &RebalanceOpts::default());
+        assert!(r.waves > 0, "{}: no migration wave", scen.name());
+        digests.push(r.digest);
+    }
+    let fold = common::fnv1a(digests.iter().map(|d| d.to_le_bytes()));
+    assert_eq!(
+        fold, BUILTIN_PLAN_FOLD,
+        "builtin digests {digests:#018x?} fold to {fold:#018x}"
+    );
 }
