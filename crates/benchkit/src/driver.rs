@@ -4,7 +4,7 @@
 //! end of the last one.
 
 use cluster::bench::ProcWorkload;
-use simkit::{run, OpId, Scheduler, SimTime, World};
+use simkit::{run, FaultEvent, OpId, Scheduler, SimTime, Step, World};
 
 /// Result of one measured phase.
 #[derive(Debug, Clone, Copy)]
@@ -37,17 +37,53 @@ impl PhaseResult {
     }
 }
 
-struct SetupWorld {
+/// Background work a phase runs beside its foreground ops — the faulted
+/// family's crash → rebuild chain and scrubber, the rebalance family's
+/// migration — attached to the one closed-loop op loop of [`run_ops`].
+/// Every method defaults to a no-op, so `()` is the plain phase.
+pub(crate) trait PhaseHooks {
+    /// Start background work; runs once the initial ops are submitted.
+    fn start(&mut self, _sched: &mut Scheduler) {}
+
+    /// A marker op completed: any op id at or above the process count
+    /// belongs to the hooks, never to a process.
+    fn on_marker(&mut self, _op: OpId, _sched: &mut Scheduler) {}
+
+    /// A fault fired; capacity scaling is already applied by the engine.
+    fn on_fault(&mut self, _event: &FaultEvent, _sched: &mut Scheduler) {}
+}
+
+impl PhaseHooks for () {}
+
+/// Counts completions down to zero: the untimed setup and finalize
+/// barriers.
+struct Barrier {
     remaining: usize,
 }
-impl World for SetupWorld {
+impl World for Barrier {
     fn on_op_complete(&mut self, _op: OpId, _sched: &mut Scheduler) {
         self.remaining -= 1;
     }
 }
 
-struct OpsWorld<'a, W: ProcWorkload> {
+/// Submit `step(p)` for every process and run until all of them complete.
+fn barrier(sched: &mut Scheduler, procs: usize, mut step: impl FnMut(usize) -> Step) {
+    let mut world = Barrier { remaining: procs };
+    for p in 0..procs {
+        sched.submit(step(p), OpId(p as u64));
+    }
+    run(sched, &mut world);
+    assert_eq!(world.remaining, 0, "barrier completions");
+}
+
+/// The untimed setup barrier: every process runs its `setup`.
+pub(crate) fn setup_barrier<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) {
+    barrier(sched, wl.procs(), |p| wl.setup(p));
+}
+
+struct OpsWorld<'a, W: ProcWorkload, H: PhaseHooks> {
     wl: &'a mut W,
+    hooks: &'a mut H,
     /// Next op index to issue, per process.
     next_idx: Vec<usize>,
     /// Ops still in flight, per process.
@@ -57,8 +93,12 @@ struct OpsWorld<'a, W: ProcWorkload> {
     last_end: SimTime,
 }
 
-impl<W: ProcWorkload> World for OpsWorld<'_, W> {
+impl<W: ProcWorkload, H: PhaseHooks> World for OpsWorld<'_, W, H> {
     fn on_op_complete(&mut self, op: OpId, sched: &mut Scheduler) {
+        if op.0 >= self.next_idx.len() as u64 {
+            self.hooks.on_marker(op, sched);
+            return;
+        }
         let proc = op.0 as usize;
         self.last_end = sched.now();
         self.inflight[proc] -= 1;
@@ -72,82 +112,137 @@ impl<W: ProcWorkload> World for OpsWorld<'_, W> {
             self.remaining -= 1;
         }
     }
+
+    // simlint::panic_root — fault handler: must never panic
+    fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
+        self.hooks.on_fault(event, sched);
+    }
+}
+
+/// The measured op loop: every process issues its ops back-to-back
+/// (queue depth 1 unless the workload asks for more, as IOR and the
+/// ECMWF tools do) while `hooks` drive background work beside them.
+/// The window runs from the phase start to the last process op's end;
+/// setup and finalize are the caller's.
+pub(crate) fn run_ops<W: ProcWorkload, H: PhaseHooks>(
+    sched: &mut Scheduler,
+    wl: &mut W,
+    hooks: &mut H,
+) -> PhaseResult {
+    let procs = wl.procs();
+    let ops_per_proc = wl.ops_per_proc();
+    let t0 = sched.now();
+    let initial = wl.queue_depth().max(1).min(ops_per_proc);
+    let mut world = OpsWorld {
+        wl,
+        hooks,
+        next_idx: vec![initial; procs],
+        inflight: vec![initial; procs],
+        ops_per_proc,
+        // a process without ops has finished before it starts
+        remaining: if ops_per_proc > 0 { procs } else { 0 },
+        last_end: t0,
+    };
+    for p in 0..procs {
+        // Real parallel jobs leave the barrier with jittered start
+        // times (MPI barrier exit, first-RPC setup).  A small
+        // deterministic stagger reproduces that decorrelation;
+        // without it, identical queue-depth-1 processes march in
+        // lock-step waves that leave devices idle between waves.
+        let stagger = start_stagger(p);
+        for i in 0..initial {
+            let step = world.wl.op(p, i);
+            sched.submit_after(stagger, step, OpId(p as u64));
+        }
+    }
+    world.hooks.start(sched);
+    run(sched, &mut world);
+    assert_eq!(world.remaining, 0, "all processes finished");
+    let total_ops = procs * ops_per_proc;
+    PhaseResult {
+        bytes: total_ops as f64 * world.wl.bytes_per_op(),
+        seconds: world.last_end.secs_since(t0),
+        ops: total_ops,
+    }
+}
+
+/// A background job shipped as a chain of throttled waves under one
+/// marker op id: the next wave is emitted only when the previous one
+/// completes, so the job never holds more than one wave's worth of the
+/// shared resources against the foreground ops.
+pub(crate) struct WavePump {
+    op: OpId,
+    busy: bool,
+    /// Waves shipped so far.
+    pub(crate) waves: usize,
+}
+
+impl WavePump {
+    /// An idle pump whose waves complete as `op`.
+    pub(crate) fn new(op: OpId) -> WavePump {
+        WavePump {
+            op,
+            busy: false,
+            waves: 0,
+        }
+    }
+
+    /// Whether `op` is this pump's wave completing.
+    pub(crate) fn owns(&self, op: OpId) -> bool {
+        op == self.op
+    }
+
+    /// Whether no wave is in flight.
+    pub(crate) fn idle(&self) -> bool {
+        !self.busy
+    }
+
+    /// Ship the emitter's next `wave`; `None` means the job has drained:
+    /// go idle and run `finish`.
+    pub(crate) fn ship(
+        &mut self,
+        sched: &mut Scheduler,
+        wave: Option<Step>,
+        finish: impl FnOnce(&mut Scheduler),
+    ) {
+        self.busy = wave.is_some();
+        match wave {
+            Some(wave) => {
+                self.waves += 1;
+                sched.submit(wave, self.op);
+            }
+            None => finish(sched),
+        }
+    }
 }
 
 /// Run one measured phase of `wl` on `sched`.
 ///
 /// 1. Every process runs its `setup` (untimed);
 /// 2. barrier;
-/// 3. every process issues its ops back-to-back (queue depth 1, as IOR
-///    and the ECMWF tools do);
+/// 3. the measured op loop ([`run_ops`]);
 /// 4. `finalize` runs (untimed unless the workload buffers, in which
 ///    case its flushed bytes still count toward volume).
 pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseResult {
-    let procs = wl.procs();
-    let ops_per_proc = wl.ops_per_proc();
-
-    // -- setup barrier (untimed) --
-    let mut setup = SetupWorld { remaining: procs };
-    for p in 0..procs {
-        let step = wl.setup(p);
-        sched.submit(step, OpId(p as u64));
-    }
-    run(sched, &mut setup);
-    assert_eq!(setup.remaining, 0, "setup completions");
-
-    // -- measured phase --
+    setup_barrier(sched, wl);
     let t0 = sched.now();
-    let qd = wl.queue_depth().max(1);
-    let initial = qd.min(ops_per_proc);
-    let mut world = OpsWorld {
-        wl,
-        next_idx: vec![initial; procs],
-        inflight: vec![initial; procs],
-        ops_per_proc,
-        remaining: procs,
-        last_end: t0,
-    };
-    if ops_per_proc > 0 {
-        for p in 0..procs {
-            // Real parallel jobs leave the barrier with jittered start
-            // times (MPI barrier exit, first-RPC setup).  A small
-            // deterministic stagger reproduces that decorrelation;
-            // without it, identical queue-depth-1 processes march in
-            // lock-step waves that leave devices idle between waves.
-            let stagger = start_stagger(p);
-            for i in 0..initial {
-                let step = world.wl.op(p, i);
-                sched.submit_after(stagger, step, OpId(p as u64));
-            }
-        }
-        run(sched, &mut world);
-        assert_eq!(world.remaining, 0, "all processes finished");
-    }
-    let mut t_end = world.last_end;
+    let mut result = run_ops(sched, wl, &mut ());
 
     // -- finalize --
+    let procs = wl.procs();
     let finalize_bytes = wl.finalize_bytes() * procs as f64;
     let in_window = wl.finalize_in_window();
-    let mut fin = SetupWorld { remaining: procs };
-    for p in 0..procs {
-        let step = wl.finalize(p);
-        sched.submit(step, OpId(p as u64));
-    }
-    run(sched, &mut fin);
+    barrier(sched, procs, |p| wl.finalize(p));
     if in_window || finalize_bytes > 0.0 {
         // buffered writers flush real data during finalize; count it
-        t_end = sched.now();
+        result.seconds = sched.now().secs_since(t0);
     }
-    let total_ops = procs * ops_per_proc;
-    PhaseResult {
-        bytes: total_ops as f64 * wl.bytes_per_op() + finalize_bytes,
-        seconds: t_end.secs_since(t0),
-        ops: total_ops,
-    }
+    result.bytes += finalize_bytes;
+    result
 }
 
 /// Deterministic per-process start jitter, uniform in [0, 2 ms).
-pub(crate) fn start_stagger(proc: usize) -> SimTime {
+fn start_stagger(proc: usize) -> SimTime {
     let mut z = proc as u64 ^ 0x9e37_79b9_7f4a_7c15;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -159,7 +254,7 @@ pub(crate) fn start_stagger(proc: usize) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::{Bytes, ResourceId, Step};
+    use simkit::{Bytes, ResourceId};
 
     struct Uniform {
         procs: usize,

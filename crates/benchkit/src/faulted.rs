@@ -2,8 +2,8 @@
 //!
 //! Each scenario runs a healthy write phase, installs a deterministic
 //! [`FaultPlan`] relative to the phase boundary, then drives the read
-//! phase through a fault-aware driver that maps engine fault events onto
-//! DAOS state:
+//! phase through the shared op loop ([`crate::driver`]) with hooks that
+//! map engine fault events onto DAOS state:
 //!
 //! * [`FaultAction::TargetCrash`] → [`DaosSystem::crash_target`], plus an
 //!   *online rebuild*: after a short detection delay the pool rebuilds
@@ -26,9 +26,9 @@
 //! fault) — must be bit-identical across replays; [`replay_faulted`]
 //! checks exactly that.
 
-use crate::driver::{run_phase, start_stagger, PhaseResult};
+use crate::driver::{run_ops, run_phase, setup_barrier, PhaseHooks, PhaseResult, WavePump};
 use crate::scenarios::{exec, make_sched, RunSpec};
-use cluster::bench::{Phase, ProcWorkload};
+use cluster::bench::Phase;
 use cluster::{Calibration, ClusterSpec, Topology};
 use daos_core::{
     ContainerProps, DaosSystem, DataMode, ObjectClass, OracleReport, RebuildReport, RetryPolicy,
@@ -36,7 +36,7 @@ use daos_core::{
 };
 use field_io::FieldIo;
 use ior_bench::{AccessOrder, Ior, IorBackend, IorConfig};
-use simkit::{run, FaultAction, FaultEvent, FaultPlan, OpId, Scheduler, SimTime, Step, World};
+use simkit::{FaultAction, FaultEvent, FaultPlan, OpId, Scheduler, SimTime, Step};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -48,7 +48,7 @@ const MS: u64 = 1_000_000;
 /// reads touching the dead targets run degraded: the first op from each
 /// client node fails with `TargetDown` and its retry takes the
 /// fail-over/reconstruction path.
-const REBUILD_DETECT: SimTime = SimTime::from_millis(2);
+pub(crate) const REBUILD_DETECT: SimTime = SimTime::from_millis(2);
 
 /// Marker op ids for the rebuild chain, far above any process index.
 const OP_REBUILD_TRIGGER: OpId = OpId(1 << 40);
@@ -226,169 +226,133 @@ pub fn replay_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) 
     }
 }
 
-/// What the fault-aware driver observed during the faulted phase.
-struct FaultOutcome {
-    rebuild: Option<RebuildReport>,
-    crash_at: Option<SimTime>,
-    restored_at: Option<SimTime>,
+/// The crash → detect → rebuild → restored chain both fault-injecting
+/// families share: the first crash arms a [`REBUILD_DETECT`] timer, its
+/// expiry rescans the pool and submits the rebuild data movement, and
+/// that movement draining marks redundancy restored.
+pub(crate) struct RebuildChain {
+    trigger: OpId,
+    done: OpId,
+    /// Rebuild outcome, once detection fired.
+    pub(crate) report: Option<RebuildReport>,
+    /// When the first crash fired.
+    pub(crate) crash_at: Option<SimTime>,
+    /// When the rebuild data movement drained.
+    pub(crate) restored_at: Option<SimTime>,
 }
 
-/// The fault-aware phase world: the op-chaining logic of the standard
-/// driver plus the mapping from fired fault events onto DAOS state and
-/// the crash → detect → rebuild → restored chain.
-struct FaultedWorld<'a, W: ProcWorkload> {
-    wl: &'a mut W,
-    daos: &'a Rc<RefCell<DaosSystem>>,
-    next_idx: Vec<usize>,
-    inflight: Vec<usize>,
-    ops_per_proc: usize,
-    remaining: usize,
-    last_end: SimTime,
-    out: FaultOutcome,
-}
+impl RebuildChain {
+    /// An unarmed chain whose timer and movement complete as `trigger`
+    /// and `done`.
+    pub(crate) fn new(trigger: OpId, done: OpId) -> RebuildChain {
+        RebuildChain {
+            trigger,
+            done,
+            report: None,
+            crash_at: None,
+            restored_at: None,
+        }
+    }
 
-impl<W: ProcWorkload> World for FaultedWorld<'_, W> {
-    fn on_op_complete(&mut self, op: OpId, sched: &mut Scheduler) {
-        if op == OP_REBUILD_TRIGGER {
+    /// A target crashed just now: the first crash arms detection.
+    pub(crate) fn crashed(&mut self, sched: &mut Scheduler) {
+        if self.crash_at.is_none() {
+            self.crash_at = Some(sched.now());
+            sched.submit(Step::delay(REBUILD_DETECT), self.trigger);
+        }
+    }
+
+    /// Advance the chain when `op` is one of its markers.
+    pub(crate) fn on_marker(
+        &mut self,
+        op: OpId,
+        sched: &mut Scheduler,
+        daos: &RefCell<DaosSystem>,
+    ) {
+        if op == self.trigger {
             // detection delay elapsed: rescan + start the data movement
-            let (report, movement) = self.daos.borrow_mut().rebuild();
-            self.out.rebuild = Some(report);
-            sched.submit(movement, OP_REBUILD_DONE);
-            return;
+            let (report, movement) = daos.borrow_mut().rebuild();
+            self.report = Some(report);
+            sched.submit(movement, self.done);
+        } else if op == self.done {
+            self.restored_at = Some(sched.now());
         }
-        if op == OP_REBUILD_DONE {
-            self.out.restored_at = Some(sched.now());
-            return;
+    }
+}
+
+/// The faulted read phase's hooks: the mapping from fired fault events
+/// onto DAOS state, the rebuild chain and the optional scrubber.
+struct FaultedHooks<'a> {
+    daos: &'a RefCell<DaosSystem>,
+    rebuild: RebuildChain,
+    /// Background scrub waves, when the run scrubs.
+    scrub: Option<WavePump>,
+}
+
+impl FaultedHooks<'_> {
+    /// Ship the next scrub wave: the scan resumes from its cursor and
+    /// stops after one full pass over the stored units.
+    fn pump_scrub(&mut self, sched: &mut Scheduler) {
+        if let Some(pump) = &mut self.scrub {
+            let wave = self.daos.borrow_mut().scrub_wave(SCRUB_WAVE_UNITS);
+            pump.ship(sched, wave, |_| {});
         }
+    }
+}
+
+impl PhaseHooks for FaultedHooks<'_> {
+    fn start(&mut self, sched: &mut Scheduler) {
+        if self.scrub.is_some() {
+            self.daos.borrow_mut().scrub_start();
+            self.pump_scrub(sched);
+        }
+    }
+
+    fn on_marker(&mut self, op: OpId, sched: &mut Scheduler) {
         if op == OP_SCRUB_WAVE {
-            // wave drained: resume the scan from its cursor, stopping
-            // after one full pass over the stored units
-            if let Some(wave) = self.daos.borrow_mut().scrub_wave(SCRUB_WAVE_UNITS) {
-                sched.submit(wave, OP_SCRUB_WAVE);
-            }
-            return;
-        }
-        let proc = op.0 as usize;
-        self.last_end = sched.now();
-        self.inflight[proc] -= 1;
-        let idx = self.next_idx[proc];
-        if idx < self.ops_per_proc {
-            self.next_idx[proc] += 1;
-            self.inflight[proc] += 1;
-            let step = self.wl.op(proc, idx);
-            sched.submit(step, OpId(proc as u64));
-        } else if self.inflight[proc] == 0 {
-            self.remaining -= 1;
+            self.pump_scrub(sched);
+        } else {
+            self.rebuild.on_marker(op, sched, self.daos);
         }
     }
 
     // simlint::panic_root — fault handler: must never panic
     fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
-        match event.action {
-            FaultAction::TargetCrash(payload) => {
-                self.daos
-                    .borrow_mut()
-                    .crash_target(TargetId::unpack(payload));
-                if self.out.crash_at.is_none() {
-                    self.out.crash_at = Some(sched.now());
-                    sched.submit(Step::delay(REBUILD_DETECT), OP_REBUILD_TRIGGER);
-                }
-            }
-            FaultAction::TargetRestart(payload) => {
-                self.daos
-                    .borrow_mut()
-                    .restart_target(TargetId::unpack(payload));
-            }
-            FaultAction::DelayedCompletion { payload, extra_ns } => {
-                self.daos
-                    .borrow_mut()
-                    .set_extra_delay(payload as u16, extra_ns);
-            }
-            FaultAction::BitRot { locus, shard } => {
-                // silent: no detection chain here — a verified read or
-                // a scrub wave has to find the damage on its own
-                self.daos.borrow_mut().apply_bit_rot(locus, shard);
-            }
-            // capacity scaling is applied by the engine before dispatch;
-            // membership events belong to the rebalance family's world
-            FaultAction::SlowDisk { .. }
-            | FaultAction::NicBrownout { .. }
-            | FaultAction::AddServer { .. }
-            | FaultAction::DrainServer { .. } => {}
-        }
+        apply_fault(self.daos, &mut self.rebuild, event, sched);
     }
 }
 
-/// Like [`crate::driver::run_phase`], but fault-aware: setup barrier,
-/// measured op phase with the installed fault plan live, no finalize
-/// (the faulted family's workloads are unbuffered).
-fn run_faulted_phase<W: ProcWorkload>(
+/// Map a fired fault onto DAOS state: the mapping both fault-injecting
+/// families share.  A crash arms `rebuild`; membership events belong to
+/// the rebalance family, and capacity scaling is applied by the engine
+/// before dispatch.
+// simlint::panic_root — fault handler: must never panic
+pub(crate) fn apply_fault(
+    daos: &RefCell<DaosSystem>,
+    rebuild: &mut RebuildChain,
+    event: &FaultEvent,
     sched: &mut Scheduler,
-    wl: &mut W,
-    daos: &Rc<RefCell<DaosSystem>>,
-    scrub: bool,
-) -> (PhaseResult, FaultOutcome) {
-    struct Barrier {
-        remaining: usize,
-    }
-    impl World for Barrier {
-        fn on_op_complete(&mut self, _op: OpId, _sched: &mut Scheduler) {
-            self.remaining -= 1;
+) {
+    let mut daos = daos.borrow_mut();
+    match event.action {
+        FaultAction::TargetCrash(payload) => {
+            daos.crash_target(TargetId::unpack(payload));
+            rebuild.crashed(sched);
         }
-    }
-    let procs = wl.procs();
-    let ops_per_proc = wl.ops_per_proc();
-    let mut setup = Barrier { remaining: procs };
-    for p in 0..procs {
-        let step = wl.setup(p);
-        sched.submit(step, OpId(p as u64));
-    }
-    run(sched, &mut setup);
-    assert_eq!(setup.remaining, 0, "setup completions");
-
-    let t0 = sched.now();
-    let qd = wl.queue_depth().max(1);
-    let initial = qd.min(ops_per_proc);
-    let mut world = FaultedWorld {
-        wl,
-        daos,
-        next_idx: vec![initial; procs],
-        inflight: vec![initial; procs],
-        ops_per_proc,
-        remaining: procs,
-        last_end: t0,
-        out: FaultOutcome {
-            rebuild: None,
-            crash_at: None,
-            restored_at: None,
-        },
-    };
-    for p in 0..procs {
-        let stagger = start_stagger(p);
-        for i in 0..initial {
-            let step = world.wl.op(p, i);
-            sched.submit_after(stagger, step, OpId(p as u64));
+        FaultAction::TargetRestart(payload) => daos.restart_target(TargetId::unpack(payload)),
+        FaultAction::DelayedCompletion { payload, extra_ns } => {
+            daos.set_extra_delay(payload as u16, extra_ns)
         }
-    }
-    if scrub {
-        let mut d = daos.borrow_mut();
-        d.scrub_start();
-        if let Some(wave) = d.scrub_wave(SCRUB_WAVE_UNITS) {
-            sched.submit(wave, OP_SCRUB_WAVE);
+        // silent: no detection chain here — a verified read or a scrub
+        // wave has to find the damage on its own
+        FaultAction::BitRot { locus, shard } => {
+            daos.apply_bit_rot(locus, shard);
         }
+        FaultAction::SlowDisk { .. }
+        | FaultAction::NicBrownout { .. }
+        | FaultAction::AddServer { .. }
+        | FaultAction::DrainServer { .. } => {}
     }
-    run(sched, &mut world);
-    assert_eq!(world.remaining, 0, "all processes finished");
-    let t_end = world.last_end;
-    let total_ops = procs * ops_per_proc;
-    (
-        PhaseResult {
-            bytes: total_ops as f64 * world.wl.bytes_per_op(),
-            seconds: t_end.secs_since(t0),
-            ops: total_ops,
-        },
-        world.out,
-    )
 }
 
 /// The failure schedule for a scenario, anchored at `t0` (the boundary
@@ -541,8 +505,15 @@ pub fn run_faulted_with(
         PlanSource::Builtin => fault_plan(scen, t0, &topo),
         PlanSource::Fixed(plan) => plan.shifted(t0),
     };
+    // the read phase: setup barrier, then the op loop with the fault
+    // plan live; no finalize (the family's workloads are unbuffered)
+    let mut hooks = FaultedHooks {
+        daos: &daos,
+        rebuild: RebuildChain::new(OP_REBUILD_TRIGGER, OP_REBUILD_DONE),
+        scrub: opts.scrub.then(|| WavePump::new(OP_SCRUB_WAVE)),
+    };
 
-    let (write, read, retry, out, iface_oracle) = match scen {
+    let (write, read, retry, iface_oracle) = match scen {
         FaultedScenario::IorEasyRp2 | FaultedScenario::IorHardEc2p1 => {
             let mut cfg = IorConfig::new(spec.procs(), spec.client_nodes, spec.ops_per_proc);
             cfg.transfer_size = spec.transfer;
@@ -565,8 +536,9 @@ pub fn run_faulted_with(
             let write = run_phase(&mut sched, &mut ior);
             sched.install_faults(plan_for(sched.now()));
             ior.set_phase(Phase::Read);
-            let (read, out) = run_faulted_phase(&mut sched, &mut ior, &daos, opts.scrub);
-            (write, read, ior.retry_stats(), out, None)
+            setup_barrier(&mut sched, &mut ior);
+            let read = run_ops(&mut sched, &mut ior, &mut hooks);
+            (write, read, ior.retry_stats(), None)
         }
         FaultedScenario::FieldIoFaulted => {
             // EC_2P1 data, RP_2 index: an unprotected (SX) TOC shard on
@@ -586,9 +558,10 @@ pub fn run_faulted_with(
             let write = run_phase(&mut sched, &mut wl);
             sched.install_faults(plan_for(sched.now()));
             wl.phase = Phase::Read;
-            let (read, out) = run_faulted_phase(&mut sched, &mut wl, &daos, opts.scrub);
+            setup_barrier(&mut sched, &mut wl);
+            let read = run_ops(&mut sched, &mut wl, &mut hooks);
             let iface = opts.oracles.then(|| wl.fio.verify_consistency(0));
-            (write, read, wl.fio.retry_stats(), out, iface)
+            (write, read, wl.fio.retry_stats(), iface)
         }
     };
 
@@ -599,10 +572,11 @@ pub fn run_faulted_with(
         report.merge(d.verify_redundancy());
         report
     });
-    let redundancy_restored_secs = match (out.crash_at, out.restored_at) {
-        (Some(c), Some(r)) => Some(r.secs_since(c)),
-        _ => None,
-    };
+    let out = hooks.rebuild;
+    let redundancy_restored_secs = out
+        .crash_at
+        .zip(out.restored_at)
+        .map(|(c, r)| r.secs_since(c));
     // snapshot after the oracle read-back so audit-triggered repairs
     // are included
     let csum = daos.borrow().csum_stats();
@@ -613,7 +587,7 @@ pub fn run_faulted_with(
         // the checksum/scrub activity only the storage layers know
         let at = sched.now();
         retry.publish(sched.telemetry_mut(), at);
-        if let Some(rb) = &out.rebuild {
+        if let Some(rb) = &out.report {
             rb.publish(sched.telemetry_mut(), at);
         }
         csum.publish(sched.telemetry_mut(), at);
@@ -637,7 +611,7 @@ pub fn run_faulted_with(
             write,
             read,
             retry,
-            rebuild: out.rebuild,
+            rebuild: out.report,
             redundancy_restored_secs,
             oracles,
             csum,
@@ -788,6 +762,26 @@ mod tests {
         );
         // fired faults land as instant marks
         assert!(exports.chrome_json.contains("\"cat\":\"fault\""));
+    }
+
+    #[test]
+    fn zero_op_read_phases_return() {
+        let mut spec = small_spec();
+        spec.ops_per_proc = 0;
+        let cal = Calibration::default();
+        for scen in FaultedScenario::ALL {
+            let opts = FaultedOpts {
+                scrub: true,
+                ..FaultedOpts::default()
+            };
+            let (r, _) = run_faulted_with(&spec, scen, &cal, &opts);
+            assert_eq!(r.read.ops, 0, "{}", scen.name());
+        }
+        for scen in crate::rebalance::RebalanceScenario::ALL {
+            let opts = crate::rebalance::RebalanceOpts::default();
+            let r = crate::rebalance::run_rebalance_with(&spec, scen, &cal, &opts);
+            assert_eq!(r.read.ops, 0, "{}", scen.name());
+        }
     }
 
     #[test]

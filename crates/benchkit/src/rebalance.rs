@@ -1,9 +1,9 @@
 //! The rebalance scenario family: live membership changes under load.
 //!
 //! Each scenario runs a healthy write phase, installs a fault plan at
-//! the phase boundary, then drives the read phase through a world that
-//! maps membership events onto the elastic-pool API of
-//! [`DaosSystem`]:
+//! the phase boundary, then drives the read phase through the shared op
+//! loop ([`crate::driver`]) with hooks that map membership events onto
+//! the elastic-pool API of [`DaosSystem`]:
 //!
 //! * [`FaultAction::AddServer`] → [`DaosSystem::add_server`] (the
 //!   deployment keeps [`SPARE_SERVERS`] unused hardware nodes to grow
@@ -27,10 +27,10 @@
 //! plugs it into the shared [`crate::chaos`] harness.
 
 use crate::chaos::{default_chaos_spec, engine_space, scratch_topology, CaseRun, Family};
-use crate::driver::{run_phase, start_stagger, PhaseResult};
-use crate::faulted::PlanSource;
+use crate::driver::{run_ops, run_phase, PhaseHooks, PhaseResult, WavePump};
+use crate::faulted::{apply_fault, PlanSource, RebuildChain};
 use crate::scenarios::{exec, make_sched, RunSpec};
-use cluster::bench::{Phase, ProcWorkload};
+use cluster::bench::Phase;
 use cluster::{Calibration, ClusterSpec};
 use daos_core::{
     ContainerProps, DaosSystem, DataMode, MigrationProgress, ObjectClass, OracleReport,
@@ -38,8 +38,7 @@ use daos_core::{
 };
 use ior_bench::{AccessOrder, Ior, IorBackend, IorConfig};
 use simkit::{
-    generate, run, ChaosConfig, ChaosSpace, FaultAction, FaultEvent, FaultPlan, OpId, Scheduler,
-    SimTime, Step, World,
+    generate, ChaosConfig, ChaosSpace, FaultAction, FaultEvent, FaultPlan, OpId, Scheduler, SimTime,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -52,10 +51,6 @@ pub const SPARE_SERVERS: usize = 2;
 /// migration from starving foreground traffic (each wave is one
 /// parallel step; the next is emitted only when it completes).
 const WAVE_MOVES: usize = 8;
-
-/// Crash-to-rebuild detection delay, same constant as the faulted
-/// family (RAS propagation + pool-map distribution).
-const REBUILD_DETECT: SimTime = SimTime::from_millis(2);
 
 /// Marker op ids, far above any process index and disjoint from the
 /// faulted family's `1 << 40` block.
@@ -199,37 +194,24 @@ impl Default for RebalanceOpts {
     }
 }
 
-/// What the rebalance driver observed during the churn phase.
-struct RebalanceOutcome {
-    rebuild: Option<RebuildReport>,
-    crash_at: Option<SimTime>,
+/// The rebalance read phase's hooks: the membership state machine
+/// (add/drain → plan → migration waves → finish → repair) and the
+/// crash → detect → rebuild chain.
+struct RebalanceHooks<'a> {
+    daos: &'a RefCell<DaosSystem>,
+    migration: WavePump,
+    rebuild: RebuildChain,
+    /// Shard moves planned across every replanning pass.
     moves_planned: usize,
-    waves: usize,
 }
 
-/// The rebalance-phase world: op chaining plus the membership state
-/// machine (add/drain → plan → waves → finish → repair) and the crash →
-/// detect → rebuild chain.
-struct RebalanceWorld<'a, W: ProcWorkload> {
-    wl: &'a mut W,
-    daos: &'a Rc<RefCell<DaosSystem>>,
-    next_idx: Vec<usize>,
-    inflight: Vec<usize>,
-    ops_per_proc: usize,
-    remaining: usize,
-    last_end: SimTime,
-    /// A wave is in flight; completions (not events) advance migration.
-    migrating: bool,
-    out: RebalanceOutcome,
-}
-
-impl<W: ProcWorkload> RebalanceWorld<'_, W> {
+impl RebalanceHooks<'_> {
     /// Replan after a membership change and start pumping waves unless
     /// one is already in flight (it will pick up the new pending moves).
     fn replan_and_pump(&mut self, sched: &mut Scheduler) {
         let report = self.daos.borrow_mut().rebalance_plan();
-        self.out.moves_planned += report.moves_planned;
-        if !self.migrating {
+        self.moves_planned += report.moves_planned;
+        if self.migration.idle() {
             self.pump(sched);
         }
     }
@@ -239,60 +221,31 @@ impl<W: ProcWorkload> RebalanceWorld<'_, W> {
     /// run one repair rescan so nothing a dropped move left behind
     /// stays unprotected.
     fn pump(&mut self, sched: &mut Scheduler) {
-        let step = self.daos.borrow_mut().migration_wave(WAVE_MOVES);
-        match step {
-            Some(wave) => {
-                self.migrating = true;
-                self.out.waves += 1;
-                sched.submit(wave, OP_WAVE);
-            }
-            None => {
-                self.migrating = false;
-                let movement = {
-                    let mut d = self.daos.borrow_mut();
-                    d.finish_rebalance();
-                    let (_, movement) = d.rebuild();
-                    movement
-                };
-                sched.submit(movement, OP_RETIRE_REPAIR);
-            }
-        }
+        let wave = self.daos.borrow_mut().migration_wave(WAVE_MOVES);
+        let daos = self.daos;
+        self.migration.ship(sched, wave, |sched| {
+            let mut d = daos.borrow_mut();
+            d.finish_rebalance();
+            let (_, movement) = d.rebuild();
+            sched.submit(movement, OP_RETIRE_REPAIR);
+        });
     }
 
     /// Membership/crash events may name a spare server before it has
     /// been added; state changes for ranks outside the current pool are
     /// no-ops.
-    fn rank_exists(&self, t: TargetId) -> bool {
-        (t.server as usize) < self.daos.borrow().server_count()
+    fn rank_exists(&self, server: u16) -> bool {
+        (server as usize) < self.daos.borrow().server_count()
     }
 }
 
-impl<W: ProcWorkload> World for RebalanceWorld<'_, W> {
-    fn on_op_complete(&mut self, op: OpId, sched: &mut Scheduler) {
-        if op == OP_WAVE {
+impl PhaseHooks for RebalanceHooks<'_> {
+    fn on_marker(&mut self, op: OpId, sched: &mut Scheduler) {
+        if self.migration.owns(op) {
             self.pump(sched);
-            return;
-        }
-        if op == OP_RETIRE_REPAIR || op == OP_REBUILD_DONE {
-            return;
-        }
-        if op == OP_REBUILD_TRIGGER {
-            let (report, movement) = self.daos.borrow_mut().rebuild();
-            self.out.rebuild = Some(report);
-            sched.submit(movement, OP_REBUILD_DONE);
-            return;
-        }
-        let proc = op.0 as usize;
-        self.last_end = sched.now();
-        self.inflight[proc] -= 1;
-        let idx = self.next_idx[proc];
-        if idx < self.ops_per_proc {
-            self.next_idx[proc] += 1;
-            self.inflight[proc] += 1;
-            let step = self.wl.op(proc, idx);
-            sched.submit(step, OpId(proc as u64));
-        } else if self.inflight[proc] == 0 {
-            self.remaining -= 1;
+        } else {
+            // the repair rescan's movement needs no follow-up
+            self.rebuild.on_marker(op, sched, self.daos);
         }
     }
 
@@ -304,93 +257,16 @@ impl<W: ProcWorkload> World for RebalanceWorld<'_, W> {
                 self.replan_and_pump(sched);
             }
             FaultAction::DrainServer { server } => {
-                let rank = TargetId {
-                    server: server as u16,
-                    target: 0,
-                };
-                if self.rank_exists(rank) {
+                if self.rank_exists(server as u16) {
                     self.daos.borrow_mut().drain_server(server as u16);
                     self.replan_and_pump(sched);
                 }
             }
-            FaultAction::TargetCrash(payload) => {
-                let t = TargetId::unpack(payload);
-                if self.rank_exists(t) {
-                    self.daos.borrow_mut().crash_target(t);
-                    if self.out.crash_at.is_none() {
-                        self.out.crash_at = Some(sched.now());
-                        sched.submit(Step::delay(REBUILD_DETECT), OP_REBUILD_TRIGGER);
-                    }
-                }
-            }
-            FaultAction::TargetRestart(payload) => {
-                let t = TargetId::unpack(payload);
-                if self.rank_exists(t) {
-                    self.daos.borrow_mut().restart_target(t);
-                }
-            }
-            FaultAction::DelayedCompletion { payload, extra_ns } => {
-                self.daos
-                    .borrow_mut()
-                    .set_extra_delay(payload as u16, extra_ns);
-            }
-            FaultAction::BitRot { locus, shard } => {
-                // silent: only a verified read (or the faulted family's
-                // scrubber) will find the damage
-                self.daos.borrow_mut().apply_bit_rot(locus, shard);
-            }
-            // capacity scaling is applied by the engine before dispatch
-            FaultAction::SlowDisk { .. } | FaultAction::NicBrownout { .. } => {}
+            FaultAction::TargetCrash(payload) | FaultAction::TargetRestart(payload)
+                if !self.rank_exists(TargetId::unpack(payload).server) => {}
+            _ => apply_fault(self.daos, &mut self.rebuild, event, sched),
         }
     }
-}
-
-/// Like the faulted family's phase runner, with the rebalance world.
-fn run_rebalance_phase<W: ProcWorkload>(
-    sched: &mut Scheduler,
-    wl: &mut W,
-    daos: &Rc<RefCell<DaosSystem>>,
-) -> (PhaseResult, RebalanceOutcome) {
-    let procs = wl.procs();
-    let ops_per_proc = wl.ops_per_proc();
-    let t0 = sched.now();
-    let qd = wl.queue_depth().max(1);
-    let initial = qd.min(ops_per_proc);
-    let mut world = RebalanceWorld {
-        wl,
-        daos,
-        next_idx: vec![initial; procs],
-        inflight: vec![initial; procs],
-        ops_per_proc,
-        remaining: procs,
-        last_end: t0,
-        migrating: false,
-        out: RebalanceOutcome {
-            rebuild: None,
-            crash_at: None,
-            moves_planned: 0,
-            waves: 0,
-        },
-    };
-    for p in 0..procs {
-        let stagger = start_stagger(p);
-        for i in 0..initial {
-            let step = world.wl.op(p, i);
-            sched.submit_after(stagger, step, OpId(p as u64));
-        }
-    }
-    run(sched, &mut world);
-    assert_eq!(world.remaining, 0, "all processes finished");
-    let t_end = world.last_end;
-    let total_ops = procs * ops_per_proc;
-    (
-        PhaseResult {
-            bytes: total_ops as f64 * world.wl.bytes_per_op(),
-            seconds: t_end.secs_since(t0),
-            ops: total_ops,
-        },
-        world.out,
-    )
 }
 
 /// The builtin schedule: one server add and one server drain early in
@@ -470,7 +346,14 @@ pub fn run_rebalance_with(
     };
     sched.install_faults(plan);
     ior.set_phase(Phase::Read);
-    let (read, out) = run_rebalance_phase(&mut sched, &mut ior, &daos);
+    // no setup barrier: IOR's read phase reuses the write phase's objects
+    let mut hooks = RebalanceHooks {
+        daos: &daos,
+        migration: WavePump::new(OP_WAVE),
+        rebuild: RebuildChain::new(OP_REBUILD_TRIGGER, OP_REBUILD_DONE),
+        moves_planned: 0,
+    };
+    let read = run_ops(&mut sched, &mut ior, &mut hooks);
 
     let oracles = opts.oracles.then(|| {
         let mut d = daos.borrow_mut();
@@ -485,7 +368,7 @@ pub fn run_rebalance_with(
         // migration engine's progress at quiescence
         let at = sched.now();
         ior.retry_stats().publish(sched.telemetry_mut(), at);
-        if let Some(rb) = &out.rebuild {
+        if let Some(rb) = &hooks.rebuild.report {
             rb.publish(sched.telemetry_mut(), at);
         }
         d.migration_progress().publish(sched.telemetry_mut(), at);
@@ -504,9 +387,9 @@ pub fn run_rebalance_with(
         read,
         retry: ior.retry_stats(),
         unavailable_reads: ior.unavailable_reads(),
-        rebuild: out.rebuild,
-        moves_planned: out.moves_planned,
-        waves: out.waves,
+        rebuild: hooks.rebuild.report,
+        moves_planned: hooks.moves_planned,
+        waves: hooks.migration.waves,
         migration: d.migration_progress(),
         map_version: d.pool().version(),
         oracles,
@@ -540,7 +423,7 @@ impl Family for RebalanceFamily {
         generate(&rebalance_space(spec, cal), &ChaosConfig::default(), seed)
     }
 
-    /// The rebalance world records no spans.
+    /// The rebalance family records no spans.
     fn traces(_: RebalanceScenario) -> bool {
         false
     }

@@ -37,18 +37,15 @@ impl RebuildReport {
     /// planning-level facts — shards lost, logical bytes re-protected —
     /// that spans cannot express.  No-op on a disabled registry.
     pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.rebuild.objects_scanned", self.objects_scanned as u64),
-            ("daos.rebuild.shards_rebuilt", self.shards_rebuilt as u64),
-            ("daos.rebuild.bytes_moved", self.bytes_moved as u64),
-            ("daos.rebuild.shards_lost", self.shards_lost as u64),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
+        tel.add_counters(
+            at,
+            [
+                ("daos.rebuild.objects_scanned", self.objects_scanned as u64),
+                ("daos.rebuild.shards_rebuilt", self.shards_rebuilt as u64),
+                ("daos.rebuild.bytes_moved", self.bytes_moved as u64),
+                ("daos.rebuild.shards_lost", self.shards_lost as u64),
+            ],
+        );
     }
 }
 

@@ -129,19 +129,16 @@ impl RetryStats {
     /// never surface as spans — in the same registry the run report and
     /// SLO rules read.  No-op on a disabled registry.
     pub fn publish(&self, tel: &mut Telemetry, at: SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.retry.attempts", self.attempts),
-            ("daos.retry.retries", self.retries),
-            ("daos.retry.timeouts", self.timeouts),
-            ("daos.retry.circuit_opens", self.circuit_opens),
-            ("daos.retry.gave_up", self.gave_up),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
+        tel.add_counters(
+            at,
+            [
+                ("daos.retry.attempts", self.attempts),
+                ("daos.retry.retries", self.retries),
+                ("daos.retry.timeouts", self.timeouts),
+                ("daos.retry.circuit_opens", self.circuit_opens),
+                ("daos.retry.gave_up", self.gave_up),
+            ],
+        );
     }
 }
 

@@ -94,6 +94,22 @@ struct MovePlan {
     write_bytes: f64,
 }
 
+/// Logical bytes one member of one of `entry`'s redundancy groups holds:
+/// the group's share of the object (KV objects sized at 512 bytes per
+/// key), split over the data cells for erasure-coded classes.  Both the
+/// rebuild and the rebalance planner move shards of this size.
+fn member_bytes(entry: &ObjectEntry) -> f64 {
+    let obj_bytes = match &entry.data {
+        ObjData::Array(a) => a.size() as f64,
+        ObjData::Kv(kv) => kv.len() as f64 * 512.0,
+    };
+    let group_share = obj_bytes / entry.layout.group_count().max(1) as f64;
+    match entry.layout.class {
+        ObjectClass::ErasureCoded { k, .. } => group_share / k as f64,
+        _ => group_share,
+    }
+}
+
 /// The background data-migration engine's bookkeeping: planned moves not
 /// yet shipped, plus progress counters.  Lives inside [`DaosSystem`] and
 /// is therefore replay-visible simulation state: waves pop moves in key
@@ -129,17 +145,14 @@ impl MigrationProgress {
     /// shipped-byte bookkeeping only the migration engine knows.  No-op
     /// on a disabled registry.
     pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.migration.moves_done", self.moves_done as u64),
-            ("daos.migration.moves_dropped", self.moves_dropped as u64),
-            ("daos.migration.moved_bytes", self.moved_bytes as u64),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
+        tel.add_counters(
+            at,
+            [
+                ("daos.migration.moves_done", self.moves_done as u64),
+                ("daos.migration.moves_dropped", self.moves_dropped as u64),
+                ("daos.migration.moved_bytes", self.moved_bytes as u64),
+            ],
+        );
     }
 }
 
@@ -229,20 +242,17 @@ impl CsumStats {
     /// `daos.csum.*` counters recorded at `at`.  No-op on a disabled
     /// registry.
     pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.csum.verified", self.verified),
-            ("daos.csum.detected", self.detected),
-            ("daos.csum.repaired", self.repaired),
-            ("daos.csum.repaired_bytes", self.repaired_bytes),
-            ("daos.csum.unrepairable", self.unrepairable),
-            ("daos.csum.served_corrupt", self.served_corrupt),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
+        tel.add_counters(
+            at,
+            [
+                ("daos.csum.verified", self.verified),
+                ("daos.csum.detected", self.detected),
+                ("daos.csum.repaired", self.repaired),
+                ("daos.csum.repaired_bytes", self.repaired_bytes),
+                ("daos.csum.unrepairable", self.unrepairable),
+                ("daos.csum.served_corrupt", self.served_corrupt),
+            ],
+        );
     }
 }
 
@@ -271,21 +281,18 @@ impl ScrubReport {
     /// `daos.scrub.*` counters recorded at `at`.  No-op on a disabled
     /// registry.
     pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.scrub.units_scanned", self.units_scanned),
-            ("daos.scrub.bytes_scanned", self.bytes_scanned),
-            ("daos.scrub.detected", self.detected),
-            ("daos.scrub.repaired", self.repaired),
-            ("daos.scrub.unrepairable", self.unrepairable),
-            ("daos.scrub.waves", self.waves),
-            ("daos.scrub.passes", self.passes),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
+        tel.add_counters(
+            at,
+            [
+                ("daos.scrub.units_scanned", self.units_scanned),
+                ("daos.scrub.bytes_scanned", self.bytes_scanned),
+                ("daos.scrub.detected", self.detected),
+                ("daos.scrub.repaired", self.repaired),
+                ("daos.scrub.unrepairable", self.unrepairable),
+                ("daos.scrub.waves", self.waves),
+                ("daos.scrub.passes", self.passes),
+            ],
+        );
     }
 }
 
@@ -2053,26 +2060,14 @@ impl DaosSystem {
     pub fn rebuild(&mut self) -> (RebuildReport, Step) {
         let pool = self.pool.clone();
         let mut report = RebuildReport::default();
-        let mut moves: Vec<Step> = Vec::new();
         // collect the per-shard plans first (borrow juggling: layout
         // edits happen in the same pass, costs are built after)
-        struct Plan {
-            sources: Vec<TargetId>,
-            read_each: f64,
-            dst: TargetId,
-            write_bytes: f64,
-        }
-        let mut plans: Vec<Plan> = Vec::new();
+        let mut plans: Vec<MovePlan> = Vec::new();
         for cont in self.containers.iter_mut().flatten() {
             for entry in cont.objects.values_mut() {
                 report.objects_scanned += 1;
                 let class = entry.layout.class;
-                let ngroups = entry.layout.group_count().max(1);
-                let obj_bytes = match &entry.data {
-                    ObjData::Array(a) => a.size() as f64,
-                    ObjData::Kv(kv) => kv.len() as f64 * 512.0,
-                };
-                let group_share = obj_bytes / ngroups as f64;
+                let member = member_bytes(entry);
                 for group in entry.layout.groups_mut() {
                     for m in 0..group.len() {
                         let t = group[m];
@@ -2087,16 +2082,13 @@ impl DaosSystem {
                             .copied()
                             .filter(|&x| pool.is_servable(x))
                             .collect();
-                        let (needed, write_bytes, read_each) = match class {
+                        let needed = match class {
                             ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
                                 report.shards_lost += 1;
                                 continue;
                             }
-                            ObjectClass::Replicated { .. } => (1usize, group_share, group_share),
-                            ObjectClass::ErasureCoded { k, .. } => {
-                                let k = k as usize;
-                                (k, group_share / k as f64, group_share / k as f64)
-                            }
+                            ObjectClass::Replicated { .. } => 1,
+                            ObjectClass::ErasureCoded { k, .. } => k as usize,
                         };
                         if survivors.len() < needed {
                             report.shards_lost += 1;
@@ -2108,27 +2100,23 @@ impl DaosSystem {
                         };
                         group[m] = dst;
                         report.shards_rebuilt += 1;
-                        report.bytes_moved += write_bytes;
-                        if write_bytes > 0.0 {
-                            plans.push(Plan {
+                        report.bytes_moved += member;
+                        if member > 0.0 {
+                            plans.push(MovePlan {
                                 sources: survivors[..needed].to_vec(),
-                                read_each,
+                                read_each: member,
                                 dst,
-                                write_bytes,
+                                write_bytes: member,
                             });
                         }
                     }
                 }
             }
         }
-        for plan in plans {
-            moves.push(self.rebuild_move(
-                &plan.sources,
-                plan.read_each,
-                plan.dst,
-                plan.write_bytes,
-            ));
-        }
+        let moves: Vec<Step> = plans
+            .into_iter()
+            .map(|p| self.rebuild_move(&p.sources, p.read_each, p.dst, p.write_bytes))
+            .collect();
         // throttle the background traffic into waves so a mass rebuild
         // does not model as one infinitely-wide burst
         let moved = report.bytes_moved as u64;
@@ -2265,19 +2253,7 @@ impl DaosSystem {
             let cid = cont.id;
             for (oid, entry) in cont.objects.iter_mut() {
                 report.objects_scanned += 1;
-                let class = entry.layout.class;
-                let ngroups = entry.layout.group_count().max(1);
-                let obj_bytes = match &entry.data {
-                    ObjData::Array(a) => a.size() as f64,
-                    ObjData::Kv(kv) => kv.len() as f64 * 512.0,
-                };
-                let group_share = obj_bytes / ngroups as f64;
-                let member_bytes = match class {
-                    ObjectClass::Sharded(_)
-                    | ObjectClass::ShardedMax
-                    | ObjectClass::Replicated { .. } => group_share,
-                    ObjectClass::ErasureCoded { k, .. } => group_share / k as f64,
-                };
+                let member_bytes = member_bytes(entry);
                 for (g, group) in entry.layout.groups_mut().enumerate() {
                     for m in 0..group.len() {
                         let from = group[m];

@@ -170,6 +170,23 @@ impl Telemetry {
         m.value += delta;
     }
 
+    /// Add every `(name, value)` pair to its counter at sim time `at`,
+    /// in order: how a storage layer publishes the totals it keeps
+    /// outside the registry.  No-op (and no interning) when disabled.
+    pub fn add_counters<'a>(
+        &mut self,
+        at: SimTime,
+        counters: impl IntoIterator<Item = (&'a str, u64)>,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        for (name, value) in counters {
+            let id = self.counter(name);
+            self.counter_add(id, at, value);
+        }
+    }
+
     /// Set gauge `id` to `value` at sim time `at`.  Windows crossed
     /// since the previous update are filled with the carried level, so
     /// the per-window maxima are exact.
