@@ -5,10 +5,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use daos_core::{ErasureCode, ObjectClass, OidAllocator, PoolMap};
 use simkit::fairshare::FairShare;
 use simkit::units::{GB, MB};
-use simkit::{Rate, ResourceId, SplitMix64};
+use simkit::{Path, Rate, ResourceId, SplitMix64};
 
-/// Progressive filling over a 16-server-deployment-sized snapshot:
-/// ~1000 flows with 5-resource paths over ~800 resources.
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
     let mut g = c.benchmark_group("micro");
     g.warm_up_time(std::time::Duration::from_millis(300));
@@ -17,26 +15,42 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
     g
 }
 
+/// One engine re-solve step on a 16-server-deployment-sized flow set:
+/// ~1000 live flows with 5-resource paths over ~800 resources, of which
+/// `CHURN` finish and `CHURN` new ones start (reusing the freed keys
+/// last-in first-out, as the engine's slab does) before the solve.
 fn bench_fairshare(c: &mut Criterion) {
-    let n_res = 800usize;
+    const FLOWS: u32 = 1000;
+    const CHURN: usize = 5;
+    let n_res = 800u64;
     let caps: Vec<Rate> = (0..n_res).map(|i| Rate(GB + (i as f64) * MB)).collect();
-    let mut rng = SplitMix64::new(42);
-    let flows: Vec<Vec<ResourceId>> = (0..1000)
-        .map(|_| {
-            (0..5)
-                .map(|_| ResourceId(rng.next_below(n_res as u64) as u32))
-                .collect()
-        })
-        .collect();
     let mut group = quick(c);
     for (name, tol) in [("fairshare_exact", 0.0), ("fairshare_banded_2pct", 0.02)] {
         group.bench_function(name, |b| {
+            let mut rng = SplitMix64::new(42);
+            let mut path = move || {
+                Path::new::<5>(std::array::from_fn(|_| {
+                    ResourceId(rng.next_below(n_res) as u32)
+                }))
+            };
             let mut fs = FairShare::new();
             fs.set_tolerance(tol);
+            for key in 0..FLOWS {
+                fs.add(key, path());
+            }
+            let mut pick = SplitMix64::new(7);
+            let mut freed = Vec::with_capacity(CHURN);
             b.iter(|| {
-                fs.begin(n_res);
-                for (i, path) in flows.iter().enumerate() {
-                    fs.add_flow(i as u32, path);
+                freed.clear();
+                while freed.len() < CHURN {
+                    let key = pick.next_below(FLOWS as u64) as u32;
+                    if !freed.contains(&key) {
+                        fs.remove(key);
+                        freed.push(key);
+                    }
+                }
+                while let Some(key) = freed.pop() {
+                    fs.add(key, path());
                 }
                 fs.solve(&caps)
             });

@@ -197,7 +197,10 @@ fn run_swarm_target(cal: &Calibration, out: &Path, family: Option<&str>, seeds: 
     let seed_block: Vec<u64> = (0..seeds).collect();
     let spec = (family.default_spec)();
     println!("--- {} family ({seeds} seeds)", family.name);
-    let report = (family.swarm)(&spec, cal, &seed_block);
+    let report = (family.swarm)(&spec, cal, &seed_block).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     print!("{}", report.render());
     if family.name == IntegrityFamily::NAME {
         let json = render_integrity_json(&report.verdicts);

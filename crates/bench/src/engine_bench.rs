@@ -23,11 +23,16 @@ pub const BENCH_OPS: u64 = 2048;
 /// that the timer heap and flow slab stay realistic.
 const WINDOW: u64 = 64;
 
+/// In-flight op window of the `wide` family: about as many live flows
+/// as a Fig 1 bulk run keeps (~1000), the regime where every re-solve
+/// covers a large flow set and only a handful of flows turn over.
+const WIDE_WINDOW: u64 = 1024;
+
 /// Resources in the bench topology.
 const RESOURCES: usize = 32;
 
 /// The scenario families, in report order.
-pub const FAMILIES: &[&str] = &["fanout", "chain", "timer", "mixed"];
+pub const FAMILIES: &[&str] = &["fanout", "chain", "timer", "mixed", "wide"];
 
 /// Iterations of the calibration spin per timing probe.
 pub const CALIBRATION_ITERS: u64 = 1 << 22;
@@ -63,6 +68,7 @@ enum Kind {
     Chain,
     Timer,
     Mixed,
+    Wide,
 }
 
 struct Driver {
@@ -83,7 +89,7 @@ impl Driver {
 
     fn make_step(&mut self) -> Step {
         let kind = match self.kind {
-            Kind::Fanout => 0,
+            Kind::Fanout | Kind::Wide => 0,
             Kind::Chain => 1,
             Kind::Timer => 2,
             Kind::Mixed => self.rng.next_below(3),
@@ -145,12 +151,18 @@ pub fn run_family(name: &str, ops: u64) -> FamilyResult {
         "chain" => (Kind::Chain, 0x5eed_0002, FAMILIES[1]),
         "timer" => (Kind::Timer, 0x5eed_0003, FAMILIES[2]),
         "mixed" => (Kind::Mixed, 0x5eed_0004, FAMILIES[3]),
+        "wide" => (Kind::Wide, 0x5eed_0005, FAMILIES[4]),
         other => panic!("unknown engine bench family `{other}`"),
     };
     let mut sched = Scheduler::new();
     let resources: Vec<ResourceId> = (0..RESOURCES)
         .map(|i| sched.add_resource(format!("r{i}"), GB + i as f64 * 10.0 * MB))
         .collect();
+    let window = match kind {
+        Kind::Wide => WIDE_WINDOW,
+        _ => WINDOW,
+    }
+    .min(ops);
     let mut driver = Driver {
         rng: SplitMix64::new(seed),
         kind,
@@ -159,7 +171,6 @@ pub fn run_family(name: &str, ops: u64) -> FamilyResult {
         completed: 0,
         next_id: 0,
     };
-    let window = WINDOW.min(ops);
     for _ in 0..window {
         driver.remaining -= 1;
         driver.submit_one(&mut sched);

@@ -32,7 +32,7 @@
 //! Scenario names are unique across the families, so an archive's
 //! `scenario` field names its family too.
 
-use crate::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
+use crate::faulted::{try_run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
 use crate::integrity::IntegrityFamily;
 use crate::rebalance::RebalanceFamily;
 use crate::report::{save_trace, slug};
@@ -134,14 +134,15 @@ pub trait Family {
     /// The schedule `seed` picks for `scen`.
     fn seed_plan(spec: &RunSpec, cal: &Calibration, scen: Self::Scenario, seed: u64) -> FaultPlan;
     /// One run of `scen` under `plan` from fresh state, span-traced when
-    /// `traced` (an observer: the digest must not change).
+    /// `traced` (an observer: the digest must not change).  Fails when
+    /// the plan does not install on the scenario's deployment.
     fn run_under(
         spec: &RunSpec,
         scen: Self::Scenario,
         cal: &Calibration,
         plan: &FaultPlan,
         traced: bool,
-    ) -> CaseRun;
+    ) -> Result<CaseRun, String>;
     /// Whether [`Family::run_under`] records spans for `scen`.
     fn traces(_scen: Self::Scenario) -> bool {
         true
@@ -179,7 +180,7 @@ impl Family for FaultedFamily {
         cal: &Calibration,
         plan: &FaultPlan,
         traced: bool,
-    ) -> CaseRun {
+    ) -> Result<CaseRun, String> {
         let opts = FaultedOpts {
             plan: PlanSource::Fixed(plan.clone()),
             mode: DataMode::Full,
@@ -187,13 +188,13 @@ impl Family for FaultedFamily {
             traced,
             ..FaultedOpts::default()
         };
-        let (report, exports) = run_faulted_with(spec, scen, cal, &opts);
-        CaseRun {
+        let (report, exports) = try_run_faulted_with(spec, scen, cal, &opts)?;
+        Ok(CaseRun {
             oracle: report.oracles.unwrap_or_default(),
             digest: report.digest,
             exports,
             ..CaseRun::default()
-        }
+        })
     }
 }
 
@@ -232,15 +233,15 @@ impl Family for EngineFamily {
         cal: &Calibration,
         plan: &FaultPlan,
         _traced: bool,
-    ) -> CaseRun {
-        let (_, digest) = run_scenario_chaos(spec, scen, cal, plan);
+    ) -> Result<CaseRun, String> {
+        let (_, digest) = run_scenario_chaos(spec, scen, cal, plan)?;
         let mut oracle = OracleReport::default();
         oracle.checked_groups += 1;
-        CaseRun {
+        Ok(CaseRun {
             oracle,
             digest,
             ..CaseRun::default()
-        }
+        })
     }
 }
 
@@ -297,17 +298,17 @@ impl ChaosVerdict {
 
 /// Run one case under an explicit schedule: twice from fresh state,
 /// with a determinism check folded over the two digests, judged by
-/// [`Family::case_ok`].
+/// [`Family::case_ok`].  Fails when the plan does not install.
 pub fn run_case<F: Family>(
     spec: &RunSpec,
     scen: F::Scenario,
     cal: &Calibration,
     seed: u64,
     plan: FaultPlan,
-) -> ChaosVerdict {
-    let first = F::run_under(spec, scen, cal, &plan, false);
-    let rerun = F::run_under(spec, scen, cal, &plan, false).digest;
-    judge::<F>(scen, seed, plan, first, Some(rerun))
+) -> Result<ChaosVerdict, String> {
+    let first = F::run_under(spec, scen, cal, &plan, false)?;
+    let rerun = F::run_under(spec, scen, cal, &plan, false)?.digest;
+    Ok(judge::<F>(scen, seed, plan, first, Some(rerun)))
 }
 
 /// The verdict on `run`: a determinism violation when the digest of a
@@ -351,7 +352,7 @@ pub fn run_seed<F: Family>(
     scen: F::Scenario,
     cal: &Calibration,
     seed: u64,
-) -> ChaosVerdict {
+) -> Result<ChaosVerdict, String> {
     run_case::<F>(spec, scen, cal, seed, F::seed_plan(spec, cal, scen, seed))
 }
 
@@ -390,8 +391,12 @@ impl SwarmReport {
 }
 
 /// Swarm a family: every scenario in [`Family::SWARM`] under every seed
-/// in `seeds`.
-pub fn swarm<F: Family>(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
+/// in `seeds`.  Fails on the first seed whose plan does not install.
+pub fn swarm<F: Family>(
+    spec: &RunSpec,
+    cal: &Calibration,
+    seeds: &[u64],
+) -> Result<SwarmReport, String> {
     let verdicts = seeds
         .iter()
         .flat_map(|&seed| {
@@ -399,14 +404,14 @@ pub fn swarm<F: Family>(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> Swa
                 .iter()
                 .map(move |&scen| run_seed::<F>(spec, scen, cal, seed))
         })
-        .collect();
-    SwarmReport { verdicts }
+        .collect::<Result<_, _>>()?;
+    Ok(SwarmReport { verdicts })
 }
 
 /// Shrink a failing schedule to a minimal reproducer: a candidate
-/// subset "fails" when its case is not green.  Probes run once (no
-/// determinism rerun); re-establish the final verdict with
-/// [`run_case`].
+/// subset "fails" when its case is not green or it does not install.
+/// Probes run once (no determinism rerun); re-establish the final
+/// verdict with [`run_case`].
 pub fn shrink_case<F: Family>(
     spec: &RunSpec,
     scen: F::Scenario,
@@ -415,8 +420,9 @@ pub fn shrink_case<F: Family>(
     plan: &FaultPlan,
 ) -> ShrinkOutcome {
     shrink(plan, |candidate| {
-        let run = F::run_under(spec, scen, cal, candidate, false);
-        !judge::<F>(scen, seed, candidate.clone(), run, None).passed()
+        F::run_under(spec, scen, cal, candidate, false).map_or(true, |run| {
+            !judge::<F>(scen, seed, candidate.clone(), run, None).passed()
+        })
     })
 }
 
@@ -503,12 +509,12 @@ pub struct FamilyOps {
     /// [`Family::default_spec`].
     pub default_spec: fn() -> RunSpec,
     /// [`swarm`] over this family.
-    pub swarm: fn(&RunSpec, &Calibration, &[u64]) -> SwarmReport,
+    pub swarm: fn(&RunSpec, &Calibration, &[u64]) -> Result<SwarmReport, String>,
     /// [`archive_case`] a failing case of this family.
     pub archive: fn(&ChaosVerdict, &RunSpec, &Calibration, &Path) -> std::io::Result<Archive>,
     /// Every scenario name in [`Family::ALL`].
     pub scenario_names: fn() -> Vec<&'static str>,
-    replay: fn(&ArchivedSchedule, &Calibration) -> Option<ChaosVerdict>,
+    replay: fn(&ArchivedSchedule, &Calibration) -> Option<Result<ChaosVerdict, String>>,
 }
 
 const fn ops<F: Family>() -> FamilyOps {
@@ -560,11 +566,12 @@ fn find_scenario<F: Family>(scenario: &str) -> Option<F::Scenario> {
 
 /// Rerun an archived schedule byte-for-byte: resolve the scenario by
 /// name in whichever family holds it and replay the stored plan at the
-/// stored deployment shape.
+/// stored deployment shape.  Fails on an unknown scenario or a plan
+/// that does not install.
 pub fn replay(arch: &ArchivedSchedule, cal: &Calibration) -> Result<ChaosVerdict, String> {
     family_of(&arch.scenario)
         .and_then(|f| (f.replay)(arch, cal))
-        .ok_or_else(|| format!("unknown scenario {:?}", arch.scenario))
+        .ok_or_else(|| format!("unknown scenario {:?}", arch.scenario))?
 }
 
 /// What [`archive_case`] wrote for a failing case.
@@ -599,8 +606,9 @@ pub fn archive_case<F: Family>(
     std::fs::create_dir_all(out)?;
     std::fs::write(&path, schedule_json(v.scenario, v.seed, spec, &v.plan))?;
     if let Some(exports) = F::traces(scen)
-        .then(|| F::run_under(spec, scen, cal, &v.plan, true).exports)
+        .then(|| F::run_under(spec, scen, cal, &v.plan, true).ok())
         .flatten()
+        .and_then(|run| run.exports)
     {
         if let Err(e) = save_trace(&exports, out, &stem) {
             eprintln!("warning: could not save the {stem} trace: {e}");
@@ -632,13 +640,13 @@ mod tests {
     fn chaos_case_is_deterministic_and_green() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let a = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
+        let a = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 7).unwrap();
         assert!(a.passed(), "seed 7 must be green:\n{}", a.oracle.render());
-        let b = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
+        let b = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 7).unwrap();
         assert_eq!(a.digest, b.digest, "same seed, same case digest");
         assert_eq!(a.plan.to_json(), b.plan.to_json());
         // different seed, different schedule
-        let c = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 8);
+        let c = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorEasyRp2, &cal, 8).unwrap();
         assert_ne!(a.plan.to_json(), c.plan.to_json());
     }
 
@@ -647,12 +655,12 @@ mod tests {
         let mut spec = RunSpec::new(2, 1, 2);
         spec.ops_per_proc = 8;
         let cal = Calibration::default();
-        let v = run_seed::<EngineFamily>(&spec, Scenario::IorDaos, &cal, 11);
+        let v = run_seed::<EngineFamily>(&spec, Scenario::IorDaos, &cal, 11).unwrap();
         assert!(v.passed(), "{}", v.oracle.render());
         assert!(!v.plan.is_empty(), "engine space must sample something");
         // a failure of the determinism check alone is archived unshrunk:
         // the shrinker's single runs never diverge
-        let run = EngineFamily::run_under(&spec, Scenario::IorDaos, &cal, &v.plan, false);
+        let run = EngineFamily::run_under(&spec, Scenario::IorDaos, &cal, &v.plan, false).unwrap();
         let diverged = judge::<EngineFamily>(Scenario::IorDaos, 11, v.plan, run, Some(!v.digest));
         assert!(!diverged.passed());
         let out = std::env::temp_dir().join(format!("chaos-unit-{}", std::process::id()));

@@ -472,16 +472,32 @@ fn run_faulted_inner(
     run_faulted_with(spec, scen, cal, &opts)
 }
 
-/// Execute one faulted scenario under explicit [`FaultedOpts`]: the
-/// general entry point behind [`run_faulted`], the chaos swarm and the
-/// shrinker's replay oracle.
-// simlint::digest_root — chaos/faulted replay digest entry
+/// Execute one faulted scenario under explicit [`FaultedOpts`] whose
+/// plan is known to install: the built-in plans, and plans drawn from
+/// [`crate::chaos::chaos_space`].  Panics on a [`PlanSource::Fixed`]
+/// plan naming a resource the deployment does not register; run such
+/// plans through [`try_run_faulted_with`].
 pub fn run_faulted_with(
     spec: &RunSpec,
     scen: FaultedScenario,
     cal: &Calibration,
     opts: &FaultedOpts,
 ) -> (FaultedReport, Option<crate::tracing::SpanExports>) {
+    try_run_faulted_with(spec, scen, cal, opts)
+        .expect("built-in and chaos-space plans name registered resources")
+}
+
+/// Execute one faulted scenario under explicit [`FaultedOpts`]: the
+/// general entry point behind [`run_faulted`], the chaos swarm and the
+/// shrinker's replay oracle.  Fails, before the read phase, when the
+/// plan does not install (see [`simkit::Scheduler::install_faults`]).
+// simlint::digest_root — chaos/faulted replay digest entry
+pub fn try_run_faulted_with(
+    spec: &RunSpec,
+    scen: FaultedScenario,
+    cal: &Calibration,
+    opts: &FaultedOpts,
+) -> Result<(FaultedReport, Option<crate::tracing::SpanExports>), String> {
     let mut sched = make_sched(spec, false);
     if opts.traced {
         sched.enable_spans();
@@ -534,7 +550,7 @@ pub fn run_faulted_with(
             let mut ior = Ior::new(cfg, backend);
             ior.set_retry_policy(RetryPolicy::default(), spec.seed);
             let write = run_phase(&mut sched, &mut ior);
-            sched.install_faults(plan_for(sched.now()));
+            sched.install_faults(plan_for(sched.now()))?;
             ior.set_phase(Phase::Read);
             setup_barrier(&mut sched, &mut ior);
             let read = run_ops(&mut sched, &mut ior, &mut hooks);
@@ -556,7 +572,7 @@ pub fn run_faulted_with(
                 spec.transfer,
             );
             let write = run_phase(&mut sched, &mut wl);
-            sched.install_faults(plan_for(sched.now()));
+            sched.install_faults(plan_for(sched.now()))?;
             wl.phase = Phase::Read;
             setup_barrier(&mut sched, &mut wl);
             let read = run_ops(&mut sched, &mut wl, &mut hooks);
@@ -605,7 +621,7 @@ pub fn run_faulted_with(
     let exports = opts
         .traced
         .then(|| crate::tracing::SpanExports::collect(&sched));
-    (
+    Ok((
         FaultedReport {
             scenario: scen,
             write,
@@ -620,7 +636,7 @@ pub fn run_faulted_with(
             digest: sched.digest(),
         },
         exports,
-    )
+    ))
 }
 
 /// Render faulted reports as a JSON array (hand-rolled: stable field
@@ -779,7 +795,7 @@ mod tests {
         }
         for scen in crate::rebalance::RebalanceScenario::ALL {
             let opts = crate::rebalance::RebalanceOpts::default();
-            let r = crate::rebalance::run_rebalance_with(&spec, scen, &cal, &opts);
+            let r = crate::rebalance::run_rebalance_with(&spec, scen, &cal, &opts).unwrap();
             assert_eq!(r.read.ops, 0, "{}", scen.name());
         }
     }

@@ -26,7 +26,7 @@
 //! harness, judged by [`integrity_case_ok`].
 
 use crate::chaos::{default_chaos_spec, CaseRun, ChaosVerdict, Family};
-use crate::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
+use crate::faulted::{try_run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
 use crate::rebalance::{run_rebalance_with, RebalanceOpts, RebalanceScenario};
 use crate::scenarios::RunSpec;
 use cluster::Calibration;
@@ -161,7 +161,7 @@ impl Family for IntegrityFamily {
         cal: &Calibration,
         plan: &FaultPlan,
         traced: bool,
-    ) -> CaseRun {
+    ) -> Result<CaseRun, String> {
         if scen == IntegrityScenario::RotUnderRebalance {
             let opts = RebalanceOpts {
                 plan: PlanSource::Fixed(plan.clone()),
@@ -169,13 +169,13 @@ impl Family for IntegrityFamily {
                 oracles: true,
                 ..RebalanceOpts::default()
             };
-            let report = run_rebalance_with(spec, RebalanceScenario::IorEasyRp2, cal, &opts);
-            return CaseRun {
+            let report = run_rebalance_with(spec, RebalanceScenario::IorEasyRp2, cal, &opts)?;
+            return Ok(CaseRun {
                 oracle: report.oracles.unwrap_or_default(),
                 digest: report.digest,
                 csum: Some(report.csum),
                 ..CaseRun::default()
-            };
+            });
         }
         let opts = FaultedOpts {
             plan: PlanSource::Fixed(plan.clone()),
@@ -186,14 +186,15 @@ impl Family for IntegrityFamily {
             tolerate_unavailable: scen == IntegrityScenario::RotBeyondRedundancy,
             ..FaultedOpts::default()
         };
-        let (report, exports) = run_faulted_with(spec, FaultedScenario::IorEasyRp2, cal, &opts);
-        CaseRun {
+        let (report, exports) =
+            try_run_faulted_with(spec, FaultedScenario::IorEasyRp2, cal, &opts)?;
+        Ok(CaseRun {
             oracle: report.oracles.unwrap_or_default(),
             digest: report.digest,
             csum: Some(report.csum),
             scrub: report.scrub,
             exports,
-        }
+        })
     }
 
     fn case_ok(scen: IntegrityScenario, v: &ChaosVerdict) -> bool {
@@ -276,7 +277,8 @@ mod tests {
             IntegrityScenario::ScrubReadRace,
             &Calibration::default(),
             3,
-        );
+        )
+        .unwrap();
         assert!(v.passed(), "{}", v.render_line());
         let csum = v.csum.expect("integrity cases report checksums");
         assert!(csum.detected >= 1, "planted rot went undetected");
@@ -293,7 +295,7 @@ mod tests {
         let spec = tiny_spec();
         let cal = Calibration::default();
         let scen = IntegrityScenario::RotBeyondRedundancy;
-        let v = run_seed::<IntegrityFamily>(&spec, scen, &cal, 5);
+        let v = run_seed::<IntegrityFamily>(&spec, scen, &cal, 5).unwrap();
         assert!(v.passed(), "loud corruption expected:\n{}", v.render_line());
         assert!(!v.oracle.ok(), "the oracle must scream");
         assert_eq!(
@@ -303,7 +305,9 @@ mod tests {
         );
         // the two-event plan is already minimal: ddmin keeps both rots
         let outcome = simkit::shrink(&v.plan, |candidate| {
-            let oracle = IntegrityFamily::run_under(&spec, scen, &cal, candidate, false).oracle;
+            let oracle = IntegrityFamily::run_under(&spec, scen, &cal, candidate, false)
+                .unwrap()
+                .oracle;
             !oracle.violations.is_empty()
                 && oracle
                     .violations

@@ -288,14 +288,16 @@ fn builtin_plan(spec: &RunSpec, t0: SimTime) -> FaultPlan {
 
 /// Execute one rebalance scenario under explicit [`RebalanceOpts`]:
 /// healthy write phase, fault plan installed at the phase boundary,
-/// read phase under membership churn, post-quiescence audit.
+/// read phase under membership churn, post-quiescence audit.  Fails,
+/// before the read phase, when the plan does not install (see
+/// [`simkit::Scheduler::install_faults`]).
 // simlint::digest_root — rebalance replay digest entry
 pub fn run_rebalance_with(
     spec: &RunSpec,
     scen: RebalanceScenario,
     cal: &Calibration,
     opts: &RebalanceOpts,
-) -> RebalanceRunReport {
+) -> Result<RebalanceRunReport, String> {
     let mut sched = make_sched(spec, false);
     if opts.telemetry {
         sched.enable_spans();
@@ -344,7 +346,7 @@ pub fn run_rebalance_with(
         PlanSource::Builtin => builtin_plan(spec, sched.now()),
         PlanSource::Fixed(plan) => plan.shifted(sched.now()),
     };
-    sched.install_faults(plan);
+    sched.install_faults(plan)?;
     ior.set_phase(Phase::Read);
     // no setup barrier: IOR's read phase reuses the write phase's objects
     let mut hooks = RebalanceHooks {
@@ -381,7 +383,7 @@ pub fn run_rebalance_with(
             &crate::runreport::faulted_slo_rules(),
         )
     });
-    RebalanceRunReport {
+    Ok(RebalanceRunReport {
         scenario: scen,
         write,
         read,
@@ -396,7 +398,7 @@ pub fn run_rebalance_with(
         csum: d.csum_stats(),
         run_report,
         digest: sched.digest(),
-    }
+    })
 }
 
 /// The rebalance family: the redundant scenarios
@@ -434,19 +436,19 @@ impl Family for RebalanceFamily {
         cal: &Calibration,
         plan: &FaultPlan,
         _traced: bool,
-    ) -> CaseRun {
+    ) -> Result<CaseRun, String> {
         let opts = RebalanceOpts {
             plan: PlanSource::Fixed(plan.clone()),
             mode: DataMode::Full,
             oracles: true,
             ..RebalanceOpts::default()
         };
-        let report = run_rebalance_with(spec, scen, cal, &opts);
-        CaseRun {
+        let report = run_rebalance_with(spec, scen, cal, &opts)?;
+        Ok(CaseRun {
             oracle: report.oracles.unwrap_or_default(),
             digest: report.digest,
             ..CaseRun::default()
-        }
+        })
     }
 }
 
@@ -471,7 +473,7 @@ mod tests {
             mode: DataMode::Full,
             ..RebalanceOpts::default()
         };
-        let r = run_rebalance_with(&spec, RebalanceScenario::IorEasyRp2, &cal, &opts);
+        let r = run_rebalance_with(&spec, RebalanceScenario::IorEasyRp2, &cal, &opts).unwrap();
         assert!(r.map_version > 0, "membership changes bump the map version");
         assert!(r.moves_planned > 0, "grow + drain must move shards");
         assert!(r.waves > 0, "moves ship in waves");
@@ -487,9 +489,9 @@ mod tests {
     fn rebalance_case_is_deterministic() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let a = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
+        let a = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorEasyRp2, &cal, 3).unwrap();
         assert!(a.passed(), "seed 3 must be green:\n{}", a.oracle.render());
-        let b = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
+        let b = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorEasyRp2, &cal, 3).unwrap();
         assert_eq!(a.digest, b.digest, "same seed, same case digest");
         assert_eq!(a.plan.to_json(), b.plan.to_json());
     }

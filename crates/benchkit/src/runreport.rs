@@ -463,7 +463,7 @@ pub fn report_rebalance(
     spec: &RunSpec,
     scen: RebalanceScenario,
     cal: &Calibration,
-) -> RebalanceRunReport {
+) -> Result<RebalanceRunReport, String> {
     let opts = RebalanceOpts {
         telemetry: true,
         ..RebalanceOpts::default()
@@ -597,7 +597,8 @@ mod tests {
             &spec,
             RebalanceScenario::IorEasyRp2,
             &Calibration::default(),
-        );
+        )
+        .unwrap();
         let run = r.run_report.as_ref().expect("telemetry report");
         let total = |name: &str| {
             run.counters

@@ -7,7 +7,7 @@ use crate::stats::Stats;
 use crate::workloads::{FdbWorkload, FieldIoWorkload};
 use ceph_sim::{CephDataMode, CephPoolOpts, CephSystem};
 use cluster::bench::Phase;
-use cluster::{Calibration, ClusterSpec};
+use cluster::{Calibration, ClusterSpec, Topology};
 use daos_core::{ContainerProps, DaosSystem, DataMode, ObjectClass};
 use daos_dfs::{Dfs, DfsOpts};
 use daos_dfuse::{DfuseMount, DfuseOpts};
@@ -225,19 +225,23 @@ pub fn run_scenario_digest(spec: &RunSpec, scen: Scenario, cal: &Calibration) ->
 /// scenario drivers have no fault-aware world, so crash or delay events
 /// would fire into the default no-op handler.  The chaos swarm uses
 /// this to subject every scenario in [`Scenario::ALL`] to random
-/// capacity weather and assert determinism still holds.
+/// capacity weather and assert determinism still holds.  Fails when the
+/// plan does not install (see [`simkit::Scheduler::install_faults`]).
 // simlint::digest_root — chaos engine-swarm replay-digest entry
 pub fn run_scenario_chaos(
     spec: &RunSpec,
     scen: Scenario,
     cal: &Calibration,
     plan: &simkit::FaultPlan,
-) -> (RunResult, u64) {
+) -> Result<(RunResult, u64), String> {
     let mut sched = make_sched(spec, false);
+    // install once the cluster's disks and NICs exist (the plan's fault
+    // surface), before any op completes
+    let topo = build_cluster(&mut sched, spec, cal);
     let t0 = sched.now();
-    sched.install_faults(plan.shifted(t0));
-    let (result, _) = run_scenario_on(&mut sched, spec, scen, cal);
-    (result, sched.digest())
+    sched.install_faults(plan.shifted(t0))?;
+    let (result, _) = run_scenario_in(&mut sched, &topo, spec, scen, cal);
+    Ok((result, sched.digest()))
 }
 
 /// Like [`run_scenario`], but with per-resource utilisation analysis:
@@ -298,15 +302,31 @@ pub struct ResourceUse {
     pub read_frac: f64,
 }
 
+/// Register the cluster of `spec` on `sched`.
+fn build_cluster(sched: &mut Scheduler, spec: &RunSpec, cal: &Calibration) -> Topology {
+    ClusterSpec::new(spec.servers, spec.client_nodes)
+        .with_cal(cal.clone())
+        .build(sched)
+}
+
 pub(crate) fn run_scenario_on(
     sched: &mut Scheduler,
     spec: &RunSpec,
     scen: Scenario,
     cal: &Calibration,
 ) -> (RunResult, Vec<f64>) {
-    let sched = &mut *sched;
-    let cspec = ClusterSpec::new(spec.servers, spec.client_nodes).with_cal(cal.clone());
-    let topo = cspec.build(sched);
+    let topo = build_cluster(sched, spec, cal);
+    run_scenario_in(sched, &topo, spec, scen, cal)
+}
+
+/// [`run_scenario_on`] over a cluster already registered on `sched`.
+fn run_scenario_in(
+    sched: &mut Scheduler,
+    topo: &Topology,
+    spec: &RunSpec,
+    scen: Scenario,
+    cal: &Calibration,
+) -> (RunResult, Vec<f64>) {
     let procs = spec.procs();
     let ior_cfg = |ops: usize| {
         let mut c = IorConfig::new(procs, spec.client_nodes, ops);
@@ -322,7 +342,7 @@ pub(crate) fn run_scenario_on(
         | Scenario::IorDfuseIl
         | Scenario::IorHdf5DfuseIl
         | Scenario::IorHdf5Daos => {
-            let mut daos = DaosSystem::deploy(&topo, sched, spec.servers, DataMode::Sized);
+            let mut daos = DaosSystem::deploy(topo, sched, spec.servers, DataMode::Sized);
             let (cid, s) = daos.cont_create(0, ContainerProps::default());
             exec(sched, s);
             let daos = Rc::new(RefCell::new(daos));
@@ -381,7 +401,7 @@ pub(crate) fn run_scenario_on(
             two_phase(sched, &mut ior, |w| w.set_phase(Phase::Read))
         }
         Scenario::FieldIo => {
-            let mut daos = DaosSystem::deploy(&topo, sched, spec.servers, DataMode::Sized);
+            let mut daos = DaosSystem::deploy(topo, sched, spec.servers, DataMode::Sized);
             let (cid, s) = daos.cont_create(0, ContainerProps::default());
             exec(sched, s);
             let daos = Rc::new(RefCell::new(daos));
@@ -400,7 +420,7 @@ pub(crate) fn run_scenario_on(
             two_phase(sched, &mut wl, |w| w.phase = Phase::Read)
         }
         Scenario::FdbDaos => {
-            let mut daos = DaosSystem::deploy(&topo, sched, spec.servers, DataMode::Sized);
+            let mut daos = DaosSystem::deploy(topo, sched, spec.servers, DataMode::Sized);
             let (cid, s) = daos.cont_create(0, ContainerProps::default());
             exec(sched, s);
             let daos = Rc::new(RefCell::new(daos));
@@ -413,7 +433,7 @@ pub(crate) fn run_scenario_on(
         }
         Scenario::IorLustre => {
             let fs = LustreSystem::deploy(
-                &topo,
+                topo,
                 sched,
                 spec.servers,
                 LustreDataMode::Sized,
@@ -427,7 +447,7 @@ pub(crate) fn run_scenario_on(
         }
         Scenario::FdbLustre => {
             let fs = LustreSystem::deploy(
-                &topo,
+                topo,
                 sched,
                 spec.servers,
                 LustreDataMode::Sized,
@@ -442,7 +462,7 @@ pub(crate) fn run_scenario_on(
         }
         Scenario::IorCeph => {
             let ceph = CephSystem::deploy(
-                &topo,
+                topo,
                 sched,
                 spec.servers,
                 CephDataMode::Sized,
@@ -461,7 +481,7 @@ pub(crate) fn run_scenario_on(
         }
         Scenario::FdbCeph => {
             let ceph = CephSystem::deploy(
-                &topo,
+                topo,
                 sched,
                 spec.servers,
                 CephDataMode::Sized,

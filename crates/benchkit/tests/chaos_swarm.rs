@@ -23,7 +23,7 @@ fn seeded_swarm_is_green_over_both_families() {
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
 
-    let faulted = swarm::<FaultedFamily>(&spec, &cal, &[1, 2]);
+    let faulted = swarm::<FaultedFamily>(&spec, &cal, &[1, 2]).unwrap();
     assert_eq!(faulted.verdicts.len(), 2 * FaultedScenario::ALL.len());
     assert!(faulted.passed(), "faulted swarm:\n{}", faulted.render());
     assert_eq!(
@@ -44,9 +44,9 @@ fn seeded_swarm_is_green_over_both_families() {
 
     let mut espec = benchkit::RunSpec::new(2, 1, 2);
     espec.ops_per_proc = 8;
-    let engine = swarm::<EngineFamily>(&espec, &cal, &[5]);
+    let engine = swarm::<EngineFamily>(&espec, &cal, &[5]).unwrap();
     assert!(engine.passed(), "engine swarm:\n{}", engine.render());
-    let pinned = swarm::<EngineFamily>(&espec, &cal, &[1, 2]);
+    let pinned = swarm::<EngineFamily>(&espec, &cal, &[1, 2]).unwrap();
     assert_eq!(
         fold_cases(&pinned),
         0x9211_e105_cbac_c33a,
@@ -92,16 +92,18 @@ fn one_case_per_family_archives_and_replays_identically() {
     let mut spec = default_chaos_spec();
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
-    let faulted = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorHardEc2p1, &cal, 3);
+    let faulted = run_seed::<FaultedFamily>(&spec, FaultedScenario::IorHardEc2p1, &cal, 3).unwrap();
     assert_replays(&faulted, &spec, &cal);
     let mut espec = RunSpec::new(2, 1, 2);
     espec.ops_per_proc = 8;
-    let engine = run_seed::<EngineFamily>(&espec, benchkit::Scenario::IorDfs, &cal, 3);
+    let engine = run_seed::<EngineFamily>(&espec, benchkit::Scenario::IorDfs, &cal, 3).unwrap();
     assert_replays(&engine, &espec, &cal);
-    let rebalance = run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorHardEc2p1, &cal, 3);
+    let rebalance =
+        run_seed::<RebalanceFamily>(&spec, RebalanceScenario::IorHardEc2p1, &cal, 3).unwrap();
     assert_replays(&rebalance, &spec, &cal);
     // a scrubbing case, so the replay is checked on the scrub report too
-    let integrity = run_seed::<IntegrityFamily>(&spec, IntegrityScenario::ScrubReadRace, &cal, 9);
+    let integrity =
+        run_seed::<IntegrityFamily>(&spec, IntegrityScenario::ScrubReadRace, &cal, 9).unwrap();
     assert!(integrity.scrub.is_some(), "scrub-read-race scrubs");
     assert_replays(&integrity, &spec, &cal);
 }
@@ -117,6 +119,34 @@ fn replay_rejects_an_unknown_scenario() {
     let arch = parse_schedule(&json).expect("parses");
     let err = replay(&arch, &Calibration::default()).expect_err("unknown");
     assert!(err.contains("no/such-scenario"), "{err}");
+}
+
+/// A slow-disk event on a resource no deployment registers: every
+/// family's replay fails with the install error instead of panicking
+/// when the event would fire.
+#[test]
+fn replay_rejects_a_plan_naming_an_unknown_resource() {
+    let plan = FaultPlan::from_json(
+        r#"{"events":[{"at_ns":0,"id":0,"action":{"kind":"slow_disk","resource":1000000,"scale":0.5}}]}"#,
+    )
+    .expect("parses");
+    let mut spec = default_chaos_spec();
+    spec.ops_per_proc = 2;
+    let scenarios = [
+        FaultedScenario::IorEasyRp2.name(),
+        benchkit::Scenario::IorDfs.name(),
+        RebalanceScenario::IorEasyRp2.name(),
+        IntegrityScenario::RotUnderRebalance.name(),
+        IntegrityScenario::ScrubReadRace.name(),
+    ];
+    for scenario in scenarios {
+        let arch = parse_schedule(&schedule_json(scenario, 0, &spec, &plan)).expect("parses");
+        let err = replay(&arch, &Calibration::default()).expect_err("does not install");
+        assert!(
+            err.contains("resource 1000000 is not registered"),
+            "{scenario}: {err}"
+        );
+    }
 }
 
 /// A schedule that genuinely breaks the redundancy invariant: the
@@ -176,7 +206,7 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
     let plan = planted_plan();
 
     // 1. detection: the redundancy oracle flags the stranded target
-    let verdict = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, plan.clone());
+    let verdict = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, plan.clone()).unwrap();
     assert!(!verdict.passed(), "planted violation must be caught");
     assert!(
         verdict
@@ -215,7 +245,7 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
 
     // 3. replay: the minimal reproducer's JSON round-trips and the
     // replay command reruns the shrunken schedule byte-identically
-    let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
+    let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone()).unwrap();
     assert!(!direct.passed(), "shrunken schedule still fails");
     let json = std::fs::read_to_string(archive.path.with_extension("min.json"));
     std::fs::remove_dir_all(&out).expect("removes the archive");

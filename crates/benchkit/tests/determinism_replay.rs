@@ -81,7 +81,7 @@ fn builtin_plan_digests_are_pinned() {
         }
     }
     for scen in RebalanceScenario::ALL {
-        let r = run_rebalance_with(&spec, scen, &cal, &RebalanceOpts::default());
+        let r = run_rebalance_with(&spec, scen, &cal, &RebalanceOpts::default()).unwrap();
         assert!(r.waves > 0, "{}: no migration wave", scen.name());
         digests.push(r.digest);
     }

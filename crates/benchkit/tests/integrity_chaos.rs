@@ -76,7 +76,7 @@ fn seeded_rot_is_detected_and_repaired_on_rp2_and_ec() {
 fn integrity_swarm_is_green_over_every_scenario() {
     let spec = tiny_spec();
     let cal = Calibration::default();
-    let report = swarm::<IntegrityFamily>(&spec, &cal, &[1, 2]);
+    let report = swarm::<IntegrityFamily>(&spec, &cal, &[1, 2]).unwrap();
     assert_eq!(report.verdicts.len(), 2 * IntegrityScenario::ALL.len());
     assert!(report.passed(), "integrity swarm:\n{}", report.render());
     assert_eq!(
@@ -110,7 +110,7 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
     let scen = IntegrityScenario::RotBeyondRedundancy;
 
     // 1. detection: the planted double rot fails loudly as Corruption
-    let v = run_seed::<IntegrityFamily>(&spec, scen, &cal, 7);
+    let v = run_seed::<IntegrityFamily>(&spec, scen, &cal, 7).unwrap();
     assert!(v.passed(), "loud corruption expected:\n{}", v.render_line());
     assert!(!v.oracle.ok());
     assert!(v
@@ -126,7 +126,9 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
     // preserved signature is the loud corruption verdict itself (the
     // case is green, so the harness's `!ok` probe would not shrink it)
     let outcome = simkit::shrink(&v.plan, |candidate| {
-        let oracle = IntegrityFamily::run_under(&spec, scen, &cal, candidate, false).oracle;
+        let oracle = IntegrityFamily::run_under(&spec, scen, &cal, candidate, false)
+            .unwrap()
+            .oracle;
         !oracle.violations.is_empty()
             && oracle
                 .violations
@@ -145,7 +147,7 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
 
     // 3. archive: the shrunken schedule round-trips through JSON and
     // replays byte-identically
-    let direct = run_case::<IntegrityFamily>(&spec, scen, &cal, 7, outcome.plan.clone());
+    let direct = run_case::<IntegrityFamily>(&spec, scen, &cal, 7, outcome.plan.clone()).unwrap();
     assert!(!direct.oracle.ok(), "shrunken schedule still screams");
     let json = schedule_json(scen.name(), 7, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
@@ -164,8 +166,8 @@ fn traced_integrity_case_keeps_its_digest() {
     let cal = Calibration::default();
     for scen in IntegrityScenario::ALL {
         let plan = integrity_plan(scen, 4);
-        let plain = run_case::<IntegrityFamily>(&spec, scen, &cal, 4, plan.clone());
-        let traced = IntegrityFamily::run_under(&spec, scen, &cal, &plan, true);
+        let plain = run_case::<IntegrityFamily>(&spec, scen, &cal, 4, plan.clone()).unwrap();
+        let traced = IntegrityFamily::run_under(&spec, scen, &cal, &plan, true).unwrap();
         assert_eq!(
             traced.digest,
             plain.digest,

@@ -23,7 +23,7 @@ fn seeded_rebalance_swarm_is_green_over_redundant_classes() {
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
 
-    let report = swarm::<RebalanceFamily>(&spec, &cal, &[1, 2]);
+    let report = swarm::<RebalanceFamily>(&spec, &cal, &[1, 2]).unwrap();
     assert_eq!(
         report.verdicts.len(),
         2 * RebalanceScenario::SWARM.len(),
@@ -79,7 +79,7 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
     let plan = planted_lost_extent_plan();
 
     // 1. detection: the durability oracle flags the lost extents
-    let verdict = run_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, plan.clone());
+    let verdict = run_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, plan.clone()).unwrap();
     assert!(!verdict.passed(), "planted lost extents must be caught");
     assert!(
         verdict
@@ -111,7 +111,8 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
 
     // 3. archive: JSON round-trips and the replay reruns the shrunken
     // schedule byte-identically
-    let direct = run_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, outcome.plan.clone());
+    let direct =
+        run_case::<RebalanceFamily>(&spec, scen, &cal, 0x10EE, outcome.plan.clone()).unwrap();
     assert!(!direct.passed(), "shrunken schedule still fails");
     let json = schedule_json(scen.name(), 0x10EE, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");

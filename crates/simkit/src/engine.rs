@@ -8,7 +8,7 @@ use crate::faults::{FaultAction, FaultEvent, FaultPlan};
 use crate::monitor::Monitor;
 use crate::slab::Slab;
 use crate::span::{SpanId, SpanLog};
-use crate::step::{Path, ResourceId, Step};
+use crate::step::{ResourceId, Step};
 use crate::telemetry::{MetricId, Telemetry};
 use crate::time::SimTime;
 use crate::trace::Trace;
@@ -85,7 +85,6 @@ struct Flow {
     /// against f64 settlement drift, scaled to the flow's size so tiny
     /// transfers are not cut short measurably.
     eps: Bytes,
-    path: Path,
     parent: Parent,
 }
 
@@ -178,6 +177,8 @@ pub struct Scheduler {
     /// Reused buffer for the keys of flows completing in one event batch
     /// (`fire_events_at`); keeps the hot loop allocation-free.
     done_scratch: Vec<u32>,
+    /// The max-min solver, holding every live flow under its slab key
+    /// and the flow's path (the path's only owner).
     fair: FairShare,
     monitor: Monitor,
     /// Installed fault events, sorted by `(at, id)`, popped as fired.
@@ -316,13 +317,28 @@ impl Scheduler {
     /// replay digest (a *schedule header*), so a saved schedule pins the
     /// run it produced even for events that never fire: replaying with
     /// any altered plan diverges at install time, not just at fire time.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
+    ///
+    /// A plan whose capacity events name an unregistered resource is
+    /// rejected whole, before anything is installed or digested.
+    pub fn install_faults(&mut self, plan: FaultPlan) -> Result<(), String> {
+        let registered = self.caps.len();
+        for ev in plan.events() {
+            if let Some(ResourceId(r)) = ev.action.resource() {
+                if r as usize >= registered {
+                    return Err(format!(
+                        "fault event {}: resource {r} is not registered (the scheduler has {registered} resources)",
+                        ev.id
+                    ));
+                }
+            }
+        }
         let installed = plan.into_events();
         self.trace.record_schedule(&installed);
         let mut evs: Vec<FaultEvent> = self.faults.drain(..).collect();
         evs.extend(installed);
         evs.sort_by_key(|e| (e.at, e.id));
         self.faults = evs.into();
+        Ok(())
     }
 
     /// Fault events installed but not yet fired.
@@ -516,14 +532,14 @@ impl Scheduler {
                         self.telemetry.gauge_incr(g, self.now);
                     }
                 }
-                self.flows.insert(Flow {
+                let key = self.flows.insert(Flow {
                     remaining: units,
                     rate: Rate::ZERO,
                     deadline: SimTime::NEVER,
                     eps: Bytes(units.get() * 1e-9),
-                    path,
                     parent,
                 });
+                self.fair.add(key, path);
                 self.rates_dirty = true;
             }
             Step::Seq(mut steps) => {
@@ -645,19 +661,31 @@ impl Scheduler {
     /// Advance all flows to time `t`, crediting the monitor with each
     /// flow's movement over the settlement interval `[last_settle, t]`.
     fn settle_to(&mut self, t: SimTime) {
+        self.settle(t, None);
+    }
+
+    /// [`Scheduler::settle_to`], also pushing onto `due`, in key order,
+    /// the key of every flow that is due at `t` once settled (deadline
+    /// reached, or residual rounded to nothing).
+    fn settle(&mut self, t: SimTime, mut due: Option<&mut Vec<u32>>) {
         let t0 = self.last_settle;
         let dt = t.secs_since(t0);
-        if dt > 0.0 {
+        if dt > 0.0 || due.is_some() {
             let monitor_on = self.monitor.is_enabled();
             // simlint::allow(hot-state-scan) — the fluid model settles every live flow across the elapsed interval; recompute coalescing (set_coalescing) bounds how often this runs per event batch
-            for (_, f) in self.flows.iter_mut() {
-                if f.rate > Rate::ZERO {
+            for (key, f) in self.flows.iter_mut() {
+                if dt > 0.0 && f.rate > Rate::ZERO {
                     let moved = f.rate.bytes_in(dt).min(f.remaining);
                     f.remaining -= moved;
                     if monitor_on {
-                        for &r in &f.path {
+                        for &r in self.fair.path(key) {
                             self.monitor.credit(r, moved.get(), t0, t);
                         }
+                    }
+                }
+                if let Some(due) = due.as_deref_mut() {
+                    if f.deadline <= t || f.remaining <= f.eps {
+                        due.push(key);
                     }
                 }
             }
@@ -669,11 +697,6 @@ impl Scheduler {
     /// Recompute max-min fair rates and flow deadlines.
     fn recompute_rates(&mut self) {
         self.settle_to(self.now);
-        self.fair.begin(self.caps.len());
-        // simlint::allow(hot-state-scan) — a full re-share is the max-min model: every live flow's rate may change when any flow joins or leaves; incremental re-solve is ROADMAP item 2
-        for (key, f) in self.flows.iter() {
-            self.fair.add_flow(key, &f.path);
-        }
         self.stat_recomputes += 1;
         self.stat_flow_visits += self.flows.len() as u64;
         let fill_iters = self.fair.solve(&self.caps) as u64;
@@ -684,15 +707,10 @@ impl Scheduler {
                 .counter_add(ids.fill_iters, self.now, fill_iters);
         }
         let now = self.now;
-        // Disjoint field borrows: `fair` is read while `flows` is written.
-        let flows = &mut self.flows;
         let mut deadline_min = SimTime::NEVER;
-        for (key, rate) in self.fair.results() {
-            // A result for a flow that completed during this recompute
-            // needs no deadline; skipping is safe where a panic is not.
-            let Some(f) = flows.get_mut(key) else {
-                continue;
-            };
+        // simlint::allow(hot-state-scan) — a full re-share is the max-min model: every live flow's rate may change when any flow joins or leaves, so each gets its new rate and deadline
+        for (key, f) in self.flows.iter_mut() {
+            let rate = self.fair.rate(key);
             f.rate = rate;
             f.deadline = if f.remaining <= f.eps {
                 now
@@ -730,7 +748,16 @@ impl Scheduler {
     /// Fire everything scheduled at exactly `t` (flows and timers).
     // simlint::hot_root — timer drain + flow completion: runs once per event batch
     fn fire_events_at(&mut self, t: SimTime) {
-        self.settle_to(t);
+        // One pass settles every flow and collects, in key order, those
+        // whose deadline has arrived (or whose residual rounded to
+        // nothing); they complete as a batch after the timers.  The
+        // timers cannot change that set: they only start new flows,
+        // which are never due yet.  The key buffer is owned by the
+        // scheduler and reused across batches (`complete_parent` needs
+        // `&mut self`, so the keys cannot be drained while iterating).
+        let mut done = std::mem::take(&mut self.done_scratch);
+        done.clear();
+        self.settle(t, Some(&mut done));
         // Timers first: their parents may be sequences that feed flows.
         while let Some(Reverse(timer)) = self.timers.peek() {
             if timer.at > t {
@@ -743,26 +770,14 @@ impl Scheduler {
             }
             self.complete_parent(parent);
         }
-        // Flows whose deadline has arrived (or whose residual rounded to
-        // nothing) complete as a batch.  The key buffer is owned by the
-        // scheduler and reused across batches (`complete_parent` needs
-        // `&mut self`, so the keys cannot be drained while iterating).
-        let mut done = std::mem::take(&mut self.done_scratch);
-        done.clear();
-        done.extend(
-            self.flows
-                // simlint::allow(hot-state-scan) — batch completion must inspect every live flow's deadline once; the settle pass already touched them all in this event
-                .iter()
-                .filter(|(_, f)| f.deadline <= t || f.remaining <= f.eps)
-                .map(|(k, _)| k),
-        );
         for &key in &done {
             let flow = self.flows.remove(key);
+            let path = self.fair.remove(key);
             self.rates_dirty = true;
             if let Some(ids) = self.tel_ids {
                 self.telemetry.counter_add(ids.flow_completes, self.now, 1);
                 self.telemetry.gauge_decr(ids.flows, self.now);
-                for &r in &flow.path {
+                for &r in &path {
                     let g = self
                         .telemetry
                         .resource_gauge(r.0 as usize, &self.names[r.0 as usize]);
@@ -1141,7 +1156,7 @@ mod tests {
                 scale: 1.0,
             },
         );
-        s.install_faults(plan);
+        s.install_faults(plan).unwrap();
         s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
@@ -1166,7 +1181,7 @@ mod tests {
                 extra_ns: 5_000,
             },
         );
-        s.install_faults(plan);
+        s.install_faults(plan).unwrap();
         s.submit(Step::transfer(Bytes(10.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
@@ -1183,6 +1198,27 @@ mod tests {
     }
 
     #[test]
+    fn unknown_fault_resources_are_rejected_at_install() {
+        let mut s = Scheduler::new();
+        let r = s.add_resource("disk", 100.0);
+        s.add_resource("nic", 100.0);
+        let digest = s.digest();
+        let plan = FaultPlan::from_json(
+            r#"{"events":[{"at_ns":0,"id":0,"action":{"kind":"slow_disk","resource":7,"scale":0.5}}]}"#,
+        )
+        .unwrap();
+        let err = s.install_faults(plan).unwrap_err();
+        assert!(err.contains("resource 7"), "{err}");
+        assert_eq!(s.pending_fault_count(), 0, "nothing installed");
+        assert_eq!(s.digest(), digest, "no schedule header folded");
+        s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
+        let mut w = FaultRecorder::default();
+        run(&mut s, &mut w);
+        assert!(w.faults.is_empty());
+        assert!((secs(w.completed[0].1) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
     fn faults_wait_for_pending_work() {
         // A fault scheduled past the end of the current run stays armed
         // instead of fast-forwarding time, and fires (at its scheduled
@@ -1191,7 +1227,7 @@ mod tests {
         let r = s.add_resource("disk", 100.0);
         let mut plan = FaultPlan::new();
         plan.at(SimTime::from_secs_f64(2.0), FaultAction::TargetCrash(1));
-        s.install_faults(plan);
+        s.install_faults(plan).unwrap();
         s.submit(Step::transfer(Bytes(50.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);
@@ -1214,7 +1250,7 @@ mod tests {
             if faulted {
                 let mut plan = FaultPlan::new();
                 plan.at(SimTime::from_millis(1), FaultAction::TargetCrash(3));
-                s.install_faults(plan);
+                s.install_faults(plan).unwrap();
             }
             s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
             let mut w = FaultRecorder::default();
@@ -1353,7 +1389,7 @@ mod tests {
         let r = s.add_resource("disk", 100.0);
         let mut plan = FaultPlan::new();
         let ev_id = plan.at(SimTime::from_millis(1), FaultAction::TargetCrash(9));
-        s.install_faults(plan);
+        s.install_faults(plan).unwrap();
         s.submit(Step::transfer(Bytes(100.0), [r]), OpId(1));
         let mut w = FaultRecorder::default();
         run(&mut s, &mut w);

@@ -95,6 +95,23 @@ pub enum FaultAction {
     },
 }
 
+impl FaultAction {
+    /// The engine resource a capacity action scales, if any.
+    pub fn resource(&self) -> Option<ResourceId> {
+        match *self {
+            FaultAction::SlowDisk { resource, .. } | FaultAction::NicBrownout { resource, .. } => {
+                Some(resource)
+            }
+            FaultAction::TargetCrash(_)
+            | FaultAction::TargetRestart(_)
+            | FaultAction::DelayedCompletion { .. }
+            | FaultAction::AddServer { .. }
+            | FaultAction::DrainServer { .. }
+            | FaultAction::BitRot { .. } => None,
+        }
+    }
+}
+
 /// One scheduled fault: an action firing at an exact simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {

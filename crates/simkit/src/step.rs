@@ -46,6 +46,22 @@ impl Path {
     }
 }
 
+impl TryFrom<&[ResourceId]> for Path {
+    type Error = usize;
+
+    /// A path over a runtime-length hop list; `Err(len)` when it is
+    /// longer than [`MAX_HOPS`].
+    fn try_from(hops: &[ResourceId]) -> Result<Path, usize> {
+        if hops.len() > MAX_HOPS {
+            return Err(hops.len());
+        }
+        let mut path = Path::new([]);
+        path.len = hops.len() as u8;
+        path.hops[..hops.len()].copy_from_slice(hops);
+        Ok(path)
+    }
+}
+
 impl Deref for Path {
     type Target = [ResourceId];
 
@@ -291,6 +307,11 @@ mod tests {
         let path = Path::new([r(3), r(1), r(4), r(1), r(5)]);
         assert_eq!(&*path, &[r(3), r(1), r(4), r(1), r(5)]);
         assert_eq!(format!("{:?}", Path::new([r(2)])), "[ResourceId(2)]");
+        assert_eq!(
+            Path::try_from(&[r(3), r(1)][..]),
+            Ok(Path::new([r(3), r(1)]))
+        );
+        assert_eq!(Path::try_from(&[r(0); MAX_HOPS + 1][..]), Err(MAX_HOPS + 1));
         match Step::transfer(Bytes(1.0), [r(7), r(8)]) {
             Step::Transfer { path, .. } => assert_eq!(&*path, &[r(7), r(8)]),
             s => panic!("expected Transfer, got {s:?}"),

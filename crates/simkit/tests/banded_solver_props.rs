@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use simkit::fairshare::FairShare;
 use simkit::units::Rate;
-use simkit::ResourceId;
+use simkit::{Path, ResourceId};
 
 fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
     (2usize..10).prop_flat_map(|nres| {
@@ -20,10 +20,9 @@ fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
 fn solve_with(caps: &[f64], flows: &[Vec<u32>], tol: f64) -> Vec<f64> {
     let mut fs = FairShare::new();
     fs.set_tolerance(tol);
-    fs.begin(caps.len());
     for (i, path) in flows.iter().enumerate() {
         let p: Vec<ResourceId> = path.iter().map(|&r| ResourceId(r)).collect();
-        fs.add_flow(i as u32, &p);
+        fs.add(i as u32, Path::try_from(&p[..]).unwrap());
     }
     let caps: Vec<Rate> = caps.iter().map(|&c| Rate(c)).collect();
     fs.solve(&caps);

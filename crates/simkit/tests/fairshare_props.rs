@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use simkit::fairshare::FairShare;
 use simkit::units::{Bytes, Rate};
-use simkit::{run, OpId, ResourceId, Scheduler, SimTime, Step, World};
+use simkit::{run, OpId, Path, ResourceId, Scheduler, SimTime, Step, World};
 
 /// Random scenario: capacities plus flows with 1..=4 distinct resources.
 fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
@@ -18,10 +18,9 @@ fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
 
 fn solve(caps: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
     let mut fs = FairShare::new();
-    fs.begin(caps.len());
     for (i, path) in flows.iter().enumerate() {
         let p: Vec<ResourceId> = path.iter().map(|&r| ResourceId(r)).collect();
-        fs.add_flow(i as u32, &p);
+        fs.add(i as u32, Path::try_from(&p[..]).unwrap());
     }
     let caps: Vec<Rate> = caps.iter().map(|&c| Rate(c)).collect();
     fs.solve(&caps);

@@ -63,7 +63,8 @@ fn main() {
         ),
     );
 
-    let verdict = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, plan.clone());
+    let verdict = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, plan.clone())
+        .expect("the planted plan installs");
     println!("planted schedule ({} events):", plan.len());
     println!("{}", verdict.render_line());
     print!("{}", verdict.oracle.render());
@@ -83,7 +84,8 @@ fn main() {
     // --- 4. archive and replay byte-identically ---------------------------
     let json = schedule_json(scen.name(), 0xBAD, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("artifact parses");
-    let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
+    let direct = run_case::<FaultedFamily>(&spec, scen, &cal, 0xBAD, outcome.plan.clone())
+        .expect("a subset of the planted plan installs");
     let replayed = replay(&arch, &cal).expect("artifact replays");
     println!("archived artifact:\n{json}\n");
     println!(
