@@ -440,7 +440,6 @@ fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan 
 
 /// Execute one faulted scenario: healthy write phase, install the fault
 /// plan at the phase boundary, faulted read phase, collect the report.
-// simlint::digest_root — faulted-run double-replay digest entry
 pub fn run_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) -> FaultedReport {
     run_faulted_inner(spec, scen, cal, false).0
 }
@@ -491,7 +490,6 @@ pub fn run_faulted_with(
 /// general entry point behind [`run_faulted`], the chaos swarm and the
 /// shrinker's replay oracle.  Fails, before the read phase, when the
 /// plan does not install (see [`simkit::Scheduler::install_faults`]).
-// simlint::digest_root — chaos/faulted replay digest entry
 pub fn try_run_faulted_with(
     spec: &RunSpec,
     scen: FaultedScenario,

@@ -291,7 +291,6 @@ fn builtin_plan(spec: &RunSpec, t0: SimTime) -> FaultPlan {
 /// read phase under membership churn, post-quiescence audit.  Fails,
 /// before the read phase, when the plan does not install (see
 /// [`simkit::Scheduler::install_faults`]).
-// simlint::digest_root — rebalance replay digest entry
 pub fn run_rebalance_with(
     spec: &RunSpec,
     scen: RebalanceScenario,

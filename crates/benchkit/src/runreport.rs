@@ -408,7 +408,6 @@ pub struct ReportedRun {
 /// [`crate::run_scenario_digest`]'s, so the replay digest in the report
 /// must equal the untelemetered run's — the contract the span
 /// determinism suite asserts for every scenario.
-// simlint::digest_root — reported-run replay-digest entry
 pub fn run_reported(
     spec: &RunSpec,
     scen: Scenario,

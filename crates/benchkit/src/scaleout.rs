@@ -177,7 +177,6 @@ impl ScaleoutReport {
 
 /// One measured run at `servers` servers: write-phase IOR over a fleet
 /// with the cyclic speed mix, returning (bandwidth GiB/s, digest).
-// simlint::digest_root — scale-out replay digest entry
 fn run_rung(cfg: &ScaleoutConfig, cal: &Calibration, servers: usize) -> (f64, u64) {
     let clients = servers;
     let mut spec = RunSpec::new(servers, clients, cfg.ppn);

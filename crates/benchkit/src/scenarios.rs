@@ -210,7 +210,6 @@ pub fn run_scenario(spec: &RunSpec, scen: Scenario, cal: &Calibration) -> RunRes
 /// traffic.  Two calls with equal arguments must return bit-identical
 /// results *and* digests — the property the determinism harness checks
 /// for every scenario (see [`crate::determinism`]).
-// simlint::digest_root — scenario replay-digest entry
 pub fn run_scenario_digest(spec: &RunSpec, scen: Scenario, cal: &Calibration) -> (RunResult, u64) {
     let mut sched = make_sched(spec, false);
     let (result, _) = run_scenario_on(&mut sched, spec, scen, cal);
@@ -227,7 +226,6 @@ pub fn run_scenario_digest(spec: &RunSpec, scen: Scenario, cal: &Calibration) ->
 /// this to subject every scenario in [`Scenario::ALL`] to random
 /// capacity weather and assert determinism still holds.  Fails when the
 /// plan does not install (see [`simkit::Scheduler::install_faults`]).
-// simlint::digest_root — chaos engine-swarm replay-digest entry
 pub fn run_scenario_chaos(
     spec: &RunSpec,
     scen: Scenario,

@@ -47,7 +47,6 @@ impl ProcWorkload for FieldIoWorkload {
     fn bytes_per_op(&self) -> f64 {
         self.bytes as f64
     }
-    // simlint::allow(panic-path) — benchmark setup: a failed create/open before measurement is a scenario-configuration error, not degraded-mode state
     fn setup(&mut self, proc: usize) -> Step {
         match self.phase {
             Phase::Write => self
@@ -113,7 +112,6 @@ impl<B: Fdb> ProcWorkload for FdbWorkload<B> {
     fn bytes_per_op(&self) -> f64 {
         self.bytes as f64
     }
-    // simlint::allow(panic-path) — benchmark setup: a failed create/open before measurement is a scenario-configuration error, not degraded-mode state
     fn setup(&mut self, proc: usize) -> Step {
         match self.phase {
             Phase::Write => self
@@ -135,7 +133,6 @@ impl<B: Fdb> ProcWorkload for FdbWorkload<B> {
             Phase::Read => self.fdb.retrieve(node, proc, &key).expect("fdb retrieve").1,
         }
     }
-    // simlint::allow(panic-path) — benchmark driver: a failure that survives the retry executor is a scenario-configuration error; aborting loudly beats reporting skewed bandwidth
     fn finalize(&mut self, proc: usize) -> Step {
         match self.phase {
             Phase::Write => self.fdb.flush(self.pins[proc], proc).expect("fdb flush"),

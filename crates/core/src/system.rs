@@ -461,19 +461,16 @@ impl DaosSystem {
 
     /// Exclude a target: new placements avoid it and reads of its shards
     /// go degraded (replica fail-over / EC reconstruction).
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn exclude_target(&mut self, t: TargetId) {
         self.pool.exclude(t);
     }
 
     /// Exclude every target of a server node.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn exclude_server(&mut self, server: u16) {
         self.pool.exclude_server(server);
     }
 
     /// Reintegrate a target.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn reintegrate_target(&mut self, t: TargetId) {
         self.pool.reintegrate(t);
     }
@@ -540,7 +537,6 @@ impl DaosSystem {
     }
 
     /// Open an existing container (pool metadata transaction).
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn cont_open(&mut self, _client: usize, id: ContainerId) -> Result<Step, DaosError> {
         let c = self.cont_mut(id)?;
         c.open_handles += 1;
@@ -558,7 +554,6 @@ impl DaosSystem {
     }
 
     /// Destroy a container and all its objects.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn cont_destroy(&mut self, _client: usize, id: ContainerId) -> Result<Step, DaosError> {
         let slot = self
             .containers
@@ -580,7 +575,6 @@ impl DaosSystem {
     }
 
     /// Take a container snapshot; returns its epoch.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn snapshot_create(
         &mut self,
         _client: usize,
@@ -592,7 +586,6 @@ impl DaosSystem {
     }
 
     /// Destroy a container snapshot.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn snapshot_destroy(
         &mut self,
         _client: usize,
@@ -858,7 +851,6 @@ impl DaosSystem {
 
     /// List keys with a prefix.  One round trip per shard group plus the
     /// key bytes off one target of each group.
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     pub fn kv_list(
         &mut self,
         client: usize,
@@ -1193,7 +1185,6 @@ impl DaosSystem {
     }
 
     /// Truncate/extend an array.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn array_set_size(
         &mut self,
         client: usize,
@@ -1246,7 +1237,6 @@ impl DaosSystem {
 
     /// Set a user attribute on a container (`daos cont set-attr`): one
     /// pool-metadata transaction.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn cont_set_attr(
         &mut self,
         _client: usize,
@@ -1261,7 +1251,6 @@ impl DaosSystem {
     }
 
     /// Read a user attribute.
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     pub fn cont_get_attr(
         &mut self,
         _client: usize,
@@ -1275,7 +1264,6 @@ impl DaosSystem {
     }
 
     /// List a container's user attribute names.
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     pub fn cont_list_attrs(
         &mut self,
         _client: usize,
@@ -1288,7 +1276,6 @@ impl DaosSystem {
 
     /// Enumerate a container's object ids (`daos cont list-objects`):
     /// one request-service op per engine holding object metadata.
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     pub fn obj_list(
         &mut self,
         client: usize,
@@ -2600,7 +2587,6 @@ impl DaosSystem {
     /// **planted-violation test hook** for the oracle self-tests, never
     /// called by any data path.  Returns `false` when the entry does
     /// not exist.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
     pub fn inject_drop_acked_kv(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) -> bool {
         match self.obj_mut(cid, oid) {
             Ok(entry) => match &mut entry.data {
@@ -2618,7 +2604,6 @@ impl DaosSystem {
     /// rot registry records the damage against shard copy 0, so
     /// verified reads detect it and repair it when redundancy allows.
     /// Returns `false` when no real byte backs the offset.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
     pub fn inject_corrupt_extent(&mut self, cid: ContainerId, oid: Oid, offset: u64) -> bool {
         let kv_key = match self.obj(cid, oid) {
             Ok(entry) => match &entry.data {
@@ -2642,7 +2627,6 @@ impl DaosSystem {
     /// Flip one stored byte of a specific replica/cell copy — the
     /// beyond-redundancy planting hook: calling it for every shard of a
     /// location rots the datum past what repair can recover.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
     pub fn inject_corrupt_replica(
         &mut self,
         cid: ContainerId,
@@ -2656,7 +2640,6 @@ impl DaosSystem {
     /// Flip one byte of EC parity cell `parity_idx` in the chunk
     /// holding `offset` — the planted-rot hook for cells no logical
     /// byte offset addresses.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
     pub fn inject_corrupt_parity(
         &mut self,
         cid: ContainerId,
@@ -2668,7 +2651,6 @@ impl DaosSystem {
     }
 
     /// Flip a stored byte of a KV value's `shard`-th replica copy.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
     pub fn inject_corrupt_kv(
         &mut self,
         cid: ContainerId,

@@ -318,7 +318,6 @@ impl Dfs {
     }
 
     /// Create a symbolic link at `path` pointing to `target`.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn symlink(&mut self, client: usize, target: &str, path: &str) -> Result<Step, FsError> {
         let (pid, name, step) = self.resolve_parent(client, path)?;
         if self.child_of(pid, name).is_some() {
@@ -338,7 +337,6 @@ impl Dfs {
     }
 
     /// Read a symlink's target.
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     pub fn readlink(&mut self, client: usize, path: &str) -> Result<(String, Step), FsError> {
         let (id, step) = self.resolve(client, path, false)?;
         match &self.inode(id).kind {
@@ -348,7 +346,6 @@ impl Dfs {
     }
 
     /// Rename an entry (same-directory or cross-directory).
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn rename(&mut self, client: usize, from: &str, to: &str) -> Result<Step, FsError> {
         let (from_pid, from_name, s1) = self.resolve_parent(client, from)?;
         let child = self
@@ -446,7 +443,6 @@ impl Dfs {
     ///
     /// Offline audit for the chaos oracles: returned `Step` costs are
     /// discarded and the simulated schedule is not perturbed.
-    // simlint::allow(digest-taint) — offline audit: cost steps are discarded; only crash-detection bookkeeping is touched, after quiescence
     pub fn verify_connectivity(&mut self, client: usize) -> OracleReport {
         let mut report = OracleReport::default();
         let mut daos = self.daos.borrow_mut();
@@ -675,7 +671,6 @@ impl PosixFs for Dfs {
         Ok((data, s))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn fstat(&mut self, client: usize, f: FileId) -> Result<(FileStat, Step), FsError> {
         let arr = self.file_object(f)?;
         let (size, s) = self
@@ -764,7 +759,6 @@ impl PosixFs for Dfs {
         Ok(Step::span("libdfs", "unlink", 0, Step::seq([s1, s2, s3])))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn readdir(&mut self, client: usize, path: &str) -> Result<(Vec<String>, Step), FsError> {
         let (id, s1) = self.resolve(client, path, true)?;
         let kv = self.dir_kv(id)?;

@@ -150,7 +150,6 @@ impl DfuseMount {
     }
 
     /// Mutable access to the wrapped namespace (for tests/examples).
-    // simlint::allow(digest-taint) — escape-hatch accessor: mutations made through it land in the inner system's own digested operations
     pub fn dfs_mut(&mut self) -> &mut Dfs {
         &mut self.dfs
     }
@@ -291,7 +290,6 @@ impl PosixFs for DfuseMount {
         Ok((data, step))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn fstat(&mut self, client: usize, f: FileId) -> Result<(FileStat, Step), FsError> {
         let (st, inner) = self.dfs.fstat(client, f)?;
         if self.opts.interception {
@@ -327,7 +325,6 @@ impl PosixFs for DfuseMount {
         Ok(self.fuse_wrap(client, 0.0, "unlink", inner))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn readdir(&mut self, client: usize, path: &str) -> Result<(Vec<String>, Step), FsError> {
         let (names, inner) = self.dfs.readdir(client, path)?;
         Ok((names, self.fuse_wrap(client, 0.0, "readdir", inner)))

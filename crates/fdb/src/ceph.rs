@@ -44,7 +44,6 @@ impl FdbCeph {
     }
 
     /// The wrapped cluster.
-    // simlint::allow(digest-taint) — escape-hatch accessor: mutations made through it land in the inner system's own digested operations
     pub fn ceph_mut(&mut self) -> &mut CephSystem {
         &mut self.ceph
     }
@@ -129,7 +128,6 @@ impl Fdb for FdbCeph {
         Ok(Step::Noop)
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn list(&mut self, node: usize, query: &KeyQuery) -> Result<(Vec<FieldKey>, Step), FdbError> {
         // read every matching index-group object
         let mut groups: Vec<String> = self

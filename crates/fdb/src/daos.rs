@@ -276,7 +276,6 @@ impl Fdb for FdbDaos {
         Ok(Step::Noop)
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn list(&mut self, node: usize, query: &KeyQuery) -> Result<(Vec<FieldKey>, Step), FdbError> {
         // catalogue scan + a key enumeration on every index KV whose
         // owner could match

@@ -70,7 +70,6 @@ impl<P: PosixFs> FdbPosix<P> {
     }
 
     /// The wrapped file system.
-    // simlint::allow(digest-taint) — escape-hatch accessor: mutations made through it land in the inner system's own digested operations
     pub fn fs_mut(&mut self) -> &mut P {
         &mut self.fs
     }
@@ -231,7 +230,6 @@ impl<P: PosixFs> Fdb for FdbPosix<P> {
         ))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn list(&mut self, node: usize, query: &KeyQuery) -> Result<(Vec<FieldKey>, Step), FdbError> {
         // scan the index file of every writer whose member could match:
         // open + bulk index read + close per file (metadata-heavy on

@@ -261,7 +261,6 @@ impl ProcWorkload for Ior {
         self.cfg.queue_depth
     }
 
-    // simlint::allow(panic-path) — benchmark setup: a failed create/open before measurement is a scenario-configuration error, not degraded-mode state
     fn setup(&mut self, proc: usize) -> Step {
         let node = self.pins[proc];
         if self.cfg.phase == Phase::Read && !matches!(self.state[proc], ProcState::Empty) {

@@ -106,7 +106,6 @@ impl ProcWorkload for Mdtest {
         }
     }
 
-    // simlint::allow(panic-path) — benchmark setup: a failed create/open before measurement is a scenario-configuration error, not degraded-mode state
     fn setup(&mut self, proc: usize) -> Step {
         if self.phase != MdPhase::Create {
             return Step::Noop;

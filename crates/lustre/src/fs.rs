@@ -158,7 +158,6 @@ impl LustreSystem {
     }
 
     /// Change striping for subsequently created files (`lfs setstripe`).
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
     pub fn set_stripe(&mut self, stripe: StripeOpts) {
         self.stripe = stripe;
     }
@@ -435,7 +434,6 @@ impl PosixFs for LustreSystem {
         Ok((data, Step::span("lustre", "read", len, s)))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn fstat(&mut self, client: usize, f: FileId) -> Result<(FileStat, Step), FsError> {
         let (_, fnode) = self.file_mut(f)?;
         let size = fnode.size;
@@ -519,7 +517,6 @@ impl PosixFs for LustreSystem {
         Ok(Step::span("lustre", "unlink", 0, self.mds_op(2.0)))
     }
 
-    // simlint::allow(digest-taint) — query op: `&mut self` is handle/step bookkeeping only; no replay-visible state changes
     fn readdir(&mut self, _client: usize, path: &str) -> Result<(Vec<String>, Step), FsError> {
         let id = self.resolve(path)?;
         match &self.nodes[id as usize] {

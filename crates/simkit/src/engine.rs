@@ -282,7 +282,6 @@ impl Scheduler {
 
     /// Change the capacity of `r` (e.g. failure injection: set to zero).
     /// Takes effect immediately; in-flight flows are re-shared.
-    // simlint::allow(digest-taint) — pre-run configuration: every subsequent flow completion folds its effect into the digest
     pub fn set_capacity(&mut self, r: ResourceId, capacity: f64) {
         assert!(capacity >= 0.0 && capacity.is_finite());
         self.settle_to(self.now);
@@ -456,7 +455,6 @@ impl Scheduler {
     }
 
     /// Record op completions into a bounded trace (debugging aid).
-    // simlint::allow(digest-taint) — pre-run configuration: every subsequent flow completion folds its effect into the digest
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
@@ -812,7 +810,6 @@ pub fn run<W: World>(sched: &mut Scheduler, world: &mut W) {
 /// of the full completion stream.  The determinism contract in one call:
 /// two invocations on freshly-built, identically-configured scheduler and
 /// world values must return the same digest.
-// simlint::digest_root — replay-digest fold entry
 pub fn run_digest<W: World>(sched: &mut Scheduler, world: &mut W) -> u64 {
     run(sched, world);
     sched.digest()

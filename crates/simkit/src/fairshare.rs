@@ -111,8 +111,10 @@ impl FairShare {
 
     /// Register the flow `key` (unused until its [`FairShare::remove`])
     /// over the resources of `path`.  A path may repeat a resource.
+    /// Panics on an empty path: such a flow would never freeze, and
+    /// [`FairShare::solve`] would spin forever.
     pub fn add(&mut self, key: u32, path: Path) {
-        debug_assert!(
+        assert!(
             !path.is_empty(),
             "flows must traverse at least one resource"
         );
@@ -387,6 +389,12 @@ mod tests {
         assert_eq!(fs.len(), 2);
         let keys: Vec<u32> = fs.results().map(|(k, _)| k).collect();
         assert_eq!(keys, [7, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one resource")]
+    fn empty_paths_are_rejected() {
+        FairShare::new().add(0, path(&[]));
     }
 
     #[test]

@@ -97,7 +97,6 @@ const TAG_CLOSE: u8 = 0x52;
 const TAG_MARK: u8 = 0x53;
 
 /// The per-run span log: records, fault marks, and the span digest.
-// simlint::span_source — span open/close must fold into the span digest on every mutation path
 #[derive(Debug, Default)]
 pub struct SpanLog {
     enabled: bool,

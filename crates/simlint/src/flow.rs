@@ -2,22 +2,13 @@
 //! on top of the per-line token rules in `lib.rs`.
 //!
 //! The stage-1 rules see one line at a time, so they cannot answer the
-//! questions that actually guard the paper's replay contract: *is every
-//! sim-state mutation covered by the replay digest?  Can a panic fire in
-//! the middle of a degraded-mode run?  Can a terminal error be laundered
-//! into a retry loop?*  This module builds a lightweight item index
-//! (functions, impl blocks, structs, enum variants) from the
+//! questions that guard the degraded-mode scenarios: *can a panic fire
+//! in the middle of a degraded-mode run?  Can a terminal error be
+//! laundered into a retry loop?*  This module builds a lightweight item
+//! index (functions, impl blocks, structs, enum variants) from the
 //! [`crate::lex`] token stream, links functions into a **name-based call
-//! graph**, and runs three flow analyses over it:
+//! graph**, and runs two flow analyses over it:
 //!
-//! * **`digest-taint`** — every `&mut self` method of a type registered
-//!   as sim state must be reachable from a registered digest fold root;
-//!   an unreachable mutator is a silent-divergence hazard (replays cannot
-//!   witness its effect).
-//! * **`span-digest`** — the same contract for types registered as
-//!   `span_source` (span logs): a mutator no digest root reaches records
-//!   trace events the span digest cannot witness, so traced replays
-//!   could diverge silently.
 //! * **`panic-path`** — `unwrap`/`expect`/slice indexing in any function
 //!   reachable from a panic root (fault handlers, `rebuild`, the retry
 //!   executor and its callers) is an error: a panic mid-degraded-mode
@@ -26,9 +17,12 @@
 //!   `terminal_error`) must never be classified or remapped as
 //!   retriable: retrying after data loss can never succeed.
 //!
+//! Replay determinism itself is not a lint here: the replay tests
+//! (`determinism_replay`, `span_determinism`) run every scenario twice
+//! and compare digests.
+//!
 //! The index built here is shared by the stage-3 cost pass
-//! ([`crate::cost`]): its body facts are extracted in the same parse and
-//! cached in the same JSON index.
+//! ([`crate::cost`]): its body facts are extracted in the same parse.
 //!
 //! # Registration markers
 //!
@@ -38,12 +32,6 @@
 //! ```text
 //! // simlint::sim_state — replay-visible pool/target state
 //! pub struct DaosSystem { … }
-//!
-//! // simlint::span_source — span open/close must fold into the span digest
-//! pub struct SpanLog { … }
-//!
-//! // simlint::digest_root — replay harness entry
-//! pub fn run_digest<W: World>(…) -> u64 { … }
 //!
 //! // simlint::panic_root — fault handler: must never panic
 //! pub fn crash_target(&mut self, t: TargetId) { … }
@@ -57,6 +45,8 @@
 //! }
 //! ```
 //!
+//! `sim_state` is read by the stage-3 `hot-state-scan` analysis.
+//!
 //! # Approximations (deliberate)
 //!
 //! The pass is std-only and name-based, not type-checked.  Call edges
@@ -66,10 +56,9 @@
 //! attributed to the enclosing function, which is why `retry_entry`
 //! promotes callers to roots), and nested items inside function bodies
 //! are not indexed.  This over-approximates reachability — the safe
-//! direction for `panic-path` and `retry-taxonomy`, and the reason
-//! `digest-taint` findings are phrased as hazards, not proofs.  Findings
-//! are suppressed with the same `simlint::allow(rule) — reason`
-//! directives as stage 1.
+//! direction for `panic-path` and `retry-taxonomy`.  Findings are
+//! suppressed with the same `simlint::allow(rule) — reason` directives
+//! as stage 1.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
@@ -82,8 +71,6 @@ use crate::{allow_covers, classify, collect_rs_files, parse_allow, Allow, Findin
 /// ([`crate::cost`]), which shares this index.
 pub const MARKERS: &[&str] = &[
     "sim_state",
-    "span_source",
-    "digest_root",
     "panic_root",
     "retry_entry",
     "terminal_error",
@@ -106,16 +93,6 @@ pub struct FlowRule {
 pub fn flow_rules() -> &'static [FlowRule] {
     &[
         FlowRule {
-            id: "digest-taint",
-            severity: Severity::Error,
-            summary: "sim-state mutators must be reachable from a digest fold root, else replays cannot witness the mutation",
-        },
-        FlowRule {
-            id: "span-digest",
-            severity: Severity::Error,
-            summary: "span-source mutators must be reachable from a digest fold root, else traced replays can diverge without the span digest noticing",
-        },
-        FlowRule {
             id: "panic-path",
             severity: Severity::Error,
             summary: "unwrap/expect/indexing reachable from fault handlers, rebuild or the retry executor aborts degraded-mode runs",
@@ -125,11 +102,6 @@ pub fn flow_rules() -> &'static [FlowRule] {
             severity: Severity::Error,
             summary: "terminal error variants must never be classified or remapped as retriable",
         },
-        FlowRule {
-            id: "flow-config",
-            severity: Severity::Warn,
-            summary: "flow-pass registration problems (e.g. an analysis with no registered roots)",
-        },
     ]
 }
 
@@ -138,7 +110,7 @@ pub fn flow_rules() -> &'static [FlowRule] {
 // ---------------------------------------------------------------------------
 
 /// Everything the flow analyses need to know about one function.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FnFact {
     /// Bare function name.
     pub name: String,
@@ -150,8 +122,6 @@ pub struct FnFact {
     pub file: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Takes `&mut self` (or `mut self`).
-    pub mut_self: bool,
     /// Registration markers attached to this function.
     pub markers: BTreeSet<String>,
     /// Call sites: `(qualifier_or_empty, callee_name)`.
@@ -175,18 +145,12 @@ pub struct FnFact {
     pub state_loops: Vec<(u32, String)>,
 }
 
-/// The parsed item index for the workspace: the unit that is cached
-/// between CI steps ([`index_to_json`]/[`index_from_json`]).
-#[derive(Debug, Clone, PartialEq)]
+/// The parsed item index for the workspace, shared by the flow and cost
+/// passes.
+#[derive(Debug, Clone)]
 pub struct Index {
-    /// FNV-1a fingerprint of the source set the index was built from.
-    pub fingerprint: u64,
     /// Types registered with `sim_state`.
     pub sim_state: BTreeSet<String>,
-    /// Types registered with `span_source` (span logs: every mutation
-    /// must fold into the span digest, so mutators are held to the same
-    /// reachability contract as sim state).
-    pub span_source: BTreeSet<String>,
     /// Enum variants registered with `terminal_error`, as `Enum::Variant`.
     pub terminals: BTreeSet<String>,
     /// All indexed functions, in deterministic (file, line) order.
@@ -218,52 +182,6 @@ pub fn read_sources(root: &Path) -> std::io::Result<BTreeMap<String, String>> {
         out.insert(rel, std::fs::read_to_string(&path)?);
     }
     Ok(out)
-}
-
-/// The analyzer's own sources, baked in at compile time.  They seed the
-/// index fingerprint so that a cached index saved by an older simlint is
-/// rebuilt after the analyzer itself changes — otherwise a stale index
-/// (missing facts a newer analysis reads) would silently survive CI's
-/// cross-run cache as long as the *crate* sources were untouched.
-const SELF_SOURCES: &[&str] = &[
-    include_str!("lib.rs"),
-    include_str!("lex.rs"),
-    include_str!("flow.rs"),
-    include_str!("cost.rs"),
-    include_str!("json.rs"),
-    include_str!("main.rs"),
-];
-
-/// FNV-1a over the analyzer's own sources: the seed for [`fingerprint`].
-pub fn self_fingerprint() -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for src in SELF_SOURCES {
-        for &b in src.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Order-sensitive FNV-1a fingerprint over `(path, content)` pairs,
-/// seeded with [`self_fingerprint`]; used to validate a cached index
-/// against both the current tree and the current analyzer.
-pub fn fingerprint(sources: &BTreeMap<String, String>) -> u64 {
-    let mut h: u64 = self_fingerprint();
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (path, content) in sources {
-        fold(path.as_bytes());
-        fold(&[0x00]);
-        fold(content.as_bytes());
-        fold(&[0xff]);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +241,6 @@ struct RawFn {
     qual: String,
     impl_type: Option<String>,
     line: u32,
-    mut_self: bool,
     markers: BTreeSet<String>,
     /// Token range of the body, outer braces excluded.
     body: std::ops::Range<usize>,
@@ -577,32 +494,21 @@ fn parse_fn(
     if !toks.get(q).is_some_and(|t| t.is_punct("(")) {
         return None;
     }
-    // Scan the parameter list; detect a `self` receiver with `mut`.
+    // Skip the parameter list.
     let mut depth = 0usize;
-    let mut groups: Vec<Vec<&Tok>> = vec![Vec::new()];
     while q < toks.len() {
         let t = &toks[q];
         if t.is_punct("(") {
             depth += 1;
-            if depth > 1 {
-                groups.last_mut().unwrap().push(t);
-            }
         } else if t.is_punct(")") {
             depth -= 1;
             if depth == 0 {
                 q += 1;
                 break;
             }
-            groups.last_mut().unwrap().push(t);
-        } else if t.is_punct(",") && depth == 1 {
-            groups.push(Vec::new());
-        } else if depth >= 1 {
-            groups.last_mut().unwrap().push(t);
         }
         q += 1;
     }
-    let mut_self =
-        groups[0].iter().any(|t| t.is_ident("self")) && groups[0].iter().any(|t| t.is_ident("mut"));
     // Return type / where clause up to the body or `;`.  `;` inside
     // brackets (`-> [u8; 4]`) does not terminate the signature.
     let mut nested = 0usize;
@@ -645,7 +551,6 @@ fn parse_fn(
             qual,
             impl_type: impl_type.filter(|t| !t.is_empty()).cloned(),
             line,
-            mut_self,
             markers: markers_for(line as usize, lines, marks),
             body: body_start..body_end,
         },
@@ -856,7 +761,7 @@ const SCAN_METHODS: &[&str] = &["iter", "iter_mut", "keys", "values", "values_mu
 /// Record the facts the stage-3 cost pass ([`crate::cost`]) reads:
 /// allocation sites, map accesses and full scans over fields of a
 /// registered sim-state type.  Runs over the same token range as
-/// [`analyze_body`] so the facts are cached in the index.
+/// [`analyze_body`], in the same parse.
 fn analyze_cost_facts(
     toks: &[Tok],
     body: std::ops::Range<usize>,
@@ -1047,15 +952,11 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
         .collect();
 
     let mut sim_state = BTreeSet::new();
-    let mut span_source = BTreeSet::new();
     let mut terminals = BTreeSet::new();
     for (_, fp) in &parses {
         for sp in &fp.structs {
             if sp.markers.contains("sim_state") {
                 sim_state.insert(sp.name.clone());
-            }
-            if sp.markers.contains("span_source") {
-                span_source.insert(sp.name.clone());
             }
         }
         for (qual, marks) in &fp.variants {
@@ -1074,7 +975,6 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
                 impl_type: raw.impl_type.clone(),
                 file: (*path).clone(),
                 line: raw.line,
-                mut_self: raw.mut_self,
                 markers: raw.markers.clone(),
                 calls: Vec::new(),
                 panics: Vec::new(),
@@ -1105,9 +1005,7 @@ pub fn build_index(sources: &BTreeMap<String, String>) -> Index {
     }
 
     Index {
-        fingerprint: fingerprint(sources),
         sim_state,
-        span_source,
         terminals,
         fns,
     }
@@ -1236,7 +1134,8 @@ impl Emitter {
         message: String,
     ) {
         let line = line as usize;
-        if let Some(ctx) = self.files.get(path) {
+        let ctx = self.files.get(path);
+        if let Some(ctx) = ctx {
             let mut probe = vec![line, line.saturating_sub(1)];
             if let Some(s) = scope {
                 let s = s as usize;
@@ -1261,126 +1160,28 @@ impl Emitter {
             if allowed {
                 return;
             }
-            let excerpt = ctx
-                .lines
-                .get(line.saturating_sub(1))
-                .map(|l| l.trim().to_string())
-                .unwrap_or_default();
-            self.findings.push(Finding {
-                rule,
-                severity,
-                path: path.to_string(),
-                line,
-                message,
-                excerpt,
-            });
-        } else {
-            self.findings.push(Finding {
-                rule,
-                severity,
-                path: path.to_string(),
-                line,
-                message,
-                excerpt: String::new(),
-            });
         }
+        let excerpt = ctx
+            .and_then(|c| c.lines.get(line.saturating_sub(1)))
+            .map(|l| l.trim().to_string())
+            .unwrap_or_default();
+        self.findings.push(Finding {
+            rule,
+            severity,
+            path: path.to_string(),
+            line,
+            message,
+            excerpt,
+        });
     }
 }
 
-/// Run the three flow analyses over a built index.  `sources` supplies
+/// Run the two flow analyses over a built index.  `sources` supplies
 /// excerpts and `simlint::allow` suppressions; it must be the same tree
-/// the index was built from (the CLI enforces this via the fingerprint).
+/// the index was built from.
 pub fn analyze(index: &Index, sources: &BTreeMap<String, String>) -> Vec<Finding> {
     let graph = build_graph(index);
     let mut em = Emitter::new(sources);
-
-    // ---- digest-taint -----------------------------------------------------
-    let digest_roots: Vec<usize> = index
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.markers.contains("digest_root"))
-        .map(|(i, _)| i)
-        .collect();
-    if !index.sim_state.is_empty() {
-        if digest_roots.is_empty() {
-            em.emit(
-                "flow-config",
-                Severity::Warn,
-                "(workspace)",
-                0,
-                None,
-                "sim_state types are registered but no digest_root is; digest-taint cannot run"
-                    .to_string(),
-            );
-        } else {
-            let root_names: Vec<&str> = digest_roots
-                .iter()
-                .map(|&i| index.fns[i].qual.as_str())
-                .collect();
-            let reached = reach(&graph.out, &digest_roots);
-            for (i, f) in index.fns.iter().enumerate() {
-                let is_mutator = f.mut_self
-                    && f.impl_type
-                        .as_deref()
-                        .is_some_and(|t| index.sim_state.contains(t));
-                if is_mutator && reached[i] == usize::MAX {
-                    em.emit(
-                        "digest-taint",
-                        Severity::Error,
-                        &f.file,
-                        f.line,
-                        None,
-                        format!(
-                            "sim-state mutator `{}` is not reachable from any digest fold root ({}): replays cannot witness this mutation, so a divergence through it would be silent",
-                            f.qual,
-                            root_names.join(", "),
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // ---- span-digest ------------------------------------------------------
-    // Same reachability contract as digest-taint, applied to span logs:
-    // a span open/close/mark that no digest root reaches would record
-    // trace events the span digest cannot witness, so two traced replays
-    // could silently diverge.
-    if !index.span_source.is_empty() {
-        if digest_roots.is_empty() {
-            em.emit(
-                "flow-config",
-                Severity::Warn,
-                "(workspace)",
-                0,
-                None,
-                "span_source types are registered but no digest_root is; span-digest cannot run"
-                    .to_string(),
-            );
-        } else {
-            let reached = reach(&graph.out, &digest_roots);
-            for (i, f) in index.fns.iter().enumerate() {
-                let is_mutator = f.mut_self
-                    && f.impl_type
-                        .as_deref()
-                        .is_some_and(|t| index.span_source.contains(t));
-                if is_mutator && reached[i] == usize::MAX {
-                    em.emit(
-                        "span-digest",
-                        Severity::Error,
-                        &f.file,
-                        f.line,
-                        None,
-                        format!(
-                            "span-source mutator `{}` is not reachable from any digest fold root: span events through it bypass the span digest, so traced replays could diverge silently",
-                            f.qual,
-                        ),
-                    );
-                }
-            }
-        }
-    }
 
     // ---- panic-path -------------------------------------------------------
     let mut panic_roots: BTreeSet<usize> = index
@@ -1510,240 +1311,6 @@ pub fn analyze_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(analyze(&index, &sources))
 }
 
-// ---------------------------------------------------------------------------
-// Index serialization (CI cache)
-// ---------------------------------------------------------------------------
-
-use crate::json::Json;
-use crate::json_escape;
-
-/// Serialize the index to JSON (one object; findings-style escaping).
-pub fn index_to_json(index: &Index) -> String {
-    let mut s = String::new();
-    s.push_str("{\"version\":5,");
-    s.push_str(&format!("\"fingerprint\":\"{:016x}\",", index.fingerprint));
-    let str_arr = |items: &BTreeSet<String>| {
-        let inner: Vec<String> = items
-            .iter()
-            .map(|i| format!("\"{}\"", json_escape(i)))
-            .collect();
-        format!("[{}]", inner.join(","))
-    };
-    s.push_str(&format!("\"sim_state\":{},", str_arr(&index.sim_state)));
-    s.push_str(&format!("\"span_source\":{},", str_arr(&index.span_source)));
-    s.push_str(&format!("\"terminals\":{},", str_arr(&index.terminals)));
-    s.push_str("\"fns\":[");
-    for (i, f) in index.fns.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"qual\":\"{}\",\"impl_type\":{},\"file\":\"{}\",\"line\":{},\"mut_self\":{},",
-            json_escape(&f.name),
-            json_escape(&f.qual),
-            match &f.impl_type {
-                Some(t) => format!("\"{}\"", json_escape(t)),
-                None => "null".to_string(),
-            },
-            json_escape(&f.file),
-            f.line,
-            f.mut_self,
-        ));
-        let markers: Vec<String> = f
-            .markers
-            .iter()
-            .map(|m| format!("\"{}\"", json_escape(m)))
-            .collect();
-        s.push_str(&format!("\"markers\":[{}],", markers.join(",")));
-        let calls: Vec<String> = f
-            .calls
-            .iter()
-            .map(|(q, n)| format!("[\"{}\",\"{}\"]", json_escape(q), json_escape(n)))
-            .collect();
-        s.push_str(&format!("\"calls\":[{}],", calls.join(",")));
-        let panics: Vec<String> = f
-            .panics
-            .iter()
-            .map(|(l, k)| format!("[{l},\"{}\"]", json_escape(k)))
-            .collect();
-        s.push_str(&format!("\"panics\":[{}],", panics.join(",")));
-        let mentions: Vec<String> = f
-            .terminal_mentions
-            .iter()
-            .map(|(v, l)| format!("[\"{}\",{l}]", json_escape(v)))
-            .collect();
-        s.push_str(&format!("\"terminal_mentions\":[{}],", mentions.join(",")));
-        let maperr: Vec<String> = f.maperr_retriable.iter().map(|l| l.to_string()).collect();
-        s.push_str(&format!("\"maperr_retriable\":[{}],", maperr.join(",")));
-        let remaps: Vec<String> = f
-            .arm_remaps
-            .iter()
-            .map(|(v, l)| format!("[\"{}\",{l}]", json_escape(v)))
-            .collect();
-        s.push_str(&format!("\"arm_remaps\":[{}],", remaps.join(",")));
-        let allocs: Vec<String> = f
-            .allocs
-            .iter()
-            .map(|(l, k)| format!("[{l},\"{}\"]", json_escape(k)))
-            .collect();
-        s.push_str(&format!("\"allocs\":[{}],", allocs.join(",")));
-        let map_ops: Vec<String> = f
-            .map_ops
-            .iter()
-            .map(|(r, k, m, l)| {
-                format!(
-                    "[\"{}\",\"{}\",\"{}\",{l}]",
-                    json_escape(r),
-                    json_escape(k),
-                    json_escape(m)
-                )
-            })
-            .collect();
-        s.push_str(&format!("\"map_ops\":[{}],", map_ops.join(",")));
-        let scans: Vec<String> = f
-            .state_loops
-            .iter()
-            .map(|(l, w)| format!("[{l},\"{}\"]", json_escape(w)))
-            .collect();
-        s.push_str(&format!("\"state_loops\":[{}]}}", scans.join(",")));
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Deserialize an index written by [`index_to_json`].
-pub fn index_from_json(s: &str) -> Result<Index, String> {
-    let v = Json::parse(s)?;
-    if v.get("version").and_then(|x| x.as_u64()) != Some(5) {
-        return Err("unsupported index version".to_string());
-    }
-    let fingerprint = v
-        .get("fingerprint")
-        .and_then(|x| x.as_str())
-        .and_then(|x| u64::from_str_radix(x, 16).ok())
-        .ok_or("missing fingerprint")?;
-    let str_set = |key: &str| -> Result<BTreeSet<String>, String> {
-        v.get(key)
-            .and_then(|x| x.as_arr())
-            .ok_or_else(|| format!("missing {key}"))?
-            .iter()
-            .map(|x| x.as_str().map(|s| s.to_string()).ok_or("bad string".into()))
-            .collect()
-    };
-    let sim_state = str_set("sim_state")?;
-    let span_source = str_set("span_source")?;
-    let terminals = str_set("terminals")?;
-    let mut fns = Vec::new();
-    for fv in v.get("fns").and_then(|x| x.as_arr()).ok_or("missing fns")? {
-        let gs = |key: &str| -> Result<String, String> {
-            fv.get(key)
-                .and_then(|x| x.as_str())
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("fn missing {key}"))
-        };
-        let pair_list = |key: &str, num_first: bool| -> Result<Vec<(String, u32)>, String> {
-            let mut out = Vec::new();
-            for e in fv.get(key).and_then(|x| x.as_arr()).unwrap_or(&[]) {
-                let a = e.as_arr().ok_or("bad pair")?;
-                if a.len() != 2 {
-                    return Err("bad pair arity".to_string());
-                }
-                let (sv, nv) = if num_first {
-                    (&a[1], &a[0])
-                } else {
-                    (&a[0], &a[1])
-                };
-                out.push((
-                    sv.as_str().ok_or("bad pair str")?.to_string(),
-                    nv.as_u64().ok_or("bad pair num")? as u32,
-                ));
-            }
-            Ok(out)
-        };
-        fns.push(FnFact {
-            name: gs("name")?,
-            qual: gs("qual")?,
-            impl_type: fv
-                .get("impl_type")
-                .and_then(|x| x.as_str())
-                .map(|s| s.to_string()),
-            file: gs("file")?,
-            line: fv
-                .get("line")
-                .and_then(|x| x.as_u64())
-                .ok_or("fn missing line")? as u32,
-            mut_self: fv
-                .get("mut_self")
-                .and_then(|x| x.as_bool())
-                .ok_or("fn missing mut_self")?,
-            markers: fv
-                .get("markers")
-                .and_then(|x| x.as_arr())
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|m| m.as_str().map(|s| s.to_string()))
-                .collect(),
-            calls: fv
-                .get("calls")
-                .and_then(|x| x.as_arr())
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|c| {
-                    let a = c.as_arr()?;
-                    Some((
-                        a.first()?.as_str()?.to_string(),
-                        a.get(1)?.as_str()?.to_string(),
-                    ))
-                })
-                .collect(),
-            panics: pair_list("panics", true)?
-                .into_iter()
-                .map(|(k, l)| (l, k))
-                .collect(),
-            terminal_mentions: pair_list("terminal_mentions", false)?,
-            maperr_retriable: fv
-                .get("maperr_retriable")
-                .and_then(|x| x.as_arr())
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|l| l.as_u64().map(|n| n as u32))
-                .collect(),
-            arm_remaps: pair_list("arm_remaps", false)?,
-            allocs: pair_list("allocs", true)?
-                .into_iter()
-                .map(|(k, l)| (l, k))
-                .collect(),
-            map_ops: {
-                let mut out = Vec::new();
-                for e in fv.get("map_ops").and_then(|x| x.as_arr()).unwrap_or(&[]) {
-                    let a = e.as_arr().ok_or("bad map_op")?;
-                    if a.len() != 4 {
-                        return Err("bad map_op arity".to_string());
-                    }
-                    out.push((
-                        a[0].as_str().ok_or("bad map_op recv")?.to_string(),
-                        a[1].as_str().ok_or("bad map_op key")?.to_string(),
-                        a[2].as_str().ok_or("bad map_op method")?.to_string(),
-                        a[3].as_u64().ok_or("bad map_op line")? as u32,
-                    ));
-                }
-                out
-            },
-            state_loops: pair_list("state_loops", true)?
-                .into_iter()
-                .map(|(k, l)| (l, k))
-                .collect(),
-        });
-    }
-    Ok(Index {
-        fingerprint,
-        sim_state,
-        span_source,
-        terminals,
-        fns,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1768,7 +1335,7 @@ mod tests {
     // ---- item parsing ----
 
     #[test]
-    fn parses_fns_with_impl_quals_and_mut_self() {
+    fn parses_fns_with_impl_quals() {
         let sources = srcs(&[(
             "crates/x/src/lib.rs",
             "pub struct S;\n\
@@ -1782,12 +1349,9 @@ mod tests {
         let idx = build_index(&sources);
         let by_qual: BTreeMap<&str, &FnFact> =
             idx.fns.iter().map(|f| (f.qual.as_str(), f)).collect();
-        assert!(by_qual["S::touch"].mut_self);
-        assert!(!by_qual["S::peek"].mut_self);
-        assert!(!by_qual["S::make"].mut_self);
-        // `&mut S` parameter is not a self receiver.
-        assert!(!by_qual["free"].mut_self);
         assert_eq!(by_qual["S::touch"].impl_type.as_deref(), Some("S"));
+        assert_eq!(by_qual["S::make"].impl_type.as_deref(), Some("S"));
+        assert_eq!(by_qual["free"].impl_type, None);
     }
 
     #[test]
@@ -1847,161 +1411,6 @@ mod tests {
         // an index (predecessor `=`), the attribute/string/comment cases
         // never lex as code.
         assert_eq!(kinds, vec!["unwrap", "expect", "index", "index"]);
-    }
-
-    // ---- digest-taint ----
-
-    const DIGEST_POS: &[(&str, &str)] = &[
-        (
-            "crates/sim/src/lib.rs",
-            "// simlint::sim_state — replay-visible\n\
-             pub struct Sys { pub x: u32 }\n\
-             impl Sys {\n\
-                 pub fn covered(&mut self) { self.x += 1; }\n\
-                 pub fn stray(&mut self) { self.x += 2; }\n\
-                 pub fn read_only(&self) -> u32 { self.x }\n\
-             }\n",
-        ),
-        (
-            "crates/harness/src/lib.rs",
-            "// simlint::digest_root — fold entry\n\
-             pub fn run_digest(sys: &mut crate::Sys) -> u64 {\n\
-                 sys.covered();\n\
-                 0\n\
-             }\n",
-        ),
-    ];
-
-    #[test]
-    fn digest_taint_flags_unreachable_mutator_only() {
-        let findings = run(DIGEST_POS);
-        let taints: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.rule == "digest-taint")
-            .collect();
-        assert_eq!(taints.len(), 1, "{findings:?}");
-        assert!(taints[0].message.contains("Sys::stray"));
-        assert!(taints[0].message.contains("run_digest"));
-        assert_eq!(taints[0].severity, Severity::Error);
-    }
-
-    #[test]
-    fn digest_taint_suppressed_with_reason() {
-        let mut files: Vec<(&str, &str)> = DIGEST_POS.to_vec();
-        files[0] = (
-            "crates/sim/src/lib.rs",
-            "// simlint::sim_state — replay-visible\n\
-             pub struct Sys { pub x: u32 }\n\
-             impl Sys {\n\
-                 pub fn covered(&mut self) { self.x += 1; }\n\
-                 // simlint::allow(digest-taint) — debug-only mutator, asserted unreachable in replay\n\
-                 pub fn stray(&mut self) { self.x += 2; }\n\
-             }\n",
-        );
-        assert!(!rules_hit(&files).contains(&"digest-taint"));
-    }
-
-    #[test]
-    fn digest_taint_transitive_reachability() {
-        let files = &[
-            (
-                "crates/sim/src/lib.rs",
-                "// simlint::sim_state\n\
-                 pub struct Sys { pub x: u32 }\n\
-                 impl Sys {\n\
-                     pub fn deep(&mut self) { self.x += 1; }\n\
-                 }\n\
-                 pub fn middle(sys: &mut Sys) { sys.deep(); }\n",
-            ),
-            (
-                "crates/harness/src/lib.rs",
-                "// simlint::digest_root\n\
-                 pub fn run_digest(sys: &mut crate::Sys) -> u64 { middle(sys); 0 }\n",
-            ),
-        ];
-        assert!(!rules_hit(files).contains(&"digest-taint"));
-    }
-
-    // ---- span-digest ----
-
-    const SPAN_POS: &[(&str, &str)] = &[
-        (
-            "crates/sim/src/lib.rs",
-            "// simlint::span_source — span events fold into the span digest\n\
-             pub struct Log { pub n: u32 }\n\
-             impl Log {\n\
-                 pub fn open(&mut self) { self.n += 1; }\n\
-                 pub fn side_channel(&mut self) { self.n += 2; }\n\
-                 pub fn len(&self) -> u32 { self.n }\n\
-             }\n",
-        ),
-        (
-            "crates/harness/src/lib.rs",
-            "// simlint::digest_root — fold entry\n\
-             pub fn run_digest(log: &mut crate::Log) -> u64 {\n\
-                 log.open();\n\
-                 0\n\
-             }\n",
-        ),
-    ];
-
-    #[test]
-    fn span_digest_flags_unreachable_mutator_only() {
-        let findings = run(SPAN_POS);
-        let hits: Vec<&Finding> = findings
-            .iter()
-            .filter(|f| f.rule == "span-digest")
-            .collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
-        assert!(hits[0].message.contains("Log::side_channel"));
-        assert_eq!(hits[0].severity, Severity::Error);
-        // The covered mutator and the shared-receiver accessor are clean.
-        assert!(findings.iter().all(|f| !f.message.contains("Log::open")));
-        assert!(findings.iter().all(|f| !f.message.contains("Log::len")));
-    }
-
-    #[test]
-    fn span_digest_suppressed_with_reason() {
-        let mut files: Vec<(&str, &str)> = SPAN_POS.to_vec();
-        files[0] = (
-            "crates/sim/src/lib.rs",
-            "// simlint::span_source — span events fold into the span digest\n\
-             pub struct Log { pub n: u32 }\n\
-             impl Log {\n\
-                 pub fn open(&mut self) { self.n += 1; }\n\
-                 // simlint::allow(span-digest) — test-only reset, never called in traced runs\n\
-                 pub fn side_channel(&mut self) { self.n += 2; }\n\
-             }\n",
-        );
-        assert!(!rules_hit(&files).contains(&"span-digest"));
-    }
-
-    #[test]
-    fn span_source_without_digest_root_warns() {
-        let files = &[(
-            "crates/sim/src/lib.rs",
-            "// simlint::span_source\n\
-             pub struct Log;\n\
-             impl Log { pub fn open(&mut self) {} }\n",
-        )];
-        let findings = run(files);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "flow-config");
-        assert!(findings[0].message.contains("span_source"));
-    }
-
-    #[test]
-    fn sim_state_without_digest_root_warns() {
-        let files = &[(
-            "crates/sim/src/lib.rs",
-            "// simlint::sim_state\n\
-             pub struct Sys;\n\
-             impl Sys { pub fn m(&mut self) {} }\n",
-        )];
-        let findings = run(files);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "flow-config");
-        assert_eq!(findings[0].severity, Severity::Warn);
     }
 
     // ---- panic-path ----
@@ -2171,35 +1580,5 @@ mod tests {
             .collect();
         assert_eq!(tax.len(), 1, "{findings:?}");
         assert!(tax[0].message.contains("launder"), "{}", tax[0].message);
-    }
-
-    // ---- index cache ----
-
-    #[test]
-    fn index_json_round_trip_preserves_findings() {
-        let sources = srcs(DIGEST_POS);
-        let index = build_index(&sources);
-        let json = index_to_json(&index);
-        let back = index_from_json(&json).unwrap();
-        assert_eq!(index, back);
-        assert_eq!(analyze(&index, &sources), analyze(&back, &sources));
-    }
-
-    #[test]
-    fn index_json_round_trip_preserves_span_sources() {
-        let sources = srcs(SPAN_POS);
-        let index = build_index(&sources);
-        assert!(index.span_source.contains("Log"), "{index:?}");
-        let back = index_from_json(&index_to_json(&index)).unwrap();
-        assert_eq!(index, back);
-        assert_eq!(analyze(&index, &sources), analyze(&back, &sources));
-    }
-
-    #[test]
-    fn fingerprint_tracks_content() {
-        let a = srcs(&[("crates/x/src/lib.rs", "pub fn f() {}\n")]);
-        let b = srcs(&[("crates/x/src/lib.rs", "pub fn f() { g() }\n")]);
-        assert_ne!(fingerprint(&a), fingerprint(&b));
-        assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
     }
 }

@@ -48,7 +48,6 @@ use std::path::{Path, PathBuf};
 
 pub mod cost;
 pub mod flow;
-pub mod json;
 pub mod lex;
 
 /// How bad a finding is. `Error` findings fail `--deny`; `Warn` never does.
@@ -364,10 +363,14 @@ pub(crate) struct Allow {
 }
 
 /// Parse an allow directive out of a raw source line, if present. The
-/// directive only counts inside a `//` comment, so the marker string can
-/// appear in code or literals without being treated as a suppression.
+/// directive only counts inside a plain `//` comment, so the marker string
+/// can appear in code, literals or doc comments (`///`, `//!`) without
+/// being treated as a suppression.
 pub(crate) fn parse_allow(raw_line: &str) -> Option<Allow> {
     let comment = &raw_line[raw_line.find("//")?..];
+    if comment.starts_with("///") || comment.starts_with("//!") {
+        return None;
+    }
     let pos = comment.find("simlint::allow(")?;
     let rest = &comment[pos + "simlint::allow(".len()..];
     let close = rest.find(')')?;
@@ -547,6 +550,35 @@ pub fn lint_source(path: &str, source: &str, ctx: FileContext) -> Vec<Finding> {
             continue;
         }
 
+        // An allow that names an unknown rule or lacks a reason is itself a
+        // problem: it looks like a suppression but does nothing.
+        if let Some(allow) = &allows[idx] {
+            let known = rule_ids();
+            for r in &allow.rules {
+                if !known.contains(&r.as_str()) {
+                    findings.push(Finding {
+                        rule: "unknown-allow",
+                        severity: Severity::Warn,
+                        path: path.to_string(),
+                        line: idx + 1,
+                        message: format!("simlint::allow names unknown rule `{r}`"),
+                        excerpt: raw.trim().to_string(),
+                    });
+                }
+            }
+            if !allow.has_reason {
+                findings.push(Finding {
+                    rule: "allow-without-reason",
+                    severity: Severity::Warn,
+                    path: path.to_string(),
+                    line: idx + 1,
+                    message: "simlint::allow requires a reason after the rule list (`— why`)"
+                        .to_string(),
+                    excerpt: raw.trim().to_string(),
+                });
+            }
+        }
+
         if code.is_empty() {
             continue;
         }
@@ -575,35 +607,6 @@ pub fn lint_source(path: &str, source: &str, ctx: FileContext) -> Vec<Finding> {
                         excerpt: raw.trim().to_string(),
                     });
                 }
-            }
-        }
-
-        // An allow that names an unknown rule or lacks a reason is itself a
-        // problem: it looks like a suppression but does nothing.
-        if let Some(allow) = &allows[idx] {
-            let known = rule_ids();
-            for r in &allow.rules {
-                if !known.contains(&r.as_str()) {
-                    findings.push(Finding {
-                        rule: "unknown-allow",
-                        severity: Severity::Warn,
-                        path: path.to_string(),
-                        line: idx + 1,
-                        message: format!("simlint::allow names unknown rule `{r}`"),
-                        excerpt: raw.trim().to_string(),
-                    });
-                }
-            }
-            if !allow.has_reason {
-                findings.push(Finding {
-                    rule: "allow-without-reason",
-                    severity: Severity::Warn,
-                    path: path.to_string(),
-                    line: idx + 1,
-                    message: "simlint::allow requires a reason after the rule list (`— why`)"
-                        .to_string(),
-                    excerpt: raw.trim().to_string(),
-                });
             }
         }
     }
@@ -672,6 +675,22 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(lint_source(&rel, &source, classify(&rel)));
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Ok(findings)
+}
+
+/// Every stage over the tree at `root`: the stage-1 line rules and, when
+/// `flow_passes` is set, the stage-2 flow and stage-3 cost passes over one
+/// shared item index.  Findings come back sorted by path, then line, then
+/// rule.
+pub fn lint_workspace(root: &Path, flow_passes: bool) -> std::io::Result<Vec<Finding>> {
+    let mut findings = lint_tree(root)?;
+    if flow_passes {
+        let sources = flow::read_sources(root)?;
+        let index = flow::build_index(&sources);
+        findings.extend(flow::analyze(&index, &sources));
+        findings.extend(cost::analyze(&index, &sources));
+        findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    }
     Ok(findings)
 }
 
@@ -932,6 +951,12 @@ pub fn after_tests() { let m = HashMap::new(); }
         let src = "let x = 1; // simlint::allow(no-such-rule) — whatever\n";
         let hits = rules_hit(src, SIM_LIB);
         assert_eq!(hits, vec!["unknown-allow"]);
+        // On a comment line of its own, the usual form, too.
+        let src = "// simlint::allow(no-such-rule) — whatever\nlet x = 1;\n";
+        assert_eq!(rules_hit(src, SIM_LIB), vec!["unknown-allow"]);
+        // A doc comment that mentions the syntax is not a directive.
+        let src = "/// Write `simlint::allow(rule) — reason` above the site.\nlet x = 1;\n";
+        assert!(rules_hit(src, SIM_LIB).is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub enum TickError {
 }
 
 impl Counter {
-    /// The only mutator, reached from the digest root.
+    /// The only mutator, reached from the fault handler.
     pub fn tick(&mut self) -> Result<(), TickError> {
         if self.ticks == u64::MAX {
             return Err(TickError::Exhausted);
@@ -27,7 +27,6 @@ pub fn on_fault(c: &mut Counter) {
     let _ = c.tick();
 }
 
-// simlint::digest_root — fixture replay fold
 pub fn fold_digest(c: &mut Counter) -> u64 {
     on_fault(c);
     c.ticks
