@@ -17,6 +17,10 @@ use cluster::Calibration;
 /// [`builtin_plan_digests_are_pinned`]).
 const BUILTIN_PLAN_FOLD: u64 = 0x0c82_90d9_8ec9_e3a3;
 
+/// FNV-1a fold of every paper scenario's replay digest and bandwidth
+/// bits at two specs (see [`scenario_digests_are_pinned`]).
+const SCENARIO_FOLD: u64 = 0xd5f4_1283_ebd5_9d30;
+
 #[test]
 fn every_scenario_replays_identically() {
     // Small but non-trivial: multiple processes on multiple nodes so
@@ -43,6 +47,34 @@ fn every_scenario_replays_identically() {
         failures.is_empty(),
         "nondeterministic scenarios:\n{}",
         failures.join("\n")
+    );
+}
+
+#[test]
+fn scenario_digests_are_pinned() {
+    // Double-run equality alone would let a numerics drift in the engine
+    // (a solver change that moves one rate by one ulp) pass unnoticed;
+    // the pinned fold catches it.  Two specs: the replay spec above and
+    // a many-flow one with 128 processes, so about that many transfers
+    // share the fabric at once.
+    let cal = Calibration::default();
+    let mut small = RunSpec::new(2, 2, 4);
+    small.ops_per_proc = 12;
+    let mut wide = RunSpec::new(4, 4, 32);
+    wide.ops_per_proc = 8;
+    let mut words = Vec::new();
+    for spec in [&small, &wide] {
+        for scen in Scenario::ALL {
+            let (r, digest) = benchkit::run_scenario_digest(spec, scen, &cal);
+            words.push(digest);
+            words.push(r.write.bandwidth().to_bits());
+            words.push(r.read.bandwidth().to_bits());
+        }
+    }
+    let fold = common::fnv1a(words.iter().map(|w| w.to_le_bytes()));
+    assert_eq!(
+        fold, SCENARIO_FOLD,
+        "scenario digest/bandwidth words {words:#018x?} fold to {fold:#018x}"
     );
 }
 
