@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use daos_core::{ErasureCode, ObjectClass, OidAllocator, PoolMap};
 use simkit::fairshare::FairShare;
 use simkit::units::{GB, MB};
-use simkit::{Path, Rate, ResourceId, SplitMix64};
+use simkit::{Bytes, Path, Rate, ResourceId, SimTime, SplitMix64};
 
 fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurement::WallTime> {
     let mut g = c.benchmark_group("micro");
@@ -36,7 +36,7 @@ fn bench_fairshare(c: &mut Criterion) {
             let mut fs = FairShare::new();
             fs.set_tolerance(tol);
             for key in 0..FLOWS {
-                fs.add(key, path());
+                fs.add(key, path(), Bytes(MB));
             }
             let mut pick = SplitMix64::new(7);
             let mut freed = Vec::with_capacity(CHURN);
@@ -50,9 +50,9 @@ fn bench_fairshare(c: &mut Criterion) {
                     }
                 }
                 while let Some(key) = freed.pop() {
-                    fs.add(key, path());
+                    fs.add(key, path(), Bytes(MB));
                 }
-                fs.solve(&caps)
+                fs.solve(&caps, SimTime::ZERO)
             });
         });
     }

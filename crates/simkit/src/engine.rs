@@ -12,7 +12,7 @@ use crate::step::{ResourceId, Step};
 use crate::telemetry::{MetricId, Telemetry};
 use crate::time::SimTime;
 use crate::trace::Trace;
-use crate::units::{Bytes, Rate};
+use crate::units::Rate;
 
 /// Opaque identifier attached to a submitted op chain and reported back
 /// on completion.  Callers typically encode a process index and an op
@@ -74,18 +74,6 @@ enum Cont {
     /// `Step::Span` executes its inner step directly, so the cont slab
     /// (and everything downstream of it) is identical to a span-free run.
     Span { id: SpanId, parent: Parent },
-}
-
-#[derive(Debug)]
-struct Flow {
-    remaining: Bytes,
-    rate: Rate,
-    deadline: SimTime,
-    /// Residual below which the flow counts as finished: a safety net
-    /// against f64 settlement drift, scaled to the flow's size so tiny
-    /// transfers are not cut short measurably.
-    eps: Bytes,
-    parent: Parent,
 }
 
 #[derive(Debug)]
@@ -163,22 +151,25 @@ pub struct Scheduler {
     /// these, so `scale: 1.0` restores exactly the original rate.
     base_caps: Vec<Rate>,
     names: Vec<String>,
-    flows: Slab<Flow>,
+    /// What each in-flight flow's completion notifies, under the slab
+    /// key that also indexes the flow in `fair`.
+    flow_parents: Slab<Parent>,
     conts: Slab<Cont>,
     timers: BinaryHeap<Reverse<Timer>>,
     timer_seq: u64,
     completions: VecDeque<OpId>,
     rates_dirty: bool,
-    /// Earliest flow deadline, maintained by `recompute_rates`; exact
-    /// whenever `rates_dirty` is false (deadlines only change inside a
-    /// recompute, and every flow insert/remove sets the dirty bit), so
-    /// `next_event_time` reads it instead of scanning every flow.
+    /// Earliest flow deadline, returned by the solve in
+    /// `recompute_rates`; exact whenever `rates_dirty` is false
+    /// (deadlines only change inside a solve, and every flow
+    /// insert/remove sets the dirty bit), so `next_event_time` reads it
+    /// instead of scanning every flow.
     flow_deadline_min: SimTime,
     /// Reused buffer for the keys of flows completing in one event batch
     /// (`fire_events_at`); keeps the hot loop allocation-free.
     done_scratch: Vec<u32>,
-    /// The max-min solver, holding every live flow under its slab key
-    /// and the flow's path (the path's only owner).
+    /// The max-min solver and flow table: every live flow's path (its
+    /// only owner), residual, rate and deadline under its slab key.
     fair: FairShare,
     monitor: Monitor,
     /// Installed fault events, sorted by `(at, id)`, popped as fired.
@@ -217,7 +208,7 @@ impl Scheduler {
             caps: Vec::new(),
             base_caps: Vec::new(),
             names: Vec::new(),
-            flows: Slab::new(),
+            flow_parents: Slab::new(),
             conts: Slab::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -479,12 +470,12 @@ impl Scheduler {
 
     /// Number of in-flight flows.
     pub fn active_flow_count(&self) -> usize {
-        self.flows.len()
+        self.fair.len()
     }
 
     /// True if any work (flows, timers, undelivered completions) remains.
     pub fn has_pending_work(&self) -> bool {
-        !self.flows.is_empty() || !self.timers.is_empty() || !self.completions.is_empty()
+        !self.fair.is_empty() || !self.timers.is_empty() || !self.completions.is_empty()
     }
 
     /// Submit an op chain; `op` is reported to the [`World`] when the
@@ -530,14 +521,8 @@ impl Scheduler {
                         self.telemetry.gauge_incr(g, self.now);
                     }
                 }
-                let key = self.flows.insert(Flow {
-                    remaining: units,
-                    rate: Rate::ZERO,
-                    deadline: SimTime::NEVER,
-                    eps: Bytes(units.get() * 1e-9),
-                    parent,
-                });
-                self.fair.add(key, path);
+                let key = self.flow_parents.insert(parent);
+                self.fair.add(key, path, units);
                 self.rates_dirty = true;
             }
             Step::Seq(mut steps) => {
@@ -665,28 +650,19 @@ impl Scheduler {
     /// [`Scheduler::settle_to`], also pushing onto `due`, in key order,
     /// the key of every flow that is due at `t` once settled (deadline
     /// reached, or residual rounded to nothing).
-    fn settle(&mut self, t: SimTime, mut due: Option<&mut Vec<u32>>) {
+    fn settle(&mut self, t: SimTime, due: Option<&mut Vec<u32>>) {
         let t0 = self.last_settle;
         let dt = t.secs_since(t0);
         if dt > 0.0 || due.is_some() {
-            let monitor_on = self.monitor.is_enabled();
-            // simlint::allow(hot-state-scan) — the fluid model settles every live flow across the elapsed interval; recompute coalescing (set_coalescing) bounds how often this runs per event batch
-            for (key, f) in self.flows.iter_mut() {
-                if dt > 0.0 && f.rate > Rate::ZERO {
-                    let moved = f.rate.bytes_in(dt).min(f.remaining);
-                    f.remaining -= moved;
-                    if monitor_on {
-                        for &r in self.fair.path(key) {
-                            self.monitor.credit(r, moved.get(), t0, t);
-                        }
+            let monitor = &mut self.monitor;
+            let monitor_on = monitor.is_enabled();
+            self.fair.settle(dt, t, due, |path, moved| {
+                if monitor_on {
+                    for &r in path {
+                        monitor.credit(r, moved.get(), t0, t);
                     }
                 }
-                if let Some(due) = due.as_deref_mut() {
-                    if f.deadline <= t || f.remaining <= f.eps {
-                        due.push(key);
-                    }
-                }
-            }
+            });
         }
         self.last_settle = t;
         self.now = t;
@@ -696,30 +672,16 @@ impl Scheduler {
     fn recompute_rates(&mut self) {
         self.settle_to(self.now);
         self.stat_recomputes += 1;
-        self.stat_flow_visits += self.flows.len() as u64;
-        let fill_iters = self.fair.solve(&self.caps) as u64;
+        self.stat_flow_visits += self.fair.len() as u64;
+        let (fill_iters, earliest) = self.fair.solve(&self.caps, self.now);
+        let fill_iters = fill_iters as u64;
         self.stat_fill_iters += fill_iters;
         if let Some(ids) = self.tel_ids {
             self.telemetry.counter_add(ids.resolves, self.now, 1);
             self.telemetry
                 .counter_add(ids.fill_iters, self.now, fill_iters);
         }
-        let now = self.now;
-        let mut deadline_min = SimTime::NEVER;
-        // simlint::allow(hot-state-scan) — a full re-share is the max-min model: every live flow's rate may change when any flow joins or leaves, so each gets its new rate and deadline
-        for (key, f) in self.flows.iter_mut() {
-            let rate = self.fair.rate(key);
-            f.rate = rate;
-            f.deadline = if f.remaining <= f.eps {
-                now
-            } else if rate <= Rate::ZERO {
-                SimTime::NEVER
-            } else {
-                now + (f.remaining / rate).as_nanos()
-            };
-            deadline_min = deadline_min.min(f.deadline);
-        }
-        self.flow_deadline_min = deadline_min;
+        self.flow_deadline_min = earliest;
         self.rates_dirty = false;
     }
 
@@ -731,12 +693,11 @@ impl Scheduler {
         // fallback never runs from `run_for` (it recomputes first) but
         // keeps direct callers correct.
         let t_flow = if self.rates_dirty {
-            // simlint::allow(hot-state-scan) — dirty-rate fallback only; the event loop recomputes (refreshing the cached minimum) before asking for the next event
-            self.flows.iter().map(|(_, f)| f.deadline).min()
+            self.fair.earliest_deadline()
         } else {
-            Some(self.flow_deadline_min)
-        }
-        .filter(|&d| d != SimTime::NEVER);
+            self.flow_deadline_min
+        };
+        let t_flow = Some(t_flow).filter(|&d| d != SimTime::NEVER);
         match (t_timer, t_flow) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -769,7 +730,7 @@ impl Scheduler {
             self.complete_parent(parent);
         }
         for &key in &done {
-            let flow = self.flows.remove(key);
+            let parent = self.flow_parents.remove(key);
             let path = self.fair.remove(key);
             self.rates_dirty = true;
             if let Some(ids) = self.tel_ids {
@@ -782,7 +743,7 @@ impl Scheduler {
                     self.telemetry.gauge_decr(g, self.now);
                 }
             }
-            self.complete_parent(flow.parent);
+            self.complete_parent(parent);
         }
         self.done_scratch = done;
     }
@@ -842,7 +803,7 @@ pub fn run_for<W: World>(sched: &mut Scheduler, world: &mut W, limit: SimTime) -
         // fault due before the next work event — or before the limit when
         // flows are stalled — fires first; it may rescale capacities or
         // (via the world) submit new work, so re-enter the loop.
-        if !sched.flows.is_empty() || !sched.timers.is_empty() {
+        if !sched.fair.is_empty() || !sched.timers.is_empty() {
             if let Some(f_at) = sched.next_fault_time() {
                 let bound = sched.next_event_time().unwrap_or(SimTime::NEVER).min(limit);
                 if f_at <= bound {
@@ -854,7 +815,7 @@ pub fn run_for<W: World>(sched: &mut Scheduler, world: &mut W, limit: SimTime) -
             }
         }
         let Some(t) = sched.next_event_time() else {
-            return if sched.flows.is_empty() {
+            return if sched.fair.is_empty() {
                 RunOutcome::Completed
             } else {
                 RunOutcome::Stalled
@@ -872,6 +833,7 @@ pub fn run_for<W: World>(sched: &mut Scheduler, world: &mut W, limit: SimTime) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::Bytes;
 
     /// World that records completion times and optionally chains more ops.
     #[derive(Default)]

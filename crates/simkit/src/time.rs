@@ -41,7 +41,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite(), "negative or non-finite time");
-        SimTime((s * 1e9).ceil() as u64)
+        SimTime(ceil_to_u64(s * 1e9))
     }
 
     /// Nanoseconds since time zero.
@@ -74,6 +74,17 @@ impl SimTime {
     pub fn scale(self, factor: f64) -> SimTime {
         SimTime((self.0 as f64 * factor) as u64)
     }
+}
+
+/// `x.ceil() as u64` without the libm call, for every `f64` (NaN and
+/// negatives give 0, values past `u64::MAX` saturate).  The cast
+/// truncates and saturates; one more nanosecond is due exactly when the
+/// truncation dropped a fraction, which only a value below 2^53 can
+/// have, and there `t as f64` is exact.
+#[inline]
+fn ceil_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(((t as f64) < x) as u64)
 }
 
 impl Add<u64> for SimTime {
@@ -140,6 +151,90 @@ mod tests {
         // 1ns expressed in seconds must not round down to zero.
         assert_eq!(SimTime::from_secs_f64(1e-9).as_nanos(), 1);
         assert_eq!(SimTime::from_secs_f64(1.0000000001e-9).as_nanos(), 2);
+    }
+
+    /// Inputs where truncate-and-bump could part from `ceil`: signed
+    /// zeros, subnormals, whole and half nanoseconds, the 2^52–2^53
+    /// range where the spacing reaches 1, the u64 limits, and the
+    /// non-finite values.
+    fn ceil_edge_cases() -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.5,
+            1.0,
+            1.5,
+            -0.5,
+            -1.0,
+            -1.5,
+            1e9,
+            1e9 + 0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 + f64::EPSILON,
+        ];
+        for e in [52, 53, 63, 64] {
+            let p = 2f64.powi(e);
+            xs.extend([
+                p,
+                p + 0.5,
+                p + 1.0,
+                p + 2.0,
+                p - 0.5,
+                p - 1.0,
+                p * (1.0 - f64::EPSILON),
+            ]);
+            xs.extend([
+                f64::from_bits(p.to_bits() - 1),
+                f64::from_bits(p.to_bits() + 1),
+            ]);
+        }
+        xs.extend([u64::MAX as f64, (u64::MAX - 1) as f64, i64::MAX as f64]);
+        xs
+    }
+
+    #[test]
+    fn ceil_to_u64_matches_libm_ceil_everywhere() {
+        for x in ceil_edge_cases() {
+            assert_eq!(
+                ceil_to_u64(x),
+                x.ceil() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn from_secs_matches_the_ceil_expression() {
+        // Every finite, non-negative edge case, read as seconds.
+        for ns in ceil_edge_cases() {
+            let s = ns / 1e9;
+            if s >= 0.0 && s.is_finite() {
+                let want = (s * 1e9).ceil() as u64;
+                assert_eq!(SimTime::from_secs_f64(s).as_nanos(), want, "s = {s:e}");
+            }
+        }
+        assert_eq!(
+            SimTime::from_secs_f64(0.5e-9).as_nanos(),
+            1,
+            "half a nanosecond"
+        );
+        assert_eq!(
+            SimTime::from_secs_f64(3e-9).as_nanos(),
+            3,
+            "whole nanoseconds"
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use simkit::fairshare::FairShare;
-use simkit::units::Rate;
-use simkit::{Path, ResourceId};
+use simkit::units::{Bytes, Rate};
+use simkit::{Path, ResourceId, SimTime};
 
 fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
     (2usize..10).prop_flat_map(|nres| {
@@ -22,10 +22,10 @@ fn solve_with(caps: &[f64], flows: &[Vec<u32>], tol: f64) -> Vec<f64> {
     fs.set_tolerance(tol);
     for (i, path) in flows.iter().enumerate() {
         let p: Vec<ResourceId> = path.iter().map(|&r| ResourceId(r)).collect();
-        fs.add(i as u32, Path::try_from(&p[..]).unwrap());
+        fs.add(i as u32, Path::try_from(&p[..]).unwrap(), Bytes(1.0));
     }
     let caps: Vec<Rate> = caps.iter().map(|&c| Rate(c)).collect();
-    fs.solve(&caps);
+    fs.solve(&caps, SimTime::ZERO);
     let mut rates = vec![0.0; flows.len()];
     for (k, r) in fs.results() {
         rates[k as usize] = r.get();

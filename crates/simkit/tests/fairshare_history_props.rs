@@ -1,20 +1,22 @@
 //! History independence of the persistent fair-share solver: after any
 //! sequence of flow arrivals, departures and solves, a solve returns
 //! exactly what a fresh solver returns for the same live flows added in
-//! ascending key order — bit-identical rates and the same number of
-//! filling iterations.  The engine's replay digests rely on this.
+//! ascending key order — bit-identical rates and deadlines and the same
+//! number of filling iterations.  The engine's replay digests rely on
+//! this.
 
 use proptest::prelude::*;
 use simkit::fairshare::FairShare;
 use simkit::slab::Slab;
-use simkit::units::Rate;
-use simkit::{Path, ResourceId};
+use simkit::units::{Bytes, Rate};
+use simkit::{Path, ResourceId, SimTime};
 
 /// One step of a solver's history.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Start a flow over these resources (repeats allowed).
-    Add(Vec<u32>),
+    /// Start a flow of this many units over these resources (repeats
+    /// allowed).
+    Add(f64, Vec<u32>),
     /// End the `n % live`-th live flow.
     Remove(u32),
     /// Solve, advancing the solver's epoch.
@@ -31,10 +33,11 @@ fn scenario() -> impl Strategy<Value = (Vec<f64>, f64, Vec<Op>)> {
         let op = (
             0u32..5,
             any::<u32>(),
+            1e-3f64..1e9,
             proptest::collection::vec(0..nres, 1..=5),
         )
-            .prop_map(|(kind, n, hops)| match kind {
-                0 | 1 => Op::Add(hops),
+            .prop_map(|(kind, n, units, hops)| match kind {
+                0 | 1 => Op::Add(units, hops),
                 2 | 3 => Op::Remove(n),
                 _ => Op::Solve,
             });
@@ -56,36 +59,42 @@ proptest! {
         fs.set_tolerance(tol);
         // Keys come from a slab, so freed keys are reused last-in
         // first-out exactly as the engine reuses them.
-        let mut live: Slab<Vec<u32>> = Slab::new();
+        let mut live: Slab<(f64, Vec<u32>)> = Slab::new();
+        let mut now = SimTime::ZERO;
         for op in &history {
             match op {
-                Op::Add(hops) => {
-                    let key = live.insert(hops.clone());
-                    fs.add(key, path(hops));
+                Op::Add(units, hops) => {
+                    let key = live.insert((*units, hops.clone()));
+                    fs.add(key, path(hops), Bytes(*units));
                 }
                 Op::Remove(n) => {
                     if !live.is_empty() {
                         let nth = *n as usize % live.len();
                         let key = live.iter().nth(nth).map(|(k, _)| k).unwrap();
-                        let hops = live.remove(key);
+                        let (_, hops) = live.remove(key);
                         prop_assert_eq!(fs.remove(key), path(&hops));
                     }
                 }
                 Op::Solve => {
-                    fs.solve(&caps);
+                    now += 1_000;
+                    fs.solve(&caps, now);
                 }
             }
         }
-        let iters = fs.solve(&caps);
+        let (iters, earliest) = fs.solve(&caps, now);
 
         let mut fresh = FairShare::new();
         fresh.set_tolerance(tol);
-        for (key, hops) in live.iter() {
-            fresh.add(key, path(hops));
+        for (key, (units, hops)) in live.iter() {
+            fresh.add(key, path(hops), Bytes(*units));
         }
-        let fresh_iters = fresh.solve(&caps);
+        let (fresh_iters, fresh_earliest) = fresh.solve(&caps, now);
 
         prop_assert_eq!(iters, fresh_iters, "fill iterations differ");
+        prop_assert_eq!(earliest, fresh_earliest, "earliest deadlines differ");
+        for (key, _) in live.iter() {
+            prop_assert_eq!(fs.deadline(key), fresh.deadline(key), "deadline of flow {}", key);
+        }
         prop_assert_eq!(fs.len(), live.len());
         let got: Vec<(u32, u64)> = fs.results().map(|(k, r)| (k, r.get().to_bits())).collect();
         let want: Vec<(u32, u64)> = fresh.results().map(|(k, r)| (k, r.get().to_bits())).collect();

@@ -20,10 +20,10 @@ fn solve(caps: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
     let mut fs = FairShare::new();
     for (i, path) in flows.iter().enumerate() {
         let p: Vec<ResourceId> = path.iter().map(|&r| ResourceId(r)).collect();
-        fs.add(i as u32, Path::try_from(&p[..]).unwrap());
+        fs.add(i as u32, Path::try_from(&p[..]).unwrap(), Bytes(1.0));
     }
     let caps: Vec<Rate> = caps.iter().map(|&c| Rate(c)).collect();
-    fs.solve(&caps);
+    fs.solve(&caps, SimTime::ZERO);
     let mut rates = vec![0.0; flows.len()];
     for (k, r) in fs.results() {
         rates[k as usize] = r.get();
