@@ -52,7 +52,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::flow::{build_graph, build_index, read_sources, Emitter, FlowRule, Index};
+use crate::flow::{read_sources, run_passes, Emitter, FlowRule, Graph, Index};
 use crate::{Finding, Severity};
 
 /// The crate whose hot-path allocations are errors, not warnings: the
@@ -110,13 +110,8 @@ fn reach_hot(index: &Index, out: &[Vec<usize>], roots: &[usize]) -> Vec<usize> {
     origin
 }
 
-/// Run the three cost analyses over a built index.  `sources` supplies
-/// excerpts and `simlint::allow` suppressions, exactly as in
-/// [`crate::flow::analyze`].
-pub fn analyze(index: &Index, sources: &BTreeMap<String, String>) -> Vec<Finding> {
-    let graph = build_graph(index);
-    let mut em = Emitter::new(sources);
-
+/// Run the three cost analyses over a built index and its call graph.
+pub(crate) fn analyze(index: &Index, graph: &Graph, em: &mut Emitter) {
     // ---- hot-alloc + hot-state-scan (reachability-driven) -----------------
     let hot_roots: Vec<usize> = index
         .fns
@@ -221,17 +216,11 @@ pub fn analyze(index: &Index, sources: &BTreeMap<String, String>) -> Vec<Finding
             }
         }
     }
-
-    let mut findings = em.findings;
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    findings
 }
 
 /// Convenience: read sources, build the index and run the cost pass.
 pub fn analyze_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let sources = read_sources(root)?;
-    let index = build_index(&sources);
-    Ok(analyze(&index, &sources))
+    Ok(run_passes(&read_sources(root)?, &[analyze]))
 }
 
 #[cfg(test)]
@@ -246,9 +235,7 @@ mod tests {
     }
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let sources = srcs(files);
-        let index = build_index(&sources);
-        analyze(&index, &sources)
+        run_passes(&srcs(files), &[analyze])
     }
 
     #[test]

@@ -1176,13 +1176,28 @@ impl Emitter {
     }
 }
 
-/// Run the two flow analyses over a built index.  `sources` supplies
-/// excerpts and `simlint::allow` suppressions; it must be the same tree
-/// the index was built from.
-pub fn analyze(index: &Index, sources: &BTreeMap<String, String>) -> Vec<Finding> {
-    let graph = build_graph(index);
-    let mut em = Emitter::new(sources);
+/// A pass over a built index and its call graph, recording findings in
+/// an emitter: [`analyze`] and [`crate::cost::analyze`].
+pub(crate) type Pass = fn(&Index, &Graph, &mut Emitter);
 
+/// Build the index, call graph and emitter of `sources` once and run
+/// every pass over them.  The emitter supplies excerpts and
+/// `simlint::allow` suppressions.  Findings come back sorted by path,
+/// line and rule.
+pub(crate) fn run_passes(sources: &BTreeMap<String, String>, passes: &[Pass]) -> Vec<Finding> {
+    let index = build_index(sources);
+    let graph = build_graph(&index);
+    let mut em = Emitter::new(sources);
+    for pass in passes {
+        pass(&index, &graph, &mut em);
+    }
+    let mut findings = em.findings;
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    findings
+}
+
+/// Run the two flow analyses over a built index and its call graph.
+pub(crate) fn analyze(index: &Index, graph: &Graph, em: &mut Emitter) {
     // ---- panic-path -------------------------------------------------------
     let mut panic_roots: BTreeSet<usize> = index
         .fns
@@ -1298,17 +1313,11 @@ pub fn analyze(index: &Index, sources: &BTreeMap<String, String>) -> Vec<Finding
             }
         }
     }
-
-    let mut findings = em.findings;
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    findings
 }
 
 /// Convenience: read sources, build the index and analyze in one call.
 pub fn analyze_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let sources = read_sources(root)?;
-    let index = build_index(&sources);
-    Ok(analyze(&index, &sources))
+    Ok(run_passes(&read_sources(root)?, &[analyze]))
 }
 
 #[cfg(test)]
@@ -1323,9 +1332,7 @@ mod tests {
     }
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let sources = srcs(files);
-        let index = build_index(&sources);
-        analyze(&index, &sources)
+        run_passes(&srcs(files), &[analyze])
     }
 
     fn rules_hit(files: &[(&str, &str)]) -> Vec<&'static str> {

@@ -686,9 +686,7 @@ pub fn lint_workspace(root: &Path, flow_passes: bool) -> std::io::Result<Vec<Fin
     let mut findings = lint_tree(root)?;
     if flow_passes {
         let sources = flow::read_sources(root)?;
-        let index = flow::build_index(&sources);
-        findings.extend(flow::analyze(&index, &sources));
-        findings.extend(cost::analyze(&index, &sources));
+        findings.extend(flow::run_passes(&sources, &[flow::analyze, cost::analyze]));
         findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     }
     Ok(findings)
