@@ -11,11 +11,15 @@
 //!
 //! [`FairShare`] is also the engine's flow table: each flow's path sits
 //! next to its fluid state (units remaining, completion residual, rate,
-//! deadline) under the engine's slab key, so a re-solve, a settlement
-//! and the due scan each read one record per flow.  The solver keeps the
-//! flow–resource incidence across solves: a flow is registered once with
-//! [`FairShare::add`] when it starts and dropped with
-//! [`FairShare::remove`] when it ends, both O(hops).  Each resource
+//! deadline) under the engine's slab key, in one cache line, so a
+//! re-solve, a settlement and the due scan each read one record per
+//! flow.  Slab keys are reused, so the table can be mostly vacant after
+//! a burst of flows; a bitmap of live keys lets the passes over every
+//! flow skip the vacant records in ascending key order.
+//!
+//! The solver keeps the flow–resource incidence across solves: a flow
+//! is registered once with [`FairShare::add`] when it starts and
+//! dropped with [`FairShare::remove`] when it ends, both O(hops).  Each resource
 //! holds an unsorted list of `(flow key, hop)` entries, one word each,
 //! and each flow remembers its position in every hop's list, so removal
 //! is a `swap_remove` plus one fix-up.
@@ -30,10 +34,10 @@
 //! resources matters, and the stamp pass reproduces the first-appearance
 //! order a from-scratch build had.
 //!
-//! A solve touches each live flow once more after the stamp pass, and
-//! three shortcuts keep it equal, bit for bit, to the plain algorithm
-//! (full stamp pass, every stamped resource visited by every filling
-//! pass, deadlines in a separate loop afterwards):
+//! After the stamp pass, a solve touches each live flow once more, when
+//! it freezes.  Three shortcuts keep it equal, bit for bit, to the plain
+//! algorithm (full stamp pass, every stamped resource visited by every
+//! filling pass, deadlines in a separate loop afterwards):
 //!
 //! - **The stamp pass stops early.**  `add` and `remove` count the
 //!   resources whose entry list is non-empty, and the pass stops once
@@ -234,12 +238,6 @@ impl FairShare {
         }
         self.live -= 1;
         path
-    }
-
-    /// The resources of the registered flow `key`.
-    #[inline]
-    pub fn path(&self, key: u32) -> &Path {
-        &self.flows[key as usize].path
     }
 
     /// Rate of the registered flow `key` from the last solve.
