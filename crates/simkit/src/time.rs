@@ -237,6 +237,27 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Any bit pattern: every sign, exponent, NaN payload and
+        /// infinity.
+        #[test]
+        fn ceil_to_u64_matches_libm_ceil_on_random_bits(bits in proptest::prelude::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(ceil_to_u64(x), x.ceil() as u64, "x = {:e}", x);
+        }
+
+        /// Random finite, non-negative seconds from a nanosecond to
+        /// about 1.6 days, log-spread so every binade is hit.
+        #[test]
+        fn from_secs_matches_ceil_on_random_seconds(m in 1.0f64..2.0, e in -30i32..18) {
+            let s = m * 2f64.powi(e);
+            let want = (s * 1e9).ceil() as u64;
+            proptest::prop_assert_eq!(SimTime::from_secs_f64(s).as_nanos(), want, "s = {:e}", s);
+        }
+    }
+
     #[test]
     fn arithmetic() {
         let t = SimTime::from_micros(10);
