@@ -280,6 +280,8 @@ fn run_bench_engine(out: &Path) {
     // best rep stands in for the machine's attainable rate (the usual
     // defence against a noisy neighbour slowing one rep).
     const MIN_WINDOW_SECS: f64 = 0.15;
+    // Timing windows per rep of the `timer` family (see the median below).
+    const TIMER_WINDOWS: usize = 4;
 
     // Machine-speed reference, re-measured inside EVERY rep right
     // before the family windows: the gate compares events/sec divided
@@ -307,32 +309,41 @@ fn run_bench_engine(out: &Path) {
         let rep_cal = spin_rate();
         cal = cal.max(rep_cal);
         for (i, fam) in FAMILIES.iter().enumerate() {
-            let mut events = 0u64;
-            let t0 = Instant::now();
-            let dt = loop {
-                let r = run_family(fam, BENCH_OPS);
-                if let Some(prev) = &results[i] {
-                    assert_eq!(&r, prev, "{fam}: digest drifted between runs");
-                }
-                events += r.events;
-                results[i] = Some(r);
-                let dt = t0.elapsed().as_secs_f64();
-                if dt >= MIN_WINDOW_SECS {
-                    break dt;
-                }
-            };
-            let eps = events as f64 / dt;
-            best_eps[i] = best_eps[i].max(eps);
-            // Events per million adjacent calibration iterations: a
-            // machine-speed-independent cost figure (bigger is faster).
-            norms[i].push(eps / rep_cal * 1e6);
+            let windows = if *fam == "timer" { TIMER_WINDOWS } else { 1 };
+            for _ in 0..windows {
+                let mut events = 0u64;
+                let t0 = Instant::now();
+                let dt = loop {
+                    let r = run_family(fam, BENCH_OPS);
+                    if let Some(prev) = &results[i] {
+                        assert_eq!(&r, prev, "{fam}: digest drifted between runs");
+                    }
+                    events += r.events;
+                    results[i] = Some(r);
+                    let dt = t0.elapsed().as_secs_f64();
+                    if dt >= MIN_WINDOW_SECS {
+                        break dt;
+                    }
+                };
+                let eps = events as f64 / dt;
+                best_eps[i] = best_eps[i].max(eps);
+                // Events per million adjacent calibration iterations: a
+                // machine-speed-independent cost figure (bigger is faster).
+                norms[i].push(eps / rep_cal * 1e6);
+            }
         }
     }
     println!("calibration spin: {cal:.0} iters/s");
 
     // Median of the per-rep ratios: robust against both contention
     // dips (which depress a rep) and anti-correlated luck (a slow spin
-    // next to a fast family, which would inflate a best-of).
+    // next to a fast family, which would inflate a best-of).  `timer` is
+    // the exception: its events cost well under a microsecond each, and
+    // its per-window ratio swung from 4,000 to 7,200 within one run, so its
+    // median of five moved more than the gate between runs of one
+    // binary.  It takes TIMER_WINDOWS windows per rep instead and is
+    // judged on its best window over the best spin: contention only
+    // ever slows a window, so the best of twenty is the stable figure.
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         v[v.len() / 2]
@@ -341,7 +352,11 @@ fn run_bench_engine(out: &Path) {
     let mut rows: Vec<(&str, u64, u64, f64, f64)> = Vec::new();
     for (i, fam) in FAMILIES.iter().enumerate() {
         let r = results[i].as_ref().expect("at least one rep ran");
-        let norm = median(&mut norms[i]);
+        let norm = if *fam == "timer" {
+            best_eps[i] / cal * 1e6
+        } else {
+            median(&mut norms[i])
+        };
         println!(
             "{:<8} {:>6} events  digest {:#018x}  {:>12.0} events/s  {:>10.1} per-Mspin",
             fam, r.events, r.digest, best_eps[i], norm
@@ -661,8 +676,8 @@ fn main() {
             "fig7" => emit(figures::fig7(&cal), &out, &mut collected),
             "fig8" => emit(figures::fig8(&cal), &out, &mut collected),
             "fig9" => emit(figures::fig9(&cal), &out, &mut collected),
-            "lustre-ior" => emit(vec![figures::ior_lustre_table(&cal)], &out, &mut collected),
-            "ceph-ior" => emit(vec![figures::ior_ceph_table(&cal)], &out, &mut collected),
+            "lustre-ior" => emit(figures::ior_lustre_table(&cal), &out, &mut collected),
+            "ceph-ior" => emit(figures::ior_ceph_table(&cal), &out, &mut collected),
             "faulted" => run_faulted_family(&cal, &out),
             "swarm" => run_swarm_target(&cal, &out, family.as_deref(), seeds),
             "replay" | "shrink" => {

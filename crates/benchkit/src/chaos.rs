@@ -34,6 +34,7 @@
 
 use crate::faulted::{try_run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
 use crate::integrity::IntegrityFamily;
+use crate::par::par_map;
 use crate::rebalance::RebalanceFamily;
 use crate::report::{save_trace, slug};
 use crate::scenarios::{run_scenario_chaos, RunSpec, Scenario};
@@ -119,7 +120,7 @@ pub struct CaseRun {
 /// Implementors supply only what differs between families.
 pub trait Family {
     /// The family's scenario type.
-    type Scenario: Copy + 'static;
+    type Scenario: Copy + Send + Sync + 'static;
     /// The `repro swarm --family` name and artifact-stem prefix.
     const NAME: &'static str;
     /// Every scenario an archive may name.
@@ -391,19 +392,20 @@ impl SwarmReport {
 }
 
 /// Swarm a family: every scenario in [`Family::SWARM`] under every seed
-/// in `seeds`.  Fails on the first seed whose plan does not install.
+/// in `seeds`, the cases spread over every core by [`par_map`] and
+/// reported in (seed, scenario) order.  Fails with the first case, in
+/// that order, whose plan does not install.
 pub fn swarm<F: Family>(
     spec: &RunSpec,
     cal: &Calibration,
     seeds: &[u64],
 ) -> Result<SwarmReport, String> {
-    let verdicts = seeds
+    let cases: Vec<(u64, F::Scenario)> = seeds
         .iter()
-        .flat_map(|&seed| {
-            F::SWARM
-                .iter()
-                .map(move |&scen| run_seed::<F>(spec, scen, cal, seed))
-        })
+        .flat_map(|&seed| F::SWARM.iter().map(move |&scen| (seed, scen)))
+        .collect();
+    let verdicts = par_map(&cases, |&(seed, scen)| run_seed::<F>(spec, scen, cal, seed))
+        .into_iter()
         .collect::<Result<_, _>>()?;
     Ok(SwarmReport { verdicts })
 }

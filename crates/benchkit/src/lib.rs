@@ -13,6 +13,8 @@
 //!   fresh state, asserting identical digests and bandwidths;
 //! * [`figures`] — the per-figure sweeps (Fig. 1–9 plus the §III-A
 //!   hardware table and the §III-E/F IOR text results);
+//! * [`par`] — [`par_map`], which runs independent deployments on every
+//!   core and returns their results in input order;
 //! * [`report`] — rendering to aligned text tables and CSV;
 //! * [`tracing`] — span-traced runs: Chrome `trace_event` JSON
 //!   (Perfetto-loadable) and critical-path attribution exports.
@@ -23,6 +25,7 @@ pub mod driver;
 pub mod faulted;
 pub mod figures;
 pub mod integrity;
+pub mod par;
 pub mod rebalance;
 pub mod report;
 pub mod runreport;
@@ -48,6 +51,7 @@ pub use figures::{Figure, Point, Series};
 pub use integrity::{
     integrity_case_ok, integrity_plan, render_integrity_json, IntegrityFamily, IntegrityScenario,
 };
+pub use par::par_map;
 pub use rebalance::{
     rebalance_space, run_rebalance_with, RebalanceFamily, RebalanceOpts, RebalanceRunReport,
     RebalanceScenario,

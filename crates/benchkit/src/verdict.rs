@@ -402,7 +402,7 @@ mod tests {
         // EC 2+1 writes at about 2/3 and reads unharmed; RF2 writes at
         // half and, here, reads slower, so either would fail the EC checks
         for (rf2, (write, read)) in [(false, (38.0, 85.0)), (true, (28.5, 60.0))] {
-            for (w, r) in fig6_ids(rf2) {
+            for [w, r] in fig6_ids(rf2) {
                 figs.push(fig(w, write));
                 figs.push(fig(r, read));
             }

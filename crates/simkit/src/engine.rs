@@ -11,7 +11,7 @@ use crate::span::{SpanId, SpanLog};
 use crate::step::{ResourceId, Step};
 use crate::telemetry::{MetricId, Telemetry};
 use crate::time::SimTime;
-use crate::trace::Trace;
+use crate::trace::ReplayDigest;
 use crate::units::Rate;
 
 /// Opaque identifier attached to a submitted op chain and reported back
@@ -183,8 +183,8 @@ pub struct Scheduler {
     tel_ids: Option<EngineMetricIds>,
     /// Event-coalescing quantum in ns (see [`Scheduler::set_coalescing`]).
     quantum_ns: u64,
-    /// Optional completion trace.
-    trace: Trace,
+    /// Replay digest of every completion, fault schedule and fired fault.
+    digest: ReplayDigest,
     /// Diagnostics: number of rate recomputations performed.
     pub stat_recomputes: u64,
     /// Diagnostics: total flows enumerated across recomputations.
@@ -223,7 +223,7 @@ impl Scheduler {
             telemetry: Telemetry::disabled(),
             tel_ids: None,
             quantum_ns: 0,
-            trace: Trace::disabled(),
+            digest: ReplayDigest::new(),
             stat_recomputes: 0,
             stat_flow_visits: 0,
             stat_fill_iters: 0,
@@ -323,7 +323,7 @@ impl Scheduler {
             }
         }
         let installed = plan.into_events();
-        self.trace.record_schedule(&installed);
+        self.digest.update_schedule(&installed);
         let mut evs: Vec<FaultEvent> = self.faults.drain(..).collect();
         evs.extend(installed);
         evs.sort_by_key(|e| (e.at, e.id));
@@ -362,7 +362,7 @@ impl Scheduler {
             | FaultAction::DrainServer { .. }
             | FaultAction::BitRot { .. } => {}
         }
-        self.trace.record_fault(t, ev.id);
+        self.digest.update_fault(t, ev.id);
         self.spans.mark_fault(t, ev.id, SpanId::NONE);
         if let Some(ids) = self.tel_ids {
             self.telemetry.counter_add(ids.faults, t, 1);
@@ -445,22 +445,11 @@ impl Scheduler {
         self.spans.digest()
     }
 
-    /// Record op completions into a bounded trace (debugging aid).
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
-    }
-
-    /// The completion trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Order-sensitive FNV-1a digest of the `(time, op)` completion stream
-    /// so far.  Always maintained (even with tracing disabled); two runs
-    /// of identical workloads must report identical digests — see
-    /// [`run_digest`].
+    /// so far.  Always maintained; two runs of identical workloads must
+    /// report identical digests — see [`run_digest`].
     pub fn digest(&self) -> u64 {
-        self.trace.digest()
+        self.digest.value()
     }
 
     /// Capacities indexed by resource id, for [`Monitor::report`].
@@ -584,7 +573,7 @@ impl Scheduler {
         loop {
             match parent {
                 Parent::Op(op) => {
-                    self.trace.record(self.now, op);
+                    self.digest.update(self.now, op);
                     self.completions.push_back(op);
                     if let Some(ids) = self.tel_ids {
                         self.telemetry.counter_add(ids.ops, self.now, 1);

@@ -80,5 +80,5 @@ pub use telemetry::{
     SloVerdict, Telemetry,
 };
 pub use time::SimTime;
-pub use trace::{ReplayDigest, Trace};
+pub use trace::ReplayDigest;
 pub use units::{Bytes, Rate, GIB, KIB, MIB};

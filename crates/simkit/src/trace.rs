@@ -1,18 +1,14 @@
-//! Optional event tracing: a bounded in-memory log of op completions
-//! for debugging cost models and inspecting schedules, plus an always-on
-//! **replay digest** for determinism enforcement.
+//! The always-on **replay digest** for determinism enforcement.
 //!
-//! Tracing is off by default (zero overhead beyond a branch); when
-//! enabled the scheduler records `(time, op)` pairs which can be dumped
-//! as a text timeline.
-//!
-//! The digest is independent of the `enabled` flag: every completion is
-//! folded into an order-sensitive FNV-1a hash of the `(time, op)` stream
-//! regardless of whether events are stored.  Two runs of the same
-//! workload must produce the same digest; any divergence — a reordered
+//! The scheduler folds every op completion into an order-sensitive
+//! FNV-1a hash of the `(time, op)` stream, together with each installed
+//! fault schedule and each fired fault.  Two runs of the same workload
+//! must produce the same digest; any divergence — a reordered
 //! completion, a shifted timestamp — changes it.  This is the runtime
 //! counterpart of the `simlint` static pass: the lint forbids sources of
-//! nondeterminism, the digest catches whatever slips through.
+//! nondeterminism, the digest catches whatever slips through.  (What a
+//! run did is inspected through spans and Chrome traces, see
+//! [`crate::span`].)
 
 use crate::engine::OpId;
 use crate::time::SimTime;
@@ -80,125 +76,31 @@ impl ReplayDigest {
         }
     }
 
+    /// Fold an installed fault schedule (a *schedule header*): the plan's
+    /// full canonical encoding (times, ids, actions with every parameter)
+    /// enters the digest *before* any event fires.  A saved schedule
+    /// therefore pins its run — replaying a schedule that differs in any
+    /// field, even one that never fires because the run drains first,
+    /// yields a different digest.
+    pub(crate) fn update_schedule(&mut self, events: &[crate::faults::FaultEvent]) {
+        const SCHEDULE_TAG: u8 = 0x5C;
+        self.update_tagged(SCHEDULE_TAG, SimTime(0), events.len() as u64);
+        let mut bytes = Vec::with_capacity(events.len() * 41);
+        for ev in events {
+            ev.encode(&mut bytes);
+        }
+        self.update_bytes(&bytes);
+    }
+
     /// The current digest value.
     pub fn value(&self) -> u64 {
         self.0
     }
 }
 
-/// A bounded completion log.
-#[derive(Debug, Default)]
-pub struct Trace {
-    enabled: bool,
-    cap: usize,
-    events: Vec<(SimTime, OpId)>,
-    dropped: u64,
-    digest: ReplayDigest,
-}
-
-impl Trace {
-    /// Disabled trace (the default).
-    pub fn disabled() -> Trace {
-        Trace::default()
-    }
-
-    /// Recording trace keeping at most `cap` events (older events are
-    /// kept; overflow is counted, not stored).
-    pub fn bounded(cap: usize) -> Trace {
-        Trace {
-            enabled: true,
-            cap,
-            ..Trace::default()
-        }
-    }
-
-    /// Whether events are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn record(&mut self, at: SimTime, op: OpId) {
-        // The replay digest is always on: it covers every completion
-        // since this Trace was installed, stored or not.
-        self.digest.update(at, op);
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() < self.cap {
-            self.events.push((at, op));
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    pub(crate) fn record_fault(&mut self, at: SimTime, id: u64) {
-        // Faults enter the digest (the failure schedule is part of the
-        // replayed history) but not the bounded completion log.
-        self.digest.update_fault(at, id);
-    }
-
-    pub(crate) fn record_schedule(&mut self, events: &[crate::faults::FaultEvent]) {
-        // Schedule header fold: installing a fault plan pins its full
-        // canonical encoding (times, ids, actions with every parameter)
-        // into the digest *before* any event fires.  A saved schedule
-        // therefore pins its run — replaying a schedule that differs in
-        // any field, even one that never fires because the run drains
-        // first, yields a different digest.
-        const SCHEDULE_TAG: u8 = 0x5C;
-        self.digest
-            .update_tagged(SCHEDULE_TAG, SimTime(0), events.len() as u64);
-        let mut bytes = Vec::with_capacity(events.len() * 41);
-        for ev in events {
-            ev.encode(&mut bytes);
-        }
-        self.digest.update_bytes(&bytes);
-    }
-
-    /// Order-sensitive FNV-1a digest of every `(time, op)` completion seen
-    /// by this trace (independent of the storage bound and `enabled`).
-    pub fn digest(&self) -> u64 {
-        self.digest.value()
-    }
-
-    /// Recorded `(completion time, op)` pairs, in completion order.
-    pub fn events(&self) -> &[(SimTime, OpId)] {
-        &self.events
-    }
-
-    /// Completions that did not fit in the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Render a text timeline (one line per completion).
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (t, op) in &self.events {
-            let _ = writeln!(out, "{:>14}  op {}", t.to_string(), op.0);
-        }
-        if self.dropped > 0 {
-            let _ = writeln!(
-                out,
-                "... and {} more completions (bound reached)",
-                self.dropped
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut t = Trace::disabled();
-        t.record(SimTime::from_millis(1), OpId(1));
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
-    }
 
     #[test]
     fn digest_is_order_sensitive() {
@@ -239,36 +141,5 @@ mod tests {
             "identical event streams must hash identically"
         );
         assert_ne!(run(), ReplayDigest::new().value());
-    }
-
-    #[test]
-    fn digest_active_even_when_trace_disabled() {
-        let mut off = Trace::disabled();
-        let mut on = Trace::bounded(16);
-        for i in 0..4u64 {
-            off.record(SimTime::from_millis(i), OpId(i));
-            on.record(SimTime::from_millis(i), OpId(i));
-        }
-        assert!(off.events().is_empty());
-        assert_eq!(off.digest(), on.digest());
-        // The storage bound does not affect the digest either.
-        let mut tiny = Trace::bounded(1);
-        for i in 0..4u64 {
-            tiny.record(SimTime::from_millis(i), OpId(i));
-        }
-        assert_eq!(tiny.digest(), on.digest());
-    }
-
-    #[test]
-    fn bounded_keeps_prefix_and_counts_overflow() {
-        let mut t = Trace::bounded(2);
-        for i in 0..5u64 {
-            t.record(SimTime::from_millis(i), OpId(i));
-        }
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 3);
-        let text = t.render();
-        assert!(text.contains("op 0"));
-        assert!(text.contains("3 more completions"));
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! Test-like code (`tests/`, `benches/`, `examples/`, `src/bin/`, and
 //! `#[cfg(test)]` items) is exempt from every rule.  Tooling crates (this
-//! crate and the vendored `proptest`/`rayon`/`criterion` shims) are exempt
+//! crate and the vendored `proptest`/`criterion` shims) are exempt
 //! from the sim-scoped rules: a timing harness *must* read the wall clock.
 //!
 //! # Suppressions
@@ -620,7 +620,7 @@ pub fn lint_source(path: &str, source: &str, ctx: FileContext) -> Vec<Finding> {
 /// Crates that are tooling, not simulation: exempt from `Scope::SimState`
 /// rules. The vendored shims stand in for external deps; the criterion shim
 /// in particular *is* a wall-clock timer.
-const TOOLING_CRATES: &[&str] = &["simlint", "proptest", "rayon", "criterion", "bench"];
+const TOOLING_CRATES: &[&str] = &["simlint", "proptest", "criterion", "bench"];
 
 /// Classify a workspace-relative path like `crates/core/src/system.rs`.
 pub fn classify(rel_path: &str) -> FileContext {
