@@ -280,14 +280,14 @@ fn run_bench_engine(out: &Path) {
     // best rep stands in for the machine's attainable rate (the usual
     // defence against a noisy neighbour slowing one rep).
     const MIN_WINDOW_SECS: f64 = 0.15;
-    // Timing windows per rep of the `timer` family (see the median below).
-    const TIMER_WINDOWS: usize = 4;
+    // Timing windows per family and rep (see the scoring below).
+    const WINDOWS: usize = 4;
 
     // Machine-speed reference, re-measured inside EVERY rep right
-    // before the family windows: the gate compares events/sec divided
-    // by the adjacent spin rate, so CPU contention — even the bursty
-    // kind that slows whole seconds at a time — rescales both sides,
-    // while real per-event cost changes still move the ratio.
+    // before the family windows: the gate compares the best events/sec
+    // with the best spin rate, so a machine that is faster or slower
+    // as a whole rescales both sides, while real per-event cost
+    // changes still move the ratio.
     let spin_rate = || {
         let mut iters = 0u64;
         let t0 = Instant::now();
@@ -302,15 +302,12 @@ fn run_bench_engine(out: &Path) {
     };
 
     let mut best_eps = vec![0.0f64; FAMILIES.len()];
-    let mut norms: Vec<Vec<f64>> = vec![Vec::new(); FAMILIES.len()];
     let mut results: Vec<Option<bench::engine_bench::FamilyResult>> = vec![None; FAMILIES.len()];
     let mut cal = 0.0f64;
     for _ in 0..REPS {
-        let rep_cal = spin_rate();
-        cal = cal.max(rep_cal);
+        cal = cal.max(spin_rate());
         for (i, fam) in FAMILIES.iter().enumerate() {
-            let windows = if *fam == "timer" { TIMER_WINDOWS } else { 1 };
-            for _ in 0..windows {
+            for _ in 0..WINDOWS {
                 let mut events = 0u64;
                 let t0 = Instant::now();
                 let dt = loop {
@@ -325,38 +322,23 @@ fn run_bench_engine(out: &Path) {
                         break dt;
                     }
                 };
-                let eps = events as f64 / dt;
-                best_eps[i] = best_eps[i].max(eps);
-                // Events per million adjacent calibration iterations: a
-                // machine-speed-independent cost figure (bigger is faster).
-                norms[i].push(eps / rep_cal * 1e6);
+                best_eps[i] = best_eps[i].max(events as f64 / dt);
             }
         }
     }
     println!("calibration spin: {cal:.0} iters/s");
 
-    // Median of the per-rep ratios: robust against both contention
-    // dips (which depress a rep) and anti-correlated luck (a slow spin
-    // next to a fast family, which would inflate a best-of).  `timer` is
-    // the exception: its events cost well under a microsecond each, and
-    // its per-window ratio swung from 4,000 to 7,200 within one run, so its
-    // median of five moved more than the gate between runs of one
-    // binary.  It takes TIMER_WINDOWS windows per rep instead and is
-    // judged on its best window over the best spin: contention only
-    // ever slows a window, so the best of twenty is the stable figure.
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-
+    // Every family is judged on its best window over the best spin, in
+    // events per million calibration iterations: a machine-speed-
+    // independent cost figure (bigger is faster).  Contention only ever
+    // slows a window, and on a shared VM it slows every family together
+    // by 20-30% for tens of seconds at a time, which a per-rep median
+    // of ratios does not cancel; the best of twenty windows is the
+    // stable figure.
     let mut rows: Vec<(&str, u64, u64, f64, f64)> = Vec::new();
     for (i, fam) in FAMILIES.iter().enumerate() {
         let r = results[i].as_ref().expect("at least one rep ran");
-        let norm = if *fam == "timer" {
-            best_eps[i] / cal * 1e6
-        } else {
-            median(&mut norms[i])
-        };
+        let norm = best_eps[i] / cal * 1e6;
         println!(
             "{:<8} {:>6} events  digest {:#018x}  {:>12.0} events/s  {:>10.1} per-Mspin",
             fam, r.events, r.digest, best_eps[i], norm

@@ -8,7 +8,7 @@
 
 use crate::pool::TargetId;
 use cluster::{units, Calibration, Topology};
-use simkit::{Bytes, ResourceId, SimTime, Step};
+use simkit::{Bytes, ResourceId, SimTime, Step, StepBuf};
 use std::collections::BTreeMap;
 
 /// Per-engine service resources.
@@ -49,8 +49,8 @@ impl CostModel {
     }
 
     /// Request service + data movement + device latency for a write of
-    /// `bytes` from `client` to target `t`.
-    pub(crate) fn write_to_target(&self, client: usize, t: TargetId, bytes: f64) -> Step {
+    /// `bytes` from `client` to target `t`, appended to `b`.
+    pub(crate) fn write_to_target(&self, b: &mut StepBuf, client: usize, t: TargetId, bytes: f64) {
         let srv = &self.topo.servers[t.server as usize];
         let res = &self.srv_res[t.server as usize];
         let cli = &self.topo.clients[client];
@@ -63,25 +63,20 @@ impl CostModel {
             self.cal.small_write_lat_ns
         };
         let lat = lat + self.extra_delay.get(&t.server).copied().unwrap_or(0);
-        Step::span(
-            "target",
-            "write",
-            bytes as u64,
-            Step::seq([
-                self.tgt_request_sized(t, bytes),
-                Step::transfer(
-                    Bytes(bytes),
-                    [
-                        cli.nic_tx,
-                        srv.nic_rx,
-                        res.engine_xfer,
-                        srv.nvme_w[dev],
-                        srv.nvme_w_pool,
-                    ],
-                ),
-                Step::delay(lat),
-            ]),
-        )
+        b.span("target", "write", bytes as u64, |b| {
+            b.push(self.tgt_request_sized(t, bytes));
+            b.push(Step::transfer(
+                Bytes(bytes),
+                [
+                    cli.nic_tx,
+                    srv.nic_rx,
+                    res.engine_xfer,
+                    srv.nvme_w[dev],
+                    srv.nvme_w_pool,
+                ],
+            ));
+            b.push(Step::delay(lat));
+        });
     }
 
     /// Request-service cost at a target.  Small operations contend on
@@ -104,32 +99,27 @@ impl CostModel {
     }
 
     /// Request service + data movement + device latency for a read of
-    /// `bytes` from target `t` to `client`.
-    pub(crate) fn read_from_target(&self, client: usize, t: TargetId, bytes: f64) -> Step {
+    /// `bytes` from target `t` to `client`, appended to `b`.
+    pub(crate) fn read_from_target(&self, b: &mut StepBuf, client: usize, t: TargetId, bytes: f64) {
         let srv = &self.topo.servers[t.server as usize];
         let res = &self.srv_res[t.server as usize];
         let cli = &self.topo.clients[client];
         let dev = self.dev_for(t);
         let extra = self.extra_delay.get(&t.server).copied().unwrap_or(0);
-        Step::span(
-            "target",
-            "read",
-            bytes as u64,
-            Step::seq([
-                self.tgt_request_sized(t, bytes),
-                Step::delay(self.cal.nvme_read_lat_ns + extra),
-                Step::transfer(
-                    Bytes(bytes),
-                    [
-                        srv.nvme_r[dev],
-                        srv.nvme_r_pool,
-                        res.engine_xfer,
-                        srv.nic_tx,
-                        cli.nic_rx,
-                    ],
-                ),
-            ]),
-        )
+        b.span("target", "read", bytes as u64, |b| {
+            b.push(self.tgt_request_sized(t, bytes));
+            b.push(Step::delay(self.cal.nvme_read_lat_ns + extra));
+            b.push(Step::transfer(
+                Bytes(bytes),
+                [
+                    srv.nvme_r[dev],
+                    srv.nvme_r_pool,
+                    res.engine_xfer,
+                    srv.nic_tx,
+                    cli.nic_rx,
+                ],
+            ));
+        });
     }
 
     /// Client-side erasure-code encode or decode of `bytes`.  Truncates

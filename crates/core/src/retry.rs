@@ -314,6 +314,7 @@ impl Retriable for cluster::posix::FsError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::Leaf;
 
     #[derive(Debug, PartialEq)]
     enum E {
@@ -339,12 +340,12 @@ mod tests {
     }
 
     fn total_delay_ns(step: &Step) -> u64 {
-        match step {
-            Step::Noop | Step::Transfer { .. } => 0,
-            Step::Delay(d) => d.as_nanos(),
-            Step::Seq(steps) | Step::Par(steps) => steps.iter().map(total_delay_ns).sum(),
-            Step::Span { inner, .. } => total_delay_ns(inner),
-        }
+        step.leaves()
+            .map(|leaf| match leaf {
+                Leaf::Delay(d) => d.as_nanos(),
+                Leaf::Transfer { .. } => 0,
+            })
+            .sum()
     }
 
     #[test]

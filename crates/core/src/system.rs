@@ -32,7 +32,7 @@ use crate::pool::{PoolMap, TargetId};
 use crate::rebuild::{pick_replacement, RebuildReport};
 use cluster::payload::{Payload, ReadPayload};
 use cluster::{Calibration, Topology};
-use simkit::{Bytes, Scheduler, Step};
+use simkit::{Bytes, Scheduler, Step, StepBuf};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
@@ -729,21 +729,17 @@ impl DaosSystem {
         // rot in the old value is healed, so its registry entry must go
         // before it could mis-direct a later repair re-flip
         self.rot.clear_kv(cid, oid, key);
-        let writes = group
-            .iter()
-            .filter(|&&t| self.pool.is_servable(t))
-            .map(|&t| self.cost.write_to_target(client, t, bytes.max(64.0)))
-            .collect::<Vec<_>>();
-        Ok(Step::span(
-            "libdaos",
-            "kv_put",
-            bytes as u64,
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                Step::par(writes),
-            ]),
-        ))
+        let mut b = StepBuf::new();
+        b.span("libdaos", "kv_put", bytes as u64, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            b.par(|b| {
+                for &t in group.iter().filter(|&&t| self.pool.is_servable(t)) {
+                    self.cost.write_to_target(b, client, t, bytes.max(64.0));
+                }
+            });
+        });
+        Ok(b.finish())
     }
 
     /// Fetch a key's value.  Reads from the first up replica.  One
@@ -793,18 +789,14 @@ impl DaosSystem {
             .find(|&t| self.pool.is_servable(t))
             .ok_or(DaosError::Unavailable)?;
         let bytes = (read.len() as f64).max(64.0);
-        let step = Step::span(
-            "libdaos",
-            "kv_get",
-            read.len(),
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                repair,
-                self.cost.read_from_target(client, t, bytes),
-            ]),
-        );
-        Ok((read, step))
+        let mut b = StepBuf::new();
+        b.span("libdaos", "kv_get", read.len(), |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            b.push(repair);
+            self.cost.read_from_target(b, client, t, bytes);
+        });
+        Ok((read, b.finish()))
     }
 
     /// Remove a key.
@@ -833,20 +825,18 @@ impl DaosSystem {
         if let Some(l) = self.ledger.as_mut() {
             l.record_kv_remove(cid, oid, key);
         }
-        let ops = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey)
-            .iter()
-            .filter(|&&t| self.pool.is_servable(t))
-            .map(|&t| self.cost.write_to_target(client, t, 64.0))
-            .collect::<Vec<_>>();
-        Ok(Step::span(
-            "libdaos",
-            "kv_remove",
-            0,
-            Step::seq([self.cost.client_overhead(), self.cost.rtt(), Step::par(ops)]),
-        ))
+        let group = self.obj(cid, oid)?.layout.group_for(dkey);
+        let mut b = StepBuf::new();
+        b.span("libdaos", "kv_remove", 0, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            b.par(|b| {
+                for &t in group.iter().filter(|&&t| self.pool.is_servable(t)) {
+                    self.cost.write_to_target(b, client, t, 64.0);
+                }
+            });
+        });
+        Ok(b.finish())
     }
 
     /// List keys with a prefix.  One round trip per shard group plus the
@@ -865,23 +855,21 @@ impl DaosSystem {
         };
         let key_bytes: f64 = keys.iter().map(|k| k.len() as f64).sum::<f64>().max(64.0);
         let per_group_bytes = key_bytes / entry.layout.group_count() as f64;
-        let reads = entry
-            .layout
-            .groups()
-            .filter_map(|g| g.iter().copied().find(|&t| self.pool.is_servable(t)))
-            .map(|t| self.cost.read_from_target(client, t, per_group_bytes))
-            .collect::<Vec<_>>();
-        let step = Step::span(
-            "libdaos",
-            "kv_list",
-            key_bytes as u64,
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                Step::par(reads),
-            ]),
-        );
-        Ok((keys, step))
+        let mut b = StepBuf::new();
+        b.span("libdaos", "kv_list", key_bytes as u64, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            b.par(|b| {
+                let servers = entry
+                    .layout
+                    .groups()
+                    .filter_map(|g| g.iter().copied().find(|&t| self.pool.is_servable(t)));
+                for t in servers {
+                    self.cost.read_from_target(b, client, t, per_group_bytes);
+                }
+            });
+        });
+        Ok((keys, b.finish()))
     }
 
     // ---- Array API -------------------------------------------------------------
@@ -965,55 +953,52 @@ impl DaosSystem {
         }
         // build the cost chain
         let layout = &self.obj(cid, oid)?.layout;
-        let mut group_steps = Vec::with_capacity(group_bytes.len());
         let mut encode_bytes = 0.0;
-        for (g, bytes) in group_bytes {
-            let group = layout.group(g);
-            match class {
-                ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                    group_steps.push(self.cost.write_to_target(client, group[0], bytes));
-                }
-                ObjectClass::Replicated { .. } => {
-                    // degraded mode: down replicas receive nothing until
-                    // rebuild re-protects the group
-                    let writes = group
-                        .iter()
-                        .filter(|&&t| self.pool.is_servable(t))
-                        .map(|&t| self.cost.write_to_target(client, t, bytes))
-                        .collect::<Vec<_>>();
-                    group_steps.push(Step::par(writes));
-                }
-                ObjectClass::ErasureCoded { k, .. } => {
-                    encode_bytes += bytes;
-                    let cell = bytes / k as f64;
-                    let writes = group
-                        .iter()
-                        .filter(|&&t| self.pool.is_servable(t))
-                        .map(|&t| self.cost.write_to_target(client, t, cell))
-                        .collect::<Vec<_>>();
-                    group_steps.push(Step::par(writes));
-                }
+        if let ObjectClass::ErasureCoded { .. } = class {
+            for bytes in group_bytes.values() {
+                encode_bytes += bytes;
             }
         }
-        let encode = self.cost.ec_codec(encode_bytes);
-        Ok(Step::span(
-            "libdaos",
-            "array_write",
-            len,
-            Step::seq([
-                self.cost.client_overhead(),
-                encode,
-                self.cost.rtt(),
-                repair,
-                Step::par(group_steps),
-            ]),
-        ))
+        let mut b = StepBuf::new();
+        b.span("libdaos", "array_write", len, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.ec_codec(encode_bytes));
+            b.push(self.cost.rtt());
+            b.push(repair);
+            b.par(|b| {
+                for (g, bytes) in group_bytes {
+                    let group = layout.group(g);
+                    // degraded mode: down replicas (and cells) receive
+                    // nothing until rebuild re-protects the group
+                    let servable = group.iter().filter(|&&t| self.pool.is_servable(t));
+                    match class {
+                        ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
+                            self.cost.write_to_target(b, client, group[0], bytes);
+                        }
+                        ObjectClass::Replicated { .. } => b.par(|b| {
+                            for &t in servable {
+                                self.cost.write_to_target(b, client, t, bytes);
+                            }
+                        }),
+                        ObjectClass::ErasureCoded { k, .. } => {
+                            let cell = bytes / k as f64;
+                            b.par(|b| {
+                                for &t in servable {
+                                    self.cost.write_to_target(b, client, t, cell);
+                                }
+                            });
+                        }
+                    }
+                }
+            });
+        });
+        Ok(b.finish())
     }
 
     /// Read `len` bytes at `offset`.  Replicated chunks fail over to an
     /// up replica; erasure-coded chunks with lost cells read `k`
     /// surviving cells and pay a reconstruction delay.
-    // simlint::allow(hot-alloc) — op construction: collects read steps per touched group, plus the EC cell mask and survivors on degraded reads; nothing grows with pool size
+    // simlint::allow(hot-alloc) — collects the cell mask of each touched EC chunk for the data layer; nothing grows with pool size
     pub fn array_read(
         &mut self,
         client: usize,
@@ -1086,68 +1071,57 @@ impl DaosSystem {
             *gb.entry(layout.group_index(chunk_dkey_hash(chunk)))
                 .or_default() += seg as f64;
         }
-        let mut group_steps = Vec::with_capacity(gb.len());
-        let mut decode_bytes = 0.0;
-        for (g, bytes) in gb {
-            let group = layout.group(g);
-            match class {
-                ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                    group_steps.push(self.cost.read_from_target(client, group[0], bytes));
-                }
-                ObjectClass::Replicated { .. } => {
-                    let t = group
-                        .iter()
-                        .copied()
-                        .find(|&t| pool.is_servable(t))
-                        .ok_or(DaosError::Unavailable)?;
-                    group_steps.push(self.cost.read_from_target(client, t, bytes));
-                }
-                ObjectClass::ErasureCoded { k, .. } => {
-                    let k = k as usize;
-                    let data_targets = &group[..k];
-                    let healthy = data_targets.iter().all(|&t| pool.is_servable(t));
-                    let cell = bytes / k as f64;
-                    if healthy {
-                        let reads = data_targets
-                            .iter()
-                            .map(|&t| self.cost.read_from_target(client, t, cell))
-                            .collect::<Vec<_>>();
-                        group_steps.push(Step::par(reads));
-                    } else {
-                        // degraded: read k surviving cells, reconstruct
-                        let survivors: Vec<TargetId> = group
-                            .iter()
-                            .copied()
-                            .filter(|&t| pool.is_servable(t))
-                            .take(k)
-                            .collect();
-                        if survivors.len() < k {
-                            return Err(DaosError::Unavailable);
+        let mut b = StepBuf::new();
+        b.span("libdaos", "array_read", len, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            b.push(repair);
+            let mut decode_bytes = 0.0;
+            b.par(|b| {
+                for (g, bytes) in gb {
+                    let group = layout.group(g);
+                    match class {
+                        ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
+                            self.cost.read_from_target(b, client, group[0], bytes);
                         }
-                        decode_bytes += bytes;
-                        let reads = survivors
-                            .iter()
-                            .map(|&t| self.cost.read_from_target(client, t, cell))
-                            .collect::<Vec<_>>();
-                        group_steps.push(Step::par(reads));
+                        ObjectClass::Replicated { .. } => {
+                            let t = group
+                                .iter()
+                                .copied()
+                                .find(|&t| pool.is_servable(t))
+                                .ok_or(DaosError::Unavailable)?;
+                            self.cost.read_from_target(b, client, t, bytes);
+                        }
+                        ObjectClass::ErasureCoded { k, .. } => {
+                            let k = k as usize;
+                            let data_targets = &group[..k];
+                            let healthy = data_targets.iter().all(|&t| pool.is_servable(t));
+                            let cell = bytes / k as f64;
+                            // degraded: read k surviving cells, reconstruct
+                            let survivors = group.iter().filter(|&&t| pool.is_servable(t));
+                            if !healthy {
+                                if survivors.clone().take(k).count() < k {
+                                    return Err(DaosError::Unavailable);
+                                }
+                                decode_bytes += bytes;
+                            }
+                            let sources = if healthy { data_targets } else { group };
+                            b.par(|b| {
+                                let sources =
+                                    sources.iter().filter(|&&t| healthy || pool.is_servable(t));
+                                for &t in sources.take(k) {
+                                    self.cost.read_from_target(b, client, t, cell);
+                                }
+                            });
+                        }
                     }
                 }
-            }
-        }
-        let decode = self.cost.ec_codec(decode_bytes);
-        let step = Step::span(
-            "libdaos",
-            "array_read",
-            len,
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                repair,
-                Step::par(group_steps),
-                decode,
-            ]),
-        );
-        Ok((data, step))
+                Ok(())
+            })?;
+            b.push(self.cost.ec_codec(decode_bytes));
+            Ok::<_, DaosError>(())
+        })?;
+        Ok((data, b.finish()))
     }
 
     /// Query the array size (highest written byte + 1).  Costs a round
@@ -1171,17 +1145,13 @@ impl DaosSystem {
             .copied()
             .find(|&t| self.pool.is_servable(t))
             .ok_or(DaosError::Unavailable)?;
-        let step = Step::span(
-            "libdaos",
-            "array_get_size",
-            0,
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                self.cost.read_from_target(client, t, 64.0),
-            ]),
-        );
-        Ok((size, step))
+        let mut b = StepBuf::new();
+        b.span("libdaos", "array_get_size", 0, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            self.cost.read_from_target(b, client, t, 64.0);
+        });
+        Ok((size, b.finish()))
     }
 
     /// Truncate/extend an array.
@@ -1220,17 +1190,13 @@ impl DaosSystem {
         if let Some(l) = self.ledger.as_mut() {
             l.record_truncate(cid, oid, size);
         }
-        let step = Step::span(
-            "libdaos",
-            "array_set_size",
-            0,
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                self.cost.write_to_target(client, t, 64.0),
-            ]),
-        );
-        Ok(step)
+        let mut b = StepBuf::new();
+        b.span("libdaos", "array_set_size", 0, |b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            self.cost.write_to_target(b, client, t, 64.0);
+        });
+        Ok(b.finish())
     }
 
     // ---- container attributes -----------------------------------------------
@@ -1282,29 +1248,21 @@ impl DaosSystem {
         cid: ContainerId,
     ) -> Result<(Vec<Oid>, Step), DaosError> {
         let servers = self.pool.server_count();
-        let reads: Vec<Step> = (0..servers)
-            .map(|s| {
-                self.cost.read_from_target(
-                    client,
-                    TargetId {
-                        server: s as u16,
-                        target: 0,
-                    },
-                    256.0,
-                )
-            })
-            .collect();
+        let mut b = StepBuf::new();
+        b.seq(|b| {
+            b.push(self.cost.client_overhead());
+            b.push(self.cost.rtt());
+            b.par(|b| {
+                for server in 0..servers as u16 {
+                    let t = TargetId { server, target: 0 };
+                    self.cost.read_from_target(b, client, t, 256.0);
+                }
+            });
+        });
         let c = self.cont(cid)?;
         let mut oids: Vec<Oid> = c.objects.keys().copied().collect();
         oids.sort();
-        Ok((
-            oids,
-            Step::seq([
-                self.cost.client_overhead(),
-                self.cost.rtt(),
-                Step::par(reads),
-            ]),
-        ))
+        Ok((oids, b.finish()))
     }
 
     // ---- end-to-end data integrity ----------------------------------------------
@@ -1361,17 +1319,15 @@ impl DaosSystem {
             .find(|(i, t)| !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t))
             .map(|(_, &t)| t);
         let per_copy = (bytes as f64).max(64.0);
-        let moves: Vec<Step> = src
-            .map(|src| {
-                rotten
-                    .iter()
-                    .map(|&r| {
-                        let dst = group[r as usize % group.len()];
-                        self.rebuild_move(&[src], per_copy, dst, per_copy)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        let mut moves = StepBuf::new();
+        if let Some(src) = src {
+            moves.par(|b| {
+                for &r in &rotten {
+                    let dst = group[r as usize % group.len()];
+                    self.rebuild_move(b, &[src], per_copy, dst, per_copy);
+                }
+            });
+        }
         Ok(repair_span(bytes * rotten.len() as u64, moves))
     }
 
@@ -1424,14 +1380,15 @@ impl DaosSystem {
                 ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
             };
             let cs = a.chunk_size();
-            let mut full: BTreeSet<u64> = BTreeSet::new();
+            // the chunks the range covers whole are consecutive
+            let full = offset.div_ceil(cs)..(offset + len) / cs;
             let mut checked = 0u64;
             let mut bad = Vec::new();
             for c in a.chunks_in_range(offset, len) {
-                let lo = c * cs;
-                if offset <= lo && offset + len >= lo + cs {
-                    full.insert(c);
-                } else if a.chunk_written(c) {
+                if full.contains(&c) {
+                    continue;
+                }
+                if a.chunk_written(c) {
                     checked += 1;
                     if let Some(mm) = a.verify_chunk(c) {
                         bad.push(mm);
@@ -1487,140 +1444,148 @@ impl DaosSystem {
             (entry.layout.class, cs)
         };
         let rkey = (cid.0, oid);
-        let mut moves: Vec<Step> = Vec::new();
-        let mut span_bytes = 0u64;
-        for mm in mismatches {
-            let chunk = mm.chunk;
-            let lo = chunk * cs;
-            let group = self
-                .obj(cid, oid)?
-                .layout
-                .group_for(chunk_dkey_hash(chunk))
-                .to_vec();
-            let flips: Vec<u64> = self
-                .rot
-                .extents
-                .get(&rkey)
-                .map(|m| m.range(lo..lo + cs).map(|(&o, _)| o).collect())
-                .unwrap_or_default();
-            let parity_flips: Vec<(u64, u64)> = self
-                .rot
-                .parity
-                .get(&rkey)
-                .map(|s| {
-                    s.iter()
-                        .copied()
-                        .filter(|&(o, _)| o / cs == chunk)
-                        .collect()
-                })
-                .unwrap_or_default();
-            // rotten copy indices: EC trusts the recomputed per-cell
-            // verdict; replication derives them from the registry
-            let rotten: BTreeSet<u64> = match class {
-                ObjectClass::ErasureCoded { .. } => mm.cells.iter().map(|&c| c as u64).collect(),
-                _ => self
+        let mut moves = StepBuf::new();
+        let span_bytes = moves.par(|b| {
+            let mut span_bytes = 0u64;
+            for mm in mismatches {
+                let chunk = mm.chunk;
+                let lo = chunk * cs;
+                let group = self
+                    .obj(cid, oid)?
+                    .layout
+                    .group_for(chunk_dkey_hash(chunk))
+                    .to_vec();
+                let flips: Vec<u64> = self
                     .rot
                     .extents
                     .get(&rkey)
-                    .map(|m| {
-                        m.range(lo..lo + cs)
-                            .flat_map(|(_, s)| s.iter().copied())
+                    .map(|m| m.range(lo..lo + cs).map(|(&o, _)| o).collect())
+                    .unwrap_or_default();
+                let parity_flips: Vec<(u64, u64)> = self
+                    .rot
+                    .parity
+                    .get(&rkey)
+                    .map(|s| {
+                        s.iter()
+                            .copied()
+                            .filter(|&(o, _)| o / cs == chunk)
                             .collect()
                     })
-                    .unwrap_or_default(),
-            };
-            self.csum.detected += rotten.len().max(1) as u64;
-            let known = !flips.is_empty() || !parity_flips.is_empty();
-            let repairable = known
-                && match class {
-                    ObjectClass::Sharded(_) | ObjectClass::ShardedMax => false,
-                    ObjectClass::Replicated { .. } => {
-                        !rotten.is_empty() && rotten.len() < group.len()
+                    .unwrap_or_default();
+                // rotten copy indices: EC trusts the recomputed per-cell
+                // verdict; replication derives them from the registry
+                let rotten: BTreeSet<u64> = match class {
+                    ObjectClass::ErasureCoded { .. } => {
+                        mm.cells.iter().map(|&c| c as u64).collect()
                     }
-                    ObjectClass::ErasureCoded { p, .. } => rotten.len() <= p as usize,
-                };
-            if !repairable {
-                self.csum.unrepairable += 1;
-                return Err(DaosError::BadChecksum);
-            }
-            {
-                let ec = ec_for(&mut self.ec_cache, class);
-                let entry = find_obj_mut(&mut self.containers, cid, oid)?;
-                if let ObjData::Array(a) = &mut entry.data {
-                    for &o in &flips {
-                        a.corrupt_at(o);
-                    }
-                    if let Some(ec) = ec {
-                        for &(o, pi) in &parity_flips {
-                            a.corrupt_parity_at(o, pi as usize, ec);
-                        }
-                    }
-                    debug_assert!(a.verify_chunk(chunk).is_none(), "repair left chunk rotten");
-                }
-            }
-            if let Some(m) = self.rot.extents.get_mut(&rkey) {
-                for o in &flips {
-                    m.remove(o);
-                }
-                if m.is_empty() {
-                    self.rot.extents.remove(&rkey);
-                }
-            }
-            if let Some(s) = self.rot.parity.get_mut(&rkey) {
-                for pf in &parity_flips {
-                    s.remove(pf);
-                }
-                if s.is_empty() {
-                    self.rot.parity.remove(&rkey);
-                }
-            }
-            self.csum.repaired += rotten.len() as u64;
-            // cost: read enough clean copies, rewrite each rotten shard
-            match class {
-                ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {}
-                ObjectClass::Replicated { .. } => {
-                    let src = group
-                        .iter()
-                        .enumerate()
-                        .find(|(i, t)| !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t))
-                        .map(|(_, &t)| t);
-                    if let Some(src) = src {
-                        for &r in &rotten {
-                            let dst = group[r as usize % group.len()];
-                            moves.push(self.rebuild_move(&[src], cs as f64, dst, cs as f64));
-                            self.csum.repaired_bytes += cs;
-                            span_bytes += cs;
-                        }
-                    }
-                }
-                ObjectClass::ErasureCoded { k, .. } => {
-                    let k = k as usize;
-                    let cell_bytes = cs.div_ceil(k as u64);
-                    let sources: Vec<TargetId> = group
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, t)| {
-                            !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t)
+                    _ => self
+                        .rot
+                        .extents
+                        .get(&rkey)
+                        .map(|m| {
+                            m.range(lo..lo + cs)
+                                .flat_map(|(_, s)| s.iter().copied())
+                                .collect()
                         })
-                        .map(|(_, &t)| t)
-                        .take(k)
-                        .collect();
-                    if sources.len() == k {
-                        for &r in &rotten {
-                            let dst = group[r as usize % group.len()];
-                            moves.push(self.rebuild_move(
-                                &sources,
-                                cell_bytes as f64,
-                                dst,
-                                cell_bytes as f64,
-                            ));
-                            self.csum.repaired_bytes += cell_bytes;
-                            span_bytes += cell_bytes;
+                        .unwrap_or_default(),
+                };
+                self.csum.detected += rotten.len().max(1) as u64;
+                let known = !flips.is_empty() || !parity_flips.is_empty();
+                let repairable = known
+                    && match class {
+                        ObjectClass::Sharded(_) | ObjectClass::ShardedMax => false,
+                        ObjectClass::Replicated { .. } => {
+                            !rotten.is_empty() && rotten.len() < group.len()
+                        }
+                        ObjectClass::ErasureCoded { p, .. } => rotten.len() <= p as usize,
+                    };
+                if !repairable {
+                    self.csum.unrepairable += 1;
+                    return Err(DaosError::BadChecksum);
+                }
+                {
+                    let ec = ec_for(&mut self.ec_cache, class);
+                    let entry = find_obj_mut(&mut self.containers, cid, oid)?;
+                    if let ObjData::Array(a) = &mut entry.data {
+                        for &o in &flips {
+                            a.corrupt_at(o);
+                        }
+                        if let Some(ec) = ec {
+                            for &(o, pi) in &parity_flips {
+                                a.corrupt_parity_at(o, pi as usize, ec);
+                            }
+                        }
+                        debug_assert!(a.verify_chunk(chunk).is_none(), "repair left chunk rotten");
+                    }
+                }
+                if let Some(m) = self.rot.extents.get_mut(&rkey) {
+                    for o in &flips {
+                        m.remove(o);
+                    }
+                    if m.is_empty() {
+                        self.rot.extents.remove(&rkey);
+                    }
+                }
+                if let Some(s) = self.rot.parity.get_mut(&rkey) {
+                    for pf in &parity_flips {
+                        s.remove(pf);
+                    }
+                    if s.is_empty() {
+                        self.rot.parity.remove(&rkey);
+                    }
+                }
+                self.csum.repaired += rotten.len() as u64;
+                // cost: read enough clean copies, rewrite each rotten shard
+                match class {
+                    ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {}
+                    ObjectClass::Replicated { .. } => {
+                        let src = group
+                            .iter()
+                            .enumerate()
+                            .find(|(i, t)| {
+                                !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t)
+                            })
+                            .map(|(_, &t)| t);
+                        if let Some(src) = src {
+                            for &r in &rotten {
+                                let dst = group[r as usize % group.len()];
+                                self.rebuild_move(b, &[src], cs as f64, dst, cs as f64);
+                                self.csum.repaired_bytes += cs;
+                                span_bytes += cs;
+                            }
+                        }
+                    }
+                    ObjectClass::ErasureCoded { k, .. } => {
+                        let k = k as usize;
+                        let cell_bytes = cs.div_ceil(k as u64);
+                        let sources: Vec<TargetId> = group
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, t)| {
+                                !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t)
+                            })
+                            .map(|(_, &t)| t)
+                            .take(k)
+                            .collect();
+                        if sources.len() == k {
+                            for &r in &rotten {
+                                let dst = group[r as usize % group.len()];
+                                self.rebuild_move(
+                                    b,
+                                    &sources,
+                                    cell_bytes as f64,
+                                    dst,
+                                    cell_bytes as f64,
+                                );
+                                self.csum.repaired_bytes += cell_bytes;
+                                span_bytes += cell_bytes;
+                            }
                         }
                     }
                 }
             }
-        }
+            Ok(span_bytes)
+        })?;
         Ok(repair_span(span_bytes, moves))
     }
 
@@ -1878,42 +1843,44 @@ impl DaosSystem {
         let start = self.scrub.cursor.take();
         let mut next = None;
         let (mut units, mut wave_bytes) = (0usize, 0u64);
-        let mut reads: Vec<Step> = Vec::new();
+        let mut wave = StepBuf::new();
         let mut rotten: Vec<(ContainerId, Oid, ScrubRot)> = Vec::new();
-        let _ = self.visit_units(start.as_ref(), |cont, oid, entry, unit| {
-            if units == max_units {
-                let pos = unit.pos();
-                next = Some(ScrubCursor { cont, oid, pos });
-                return ControlFlow::Break(());
-            }
-            units += 1;
-            match unit {
-                UnitRef::Chunk(a, c) => {
-                    let bytes = a.chunk_stored_bytes(c);
-                    let group = entry.layout.group_for(chunk_dkey_hash(c));
-                    let per_member = match entry.layout.class {
-                        ObjectClass::ErasureCoded { .. } => {
-                            bytes as f64 / group.len().max(1) as f64
+        let _ = wave.par(|b| {
+            self.visit_units(start.as_ref(), |cont, oid, entry, unit| {
+                if units == max_units {
+                    let pos = unit.pos();
+                    next = Some(ScrubCursor { cont, oid, pos });
+                    return ControlFlow::Break(());
+                }
+                units += 1;
+                match unit {
+                    UnitRef::Chunk(a, c) => {
+                        let bytes = a.chunk_stored_bytes(c);
+                        let group = entry.layout.group_for(chunk_dkey_hash(c));
+                        let per_member = match entry.layout.class {
+                            ObjectClass::ErasureCoded { .. } => {
+                                bytes as f64 / group.len().max(1) as f64
+                            }
+                            _ => bytes as f64,
+                        };
+                        self.scrub_read_cost(b, group, per_member);
+                        wave_bytes += bytes;
+                        if let Some(mm) = a.verify_chunk(c) {
+                            rotten.push((cont, oid, ScrubRot::Chunk(mm)));
                         }
-                        _ => bytes as f64,
-                    };
-                    reads.push(self.scrub_read_cost(group, per_member));
-                    wave_bytes += bytes;
-                    if let Some(mm) = a.verify_chunk(c) {
-                        rotten.push((cont, oid, ScrubRot::Chunk(mm)));
+                    }
+                    UnitRef::Key(kv, k) => {
+                        let bytes = kv.get(k).map(|v| v.len()).unwrap_or(0);
+                        let group = entry.layout.group_for(dkey_hash(k));
+                        self.scrub_read_cost(b, group, (bytes as f64).max(64.0));
+                        wave_bytes += bytes;
+                        if !kv.verify(k).unwrap_or(true) {
+                            rotten.push((cont, oid, ScrubRot::Key(k.to_vec())));
+                        }
                     }
                 }
-                UnitRef::Key(kv, k) => {
-                    let bytes = kv.get(k).map(|v| v.len()).unwrap_or(0);
-                    let group = entry.layout.group_for(dkey_hash(k));
-                    reads.push(self.scrub_read_cost(group, (bytes as f64).max(64.0)));
-                    wave_bytes += bytes;
-                    if !kv.verify(k).unwrap_or(true) {
-                        rotten.push((cont, oid, ScrubRot::Key(k.to_vec())));
-                    }
-                }
-            }
-            ControlFlow::Continue(())
+                ControlFlow::Continue(())
+            })
         });
         self.scrub.cursor = next;
         if self.scrub.cursor.is_none() {
@@ -1930,29 +1897,23 @@ impl DaosSystem {
         self.scrub.report.bytes_scanned += wave_bytes;
         self.csum.verified += units as u64;
         let before = self.csum;
-        let repairs: Vec<Step> = rotten
-            .into_iter()
-            .filter_map(|(cid, oid, rot)| {
-                match rot {
+        wave.seq(|b| {
+            for (cid, oid, rot) in rotten {
+                let repair = match rot {
                     ScrubRot::Chunk(mm) => {
                         self.repair_array_rot(cid, oid, std::slice::from_ref(&mm))
                     }
                     ScrubRot::Key(k) => self.repair_kv_rot(cid, oid, &k),
-                }
-                .ok()
-            })
-            .collect();
+                };
+                b.push(repair.unwrap_or(Step::Noop));
+            }
+        });
         let after = self.csum;
         self.scrub.report.detected += after.detected - before.detected;
         self.scrub.report.repaired += after.repaired - before.repaired;
         self.scrub.report.unrepairable += after.unrepairable - before.unrepairable;
         self.scrub.report.waves += 1;
-        let wave = if repairs.is_empty() {
-            Step::par(reads)
-        } else {
-            Step::seq([Step::par(reads), Step::seq(repairs)])
-        };
-        Some(Step::span("scrub", "wave", wave_bytes, wave))
+        Some(Step::span("scrub", "wave", wave_bytes, wave.finish()))
     }
 
     /// Walk the stored units (written array chunks and KV keys) in
@@ -2014,24 +1975,21 @@ impl DaosSystem {
     /// share of the stored bytes straight off its NVMe through the
     /// engine — no client or network involvement, but full contention
     /// with foreground traffic on the shared fairshare resources.
-    fn scrub_read_cost(&self, group: &[TargetId], bytes_each: f64) -> Step {
-        let reads: Vec<Step> = group
-            .iter()
-            .filter(|&&t| self.pool.is_servable(t))
-            .map(|&t| {
+    fn scrub_read_cost(&self, b: &mut StepBuf, group: &[TargetId], bytes_each: f64) {
+        b.par(|b| {
+            for &t in group.iter().filter(|&&t| self.pool.is_servable(t)) {
                 let srv = &self.cost.topo.servers[t.server as usize];
                 let res = &self.cost.srv_res[t.server as usize];
                 let dev = self.cost.dev_for(t);
-                Step::seq([
-                    Step::transfer(
+                b.seq(|b| {
+                    b.push(Step::transfer(
                         Bytes(bytes_each),
                         [srv.nvme_r[dev], srv.nvme_r_pool, res.engine_xfer],
-                    ),
-                    Step::delay(self.cost.cal.nvme_read_lat_ns),
-                ])
-            })
-            .collect();
-        Step::par(reads)
+                    ));
+                    b.push(Step::delay(self.cost.cal.nvme_read_lat_ns));
+                });
+            }
+        });
     }
 
     // ---- rebuild ---------------------------------------------------------------
@@ -2100,25 +2058,20 @@ impl DaosSystem {
                 }
             }
         }
-        let moves: Vec<Step> = plans
-            .into_iter()
-            .map(|p| self.rebuild_move(&p.sources, p.read_each, p.dst, p.write_bytes))
-            .collect();
         // throttle the background traffic into waves so a mass rebuild
         // does not model as one infinitely-wide burst
         let moved = report.bytes_moved as u64;
-        let step = Step::span(
-            "rebuild",
-            "scan",
-            moved,
-            Step::seq(
-                moves
-                    .chunks(32)
-                    .map(|wave| Step::par(wave.to_vec()))
-                    .collect::<Vec<_>>(),
-            ),
-        );
-        (report, step)
+        let mut b = StepBuf::new();
+        b.span("rebuild", "scan", moved, |b| {
+            for wave in plans.chunks(32) {
+                b.par(|b| {
+                    for p in wave {
+                        self.rebuild_move(b, &p.sources, p.read_each, p.dst, p.write_bytes);
+                    }
+                });
+            }
+        });
+        (report, b.finish())
     }
 
     /// Server-to-server shard move: read the surviving cells/replica,
@@ -2126,46 +2079,40 @@ impl DaosSystem {
     // simlint::panic_root — fault-handling path: must never panic
     fn rebuild_move(
         &self,
+        b: &mut StepBuf,
         sources: &[TargetId],
         read_each: f64,
         dst: TargetId,
         write_bytes: f64,
-    ) -> Step {
+    ) {
         let dsts = &self.cost.topo.servers[dst.server as usize];
         let dres = &self.cost.srv_res[dst.server as usize];
         let ddev = self.cost.dev_for(dst);
-        let reads = sources
-            .iter()
-            .map(|&src| {
-                let ssrv = &self.cost.topo.servers[src.server as usize];
-                let sres = &self.cost.srv_res[src.server as usize];
-                let sdev = self.cost.dev_for(src);
-                Step::transfer(
-                    Bytes(read_each),
-                    [
-                        ssrv.nvme_r[sdev],
-                        ssrv.nvme_r_pool,
-                        sres.engine_xfer,
-                        ssrv.nic_tx,
-                        dsts.nic_rx,
-                    ],
-                )
-            })
-            .collect::<Vec<_>>();
-        Step::span(
-            "rebuild",
-            "move",
-            write_bytes as u64,
-            Step::seq([
-                Step::delay(self.cost.cal.net_rtt_ns),
-                Step::par(reads),
-                Step::transfer(
-                    Bytes(write_bytes),
-                    [dres.engine_xfer, dsts.nvme_w[ddev], dsts.nvme_w_pool],
-                ),
-                Step::delay(self.cost.cal.nvme_write_lat_ns),
-            ]),
-        )
+        b.span("rebuild", "move", write_bytes as u64, |b| {
+            b.push(Step::delay(self.cost.cal.net_rtt_ns));
+            b.par(|b| {
+                for &src in sources {
+                    let ssrv = &self.cost.topo.servers[src.server as usize];
+                    let sres = &self.cost.srv_res[src.server as usize];
+                    let sdev = self.cost.dev_for(src);
+                    b.push(Step::transfer(
+                        Bytes(read_each),
+                        [
+                            ssrv.nvme_r[sdev],
+                            ssrv.nvme_r_pool,
+                            sres.engine_xfer,
+                            ssrv.nic_tx,
+                            dsts.nic_rx,
+                        ],
+                    ));
+                }
+            });
+            b.push(Step::transfer(
+                Bytes(write_bytes),
+                [dres.engine_xfer, dsts.nvme_w[ddev], dsts.nvme_w_pool],
+            ));
+            b.push(Step::delay(self.cost.cal.nvme_write_lat_ns));
+        });
     }
 
     // ---- elastic membership & the migration engine ------------------------------
@@ -2301,65 +2248,70 @@ impl DaosSystem {
     // simlint::allow(hot-alloc) — wave construction: runs once per migration wave (bounded by max_moves), not per engine event
     pub fn migration_wave(&mut self, max_moves: usize) -> Option<Step> {
         assert!(max_moves > 0);
-        let mut moves: Vec<Step> = Vec::new();
+        let mut moves = StepBuf::new();
         let mut wave_bytes = 0.0;
-        while moves.len() < max_moves {
-            let Some(((cid, oid, g, m), plan)) = self.migration.pending.pop_first() else {
-                break;
-            };
-            let cid = ContainerId(cid);
-            // validate against the current world: a crash (and the
-            // rebuild it triggered) may have invalidated this move
-            let valid = match self.obj(cid, oid) {
-                Ok(entry) => {
-                    entry.layout.groups().nth(g).and_then(|grp| grp.get(m)) == Some(&plan.dst)
-                        && self.pool.is_servable(plan.dst)
+        let shipped = moves.par(|b| {
+            let mut shipped = 0;
+            while shipped < max_moves {
+                let Some(((cid, oid, g, m), plan)) = self.migration.pending.pop_first() else {
+                    break;
+                };
+                let cid = ContainerId(cid);
+                // validate against the current world: a crash (and the
+                // rebuild it triggered) may have invalidated this move
+                let valid = match self.obj(cid, oid) {
+                    Ok(entry) => {
+                        entry.layout.groups().nth(g).and_then(|grp| grp.get(m)) == Some(&plan.dst)
+                            && self.pool.is_servable(plan.dst)
+                    }
+                    Err(_) => false,
+                };
+                if !valid {
+                    self.migration.moves_dropped += 1;
+                    continue;
                 }
-                Err(_) => false,
-            };
-            if !valid {
-                self.migration.moves_dropped += 1;
-                continue;
-            }
-            // re-source from the surviving group when the planned source
-            // died mid-migration (redundant classes can still feed the
-            // copy; an unreplicated shard with a dead source is dropped
-            // and the durability oracle will name the loss)
-            let mut sources: Vec<TargetId> = plan
-                .sources
-                .iter()
-                .copied()
-                .filter(|&t| self.pool.is_servable(t))
-                .collect();
-            if sources.is_empty() {
-                if let Ok(entry) = self.obj(cid, oid) {
-                    sources = entry
-                        .layout
-                        .group(g)
-                        .iter()
-                        .copied()
-                        .filter(|&t| t != plan.dst && self.pool.is_servable(t))
-                        .take(1)
-                        .collect();
+                // re-source from the surviving group when the planned source
+                // died mid-migration (redundant classes can still feed the
+                // copy; an unreplicated shard with a dead source is dropped
+                // and the durability oracle will name the loss)
+                let mut sources: Vec<TargetId> = plan
+                    .sources
+                    .iter()
+                    .copied()
+                    .filter(|&t| self.pool.is_servable(t))
+                    .collect();
+                if sources.is_empty() {
+                    if let Ok(entry) = self.obj(cid, oid) {
+                        sources = entry
+                            .layout
+                            .group(g)
+                            .iter()
+                            .copied()
+                            .filter(|&t| t != plan.dst && self.pool.is_servable(t))
+                            .take(1)
+                            .collect();
+                    }
                 }
+                if sources.is_empty() {
+                    self.migration.moves_dropped += 1;
+                    continue;
+                }
+                wave_bytes += plan.write_bytes;
+                self.rebuild_move(b, &sources, plan.read_each, plan.dst, plan.write_bytes);
+                shipped += 1;
+                self.migration.moves_done += 1;
+                self.migration.moved_bytes += plan.write_bytes;
             }
-            if sources.is_empty() {
-                self.migration.moves_dropped += 1;
-                continue;
-            }
-            wave_bytes += plan.write_bytes;
-            moves.push(self.rebuild_move(&sources, plan.read_each, plan.dst, plan.write_bytes));
-            self.migration.moves_done += 1;
-            self.migration.moved_bytes += plan.write_bytes;
-        }
-        if moves.is_empty() {
+            shipped
+        });
+        if shipped == 0 {
             return None;
         }
         Some(Step::span(
             "migrate",
             "wave",
             wave_bytes as u64,
-            Step::par(moves),
+            moves.finish(),
         ))
     }
 
@@ -2758,14 +2710,11 @@ fn find_obj_mut(
         .ok_or(DaosError::NoSuchObject)
 }
 
-/// Wrap repair copies as a `csum.repair` span ([`Step::Noop`] when the
-/// repair carried no billable movement, e.g. no servable clean source).
-fn repair_span(bytes: u64, moves: Vec<Step>) -> Step {
-    if moves.is_empty() {
-        Step::Noop
-    } else {
-        Step::span("csum", "repair", bytes, Step::par(moves))
-    }
+/// Wrap the parallel repair copies built in `moves` as a `csum.repair`
+/// span ([`Step::Noop`] when the repair carried no billable movement,
+/// e.g. no servable clean source).
+fn repair_span(bytes: u64, moves: StepBuf) -> Step {
+    Step::span("csum", "repair", bytes, moves.finish())
 }
 
 /// Array chunks use their index as dkey; DAOS hashes it before routing,

@@ -8,6 +8,11 @@
 //! or bytes that grow with the pool; so does an `S1` placement that
 //! copies or shuffles every up target to keep one.
 //!
+//! It also caps the five data ops at one heap allocation each once the
+//! thread's free list of op-program buffers is warm: a data op builds
+//! its whole program into one reused buffer, and only `array_write` and
+//! `array_read` keep a per-op map of the shard groups they touch.
+//!
 //! The counting allocator keeps thread-local counts, so tests running
 //! in parallel on other threads do not disturb the measurement.
 
@@ -70,7 +75,8 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, u64) {
 }
 
 /// Allocations and bytes of one op of each kind on a fresh pool of
-/// `servers` engines, in the order of [`OPS`].
+/// `servers` engines, in the order of [`OPS`], measured after one
+/// warm-up op of each kind.
 fn op_allocs(servers: usize) -> [(u64, u64); 7] {
     let mut sched = Scheduler::new();
     let topo = ClusterSpec::new(servers, 1).build(&mut sched);
@@ -80,20 +86,25 @@ fn op_allocs(servers: usize) -> [(u64, u64); 7] {
     let (kv, _) = sys.kv_create(0, cid, ObjectClass::SX).unwrap();
     sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
         .unwrap();
-    let write = allocs_in(|| {
-        sys.array_write(0, cid, arr, 0, Payload::Sized(1 << 20))
-            .unwrap()
-    });
-    let read = allocs_in(|| sys.array_read(0, cid, arr, 0, 1 << 20).unwrap());
-    let size = allocs_in(|| sys.array_get_size(0, cid, arr).unwrap());
-    let get = allocs_in(|| sys.kv_get(0, cid, kv, b"key").unwrap());
-    let put = allocs_in(|| {
-        sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
-            .unwrap()
-    });
-    let create_array = allocs_in(|| sys.array_create(0, cid, ObjectClass::S1, 1 << 20).unwrap());
-    let create_kv = allocs_in(|| sys.kv_create(0, cid, ObjectClass::S1).unwrap());
-    [write, read, size, get, put, create_array, create_kv]
+    let mut round = || {
+        let write = allocs_in(|| {
+            sys.array_write(0, cid, arr, 0, Payload::Sized(1 << 20))
+                .unwrap()
+        });
+        let read = allocs_in(|| sys.array_read(0, cid, arr, 0, 1 << 20).unwrap());
+        let size = allocs_in(|| sys.array_get_size(0, cid, arr).unwrap());
+        let get = allocs_in(|| sys.kv_get(0, cid, kv, b"key").unwrap());
+        let put = allocs_in(|| {
+            sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
+                .unwrap()
+        });
+        let create_array =
+            allocs_in(|| sys.array_create(0, cid, ObjectClass::S1, 1 << 20).unwrap());
+        let create_kv = allocs_in(|| sys.kv_create(0, cid, ObjectClass::S1).unwrap());
+        [write, read, size, get, put, create_array, create_kv]
+    };
+    round();
+    round()
 }
 
 const OPS: [&str; 7] = [
@@ -110,12 +121,21 @@ const OPS: [&str; 7] = [
 fn op_allocations_do_not_grow_with_pool_size() {
     let small = op_allocs(4);
     let large = op_allocs(128);
-    assert!(
-        small.iter().all(|&(n, _)| n > 0),
-        "counter is live: {small:?}"
+    assert_eq!(
+        allocs_in(|| Vec::<u8>::with_capacity(1)),
+        (1, 1),
+        "counter is live"
     );
     assert_eq!(
         small, large,
         "(allocations, bytes) per op {OPS:?} differ between a 4-server and a 128-server pool"
     );
+}
+
+#[test]
+fn warm_data_ops_make_at_most_one_allocation() {
+    let allocs = op_allocs(16);
+    for (op, &(n, _)) in OPS.iter().zip(&allocs).take(5) {
+        assert!(n <= 1, "{op} made {n} heap allocations: {allocs:?}");
+    }
 }

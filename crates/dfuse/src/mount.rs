@@ -337,7 +337,7 @@ mod tests {
     use cluster::ClusterSpec;
     use daos_core::{ContainerProps, DaosSystem, DataMode};
     use daos_dfs::DfsOpts;
-    use simkit::{run, OpId, SimTime, World};
+    use simkit::{run, Leaf, OpId, SimTime, World};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -432,14 +432,14 @@ mod tests {
         let (f, s) = m.open(0, "/f", true).unwrap();
         exec(&mut sched, s);
         let step = m.write(0, f, 0, Payload::Sized(8 << 20)).unwrap();
-        // count pump units in the step tree
+        // count pump units in the step's program
         fn pump_units(s: &Step, pump: simkit::ResourceId) -> f64 {
-            match s {
-                Step::Transfer { units, path } if path.contains(&pump) => units.get(),
-                Step::Seq(v) | Step::Par(v) => v.iter().map(|s| pump_units(s, pump)).sum(),
-                Step::Span { inner, .. } => pump_units(inner, pump),
-                _ => 0.0,
-            }
+            s.leaves()
+                .map(|leaf| match leaf {
+                    Leaf::Transfer { units, path } if path.contains(&pump) => units.get(),
+                    _ => 0.0,
+                })
+                .sum()
         }
         assert_eq!(pump_units(&step, m.pump[0]), 8.0);
         exec(&mut sched, step);

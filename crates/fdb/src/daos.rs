@@ -15,7 +15,7 @@ use daos_core::{
     ContainerId, DaosError, DaosSystem, DataMode, ObjectClass, Oid, RetryExec, RetryPolicy,
     RetryStats,
 };
-use simkit::Step;
+use simkit::{Step, StepBuf};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -174,45 +174,53 @@ impl FdbDaos {
         // index updates: the key entry plus axis/metadata puts, all on
         // the process's exclusive index KV …
         let entry = self.entry_payload(oid, len);
-        let mut kv_steps = Vec::new();
-        // every key of the field is built into this one buffer
-        let mut kbuf = String::new();
-        {
-            let mut daos = self.daos.borrow_mut();
-            let _ = write!(kbuf, "{key}");
-            let s = daos
-                .kv_put(node, self.cid, index_kv, kbuf.as_bytes(), entry)
-                .map_err(map_daos)?;
-            kv_steps.push(s);
-            for i in 1..self.kv_ops_per_field.saturating_sub(1) {
-                axis_key(&mut kbuf, i, key);
-                let p = match daos.data_mode() {
-                    DataMode::Full => Payload::Bytes(vec![0; 64]),
-                    DataMode::Sized => Payload::Sized(64),
-                };
-                let s = daos
-                    .kv_put(node, self.cid, index_kv, kbuf.as_bytes(), p)
-                    .map_err(map_daos)?;
-                kv_steps.push(s);
-            }
-        }
-        // … plus an occasional shared catalogue update
-        let st = self.procs.entry(proc).or_insert(ProcState {
-            index_kv,
-            archived: 0,
-        });
-        st.archived += 1;
-        if st.archived % CATALOGUE_EVERY == 1 {
-            let cat = self.catalogue[proc % self.catalogue.len()];
-            let p = self.entry_payload(oid, len);
-            let s = self
-                .daos
-                .borrow_mut()
-                .kv_put(node, self.cid, cat, key.index_group().as_bytes(), p)
-                .map_err(map_daos)?;
-            kv_steps.push(s);
-        }
-        Ok(Step::seq([setup, s1, s2, Step::par(kv_steps)]))
+        let mut b = StepBuf::new();
+        b.seq(|b| {
+            b.push(setup);
+            b.push(s1);
+            b.push(s2);
+            b.par(|b| {
+                // every key of the field is built into this one buffer
+                let mut kbuf = String::new();
+                {
+                    let mut daos = self.daos.borrow_mut();
+                    let _ = write!(kbuf, "{key}");
+                    let s = daos
+                        .kv_put(node, self.cid, index_kv, kbuf.as_bytes(), entry)
+                        .map_err(map_daos)?;
+                    b.push(s);
+                    for i in 1..self.kv_ops_per_field.saturating_sub(1) {
+                        axis_key(&mut kbuf, i, key);
+                        let p = match daos.data_mode() {
+                            DataMode::Full => Payload::Bytes(vec![0; 64]),
+                            DataMode::Sized => Payload::Sized(64),
+                        };
+                        let s = daos
+                            .kv_put(node, self.cid, index_kv, kbuf.as_bytes(), p)
+                            .map_err(map_daos)?;
+                        b.push(s);
+                    }
+                }
+                // … plus an occasional shared catalogue update
+                let st = self.procs.entry(proc).or_insert(ProcState {
+                    index_kv,
+                    archived: 0,
+                });
+                st.archived += 1;
+                if st.archived % CATALOGUE_EVERY == 1 {
+                    let cat = self.catalogue[proc % self.catalogue.len()];
+                    let p = self.entry_payload(oid, len);
+                    let s = self
+                        .daos
+                        .borrow_mut()
+                        .kv_put(node, self.cid, cat, key.index_group().as_bytes(), p)
+                        .map_err(map_daos)?;
+                    b.push(s);
+                }
+                Ok(())
+            })
+        })?;
+        Ok(b.finish())
     }
 
     fn retrieve_inner(
@@ -237,7 +245,7 @@ impl FdbDaos {
             .map_err(map_daos)?;
         // axis/metadata gets, overlapped with the data read; the length
         // comes from the index entry — no array_get_size round trip.
-        let mut gets = Vec::new();
+        let mut gets = StepBuf::new();
         for i in 1..self.kv_ops_per_field.saturating_sub(1) {
             axis_key(&mut kbuf, i, key);
             let (_, s) = daos
@@ -249,9 +257,15 @@ impl FdbDaos {
             .array_read(node, self.cid, oid, 0, len)
             .map_err(map_daos)?;
         drop(daos);
-        let mut par = vec![s2];
-        par.extend(gets);
-        Ok((data, Step::seq([s1, Step::par(par)])))
+        let mut b = StepBuf::new();
+        b.seq(|b| {
+            b.push(s1);
+            b.par(|b| {
+                b.push(s2);
+                b.append(gets);
+            });
+        });
+        Ok((data, b.finish()))
     }
 }
 
@@ -329,7 +343,7 @@ mod tests {
     use super::*;
     use cluster::ClusterSpec;
     use daos_core::ContainerProps;
-    use simkit::{run, OpId, Scheduler, SimTime, World};
+    use simkit::{run, Leaf, OpId, Scheduler, SimTime, World};
 
     struct Sink(SimTime);
     impl World for Sink {
@@ -399,13 +413,12 @@ mod tests {
         // count the KV puts: entry + (kv_ops-2) axis + 1 catalogue on the
         // first archive = kv_ops_per_field total
         fn count_svc_ops(s: &Step) -> f64 {
-            match s {
-                Step::Transfer { units, path } if units.get() == 1.0 && path.len() == 1 => 1.0,
-                Step::Transfer { .. } => 0.0,
-                Step::Seq(v) | Step::Par(v) => v.iter().map(count_svc_ops).sum(),
-                Step::Span { inner, .. } => count_svc_ops(inner),
-                _ => 0.0,
-            }
+            s.leaves()
+                .map(|leaf| match leaf {
+                    Leaf::Transfer { units, path } if units.get() == 1.0 && path.len() == 1 => 1.0,
+                    _ => 0.0,
+                })
+                .sum()
         }
         // 10 kv puts => 10 target-service ops (the bulk array write's
         // request service is folded into a fixed delay)

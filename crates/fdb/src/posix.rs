@@ -323,7 +323,7 @@ mod tests {
     use cluster::units;
     use cluster::ClusterSpec;
     use lustre_sim::{LustreDataMode, LustreSystem, StripeOpts};
-    use simkit::{run, OpId, Scheduler, World};
+    use simkit::{run, Leaf, OpId, Scheduler, World};
 
     struct Sink(SimTime);
     impl World for Sink {
@@ -426,17 +426,16 @@ mod tests {
         let (_, step) = fdb.retrieve(0, 0, &k).unwrap();
         let mds_cap = 180_000.0;
         fn mds_ops(s: &Step, sched: &Scheduler, cap: f64) -> f64 {
-            match s {
-                Step::Transfer { units, path }
-                    if path.iter().any(|&r| (sched.capacity(r) - cap).abs() < 1.0) =>
-                {
-                    units.get()
-                }
-                Step::Transfer { .. } => 0.0,
-                Step::Seq(v) | Step::Par(v) => v.iter().map(|s| mds_ops(s, sched, cap)).sum(),
-                Step::Span { inner, .. } => mds_ops(inner, sched, cap),
-                _ => 0.0,
-            }
+            s.leaves()
+                .map(|leaf| match leaf {
+                    Leaf::Transfer { units, path }
+                        if path.iter().any(|&r| (sched.capacity(r) - cap).abs() < 1.0) =>
+                    {
+                        units.get()
+                    }
+                    _ => 0.0,
+                })
+                .sum()
         }
         assert!(mds_ops(&step, &sched, mds_cap) >= 4.0, "open+close x2");
         exec(&mut sched, step);

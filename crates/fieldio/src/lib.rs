@@ -18,7 +18,7 @@ use daos_core::{
     ContainerId, DaosError, DaosSystem, DataMode, ObjectClass, Oid, OracleKind, OracleReport,
     Retriable, RetryExec, RetryPolicy, RetryStats, Violation,
 };
-use simkit::Step;
+use simkit::{Step, StepBuf};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -210,21 +210,29 @@ impl FieldIo {
         let (oid, s1) = daos.array_create(node, self.cid, array_class, 1 << 20)?;
         let s2 = daos.array_write(node, self.cid, oid, 0, data)?;
         let mode = daos.data_mode();
-        let mut kv_steps = Vec::new();
-        let mut key = String::new();
-        for i in 0..self.kv_ops_per_field {
-            index_key(&mut key, proc, idx, i);
-            let value = self.index_entry(mode);
-            let target = if i < SHARED_KV_OPS {
-                self.shared_kvs[i as usize % self.shared_kvs.len()]
-            } else {
-                own_kv
-            };
-            kv_steps.push(daos.kv_put(node, self.cid, target, key.as_bytes(), value)?);
-        }
+        let mut b = StepBuf::new();
+        b.seq(|b| {
+            b.push(setup);
+            b.push(s1);
+            b.push(s2);
+            b.par(|b| {
+                let mut key = String::new();
+                for i in 0..self.kv_ops_per_field {
+                    index_key(&mut key, proc, idx, i);
+                    let value = self.index_entry(mode);
+                    let target = if i < SHARED_KV_OPS {
+                        self.shared_kvs[i as usize % self.shared_kvs.len()]
+                    } else {
+                        own_kv
+                    };
+                    b.push(daos.kv_put(node, self.cid, target, key.as_bytes(), value)?);
+                }
+                Ok::<_, FieldIoError>(())
+            })
+        })?;
         drop(daos);
         self.fields.insert((proc, idx), (oid, len));
-        Ok(Step::seq([setup, s1, s2, Step::par(kv_steps)]))
+        Ok(b.finish())
     }
 
     /// Read field `idx` of process `proc`: index queries, then (in the
@@ -255,30 +263,35 @@ impl FieldIo {
             .ok_or(FieldIoError::NoSuchField)?;
         let own_kv = *self.proc_kvs.get(&proc).ok_or(FieldIoError::NoSuchField)?;
         let mut daos = self.daos.borrow_mut();
-        // index lookups mirror the write-side distribution
-        let mut kv_steps = Vec::new();
-        let mut key = String::new();
-        for i in 0..self.kv_ops_per_field {
-            index_key(&mut key, proc, idx, i);
-            let target = if i < SHARED_KV_OPS {
-                self.shared_kvs[i as usize % self.shared_kvs.len()]
-            } else {
-                own_kv
-            };
-            let (_, s) = daos.kv_get(node, self.cid, target, key.as_bytes())?;
-            kv_steps.push(s);
-        }
-        // the size check: a serial round trip before the data read
-        let size_step = if self.size_check_on_read {
-            let (size, s) = daos.array_get_size(node, self.cid, oid)?;
-            debug_assert_eq!(size, len);
-            s
-        } else {
-            Step::Noop
-        };
-        let (data, s_read) = daos.array_read(node, self.cid, oid, 0, len)?;
+        let mut b = StepBuf::new();
+        let data = b.seq(|b| {
+            // index lookups mirror the write-side distribution
+            b.par(|b| {
+                let mut key = String::new();
+                for i in 0..self.kv_ops_per_field {
+                    index_key(&mut key, proc, idx, i);
+                    let target = if i < SHARED_KV_OPS {
+                        self.shared_kvs[i as usize % self.shared_kvs.len()]
+                    } else {
+                        own_kv
+                    };
+                    let (_, s) = daos.kv_get(node, self.cid, target, key.as_bytes())?;
+                    b.push(s);
+                }
+                Ok::<_, FieldIoError>(())
+            })?;
+            // the size check: a serial round trip before the data read
+            if self.size_check_on_read {
+                let (size, s) = daos.array_get_size(node, self.cid, oid)?;
+                debug_assert_eq!(size, len);
+                b.push(s);
+            }
+            let (data, s_read) = daos.array_read(node, self.cid, oid, 0, len)?;
+            b.push(s_read);
+            Ok::<_, FieldIoError>(data)
+        })?;
         drop(daos);
-        Ok((data, Step::seq([Step::par(kv_steps), size_step, s_read])))
+        Ok((data, b.finish()))
     }
 
     /// Number of fields stored.

@@ -499,7 +499,7 @@ mod tests {
     use daos_core::DataMode;
     use daos_dfs::{Dfs, DfsOpts};
     use daos_dfuse::{DfuseMount, DfuseOpts};
-    use simkit::{run, OpId, SimTime, World};
+    use simkit::{run, Leaf, OpId, SimTime, World, MAX_HOPS};
 
     struct Sink(SimTime);
     impl World for Sink {
@@ -561,21 +561,20 @@ mod tests {
         let (mut h5, s) = H5PosixFile::create(&rt, &mut dfs, 0, "/f.h5").unwrap();
         exec(&mut sched, s);
         // 1 MiB = 4 × 256 KiB fragments + 2 metadata writes: the lib
-        // issues 6 dfs writes, observable as 6+ sub-steps in the chain.
+        // issues 6 dfs writes, observable beside the lib step's own
+        // transfer as one client-to-target data transfer each.
         let step = h5
             .dataset_write(&rt, &mut dfs, "d", Payload::Sized(1 << 20))
             .unwrap();
-        fn count_seqs(s: &Step) -> usize {
-            match s {
-                Step::Seq(v) => v.len(),
-                Step::Span { inner, .. } => count_seqs(inner),
-                _ => 0,
-            }
-        }
-        assert!(
-            count_seqs(&step) >= 7,
-            "lib step + 4 fragments + 2 md: {step:?}"
-        );
+        let lib_pipe = rt.node_bw[0];
+        let moves = step
+            .leaves()
+            .filter(|leaf| match leaf {
+                Leaf::Transfer { path, .. } => path[0] == lib_pipe || path.len() == MAX_HOPS,
+                Leaf::Delay(_) => false,
+            })
+            .count();
+        assert!(moves >= 7, "lib step + 4 fragments + 2 md: {step:?}");
         exec(&mut sched, step);
     }
 
@@ -629,14 +628,12 @@ mod tests {
         // the chain must include a pool-md transfer (capacity = pool_md_iops)
         let md_cap = daos.borrow().cal().pool_md_iops;
         fn has_cap(s: &Step, sched: &Scheduler, cap: f64) -> bool {
-            match s {
-                Step::Transfer { path, .. } => {
+            s.leaves().any(|leaf| match leaf {
+                Leaf::Transfer { path, .. } => {
                     path.iter().any(|&r| (sched.capacity(r) - cap).abs() < 1e-6)
                 }
-                Step::Seq(v) | Step::Par(v) => v.iter().any(|s| has_cap(s, sched, cap)),
-                Step::Span { inner, .. } => has_cap(inner, sched, cap),
-                _ => false,
-            }
+                Leaf::Delay(_) => false,
+            })
         }
         assert!(
             has_cap(&step, &sched, md_cap),

@@ -589,7 +589,7 @@ impl LustreSystem {
 mod tests {
     use super::*;
     use cluster::{ClusterSpec, GIB, MIB};
-    use simkit::{run, OpId, World};
+    use simkit::{run, Leaf, OpId, World};
 
     struct Sink(SimTime);
     impl World for Sink {
@@ -651,14 +651,13 @@ mod tests {
         // the 8 MiB spread over the stripe OSTs (hashed routing may fold
         // some stripes onto the same OST, which aggregates their bytes)
         fn sum_transfers(s: &Step, out: &mut (usize, f64)) {
-            match s {
-                Step::Transfer { units, .. } if units.get() >= 1.0 * MIB => {
-                    out.0 += 1;
-                    out.1 += units.get();
+            for leaf in s.leaves() {
+                if let Leaf::Transfer { units, .. } = leaf {
+                    if units.get() >= 1.0 * MIB {
+                        out.0 += 1;
+                        out.1 += units.get();
+                    }
                 }
-                Step::Seq(v) | Step::Par(v) => v.iter().for_each(|s| sum_transfers(s, out)),
-                Step::Span { inner, .. } => sum_transfers(inner, out),
-                _ => {}
             }
         }
         let mut acc = (0usize, 0.0f64);

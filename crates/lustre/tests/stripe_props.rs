@@ -5,30 +5,30 @@ use cluster::posix::PosixFs;
 use cluster::ClusterSpec;
 use lustre_sim::{LustreDataMode, LustreSystem, StripeOpts};
 use proptest::prelude::*;
-use simkit::{ResourceId, Scheduler, Step};
+use simkit::{Leaf, ResourceId, Scheduler, Step};
 
 /// Sum the bytes of the transfers that touch an NVMe device (the OST
 /// data movements; service ops run on "lustre.*" resources).
 fn data_bytes(s: &Step, sched: &Scheduler) -> f64 {
-    match s {
-        Step::Transfer { units, path }
-            if path
-                .iter()
-                .any(|&r| sched.resource_name(r).contains("nvme")) =>
-        {
-            units.get()
-        }
-        Step::Seq(v) | Step::Par(v) => v.iter().map(|s| data_bytes(s, sched)).sum(),
-        Step::Span { inner, .. } => data_bytes(inner, sched),
-        _ => 0.0,
-    }
+    s.leaves()
+        .map(|leaf| match leaf {
+            Leaf::Transfer { units, path }
+                if path
+                    .iter()
+                    .any(|&r| sched.resource_name(r).contains("nvme")) =>
+            {
+                units.get()
+            }
+            _ => 0.0,
+        })
+        .sum()
 }
 
-/// Distinct data-carrying device resources in a step tree.
+/// Distinct data-carrying device resources in a step's program.
 fn touched_devices(s: &Step, out: &mut std::collections::HashSet<ResourceId>, sched: &Scheduler) {
-    match s {
-        Step::Transfer { path, .. } => {
-            for &r in path {
+    for leaf in s.leaves() {
+        if let Leaf::Transfer { path, .. } = leaf {
+            for &r in &path {
                 if sched.resource_name(r).contains("nvme")
                     && !sched.resource_name(r).contains("pool")
                 {
@@ -36,9 +36,6 @@ fn touched_devices(s: &Step, out: &mut std::collections::HashSet<ResourceId>, sc
                 }
             }
         }
-        Step::Seq(v) | Step::Par(v) => v.iter().for_each(|s| touched_devices(s, out, sched)),
-        Step::Span { inner, .. } => touched_devices(inner, out, sched),
-        _ => {}
     }
 }
 

@@ -8,7 +8,7 @@ use crate::faults::{FaultAction, FaultEvent, FaultPlan};
 use crate::monitor::Monitor;
 use crate::slab::Slab;
 use crate::span::{SpanId, SpanLog};
-use crate::step::{ResourceId, Step};
+use crate::step::{Leaf, Node, Program, ResourceId, Step};
 use crate::telemetry::{MetricId, Telemetry};
 use crate::time::SimTime;
 use crate::trace::ReplayDigest;
@@ -59,21 +59,35 @@ enum Parent {
 
 #[derive(Debug)]
 enum Cont {
-    /// Remaining steps, stored reversed so the next step pops off the
-    /// end.  `span` is the enclosing span context, restored when a later
-    /// step of the sequence is executed after a flow/timer completes.
+    /// A sequence of program `prog`: `next` is the index of the child to
+    /// run when the current one completes, `end` is one past the last;
+    /// once `next` reaches `end` the sequence no longer reads `prog`.
+    /// `span` is the enclosing span context, restored when a later child
+    /// of the sequence is executed after a flow/timer completes.
     Seq {
-        stack: Vec<Step>,
+        prog: u32,
+        next: u32,
+        end: u32,
         parent: Parent,
         span: SpanId,
     },
     /// Fan-in counter for `Par`.
-    Join { remaining: usize, parent: Parent },
+    Join { remaining: u32, parent: Parent },
     /// An open span closed when its wrapped step completes.  Only
-    /// allocated while span recording is enabled; with recording off
-    /// `Step::Span` executes its inner step directly, so the cont slab
-    /// (and everything downstream of it) is identical to a span-free run.
+    /// allocated while span recording is enabled; with recording off a
+    /// span node executes its child directly, so the cont slab (and
+    /// everything downstream of it) is identical to a span-free run.
     Span { id: SpanId, parent: Parent },
+}
+
+/// A submitted program and the holds on it: one by `exec` while it
+/// starts the program, and one per sequence with children left to
+/// start.  Nothing else reads a program after it starts, so the last
+/// hold to go returns the buffer to the free list.
+#[derive(Debug)]
+struct Running {
+    prog: Program,
+    holds: u32,
 }
 
 #[derive(Debug)]
@@ -155,6 +169,8 @@ pub struct Scheduler {
     /// key that also indexes the flow in `fair`.
     flow_parents: Slab<Parent>,
     conts: Slab<Cont>,
+    /// Programs of in-flight ops that a sequence still reads from.
+    progs: Slab<Running>,
     timers: BinaryHeap<Reverse<Timer>>,
     timer_seq: u64,
     completions: VecDeque<OpId>,
@@ -210,6 +226,7 @@ impl Scheduler {
             names: Vec::new(),
             flow_parents: Slab::new(),
             conts: Slab::new(),
+            progs: Slab::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             completions: VecDeque::new(),
@@ -481,11 +498,25 @@ impl Scheduler {
     // ---- interpreter ----------------------------------------------------
 
     /// `span` is the nearest enclosing open span — the parent of any
-    /// `Step::Span` encountered while descending `step`.
+    /// span node encountered while descending `step`.
     fn exec(&mut self, step: Step, parent: Parent, span: SpanId) {
         match step {
             Step::Noop => self.complete_parent(parent),
-            Step::Delay(d) => {
+            Step::Delay(d) => self.start(Leaf::Delay(d), parent),
+            Step::Transfer { units, path } => self.start(Leaf::Transfer { units, path }, parent),
+            Step::Program(mut prog) => {
+                prog.trim();
+                let key = self.progs.insert(Running { prog, holds: 1 });
+                self.exec_node(key, 0, parent, span);
+                self.release(key);
+            }
+        }
+    }
+
+    /// Start a leaf: a timer for a delay, a flow for a transfer.
+    fn start(&mut self, leaf: Leaf, parent: Parent) {
+        match leaf {
+            Leaf::Delay(d) => {
                 let seq = self.timer_seq;
                 self.timer_seq += 1;
                 self.timers.push(Reverse(Timer {
@@ -497,7 +528,7 @@ impl Scheduler {
                     self.telemetry.gauge_incr(ids.timers, self.now);
                 }
             }
-            Step::Transfer { units, path } => {
+            Leaf::Transfer { units, path } => {
                 debug_assert!(!units.is_drained() && !path.is_empty());
                 debug_assert!(path.iter().all(|r| (r.0 as usize) < self.caps.len()));
                 if let Some(ids) = self.tel_ids {
@@ -514,41 +545,58 @@ impl Scheduler {
                 self.fair.add(key, path, units);
                 self.rates_dirty = true;
             }
-            Step::Seq(mut steps) => {
-                steps.reverse();
-                match steps.pop() {
-                    None => self.complete_parent(parent),
-                    Some(first) => {
-                        let cid = self.conts.insert(Cont::Seq {
-                            stack: steps,
-                            parent,
-                            span,
-                        });
-                        self.exec(first, Parent::Cont(cid), span);
-                    }
+        }
+    }
+
+    /// Execute node `idx` of running program `prog`.  Every leaf starts
+    /// a timer or a flow, so nothing completes inside this call and the
+    /// program stays put until it returns.
+    fn exec_node(&mut self, prog: u32, idx: u32, parent: Parent, span: SpanId) {
+        let Some(running) = self.progs.get_mut(prog) else {
+            debug_assert!(false, "program {prog} is not running");
+            return;
+        };
+        let Some(node) = running.prog.node(idx) else {
+            debug_assert!(false, "program {prog} has no node {idx}");
+            return;
+        };
+        match node {
+            Node::Leaf(leaf) => self.start(leaf, parent),
+            Node::Seq { len } => {
+                let first = idx + 1;
+                let (next, end) = (running.prog.next_sibling(first), first + len);
+                if next < end {
+                    running.holds += 1;
                 }
+                let cid = self.conts.insert(Cont::Seq {
+                    prog,
+                    next,
+                    end,
+                    parent,
+                    span,
+                });
+                self.exec_node(prog, first, Parent::Cont(cid), span);
             }
-            Step::Par(steps) => {
-                if steps.is_empty() {
-                    self.complete_parent(parent);
-                    return;
-                }
+            Node::Par { len, n } => {
                 let cid = self.conts.insert(Cont::Join {
-                    remaining: steps.len(),
+                    remaining: n,
                     parent,
                 });
-                for s in steps {
-                    self.exec(s, Parent::Cont(cid), span);
+                let end = idx + 1 + len;
+                let mut child = idx + 1;
+                while child < end {
+                    self.exec_node(prog, child, Parent::Cont(cid), span);
+                    child = sibling_after(&self.progs, prog, child, end);
                 }
             }
-            Step::Span {
+            Node::Span {
+                attempt,
+                bytes,
                 layer,
                 op,
-                bytes,
-                attempt,
-                inner,
+                ..
             } => {
-                // Telemetry counts every span step it sees — including
+                // Telemetry counts every span node it sees — including
                 // retry/backoff, rebuild and migration waves — whether
                 // or not span *recording* is on; the count is read-only
                 // observation, never a schedule change.
@@ -556,15 +604,28 @@ impl Scheduler {
                     self.telemetry.span_open(self.now, layer, op);
                 }
                 if !self.spans.is_enabled() {
-                    // One branch of overhead, no allocation: the cont
+                    // One node stepped over, no allocation: the cont
                     // slab evolves exactly as for a span-free run, so
                     // the schedule and replay digest are untouched.
-                    self.exec(*inner, parent, span);
+                    self.exec_node(prog, idx + 1, parent, span);
                     return;
                 }
-                let id = self.spans.open(self.now, span, layer, op, bytes, attempt);
+                let id = self
+                    .spans
+                    .open(self.now, span, layer, op, bytes, attempt as u32);
                 let cid = self.conts.insert(Cont::Span { id, parent });
-                self.exec(*inner, Parent::Cont(cid), id);
+                self.exec_node(prog, idx + 1, Parent::Cont(cid), id);
+            }
+        }
+    }
+
+    /// Drop one hold on running program `prog`; the last returns its
+    /// buffer to the free list.
+    fn release(&mut self, prog: u32) {
+        if let Some(running) = self.progs.get_mut(prog) {
+            running.holds -= 1;
+            if running.holds == 0 {
+                self.progs.remove(prog);
             }
         }
     }
@@ -586,43 +647,36 @@ impl Scheduler {
                     return;
                 }
                 Parent::Cont(cid) => {
-                    enum Next {
-                        Exec(Step, SpanId),
-                        Finish,
-                        Wait,
-                    }
-                    let next = match &mut self.conts[cid] {
-                        Cont::Seq { stack, span, .. } => match stack.pop() {
-                            Some(step) => Next::Exec(step, *span),
-                            None => Next::Finish,
-                        },
-                        Cont::Join { remaining, .. } => {
-                            *remaining -= 1;
-                            if *remaining == 0 {
-                                Next::Finish
-                            } else {
-                                Next::Wait
+                    match &mut self.conts[cid] {
+                        Cont::Seq {
+                            prog,
+                            next,
+                            end,
+                            span,
+                            ..
+                        } if *next < *end => {
+                            let (prog, idx, end, span) = (*prog, *next, *end, *span);
+                            *next = sibling_after(&self.progs, prog, idx, end);
+                            let last = *next >= end;
+                            self.exec_node(prog, idx, Parent::Cont(cid), span);
+                            if last {
+                                self.release(prog);
                             }
-                        }
-                        Cont::Span { .. } => Next::Finish,
-                    };
-                    match next {
-                        Next::Wait => return,
-                        Next::Exec(step, span) => {
-                            self.exec(step, Parent::Cont(cid), span);
                             return;
                         }
-                        Next::Finish => {
-                            let cont = self.conts.remove(cid);
-                            parent = match cont {
-                                Cont::Seq { parent, .. } | Cont::Join { parent, .. } => parent,
-                                Cont::Span { id, parent } => {
-                                    self.spans.close(self.now, id);
-                                    parent
-                                }
-                            };
+                        Cont::Join { remaining, .. } if *remaining > 1 => {
+                            *remaining -= 1;
+                            return;
                         }
+                        _ => {}
                     }
+                    parent = match self.conts.remove(cid) {
+                        Cont::Seq { parent, .. } | Cont::Join { parent, .. } => parent,
+                        Cont::Span { id, parent } => {
+                            self.spans.close(self.now, id);
+                            parent
+                        }
+                    };
                 }
             }
         }
@@ -736,6 +790,13 @@ impl Scheduler {
         }
         self.done_scratch = done;
     }
+}
+
+/// Index of the sibling after node `idx` of running program `prog`;
+/// `end` when the program is gone.
+#[inline]
+fn sibling_after(progs: &Slab<Running>, prog: u32, idx: u32, end: u32) -> u32 {
+    progs.get(prog).map_or(end, |r| r.prog.next_sibling(idx))
 }
 
 fn op_parent(op: OpId) -> Parent {

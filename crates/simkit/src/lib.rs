@@ -9,9 +9,10 @@
 //! its path simultaneously, and whenever the set of flows changes the
 //! fair-share allocation is recomputed.
 //!
-//! Work is described as [`Step`] chains — sequential/parallel compositions
-//! of fixed [`Step::Delay`]s and shared [`Step::Transfer`]s — submitted to
-//! the [`Scheduler`] with an opaque [`OpId`].  A [`World`] implementation
+//! Work is described as [`Step`]s — fixed [`Step::Delay`]s, shared
+//! [`Step::Transfer`]s, and [`Program`]s that compose them sequentially
+//! and in parallel in one flat, pooled buffer — submitted to the
+//! [`Scheduler`] with an opaque [`OpId`].  A [`World`] implementation
 //! receives completion callbacks and issues follow-up work, which is how
 //! benchmark processes are driven.
 //!
@@ -74,7 +75,7 @@ pub use monitor::Monitor;
 pub use rng::SplitMix64;
 pub use shrink::{shrink, ShrinkOutcome};
 pub use span::{SpanId, SpanLog, SpanMark, SpanRecord};
-pub use step::{Path, ResourceId, Step, MAX_HOPS};
+pub use step::{Leaf, Path, Program, ResourceId, Step, StepBuf, MAX_HOPS};
 pub use telemetry::{
     evaluate_slos, render_slo_text, MetricId, MetricKind, MetricView, SloInputs, SloKind, SloRule,
     SloVerdict, Telemetry,

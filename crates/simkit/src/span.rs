@@ -1,9 +1,10 @@
 //! Causal span tracing: a per-run log of `(layer, op)` intervals forming
 //! a tree per submitted I/O.
 //!
-//! A [`Step::Span`](crate::step::Step::Span) node annotates the sub-tree
-//! it wraps; when span recording is enabled the engine opens a
-//! [`SpanRecord`] on entry and closes it when the wrapped work completes.
+//! A span node of an op program ([`Step::span`](crate::step::Step::span))
+//! annotates the subtree it heads; when span recording is enabled the
+//! engine opens a [`SpanRecord`] on entry and closes it when the wrapped
+//! work completes.
 //! Parentage follows the *dynamic* nesting of span steps — the nearest
 //! enclosing open span at `exec` time — which matches the real call path
 //! each interface crate models (IOR → POSIX → DFUSE → DFS → libdaos →
@@ -16,8 +17,9 @@
 //! Two traced runs of the same workload must report identical span
 //! digests; a drifting span id, start or end time changes the value.
 //!
-//! Off by default: with recording disabled a span step costs one branch
-//! and allocates nothing, mirroring the completion trace.
+//! Off by default: with recording disabled a span is one node the
+//! engine steps over, and it allocates nothing, mirroring the
+//! completion trace.
 
 use crate::time::SimTime;
 use crate::trace::ReplayDigest;

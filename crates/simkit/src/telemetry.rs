@@ -227,7 +227,7 @@ impl Telemetry {
     }
 
     /// Count one span open for `(layer, op)` — the engine calls this on
-    /// every `Step::Span` it interprets, whether or not span *recording*
+    /// every span node it interprets, whether or not span *recording*
     /// is on, which is how retry/backoff, rebuild and migration-wave
     /// activity becomes a time series without the storage layers holding
     /// a scheduler reference.
