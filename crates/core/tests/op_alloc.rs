@@ -8,10 +8,19 @@
 //! or bytes that grow with the pool; so does an `S1` placement that
 //! copies or shuffles every up target to keep one.
 //!
-//! It also caps the five data ops at one heap allocation each once the
-//! thread's free list of op-program buffers is warm: a data op builds
+//! Both the first and the second op of each kind are compared, so an
+//! allocation that grows with the pool on an object's first op only is
+//! caught as well as one on every op.  The second op of each of the
+//! five data ops is also capped at one heap allocation: by then the
+//! thread's free list of op-program buffers is warm, a data op builds
 //! its whole program into one reused buffer, and only `array_write` and
 //! `array_read` keep a per-op map of the shard groups they touch.
+//!
+//! Last, a warm round of mixed data ops makes exactly as many
+//! allocations when its ops are built, submitted and run to completion
+//! as when they are only built: programs of different lengths pass
+//! through the free list without a buffer being regrown, and the
+//! engine runs them without allocating.
 //!
 //! The counting allocator keeps thread-local counts, so tests running
 //! in parallel on other threads do not disturb the measurement.
@@ -21,7 +30,7 @@ use std::cell::Cell;
 
 use cluster::{ClusterSpec, Payload};
 use daos_core::{ContainerProps, DaosSystem, DataMode, ObjectClass};
-use simkit::Scheduler;
+use simkit::{run, OpId, Scheduler, World};
 
 struct Counting;
 
@@ -74,37 +83,46 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, u64) {
     (n1 - n0, b1 - b0)
 }
 
-/// Allocations and bytes of one op of each kind on a fresh pool of
-/// `servers` engines, in the order of [`OPS`], measured after one
-/// warm-up op of each kind.
-fn op_allocs(servers: usize) -> [(u64, u64); 7] {
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(servers, 1).build(&mut sched);
-    let mut sys = DaosSystem::deploy(&topo, &mut sched, servers, DataMode::Sized);
-    let (cid, _) = sys.cont_create(0, ContainerProps::default());
-    let (arr, _) = sys.array_create(0, cid, ObjectClass::SX, 1 << 20).unwrap();
-    let (kv, _) = sys.kv_create(0, cid, ObjectClass::SX).unwrap();
-    sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
-        .unwrap();
-    let mut round = || {
-        let write = allocs_in(|| {
-            sys.array_write(0, cid, arr, 0, Payload::Sized(1 << 20))
-                .unwrap()
-        });
-        let read = allocs_in(|| sys.array_read(0, cid, arr, 0, 1 << 20).unwrap());
-        let size = allocs_in(|| sys.array_get_size(0, cid, arr).unwrap());
-        let get = allocs_in(|| sys.kv_get(0, cid, kv, b"key").unwrap());
-        let put = allocs_in(|| {
-            sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
-                .unwrap()
-        });
-        let create_array =
-            allocs_in(|| sys.array_create(0, cid, ObjectClass::S1, 1 << 20).unwrap());
-        let create_kv = allocs_in(|| sys.kv_create(0, cid, ObjectClass::S1).unwrap());
-        [write, read, size, get, put, create_array, create_kv]
-    };
-    round();
-    round()
+/// Allocations and bytes of one op of each kind, in the order of
+/// [`OPS`].
+type Round = [(u64, u64); 7];
+
+/// The first and the second round of ops on a fresh pool of `servers`
+/// engines.  Each call runs on a thread of its own, so the first round
+/// starts from an empty free list of program buffers whatever ran
+/// before it.
+fn op_allocs(servers: usize) -> (Round, Round) {
+    std::thread::spawn(move || {
+        let mut sched = Scheduler::new();
+        let topo = ClusterSpec::new(servers, 1).build(&mut sched);
+        let mut sys = DaosSystem::deploy(&topo, &mut sched, servers, DataMode::Sized);
+        let (cid, _) = sys.cont_create(0, ContainerProps::default());
+        let (arr, _) = sys.array_create(0, cid, ObjectClass::SX, 1 << 20).unwrap();
+        let (kv, _) = sys.kv_create(0, cid, ObjectClass::SX).unwrap();
+        sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
+            .unwrap();
+        let mut round = || {
+            let write = allocs_in(|| {
+                sys.array_write(0, cid, arr, 0, Payload::Sized(1 << 20))
+                    .unwrap()
+            });
+            let read = allocs_in(|| sys.array_read(0, cid, arr, 0, 1 << 20).unwrap());
+            let size = allocs_in(|| sys.array_get_size(0, cid, arr).unwrap());
+            let get = allocs_in(|| sys.kv_get(0, cid, kv, b"key").unwrap());
+            let put = allocs_in(|| {
+                sys.kv_put(0, cid, kv, b"key", Payload::Sized(4096))
+                    .unwrap()
+            });
+            let create_array =
+                allocs_in(|| sys.array_create(0, cid, ObjectClass::S1, 1 << 20).unwrap());
+            let create_kv = allocs_in(|| sys.kv_create(0, cid, ObjectClass::S1).unwrap());
+            [write, read, size, get, put, create_array, create_kv]
+        };
+        let cold = round();
+        (cold, round())
+    })
+    .join()
+    .expect("measuring thread panicked")
 }
 
 const OPS: [&str; 7] = [
@@ -119,23 +137,88 @@ const OPS: [&str; 7] = [
 
 #[test]
 fn op_allocations_do_not_grow_with_pool_size() {
-    let small = op_allocs(4);
-    let large = op_allocs(128);
+    let (small_cold, small_warm) = op_allocs(4);
+    let (large_cold, large_warm) = op_allocs(128);
+    // setup ops already fill the free list, so even a first `kv_get`
+    // may make no allocation: probe the counter directly
     assert_eq!(
         allocs_in(|| Vec::<u8>::with_capacity(1)),
         (1, 1),
         "counter is live"
     );
     assert_eq!(
-        small, large,
-        "(allocations, bytes) per op {OPS:?} differ between a 4-server and a 128-server pool"
+        small_cold, large_cold,
+        "(allocations, bytes) of the first op {OPS:?} differ between a 4-server and a 128-server pool"
+    );
+    assert_eq!(
+        small_warm, large_warm,
+        "(allocations, bytes) of the second op {OPS:?} differ between a 4-server and a 128-server pool"
     );
 }
 
 #[test]
 fn warm_data_ops_make_at_most_one_allocation() {
-    let allocs = op_allocs(16);
-    for (op, &(n, _)) in OPS.iter().zip(&allocs).take(5) {
-        assert!(n <= 1, "{op} made {n} heap allocations: {allocs:?}");
+    let (_, warm) = op_allocs(16);
+    for (op, &(n, _)) in OPS.iter().zip(&warm).take(5) {
+        assert!(n <= 1, "{op} made {n} heap allocations: {warm:?}");
     }
+}
+
+/// Allocations of a warm round of mixed data ops on a 16-server pool:
+/// `(built only, built, submitted and run to completion)`.  The round
+/// is an fdb-style archive and retrieve — a 1 MiB `SX` array write and
+/// read, then KV puts and gets of three value sizes — so programs of
+/// different lengths pass through the free list.
+fn mixed_round_allocs() -> (u64, u64) {
+    struct Drain;
+    impl World for Drain {
+        fn on_op_complete(&mut self, _op: OpId, _sched: &mut Scheduler) {}
+    }
+    std::thread::spawn(|| {
+        let mut sched = Scheduler::new();
+        let topo = ClusterSpec::new(16, 1).build(&mut sched);
+        let mut sys = DaosSystem::deploy(&topo, &mut sched, 16, DataMode::Sized);
+        let (cid, _) = sys.cont_create(0, ContainerProps::default());
+        let (arr, _) = sys.array_create(0, cid, ObjectClass::SX, 1 << 20).unwrap();
+        let (kv, _) = sys.kv_create(0, cid, ObjectClass::S1).unwrap();
+        let values = [64u64, 4096, 65536];
+        let ops = |sys: &mut DaosSystem| {
+            let mut steps = vec![sys
+                .array_write(0, cid, arr, 0, Payload::Sized(1 << 20))
+                .unwrap()];
+            for (i, &v) in values.iter().enumerate() {
+                let key = [b'k', b'0' + i as u8];
+                steps.push(sys.kv_put(0, cid, kv, &key, Payload::Sized(v)).unwrap());
+            }
+            steps.push(sys.array_read(0, cid, arr, 0, 1 << 20).unwrap().1);
+            for i in 0..values.len() {
+                let key = [b'k', b'0' + i as u8];
+                steps.push(sys.kv_get(0, cid, kv, &key).unwrap().1);
+            }
+            steps
+        };
+        let round = |sys: &mut DaosSystem, sched: &mut Scheduler| {
+            for (i, step) in ops(sys).into_iter().enumerate() {
+                sched.submit(step, OpId(i as u64));
+            }
+            run(sched, &mut Drain);
+        };
+        for _ in 0..3 {
+            round(&mut sys, &mut sched);
+        }
+        let built = allocs_in(|| ops(&mut sys)).0;
+        let ran = allocs_in(|| round(&mut sys, &mut sched)).0;
+        (built, ran)
+    })
+    .join()
+    .expect("measuring thread panicked")
+}
+
+#[test]
+fn warm_mixed_ops_allocate_nothing_to_submit_and_run() {
+    let (built, ran) = mixed_round_allocs();
+    assert_eq!(
+        ran, built,
+        "a warm round made {built} allocations to build its ops and {ran} to build, submit and run them"
+    );
 }

@@ -71,6 +71,11 @@ enum Cont {
         parent: Parent,
         span: SpanId,
     },
+    /// A sequence down to its last child, a leaf, waiting for the
+    /// child before it.  The leaf is kept here, so the sequence no
+    /// longer holds its program; the leaf starts in the sequence's
+    /// place, under the sequence's parent, and this continuation goes.
+    Tail { leaf: Leaf, parent: Parent },
     /// Fan-in counter for `Par`.
     Join { remaining: u32, parent: Parent },
     /// An open span closed when its wrapped step completes.  Only
@@ -82,7 +87,8 @@ enum Cont {
 
 /// A submitted program and the holds on it: one by `exec` while it
 /// starts the program, and one per sequence with children left to
-/// start.  Nothing else reads a program after it starts, so the last
+/// start other than a last leaf (a [`Cont::Tail`] keeps that leaf
+/// itself).  Nothing else reads a program after it starts, so the last
 /// hold to go returns the buffer to the free list.
 #[derive(Debug)]
 struct Running {
@@ -504,8 +510,7 @@ impl Scheduler {
             Step::Noop => self.complete_parent(parent),
             Step::Delay(d) => self.start(Leaf::Delay(d), parent),
             Step::Transfer { units, path } => self.start(Leaf::Transfer { units, path }, parent),
-            Step::Program(mut prog) => {
-                prog.trim();
+            Step::Program(prog) => {
                 let key = self.progs.insert(Running { prog, holds: 1 });
                 self.exec_node(key, 0, parent, span);
                 self.release(key);
@@ -565,16 +570,22 @@ impl Scheduler {
             Node::Seq { len } => {
                 let first = idx + 1;
                 let (next, end) = (running.prog.next_sibling(first), first + len);
-                if next < end {
-                    running.holds += 1;
-                }
-                let cid = self.conts.insert(Cont::Seq {
-                    prog,
-                    next,
-                    end,
-                    parent,
-                    span,
-                });
+                let cont = match running.prog.node(next) {
+                    Some(Node::Leaf(leaf)) if next + 1 == end => Cont::Tail { leaf, parent },
+                    _ => {
+                        if next < end {
+                            running.holds += 1;
+                        }
+                        Cont::Seq {
+                            prog,
+                            next,
+                            end,
+                            parent,
+                            span,
+                        }
+                    }
+                };
+                let cid = self.conts.insert(cont);
                 self.exec_node(prog, first, Parent::Cont(cid), span);
             }
             Node::Par { len, n } => {
@@ -664,6 +675,12 @@ impl Scheduler {
                             }
                             return;
                         }
+                        Cont::Tail { .. } => {
+                            if let Cont::Tail { leaf, parent } = self.conts.remove(cid) {
+                                self.start(leaf, parent);
+                            }
+                            return;
+                        }
                         Cont::Join { remaining, .. } if *remaining > 1 => {
                             *remaining -= 1;
                             return;
@@ -671,7 +688,9 @@ impl Scheduler {
                         _ => {}
                     }
                     parent = match self.conts.remove(cid) {
-                        Cont::Seq { parent, .. } | Cont::Join { parent, .. } => parent,
+                        Cont::Seq { parent, .. }
+                        | Cont::Tail { parent, .. }
+                        | Cont::Join { parent, .. } => parent,
                         Cont::Span { id, parent } => {
                             self.spans.close(self.now, id);
                             parent

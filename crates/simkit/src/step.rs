@@ -11,12 +11,13 @@
 //!
 //! Program buffers come from a bounded per-thread free list and go back
 //! to it when the program is dropped — by the engine once the op no
-//! longer needs it, or by a builder that gave up half way — so an op in
-//! steady state builds and runs without a heap allocation for its
-//! program.  [`StepBuf`] appends a composition straight into one buffer;
-//! [`Step::seq`], [`Step::par`], [`Step::then`] and [`Step::span`]
-//! compose finished steps, copying a child program once into the new
-//! one.
+//! longer needs it, or by a builder that gave up half way — so a warm
+//! op builds and runs its program without a heap allocation whenever
+//! the list has a buffer for it (89–99.5% of requests on the benchmark
+//! workloads, DESIGN.md §17).  [`StepBuf`] appends a composition
+//! straight into one buffer; [`Step::seq`], [`Step::par`],
+//! [`Step::then`] and [`Step::span`] compose finished steps, copying a
+//! child program once into the new one.
 
 use crate::time::SimTime;
 use crate::units::Bytes;
@@ -194,7 +195,10 @@ mod pool {
     pub(super) const MAX_NODES: usize = 256;
     /// At most this many buffers wait for reuse.  The list only ever
     /// holds buffers that were live at once, so this caps it when a
-    /// phase ends with every process's op released together.
+    /// phase ends with every process's op released together.  Sixteen
+    /// already serves 89–99.5% of requests on the benchmark workloads;
+    /// room for every process of a lock-step run (DESIGN.md §17) adds
+    /// resident memory, not speed.
     pub(super) const MAX_BUFFERS: usize = 16;
 
     thread_local! {
@@ -250,19 +254,6 @@ impl Program {
     #[inline]
     fn nodes(&self) -> &[Node] {
         &self.nodes
-    }
-
-    /// Give back spare room when more than a quarter of the buffer is
-    /// unused.  The engine calls this when it takes the program: an op
-    /// holds its program until its sequences are down to their last
-    /// leaf, and in lock-step runs every process's op is in that stretch
-    /// at once, so the slack would add up across processes.
-    #[inline]
-    pub(crate) fn trim(&mut self) {
-        let len = self.nodes.len();
-        if self.nodes.capacity() > len + len / 4 + 2 {
-            self.nodes.shrink_to_fit();
-        }
     }
 
     /// Node `i`, if the program has one.
@@ -436,7 +427,19 @@ impl Step {
                 q.seal();
                 Step::Program(q)
             }
-            (s, n) => Step::seq([s, n]),
+            (s, n) => {
+                // neither side is a sequence or a no-op: a sequence of
+                // exactly these two, as `Step::seq` builds it, without
+                // the builder's group bookkeeping (a delay then a
+                // transfer is the commonest small op)
+                let mut nodes = pool::take();
+                nodes.push(Node::Seq { len: 0 });
+                push_nodes(&mut nodes, s);
+                push_nodes(&mut nodes, n);
+                let mut p = Program { nodes };
+                p.seal();
+                Step::Program(p)
+            }
         }
     }
 
@@ -852,6 +855,15 @@ mod tests {
         assert_eq!(shape(&back), "seq(d1,d2,par(d3,d4))");
         let spanned = Step::span("l", "o", 0, d(1)).then(d(2));
         assert_eq!(shape(&spanned), "seq(span:o(d1),d2)");
+        let pars = Step::par([d(1), d(2)]).then(Step::par([d(3), d(4)]));
+        assert_eq!(shape(&pars), "seq(par(d1,d2),par(d3,d4))");
+        let leaf_first = d(1).then(Step::par([d(2), d(3)]));
+        assert_eq!(shape(&leaf_first), "seq(d1,par(d2,d3))");
+        let two = d(1).then(Step::transfer(Bytes(8.0), [r(0)]));
+        assert_eq!(
+            shape(&two),
+            shape(&Step::seq([d(1), Step::transfer(Bytes(8.0), [r(0)])]))
+        );
     }
 
     #[test]
