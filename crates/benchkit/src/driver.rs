@@ -113,7 +113,6 @@ impl<W: ProcWorkload, H: PhaseHooks> World for OpsWorld<'_, W, H> {
         }
     }
 
-    // simlint::panic_root — fault handler: must never panic
     fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
         self.hooks.on_fault(event, sched);
     }

@@ -316,7 +316,6 @@ impl PhaseHooks for FaultedHooks<'_> {
         }
     }
 
-    // simlint::panic_root — fault handler: must never panic
     fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
         apply_fault(self.daos, &mut self.rebuild, event, sched);
     }
@@ -326,7 +325,6 @@ impl PhaseHooks for FaultedHooks<'_> {
 /// families share.  A crash arms `rebuild`; membership events belong to
 /// the rebalance family, and capacity scaling is applied by the engine
 /// before dispatch.
-// simlint::panic_root — fault handler: must never panic
 pub(crate) fn apply_fault(
     daos: &RefCell<DaosSystem>,
     rebuild: &mut RebuildChain,
@@ -355,9 +353,9 @@ pub(crate) fn apply_fault(
     }
 }
 
-/// The failure schedule for a scenario, anchored at `t0` (the boundary
-/// between the healthy write phase and the faulted read phase).
-fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan {
+/// The failure schedule for a scenario, relative to the boundary between
+/// the healthy write phase and the faulted read phase.
+fn fault_plan(scen: FaultedScenario, topo: &Topology) -> FaultPlan {
     let mut plan = FaultPlan::new();
     // an engine (whole server) crash: every target of server 1 goes down
     // at once, so a large fraction of shard groups run degraded until
@@ -382,15 +380,15 @@ fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan 
             // then the disk recovers
             let disk = topo.servers[0].nvme_r[0];
             plan.at(
-                t0 + MS,
+                SimTime(MS),
                 FaultAction::SlowDisk {
                     resource: disk,
                     scale: 0.4,
                 },
             );
-            crash_server(&mut plan, t0 + 2 * MS);
+            crash_server(&mut plan, SimTime(2 * MS));
             plan.at(
-                t0 + 8 * MS,
+                SimTime(8 * MS),
                 FaultAction::SlowDisk {
                     resource: disk,
                     scale: 1.0,
@@ -401,15 +399,15 @@ fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan 
             // server 0 completions slow down, target on server 1 dies,
             // the slowdown clears
             plan.at(
-                t0 + MS,
+                SimTime(MS),
                 FaultAction::DelayedCompletion {
                     payload: 0,
                     extra_ns: 200_000,
                 },
             );
-            crash_server(&mut plan, t0 + 2 * MS);
+            crash_server(&mut plan, SimTime(2 * MS));
             plan.at(
-                t0 + 10 * MS,
+                SimTime(10 * MS),
                 FaultAction::DelayedCompletion {
                     payload: 0,
                     extra_ns: 0,
@@ -419,15 +417,15 @@ fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan 
         FaultedScenario::FieldIoFaulted => {
             let nic = topo.servers[0].nic_tx;
             plan.at(
-                t0 + MS,
+                SimTime(MS),
                 FaultAction::NicBrownout {
                     resource: nic,
                     scale: 0.3,
                 },
             );
-            crash_server(&mut plan, t0 + 2 * MS);
+            crash_server(&mut plan, SimTime(2 * MS));
             plan.at(
-                t0 + 6 * MS,
+                SimTime(6 * MS),
                 FaultAction::NicBrownout {
                     resource: nic,
                     scale: 1.0,
@@ -436,6 +434,75 @@ fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan 
         }
     }
     plan
+}
+
+/// The latest phase-relative time a plan may schedule an event at, and
+/// the longest completion delay it may inject: half the clock's range
+/// (292 years), so anchoring an event after any write phase, or adding
+/// a delay to any op's latency, stays inside the clock.
+const MAX_PLAN_NS: u64 = u64::MAX / 2;
+
+/// The slowest a capacity fault may make a resource, as a fraction of
+/// its baseline.  A slower device is a dead one, which a plan models as
+/// a crash: near-zero rates push flow deadlines past the clock and stall
+/// the run.
+const MIN_SCALE: f64 = 1e-3;
+
+/// Reject a phase-relative plan that names what the deployment on `topo`
+/// cannot apply: a target outside the hardware, a delay payload that is
+/// no server rank, a server add outside the spare hardware or repeated,
+/// a capacity scale outside `[MIN_SCALE, 1]`, or a time or delay beyond
+/// [`MAX_PLAN_NS`].  `deployed` is the number of servers the pool starts
+/// on; the rest of the topology's servers are spares an
+/// [`FaultAction::AddServer`] grows into.  Every faulted entry checks
+/// its plan here once, before the write phase, so the fault handlers
+/// apply only plans they can.  Crashes and drains of a spare that has
+/// not joined yet stay legal: the rebalance hooks skip them.
+pub(crate) fn check_plan(plan: &FaultPlan, topo: &Topology, deployed: usize) -> Result<(), String> {
+    let servers = topo.server_count() as u64;
+    let mut added = Vec::new();
+    for ev in plan.events() {
+        let bad = |why: String| Err(format!("fault event {}: {why}", ev.id));
+        if ev.at.0 > MAX_PLAN_NS {
+            return bad(format!("time {} ns is past the clock's range", ev.at.0));
+        }
+        match ev.action {
+            FaultAction::TargetCrash(payload) | FaultAction::TargetRestart(payload) => {
+                let t = TargetId::unpack(payload);
+                if t.pack() != payload
+                    || u64::from(t.server) >= servers
+                    || usize::from(t.target) >= topo.cal.targets_per_server
+                {
+                    return bad(format!("payload {payload:#x} names no target of the pool"));
+                }
+            }
+            FaultAction::DelayedCompletion { payload, extra_ns } => {
+                if payload >= servers || extra_ns > MAX_PLAN_NS {
+                    return bad(format!("delay of {extra_ns} ns on server {payload}"));
+                }
+            }
+            FaultAction::AddServer { server } => {
+                if server < deployed as u64 || server >= servers || added.contains(&server) {
+                    return bad(format!("server {server} is no spare left to add"));
+                }
+                added.push(server);
+            }
+            FaultAction::DrainServer { server } => {
+                if server >= servers {
+                    return bad(format!("server {server} is not in the pool"));
+                }
+            }
+            FaultAction::SlowDisk { scale, .. } | FaultAction::NicBrownout { scale, .. } => {
+                if !(MIN_SCALE..=1.0).contains(&scale) {
+                    return bad(format!(
+                        "capacity scale {scale} is outside [{MIN_SCALE}, 1]"
+                    ));
+                }
+            }
+            FaultAction::BitRot { .. } => {}
+        }
+    }
+    Ok(())
 }
 
 /// Execute one faulted scenario: healthy write phase, install the fault
@@ -474,8 +541,8 @@ fn run_faulted_inner(
 /// Execute one faulted scenario under explicit [`FaultedOpts`] whose
 /// plan is known to install: the built-in plans, and plans drawn from
 /// [`crate::chaos::chaos_space`].  Panics on a [`PlanSource::Fixed`]
-/// plan naming a resource the deployment does not register; run such
-/// plans through [`try_run_faulted_with`].
+/// plan that [`try_run_faulted_with`] rejects; run such plans through
+/// it.
 pub fn run_faulted_with(
     spec: &RunSpec,
     scen: FaultedScenario,
@@ -483,13 +550,14 @@ pub fn run_faulted_with(
     opts: &FaultedOpts,
 ) -> (FaultedReport, Option<crate::tracing::SpanExports>) {
     try_run_faulted_with(spec, scen, cal, opts)
-        .expect("built-in and chaos-space plans name registered resources")
+        .expect("built-in and chaos-space plans are valid on their deployment")
 }
 
 /// Execute one faulted scenario under explicit [`FaultedOpts`]: the
 /// general entry point behind [`run_faulted`], the chaos swarm and the
-/// shrinker's replay oracle.  Fails, before the read phase, when the
-/// plan does not install (see [`simkit::Scheduler::install_faults`]).
+/// shrinker's replay oracle.  Fails before the write phase on a plan
+/// [`check_plan`] rejects, and before the read phase on one that does
+/// not install (see [`simkit::Scheduler::install_faults`]).
 pub fn try_run_faulted_with(
     spec: &RunSpec,
     scen: FaultedScenario,
@@ -508,6 +576,11 @@ pub fn try_run_faulted_with(
     }
     let cspec = ClusterSpec::new(spec.servers, spec.client_nodes).with_cal(cal.clone());
     let topo = cspec.build(&mut sched);
+    let plan = match &opts.plan {
+        PlanSource::Builtin => fault_plan(scen, &topo),
+        PlanSource::Fixed(plan) => plan.clone(),
+    };
+    check_plan(&plan, &topo, spec.servers)?;
     let mut daos_sys = DaosSystem::deploy(&topo, &mut sched, spec.servers, opts.mode);
     if opts.oracles {
         daos_sys.enable_ledger();
@@ -515,10 +588,6 @@ pub fn try_run_faulted_with(
     let (cid, s) = daos_sys.cont_create(0, ContainerProps::default());
     exec(&mut sched, s);
     let daos = Rc::new(RefCell::new(daos_sys));
-    let plan_for = |t0: SimTime| match &opts.plan {
-        PlanSource::Builtin => fault_plan(scen, t0, &topo),
-        PlanSource::Fixed(plan) => plan.shifted(t0),
-    };
     // the read phase: setup barrier, then the op loop with the fault
     // plan live; no finalize (the family's workloads are unbuffered)
     let mut hooks = FaultedHooks {
@@ -548,7 +617,7 @@ pub fn try_run_faulted_with(
             let mut ior = Ior::new(cfg, backend);
             ior.set_retry_policy(RetryPolicy::default(), spec.seed);
             let write = run_phase(&mut sched, &mut ior);
-            sched.install_faults(plan_for(sched.now()))?;
+            sched.install_faults(plan.shifted(sched.now()))?;
             ior.set_phase(Phase::Read);
             setup_barrier(&mut sched, &mut ior);
             let read = run_ops(&mut sched, &mut ior, &mut hooks);
@@ -570,7 +639,7 @@ pub fn try_run_faulted_with(
                 spec.transfer,
             );
             let write = run_phase(&mut sched, &mut wl);
-            sched.install_faults(plan_for(sched.now()))?;
+            sched.install_faults(plan.shifted(sched.now()))?;
             wl.phase = Phase::Read;
             setup_barrier(&mut sched, &mut wl);
             let read = run_ops(&mut sched, &mut wl, &mut hooks);
@@ -795,6 +864,42 @@ mod tests {
             let opts = crate::rebalance::RebalanceOpts::default();
             let r = crate::rebalance::run_rebalance_with(&spec, scen, &cal, &opts).unwrap();
             assert_eq!(r.read.ops, 0, "{}", scen.name());
+        }
+    }
+
+    #[test]
+    fn in_tree_plans_pass_the_validator() {
+        use crate::chaos::{scratch_topology, Family, FaultedFamily};
+        use crate::integrity::{IntegrityFamily, IntegrityScenario};
+        use crate::rebalance::{builtin_plan, RebalanceFamily, SPARE_SERVERS};
+        let cal = Calibration::default();
+        let spec = crate::chaos::default_chaos_spec();
+        let servers = spec.servers;
+        let pool = scratch_topology(servers, &spec, &cal);
+        let grown = scratch_topology(servers + SPARE_SERVERS, &spec, &cal);
+        for scen in FaultedScenario::ALL {
+            check_plan(&fault_plan(scen, &pool), &pool, servers).unwrap();
+        }
+        check_plan(&builtin_plan(&spec), &grown, servers).unwrap();
+        // archived schedules are seed draws or subsets of them, and a
+        // subset of a valid plan is valid
+        for seed in 0..256 {
+            for &scen in FaultedFamily::ALL {
+                let plan = FaultedFamily::seed_plan(&spec, &cal, scen, seed);
+                check_plan(&plan, &pool, servers).unwrap();
+            }
+            for &scen in RebalanceFamily::ALL {
+                let plan = RebalanceFamily::seed_plan(&spec, &cal, scen, seed);
+                check_plan(&plan, &grown, servers).unwrap();
+            }
+            for &scen in IntegrityFamily::ALL {
+                let plan = IntegrityFamily::seed_plan(&spec, &cal, scen, seed);
+                let topo = match scen {
+                    IntegrityScenario::RotUnderRebalance => &grown,
+                    _ => &pool,
+                };
+                check_plan(&plan, topo, servers).unwrap();
+            }
         }
     }
 

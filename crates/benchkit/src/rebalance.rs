@@ -28,7 +28,7 @@
 
 use crate::chaos::{default_chaos_spec, engine_space, scratch_topology, CaseRun, Family};
 use crate::driver::{run_ops, run_phase, PhaseHooks, PhaseResult, WavePump};
-use crate::faulted::{apply_fault, PlanSource, RebuildChain};
+use crate::faulted::{apply_fault, check_plan, PlanSource, RebuildChain};
 use crate::scenarios::{exec, make_sched, RunSpec};
 use cluster::bench::Phase;
 use cluster::{Calibration, ClusterSpec};
@@ -249,7 +249,6 @@ impl PhaseHooks for RebalanceHooks<'_> {
         }
     }
 
-    // simlint::panic_root — fault handler: must never panic
     fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
         match event.action {
             FaultAction::AddServer { .. } => {
@@ -271,25 +270,23 @@ impl PhaseHooks for RebalanceHooks<'_> {
 
 /// The builtin schedule: one server add and one server drain early in
 /// the read phase — a plain grow-and-shrink rebalance with no weather.
-fn builtin_plan(spec: &RunSpec, t0: SimTime) -> FaultPlan {
+pub(crate) fn builtin_plan(spec: &RunSpec) -> FaultPlan {
     let mut plan = FaultPlan::new();
     plan.at(
-        SimTime(t0.0 + 1_000_000),
+        SimTime(1_000_000),
         FaultAction::AddServer {
             server: spec.servers as u64,
         },
     );
-    plan.at(
-        SimTime(t0.0 + 2_000_000),
-        FaultAction::DrainServer { server: 0 },
-    );
+    plan.at(SimTime(2_000_000), FaultAction::DrainServer { server: 0 });
     plan
 }
 
 /// Execute one rebalance scenario under explicit [`RebalanceOpts`]:
 /// healthy write phase, fault plan installed at the phase boundary,
-/// read phase under membership churn, post-quiescence audit.  Fails,
-/// before the read phase, when the plan does not install (see
+/// read phase under membership churn, post-quiescence audit.  Fails
+/// before the write phase on a plan [`check_plan`] rejects, and before
+/// the read phase on one that does not install (see
 /// [`simkit::Scheduler::install_faults`]).
 pub fn run_rebalance_with(
     spec: &RunSpec,
@@ -308,6 +305,11 @@ pub fn run_rebalance_with(
     let cspec =
         ClusterSpec::new(spec.servers + SPARE_SERVERS, spec.client_nodes).with_cal(cal.clone());
     let topo = cspec.build(&mut sched);
+    let plan = match &opts.plan {
+        PlanSource::Builtin => builtin_plan(spec),
+        PlanSource::Fixed(plan) => plan.clone(),
+    };
+    check_plan(&plan, &topo, spec.servers)?;
     let mut daos_sys = DaosSystem::deploy(&topo, &mut sched, spec.servers, opts.mode);
     if opts.oracles {
         daos_sys.enable_ledger();
@@ -341,11 +343,7 @@ pub fn run_rebalance_with(
     let mut ior = Ior::new(cfg, backend);
     ior.set_retry_policy(RetryPolicy::default(), spec.seed);
     let write = run_phase(&mut sched, &mut ior);
-    let plan = match &opts.plan {
-        PlanSource::Builtin => builtin_plan(spec, sched.now()),
-        PlanSource::Fixed(plan) => plan.shifted(sched.now()),
-    };
-    sched.install_faults(plan)?;
+    sched.install_faults(plan.shifted(sched.now()))?;
     ior.set_phase(Phase::Read);
     // no setup barrier: IOR's read phase reuses the write phase's objects
     let mut hooks = RebalanceHooks {

@@ -56,7 +56,6 @@ impl ProcWorkload for FieldIoWorkload {
             Phase::Read => Step::Noop,
         }
     }
-    // simlint::allow(panic-path) — benchmark driver: a failure that survives the retry executor is a scenario-configuration error; aborting loudly beats reporting skewed bandwidth
     fn op(&mut self, proc: usize, idx: usize) -> Step {
         let node = self.pins[proc];
         match self.phase {
@@ -121,7 +120,6 @@ impl<B: Fdb> ProcWorkload for FdbWorkload<B> {
             Phase::Read => Step::Noop,
         }
     }
-    // simlint::allow(panic-path) — benchmark driver: a failure that survives the retry executor is a scenario-configuration error; aborting loudly beats reporting skewed bandwidth
     fn op(&mut self, proc: usize, idx: usize) -> Step {
         let node = self.pins[proc];
         let key = FieldKey::sequence(proc, idx);

@@ -112,7 +112,6 @@ impl CephPoolOpts {
 }
 
 /// The deployed cluster: monitor + OSDs + one pool.
-// simlint::sim_state — replay-visible simulation state
 pub struct CephSystem {
     topo: Topology,
     servers: usize,

@@ -78,7 +78,6 @@ impl KvData {
     }
 
     /// Insert or replace a value, recording its whole-value checksum.
-    // simlint::allow(hot-alloc) — the KV store owns its value bytes: copying the payload in is the put contract
     pub fn put(&mut self, key: &[u8], value: Payload) {
         let sum = self.value_sum(&value);
         self.entries.insert(key.to_vec(), (value, sum));
@@ -200,7 +199,6 @@ impl ArrayData {
 
     /// Write `payload` at `offset`.  `ec` must be given for erasure-coded
     /// objects in Full mode so cells and parity are materialised.
-    // simlint::allow(hot-alloc) — extent bookkeeping grows the backing store only when full-data payloads arrive; sized-payload runs take the metadata-only path
     pub fn write(
         &mut self,
         offset: u64,
@@ -262,8 +260,6 @@ impl ArrayData {
 
     /// The logical bytes of a chunk (zeros if unwritten), assuming all
     /// cells available.  Used for read-modify-write.
-    // simlint::allow(panic-path) — EC chunks are created only for objects carrying an erasure code, so `ec` is Some wherever an `Chunk::Ec` is met (constructor invariant)
-    // simlint::allow(hot-alloc) — full-data chunk materialisation; sized-payload runs never reach this
     fn chunk_bytes_full(&self, idx: u64, ec: Option<&ErasureCode>) -> Vec<u8> {
         match self.chunks.get(&idx) {
             None | Some(Chunk::Sized) => vec![0u8; self.chunk_size as usize],
@@ -281,7 +277,6 @@ impl ArrayData {
         }
     }
 
-    // simlint::allow(hot-alloc) — full-data cell packing for EC; sized-payload runs never reach this
     fn encode_cells(buf: &[u8], code: &ErasureCode) -> Vec<Vec<u8>> {
         let k = code.data_cells();
         let cell_len = buf.len().div_ceil(k);
@@ -296,8 +291,6 @@ impl ArrayData {
     /// semantics).  `avail` reports the health of the shard group backing
     /// each chunk; erasure-coded chunks with missing cells are
     /// reconstructed with the real decode.
-    // simlint::allow(panic-path) — EC chunks are created only for objects carrying an erasure code, so `ec` is Some wherever an `Chunk::Ec` is met (constructor invariant)
-    // simlint::allow(hot-alloc) — a read materialises the returned payload; the caller owns those bytes by contract
     pub fn read(
         &self,
         offset: u64,

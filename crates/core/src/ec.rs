@@ -87,7 +87,6 @@ pub struct ErasureCode {
 impl ErasureCode {
     /// Build a `k + p` code.  Panics if `k == 0`, `p == 0` or
     /// `k + p > 255`.
-    // simlint::amortized — codec tables are built once per object class at create time, not per event
     pub fn new(k: usize, p: usize) -> Self {
         assert!(k > 0 && p > 0, "need at least one data and one parity cell");
         assert!(k + p <= 255, "GF(256) supports at most 255 cells");
@@ -99,7 +98,6 @@ impl ErasureCode {
             .map(|i| (0..k).map(|j| gf::pow((i + 1) as u8, j)).collect())
             .collect();
         let top: Vec<Vec<u8>> = v[..k].to_vec();
-        // simlint::allow(panic-path) — a Vandermonde block over GF(256) with distinct evaluation points is always invertible
         let inv = invert(&top).expect("Vandermonde top block is invertible");
         for row in v.iter_mut() {
             let orig = row.clone();
@@ -135,7 +133,6 @@ impl ErasureCode {
     }
 
     /// Compute the `p` parity cells for `k` equally-sized data cells.
-    // simlint::allow(hot-alloc) — EC encode emits owned parity shards; full-data mode only, sized runs skip it
     pub fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
         assert_eq!(data.len(), self.k, "expected {} data cells", self.k);
         let len = data[0].len();
@@ -165,8 +162,6 @@ impl ErasureCode {
     /// `cells[i]` is cell `i` of the stripe (`0..k` data, `k..k+p`
     /// parity) or `None` if lost.  Returns `None` when fewer than `k`
     /// cells survive.
-    // simlint::allow(panic-path) — `avail` holds only indices of Some cells (filter above), so the guarded unwraps cannot fire
-    // simlint::allow(hot-alloc) — degraded-read reconstruction allocates its decode scratch per failed shard group; full-data mode only
     pub fn reconstruct(&self, cells: &[Option<Vec<u8>>]) -> Option<Vec<Vec<u8>>> {
         assert_eq!(cells.len(), self.k + self.p);
         let avail: Vec<usize> = cells
@@ -213,7 +208,6 @@ impl ErasureCode {
 }
 
 /// Gauss-Jordan inversion over GF(256).  `None` if singular.
-// simlint::allow(hot-alloc) — decode-matrix inversion scratch, one per reconstruct; full-data degraded reads only
 fn invert(m: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
     let n = m.len();
     debug_assert!(m.iter().all(|r| r.len() == n));

@@ -59,7 +59,6 @@ impl AckedValue {
         self.len() == 0
     }
 
-    // simlint::allow(hot-alloc) — the durability oracle snapshots acked bytes by design so later corruption is detectable
     fn from_payload(p: &Payload) -> AckedValue {
         match p {
             Payload::Bytes(b) => AckedValue::Bytes(b.clone()),
@@ -84,14 +83,12 @@ impl DurabilityLedger {
     }
 
     /// Record an acknowledged `kv_put`.
-    // simlint::allow(hot-alloc) — the durability oracle owns the acked key; snapshotting is its purpose
     pub fn record_kv_put(&mut self, cid: ContainerId, oid: Oid, key: &[u8], value: &Payload) {
         self.kv
             .insert((cid, oid, key.to_vec()), AckedValue::from_payload(value));
     }
 
     /// Record an acknowledged `kv_remove`.
-    // simlint::allow(hot-alloc) — the durability oracle owns the removed key; snapshotting is its purpose
     pub fn record_kv_remove(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) {
         self.kv.remove(&(cid, oid, key.to_vec()));
     }
@@ -117,7 +114,6 @@ impl DurabilityLedger {
 
     /// Remove `[offset, offset + len)` from an extent map, splitting
     /// extents that straddle the boundary.
-    // simlint::allow(hot-alloc) — hole-punching clones the surviving extent tails; runs per overlapping write, bounded by overlap count
     fn carve(map: &mut BTreeMap<u64, AckedValue>, offset: u64, len: u64) {
         let end = offset + len;
         // Candidate extents: the last one starting at or before `offset`

@@ -502,7 +502,6 @@ impl PoolMap {
 /// Only the positions a swap moved a target into are recorded, so a
 /// pass costs no copy of `up`; the caller guarantees that `up` spans at
 /// least `need` servers.
-// simlint::allow(hot-alloc) — one member vector per object create or rebuild remap; the swap record stays empty when the first step suffices (every `S1` object)
 fn first_servers(up: &[TargetId], need: usize, rng: &mut simkit::SplitMix64) -> Vec<TargetId> {
     let mut members: Vec<TargetId> = Vec::with_capacity(need);
     let mut moved: Vec<(usize, TargetId)> = Vec::new();
@@ -539,7 +538,6 @@ fn first_servers(up: &[TargetId], need: usize, rng: &mut simkit::SplitMix64) -> 
 /// land on distinct nodes whenever enough nodes are up (replicas and EC
 /// cells must survive a node loss).  Member `m` is
 /// `interleaved[m % len]`.
-// simlint::allow(hot-alloc) — the whole-pool pass runs once per create of an object that spans more members than up servers (`SX`, `GX` and EC classes), not per I/O event
 fn interleave(
     up: &[TargetId],
     servers: usize,

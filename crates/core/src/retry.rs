@@ -24,8 +24,7 @@
 //! failing match arm's own error on every exit path (no held-then-
 //! unwrapped "last error"); the `unguarded-retry-loop` simlint rule
 //! rejects unbounded `loop`/`while` retry constructs anywhere in the
-//! workspace, and the flow pass's `panic-path` rule keeps the executor
-//! and everything reachable from it panic-free.
+//! workspace.
 
 use simkit::{SimTime, SplitMix64, Step, Telemetry};
 
@@ -217,7 +216,6 @@ impl RetryExec {
     /// exponential backoff, prepended as a delay to the successful
     /// attempt's op chain.  Terminal errors and exhausted retries return
     /// the last error.
-    // simlint::retry_entry — closure executor: callers' panics fire mid-retry
     pub fn run<T, E: Retriable>(
         &mut self,
         mut op: impl FnMut() -> Result<(T, Step), E>,
@@ -277,7 +275,6 @@ impl RetryExec {
     }
 
     /// [`RetryExec::run`] for operations that return only a [`Step`].
-    // simlint::retry_entry — closure executor: callers' panics fire mid-retry
     pub fn run_step<E: Retriable>(
         &mut self,
         mut op: impl FnMut() -> Result<Step, E>,
@@ -292,13 +289,16 @@ impl Retriable for crate::DaosError {
         // rewrite may heal the extent between attempts — and when
         // nothing heals it the retry budget exhausts and the failure
         // surfaces loudly; bad bytes are never served either way.
-        matches!(
-            self,
-            crate::DaosError::Timeout
-                | crate::DaosError::TargetDown
-                | crate::DaosError::BadChecksum
-                | crate::DaosError::Retriable
-        )
+        use crate::DaosError as E;
+        match self {
+            E::Timeout | E::TargetDown | E::BadChecksum | E::Retriable => true,
+            E::NoSuchContainer
+            | E::NoSuchObject
+            | E::WrongObjectType
+            | E::InvalidClass
+            | E::Unavailable
+            | E::NoSuchKey => false,
+        }
     }
 }
 

@@ -48,7 +48,6 @@ pub enum DaosError {
     /// Object class not usable for this object kind (e.g. EC Key-Values).
     InvalidClass,
     /// Data lives on down targets and cannot be served.
-    // simlint::terminal_error — data loss is final; no retry can serve it
     Unavailable,
     /// Key not found.
     NoSuchKey,
@@ -185,7 +184,6 @@ pub struct RebalanceReport {
 /// and drops the entry.  Every entry therefore corresponds to exactly
 /// one still-flipped physical byte — the invariant that makes repair
 /// by re-flip sound.
-// simlint::sim_state — replay-visible simulation state
 #[derive(Debug, Clone, Default)]
 struct RotState {
     /// Array rot: `(container, object)` → flipped byte offset → shard
@@ -300,7 +298,6 @@ impl ScrubReport {
 /// the resume cursor, and cumulative progress.  Replay-visible
 /// simulation state — the cursor is exactly what makes a pass resume
 /// byte-identically after a mid-scrub crash.
-// simlint::sim_state — replay-visible simulation state
 #[derive(Debug, Clone, Default)]
 struct ScrubState {
     active: bool,
@@ -342,7 +339,6 @@ enum UnitRef<'a> {
 
 impl UnitRef<'_> {
     /// This unit's address inside its object.
-    // simlint::amortized — one key copy per scrub wave or injected fault, not per event
     fn pos(&self) -> ScrubPos {
         match *self {
             UnitRef::Chunk(_, c) => ScrubPos::Chunk(c),
@@ -358,7 +354,6 @@ enum ScrubRot {
 }
 
 /// A deployed DAOS pool with its API.
-// simlint::sim_state — replay-visible simulation state
 pub struct DaosSystem {
     /// The hardware, calibration and engine resources op chains are
     /// built over, apart from the object store so that a data op can
@@ -481,7 +476,6 @@ impl DaosSystem {
     /// node that touches the target fails with
     /// [`DaosError::TargetDown`], and only the retry (against the
     /// refreshed pool map) takes the degraded path.
-    // simlint::panic_root — fault-handling path: must never panic
     pub fn crash_target(&mut self, t: TargetId) {
         self.pool.exclude(t);
         self.undetected.entry(t).or_default();
@@ -489,7 +483,6 @@ impl DaosSystem {
 
     /// A crashed target returns: reintegrated and no longer reported as
     /// newly-down to any client.
-    // simlint::panic_root — fault-handling path: must never panic
     pub fn restart_target(&mut self, t: TargetId) {
         self.pool.reintegrate(t);
         self.undetected.remove(&t);
@@ -499,7 +492,6 @@ impl DaosSystem {
     /// delay: every data-path op chain touching one of the server's
     /// targets pays `extra_ns` on top of its modelled cost.  Backs the
     /// delayed-completion fault action.
-    // simlint::panic_root — fault-handling path: must never panic
     pub fn set_extra_delay(&mut self, server: u16, extra_ns: u64) {
         if extra_ns == 0 {
             self.cost.extra_delay.remove(&server);
@@ -745,7 +737,6 @@ impl DaosSystem {
     /// Fetch a key's value.  Reads from the first up replica.  One
     /// object lookup on the clean path; a repair looks the object up
     /// again after it.
-    // simlint::allow(hot-alloc) — returns an owned copy of the value bytes in Full data mode; nothing grows with pool size
     pub fn kv_get(
         &mut self,
         client: usize,
@@ -998,7 +989,6 @@ impl DaosSystem {
     /// Read `len` bytes at `offset`.  Replicated chunks fail over to an
     /// up replica; erasure-coded chunks with lost cells read `k`
     /// surviving cells and pay a reconstruction delay.
-    // simlint::allow(hot-alloc) — collects the cell mask of each touched EC chunk for the data layer; nothing grows with pool size
     pub fn array_read(
         &mut self,
         client: usize,
@@ -1278,8 +1268,6 @@ impl DaosSystem {
     /// rewrite from a clean replica) and charge the replica-to-replica
     /// copy; refuse with [`DaosError::BadChecksum`] when every replica
     /// is rotten or the damage is unknown to the registry.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — repair path: runs only when rot was detected, not per I/O
     fn repair_kv_rot(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) -> Result<Step, DaosError> {
         let group = self
             .obj(cid, oid)?
@@ -1333,7 +1321,6 @@ impl DaosSystem {
 
     /// Verify stored checksums over every chunk `[offset, offset+len)`
     /// touches and transparently repair what the redundancy covers.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
     fn array_verify_repair(
         &mut self,
         cid: ContainerId,
@@ -1365,7 +1352,6 @@ impl DaosSystem {
     /// repaired) first; fully-covered chunks are replaced wholesale,
     /// which heals latent rot — their registry entries are dropped so a
     /// later repair cannot re-flip fresh bytes.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
     fn array_prewrite_integrity(
         &mut self,
         cid: ContainerId,
@@ -1427,8 +1413,6 @@ impl DaosSystem {
     /// the rebuild machinery.  Refuses with [`DaosError::BadChecksum`]
     /// when a chunk's rot exceeds its class redundancy — the caller
     /// must not serve (or fold in) its bytes.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — repair path: runs only when rot was detected, not per I/O
     fn repair_array_rot(
         &mut self,
         cid: ContainerId,
@@ -1597,7 +1581,6 @@ impl DaosSystem {
     /// *another* copy of an already-rotten unit extends the damage
     /// toward (and past) the redundancy limit.  Returns `false` when
     /// the pool stores no rot-able bytes (e.g. Sized data mode).
-    // simlint::panic_root — fault-handling path: must never panic
     pub fn apply_bit_rot(&mut self, locus: u64, shard: u64) -> bool {
         // rot needs bytes at rest: chunks without any (Sized markers)
         // are not candidates, KV keys always are
@@ -1637,7 +1620,6 @@ impl DaosSystem {
     /// the addressed replica/cell deterministically from `locus` and
     /// flip it (first copy only — further copies extend the registry's
     /// shard set without flipping again).
-    // simlint::panic_root — fault-handling path: must never panic
     fn plant_chunk_rot(
         &mut self,
         cid: ContainerId,
@@ -1689,7 +1671,6 @@ impl DaosSystem {
     /// Flip the stored byte at `offset` (first copy only) and record
     /// the hit shard copy.  Returns `false` when no real byte backs
     /// the offset.
-    // simlint::panic_root — fault-handling path: must never panic
     fn plant_extent_rot(&mut self, cid: ContainerId, oid: Oid, offset: u64, shard: u64) -> bool {
         let rkey = (cid.0, oid);
         let already = self
@@ -1723,7 +1704,6 @@ impl DaosSystem {
     /// Flip one byte of parity cell `parity_idx` in the chunk holding
     /// `offset` (first hit only) and record it.  Returns `false` for
     /// non-EC objects or out-of-range parity indices.
-    // simlint::panic_root — fault-handling path: must never panic
     fn plant_parity_rot(
         &mut self,
         cid: ContainerId,
@@ -1771,7 +1751,6 @@ impl DaosSystem {
 
     /// Flip a stored KV value byte (first copy only) and record the hit
     /// replica.  Returns `false` for absent or Sized values.
-    // simlint::panic_root — fault-handling path: must never panic
     fn plant_kv_rot(&mut self, cid: ContainerId, oid: Oid, key: &[u8], shard: u64) -> bool {
         let rf = match self.obj(cid, oid) {
             Ok(entry) => entry.layout.group_for(dkey_hash(key)).len().max(1) as u64,
@@ -1831,8 +1810,6 @@ impl DaosSystem {
     /// durability oracle names it.  Returns `None` when the pass is
     /// complete.  The cursor is replay-visible state, so a pass resumes
     /// byte-identically after a crash.
-    // simlint::panic_root — scrub path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — wave construction: runs once per scrub wave (bounded by max_units), not per engine event
     pub fn scrub_wave(&mut self, max_units: usize) -> Option<Step> {
         assert!(max_units > 0);
         if !self.scrub.active {
@@ -2000,8 +1977,6 @@ impl DaosSystem {
     /// server-to-server.  Returns the report and the op chain modelling
     /// the data movement (submit it to account for rebuild time; real
     /// DAOS runs this in the background while serving degraded I/O).
-    // simlint::panic_root — fault-handling path: must never panic
-    // simlint::amortized — rebuild runs once per fault, not per event; its planning cost amortizes across the whole degraded window it repairs
     pub fn rebuild(&mut self) -> (RebuildReport, Step) {
         let pool = self.pool.clone();
         let mut report = RebuildReport::default();
@@ -2076,7 +2051,6 @@ impl DaosSystem {
 
     /// Server-to-server shard move: read the surviving cells/replica,
     /// ship them to the destination server, write the rebuilt shard.
-    // simlint::panic_root — fault-handling path: must never panic
     fn rebuild_move(
         &self,
         b: &mut StepBuf,
@@ -2171,8 +2145,6 @@ impl DaosSystem {
     /// while the planned moves model the background copy cost.  Ship the
     /// moves with [`DaosSystem::migration_wave`]; a crash between waves
     /// only invalidates the moves it made stale.
-    // simlint::panic_root — membership-change path: must never panic
-    // simlint::amortized — planning runs once per membership change, not per event; its scan amortizes across the whole rebalance it plans
     pub fn rebalance_plan(&mut self) -> RebalanceReport {
         let pool = self.pool.clone();
         let mut report = RebalanceReport::default();
@@ -2244,8 +2216,6 @@ impl DaosSystem {
     /// rebuild, destination no longer servable) are dropped and counted
     /// — this is what makes migration resumable after a crash.  Returns
     /// `None` when nothing remains to ship.
-    // simlint::panic_root — migration path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — wave construction: runs once per migration wave (bounded by max_moves), not per engine event
     pub fn migration_wave(&mut self, max_moves: usize) -> Option<Step> {
         assert!(max_moves > 0);
         let mut moves = StepBuf::new();

@@ -71,7 +71,6 @@ struct Inode {
 }
 
 /// A mounted DFS namespace.
-// simlint::sim_state — replay-visible simulation state
 pub struct Dfs {
     daos: Rc<RefCell<DaosSystem>>,
     cid: ContainerId,
@@ -551,17 +550,22 @@ fn dirent_mismatch(bytes: Option<&[u8]>, kind: u8, oid: Oid) -> Option<String> {
     None
 }
 
-fn map_daos(e: DaosError) -> FsError {
+/// The POSIX face of a DAOS error.  Every variant is classified here, so
+/// a new one cannot slip through untriaged: a retriable DAOS error maps
+/// to `FsError::Unavailable`, the POSIX layer's one retriable error (see
+/// `daos_core::retry::Retriable`), and a terminal one to a terminal
+/// error.
+pub fn map_daos(e: DaosError) -> FsError {
     match e {
-        // Transient DAOS failures surface as `Unavailable`, the POSIX
-        // layer's retriable error (see `daos_core::retry::Retriable`).
         // BadChecksum is retriable like TargetDown: a scrub repair or a
         // rewrite may heal the extent between attempts.
-        DaosError::Unavailable
-        | DaosError::Timeout
+        DaosError::Timeout
         | DaosError::TargetDown
         | DaosError::BadChecksum
         | DaosError::Retriable => FsError::Unavailable,
+        // data on down targets beyond the class redundancy is lost: no
+        // retry can serve it
+        DaosError::Unavailable => FsError::Other("data unavailable"),
         DaosError::NoSuchKey | DaosError::NoSuchObject => FsError::NotFound,
         DaosError::NoSuchContainer => FsError::Other("container gone"),
         DaosError::WrongObjectType => FsError::Other("object type mismatch"),

@@ -70,7 +70,6 @@ impl DfuseOpts {
 }
 
 /// A DFUSE mount on every client node, wrapping one DFS namespace.
-// simlint::sim_state — replay-visible simulation state
 pub struct DfuseMount {
     dfs: Dfs,
     opts: DfuseOpts,

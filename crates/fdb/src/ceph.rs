@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 const INDEX_ENTRY_BYTES: u64 = 512;
 
 /// FDB over librados.
-// simlint::sim_state — replay-visible simulation state
 pub struct FdbCeph {
     ceph: CephSystem,
     toc: BTreeMap<FieldKey, u64>,

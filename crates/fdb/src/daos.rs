@@ -32,7 +32,6 @@ struct ProcState {
 }
 
 /// FDB over libdaos.
-// simlint::sim_state — replay-visible simulation state
 pub struct FdbDaos {
     daos: Rc<RefCell<DaosSystem>>,
     cid: ContainerId,
@@ -140,15 +139,24 @@ fn axis_key(buf: &mut String, i: u32, key: &FieldKey) {
     let _ = write!(buf, "axis/{i}/{key}");
 }
 
-fn map_daos(e: DaosError) -> FdbError {
+/// The FDB face of a DAOS error.  Every variant is classified here, so
+/// a new one cannot slip through untriaged: a retriable DAOS error maps
+/// to `Backend("transient")` (see `FdbError`'s
+/// `daos_core::retry::Retriable` impl), a terminal one to a terminal
+/// error.
+pub fn map_daos(e: DaosError) -> FdbError {
     match e {
         DaosError::NoSuchKey | DaosError::NoSuchObject => FdbError::FieldNotFound,
-        // the retriable face of a backend fault (see `FdbError`'s
-        // `daos_core::retry::Retriable` impl)
-        DaosError::Timeout | DaosError::TargetDown | DaosError::Retriable => {
-            FdbError::Backend("transient")
-        }
-        _ => FdbError::Backend("daos"),
+        // BadChecksum is retriable: a scrub repair or a rewrite may heal
+        // the extent between attempts
+        DaosError::Timeout
+        | DaosError::TargetDown
+        | DaosError::BadChecksum
+        | DaosError::Retriable => FdbError::Backend("transient"),
+        DaosError::Unavailable
+        | DaosError::NoSuchContainer
+        | DaosError::WrongObjectType
+        | DaosError::InvalidClass => FdbError::Backend("daos"),
     }
 }
 

@@ -44,7 +44,6 @@ struct WriterState {
 }
 
 /// FDB over any [`PosixFs`] (a DFUSE mount or the Lustre client).
-// simlint::sim_state — replay-visible simulation state
 pub struct FdbPosix<P: PosixFs> {
     fs: P,
     flush_bytes: f64,

@@ -49,7 +49,6 @@ impl Retriable for FieldIoError {
 }
 
 /// Field I/O client state over one container.
-// simlint::sim_state — replay-visible simulation state
 pub struct FieldIo {
     daos: Rc<RefCell<DaosSystem>>,
     cid: ContainerId,

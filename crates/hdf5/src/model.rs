@@ -45,7 +45,6 @@ impl Retriable for Hdf5Error {
 }
 
 /// Shared library state: the per-client-node HDF5 processing ceiling.
-// simlint::sim_state — replay-visible simulation state
 pub struct H5Runtime {
     node_bw: Vec<ResourceId>,
     cal: Calibration,
@@ -133,7 +132,6 @@ fn unpack_index_entry(buf: &[u8]) -> Option<(String, u64, u64)> {
 ///
 /// Layout: `[header | data heap …]`; the chunk index and object headers
 /// are updated in the header region alongside every dataset write.
-// simlint::sim_state — replay-visible simulation state
 pub struct H5PosixFile {
     handle: FileId,
     node: usize,
@@ -357,7 +355,6 @@ impl H5PosixFile {
 
 /// An HDF5 "file" stored through the DAOS VOL connector: a container of
 /// its own, a metadata KV, and one Array object per dataset write.
-// simlint::sim_state — replay-visible simulation state
 pub struct H5DaosFile {
     daos: Rc<RefCell<DaosSystem>>,
     node: usize,

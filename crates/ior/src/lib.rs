@@ -309,7 +309,6 @@ impl ProcWorkload for Ior {
         Step::span("ior", "setup", 0, step)
     }
 
-    // simlint::allow(panic-path) — benchmark driver: a failure that survives the retry executor is a scenario-configuration error; aborting loudly beats reporting skewed bandwidth
     fn op(&mut self, proc: usize, idx: usize) -> Step {
         let node = self.pins[proc];
         let off = self.op_offset(proc, idx);

@@ -123,7 +123,6 @@ impl ProcWorkload for Mdtest {
         root.then(dir)
     }
 
-    // simlint::allow(panic-path) — benchmark driver: a failure that survives the retry executor is a scenario-configuration error; aborting loudly beats reporting skewed bandwidth
     fn op(&mut self, proc: usize, idx: usize) -> Step {
         let node = self.pins[proc];
         let path = self.path(proc, idx);

@@ -75,7 +75,6 @@ enum FileData {
 }
 
 /// The deployed file system: one MDS, `servers × osts_per_server` OSTs.
-// simlint::sim_state — replay-visible simulation state
 pub struct LustreSystem {
     topo: Topology,
     servers: usize,

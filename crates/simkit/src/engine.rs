@@ -32,7 +32,6 @@ pub trait World {
     /// already been applied by the engine.  Worlds model domain faults
     /// (crashes, restarts, delayed completions) here; the default ignores
     /// them.
-    // simlint::panic_root — fault delivery: handlers must never panic
     fn on_fault(&mut self, _event: &FaultEvent, _sched: &mut Scheduler) {}
 }
 
@@ -162,7 +161,6 @@ impl Ord for Timer {
 
 /// The simulation scheduler: resources, in-flight flows, timers and the
 /// op-chain interpreter.
-// simlint::sim_state — replay-visible simulation state
 pub struct Scheduler {
     now: SimTime,
     last_settle: SimTime,
@@ -365,8 +363,6 @@ impl Scheduler {
     /// the returned event to [`World::on_fault`].  Returns `None` when no
     /// fault is pending (the run loop checks `next_fault_time` first, but
     /// delivery must not panic if that invariant ever slips).
-    // simlint::panic_root — fault delivery: must never panic
-    // simlint::hot_root — fault firing sits inside the event loop
     fn fire_fault(&mut self) -> Option<FaultEvent> {
         let ev = self.faults.pop_front()?;
         // An event armed before a gap in pending work fires as soon as
@@ -767,7 +763,6 @@ impl Scheduler {
     }
 
     /// Fire everything scheduled at exactly `t` (flows and timers).
-    // simlint::hot_root — timer drain + flow completion: runs once per event batch
     fn fire_events_at(&mut self, t: SimTime) {
         // One pass settles every flow and collects, in key order, those
         // whose deadline has arrived (or whose residual rounded to
@@ -846,7 +841,6 @@ pub fn run_digest<W: World>(sched: &mut Scheduler, world: &mut W) -> u64 {
 }
 
 /// Run until no work remains or simulated time would pass `limit`.
-// simlint::hot_root — the engine event loop: every line here runs per event
 pub fn run_for<W: World>(sched: &mut Scheduler, world: &mut W, limit: SimTime) -> RunOutcome {
     loop {
         // Deliver completions; the world may submit follow-up work which

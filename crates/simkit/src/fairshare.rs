@@ -327,7 +327,6 @@ impl FairShare {
     /// Rates and deadlines are then available through
     /// [`FairShare::rate`], [`FairShare::deadline`] and
     /// [`FairShare::results`].
-    // simlint::hot_root — max-min solver: runs on every rate recomputation
     pub fn solve(&mut self, caps: &[Rate], now: SimTime) -> (usize, SimTime) {
         if self.epoch == u32::MAX {
             // Re-base the epoch stamps instead of letting them wrap.

@@ -197,7 +197,6 @@ impl Parser<'_> {
         }
     }
 
-    // simlint::allow(hot-alloc) — error formatting on the parse-failure path only; JSON parsing serves config/report loading, never the event loop (hot reachability is a same-name call edge)
     fn consume(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -207,7 +206,6 @@ impl Parser<'_> {
         }
     }
 
-    // simlint::allow(hot-alloc) — error formatting on the parse-failure path only; JSON parsing serves config/report loading, never the event loop (hot reachability is a same-name call edge)
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -314,7 +312,6 @@ impl Parser<'_> {
         }
     }
 
-    // simlint::allow(hot-alloc) — builds the parsed document; JSON parsing serves config/report loading, never the event loop (hot reachability is a same-name call edge)
     fn array(&mut self) -> Result<Json, JsonError> {
         self.consume(b'[')?;
         let mut items = Vec::new();
@@ -338,7 +335,6 @@ impl Parser<'_> {
         }
     }
 
-    // simlint::allow(hot-alloc) — builds the parsed document; JSON parsing serves config/report loading, never the event loop (hot reachability is a same-name call edge)
     fn object(&mut self) -> Result<Json, JsonError> {
         self.consume(b'{')?;
         let mut fields = Vec::new();

@@ -157,7 +157,6 @@ pub struct PathContribution {
 /// delays, its share of transfers).  Children that lose a parallel race
 /// contribute nothing — exactly the paper's attribution question ("which
 /// layer bounds the plateau").
-// simlint::allow(hot-alloc) — post-run trace reporting: runs once per run after the clock stops (hot reachability is a same-name call edge)
 pub fn critical_path(log: &SpanLog) -> Vec<PathContribution> {
     let recs = log.records();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); recs.len()];
@@ -189,7 +188,6 @@ pub fn critical_path(log: &SpanLog) -> Vec<PathContribution> {
     out
 }
 
-// simlint::allow(hot-alloc) — post-run trace reporting: runs once per run after the clock stops (hot reachability is a same-name call edge)
 fn attribute(
     idx: usize,
     recs: &[SpanRecord],
@@ -235,7 +233,6 @@ pub fn attributed_wall_ns(log: &SpanLog) -> u64 {
 /// Format integer nanoseconds as microseconds with three decimals — the
 /// `ts`/`dur` unit of the Chrome trace format — without ever touching
 /// floating point, so output is byte-stable.
-// simlint::allow(hot-alloc) — post-run trace formatting: runs once per span at export time (hot reachability is a same-name call edge)
 pub(crate) fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
@@ -249,7 +246,6 @@ pub(crate) fn micros(ns: u64) -> String {
 /// with layers nested by time.  Fault marks become global instant events
 /// (`ph: "i"`).  Output is deterministic: spans in id order, marks in
 /// firing order, integer-based formatting throughout.
-// simlint::allow(hot-alloc) — post-run trace export: runs once per run after the clock stops (hot reachability is a same-name call edge)
 pub fn chrome_trace_json(log: &SpanLog) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -320,7 +316,6 @@ pub fn chrome_trace_json_with_counters(
 /// The top section attributes wall time per `(layer, op)` along the
 /// critical path ("62.1% dfuse/write"); the bottom lists per-layer
 /// latency quantiles.  Deterministic for identical logs.
-// simlint::allow(hot-alloc) — post-run trace reporting: runs once per run after the clock stops (hot reachability is a same-name call edge)
 pub fn critical_path_report(log: &SpanLog) -> String {
     let mut out = String::new();
     let total = attributed_wall_ns(log);

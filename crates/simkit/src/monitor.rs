@@ -102,7 +102,6 @@ impl Monitor {
         }
         let span_ns = t1.nanos_since(t0);
         if self.series.len() <= i {
-            // simlint::allow(hot-alloc) — lazy per-resource row growth: resizes once per new resource id, then steady-state credits never allocate
             self.series.resize(i + 1, Vec::new());
         }
         let row = &mut self.series[i];
@@ -153,7 +152,6 @@ impl Monitor {
 
     /// Utilisation time series for `r`: fraction of `capacity` used in
     /// each window.  Empty when windowing is off.
-    // simlint::amortized — post-run export, called once per report
     pub fn window_fractions(&self, r: ResourceId, capacity: Rate) -> Vec<f64> {
         if self.window_ns == 0 || capacity <= Rate::ZERO {
             return Vec::new();
@@ -195,7 +193,6 @@ impl Monitor {
     /// `[start, end)` window-index ranges in time order.  This is the
     /// plateau-attribution primitive: "nvme busy ≥ 95% for windows
     /// 12..40" replaces hand-reading the series.
-    // simlint::amortized — post-run export, called once per report
     pub fn busy_intervals(
         &self,
         r: ResourceId,

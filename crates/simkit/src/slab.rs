@@ -136,7 +136,6 @@ impl<T> Slab<T> {
 impl<T> std::ops::Index<u32> for Slab<T> {
     type Output = T;
     fn index(&self, key: u32) -> &T {
-        // simlint::allow(panic-path) — std `Index` contract: vacant-key indexing is a caller bug; fallible access goes through `get()`
         self.get(key).expect("slab: index of vacant key")
     }
 }

@@ -129,7 +129,6 @@ impl SpanLog {
 
     /// Open a span; returns its id.  Ids are dense and 1-based, so the
     /// record lives at `records[id - 1]` and close is O(1).
-    // simlint::hot_root — span recorder: one open per traced op hop
     pub(crate) fn open(
         &mut self,
         at: SimTime,

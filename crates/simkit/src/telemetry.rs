@@ -133,7 +133,6 @@ impl Telemetry {
         self.intern(name, MetricKind::Gauge)
     }
 
-    // simlint::allow(hot-alloc) — metric interning: allocates once per distinct name, then steady-state updates hit the id path
     fn intern(&mut self, name: &str, kind: MetricKind) -> MetricId {
         if let Some(&id) = self.names.get(name) {
             debug_assert_eq!(self.metrics[id.0 as usize].kind, kind);
@@ -231,7 +230,6 @@ impl Telemetry {
     /// is on, which is how retry/backoff, rebuild and migration-wave
     /// activity becomes a time series without the storage layers holding
     /// a scheduler reference.
-    // simlint::allow(hot-alloc) — interning per distinct (layer, op) pair only; the steady-state path is a BTreeMap hit on two static pointers
     pub fn span_open(&mut self, at: SimTime, layer: &'static str, op: &'static str) {
         if !self.enabled {
             return;
@@ -249,7 +247,6 @@ impl Telemetry {
 
     /// Per-resource in-flight flow gauge, interned on first use as
     /// `res.{name}.flows`.
-    // simlint::allow(hot-alloc) — one gauge registration per resource id, then steady-state lookups index a Vec
     pub fn resource_gauge(&mut self, index: usize, name: &str) -> MetricId {
         if self.res_gauges.len() <= index {
             self.res_gauges.resize(index + 1, None);
@@ -294,7 +291,6 @@ impl Telemetry {
     }
 
     /// Read-only views of every metric, in registration order.
-    // simlint::amortized — post-run export, called once per report
     pub fn views(&self) -> Vec<MetricView<'_>> {
         self.metrics
             .iter()
@@ -531,7 +527,6 @@ fn longest_burn(fractions: &[f64], threshold_permille: u32) -> u64 {
 /// Evaluate `rules` against a finished run, producing one verdict per
 /// rule, in rule order.  Pure and deterministic: identical inputs yield
 /// identical verdicts.
-// simlint::amortized — post-run evaluation, called once per report
 pub fn evaluate_slos(rules: &[SloRule], inputs: &SloInputs) -> Vec<SloVerdict> {
     rules
         .iter()

@@ -1,29 +1,26 @@
 //! CLI for the simlint determinism pass.
 //!
 //! ```text
-//! cargo run -p simlint --              # every stage, human report
+//! cargo run -p simlint --              # human report
 //! cargo run -p simlint -- --deny      # exit 1 on any unsuppressed error
 //! cargo run -p simlint -- --json      # one JSON object per finding
 //! cargo run -p simlint -- --list-rules
 //! cargo run -p simlint -- --root path/to/tree
-//! cargo run -p simlint -- --no-flow   # stage 1 only (line/token rules)
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{cost, flow, lint_workspace, rules, Severity};
+use simlint::{lint_workspace, rules, Severity};
 
 fn usage() -> &'static str {
     "simlint — determinism lint for the daos-io-sim workspace\n\n\
-     USAGE: simlint [--deny] [--json] [--list-rules] [--root DIR] [--no-flow]\n\n\
+     USAGE: simlint [--deny] [--json] [--list-rules] [--root DIR]\n\n\
      --deny            exit non-zero if any unsuppressed error-level\n\
                        finding remains\n\
      --json            emit findings as JSON lines instead of human text\n\
-     --list-rules      print the rule registry (every stage) and exit\n\
-     --root DIR        lint DIR instead of the inferred workspace root\n\
-     --no-flow         skip the stage-2/3 passes (call-graph and cost\n\
-                       analyses)"
+     --list-rules      print the rule registry and exit\n\
+     --root DIR        lint DIR instead of the inferred workspace root"
 }
 
 fn workspace_root() -> PathBuf {
@@ -43,19 +40,14 @@ fn workspace_root() -> PathBuf {
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
-    let mut no_flow = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--no-flow" => no_flow = true,
             "--list-rules" => {
                 for r in rules() {
-                    println!("{:<30} {:<5} {}", r.id, r.severity.to_string(), r.summary);
-                }
-                for r in flow::flow_rules().iter().chain(cost::cost_rules()) {
                     println!("{:<30} {:<5} {}", r.id, r.severity.to_string(), r.summary);
                 }
                 return ExitCode::SUCCESS;
@@ -79,7 +71,7 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(workspace_root);
-    let findings = match lint_workspace(&root, !no_flow) {
+    let findings = match lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("simlint: failed to read {}: {e}", root.display());

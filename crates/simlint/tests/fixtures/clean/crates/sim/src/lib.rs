@@ -1,33 +1,16 @@
-//! Clean fixture: every analysis is armed and none fires.
+//! Clean fixture: simulation state kept in ordered collections, no
+//! wall clock, no ambient RNG, no environment reads, no unwraps.
 
-// simlint::sim_state — replay-visible fixture state
+use std::collections::BTreeMap;
+
 pub struct Counter {
-    pub ticks: u64,
-}
-
-pub enum TickError {
-    Busy,
-    // simlint::terminal_error — exhaustion is final
-    Exhausted,
+    pub ticks: BTreeMap<u64, f64>,
 }
 
 impl Counter {
-    /// The only mutator, reached from the fault handler.
-    pub fn tick(&mut self) -> Result<(), TickError> {
-        if self.ticks == u64::MAX {
-            return Err(TickError::Exhausted);
-        }
-        self.ticks += 1;
-        Ok(())
+    pub fn tick(&mut self, at: u64) -> f64 {
+        let v = self.ticks.entry(at).or_insert(0.0);
+        *v += 1.0;
+        self.ticks.values().sum()
     }
-}
-
-// simlint::panic_root — fixture fault handler: must never panic
-pub fn on_fault(c: &mut Counter) {
-    let _ = c.tick();
-}
-
-pub fn fold_digest(c: &mut Counter) -> u64 {
-    on_fault(c);
-    c.ticks
 }
