@@ -268,6 +268,10 @@ fn run_scaleout_target(cal: &Calibration, out: &Path) {
 /// committed copy at the repository root.  Digests and event counts
 /// must match exactly (they are seeded and deterministic); events/sec
 /// may not regress more than 10%.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "host throughput is what this target measures; no run reads the clock"
+)]
 fn run_bench_engine(out: &Path) {
     use bench::engine_bench::{
         calibration_spin, run_family, BENCH_OPS, CALIBRATION_ITERS, FAMILIES,
@@ -644,6 +648,10 @@ fn main() {
     let cal = Calibration::default();
     let mut collected: Vec<Figure> = Vec::new();
     for t in targets {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the `[t took Xs]` line reports host time; no run reads it"
+        )]
         let t0 = Instant::now();
         println!("\n################ {t} ################");
         match t.as_str() {

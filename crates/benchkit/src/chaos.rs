@@ -484,8 +484,13 @@ pub fn parse_schedule(input: &str) -> Result<ArchivedSchedule, String> {
             .and_then(|v| v.as_u64())
             .ok_or_else(|| format!("missing spec.{name}"))
     };
+    // every family deploys a pool over the servers, and a pool needs one
+    let servers = match field("servers")? {
+        0 => return Err("spec.servers must be at least 1".into()),
+        n => n as usize,
+    };
     let mut spec = RunSpec::new(
-        field("servers")? as usize,
+        servers,
         field("client_nodes")? as usize,
         field("ppn")? as usize,
     );
@@ -669,5 +674,13 @@ mod tests {
         let archive = archive_case::<EngineFamily>(&diverged, &spec, &cal, &out);
         std::fs::remove_dir_all(&out).expect("removes the archive");
         assert!(archive.expect("archives").shrunk.is_none());
+    }
+
+    #[test]
+    fn a_serverless_schedule_is_rejected() {
+        let serverless = RunSpec::new(0, 1, 2);
+        let json = schedule_json("IOR/libdaos", 9, &serverless, &FaultPlan::new());
+        let err = parse_schedule(&json).unwrap_err();
+        assert_eq!(err, "spec.servers must be at least 1");
     }
 }

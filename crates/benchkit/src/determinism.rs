@@ -1,9 +1,9 @@
-//! Runtime determinism harness: the enforcement half of the `simlint`
-//! static pass.
+//! Runtime determinism harness: the enforcement half of the clippy bans
+//! in `crates/clippy.toml`.
 //!
 //! The simulator's contract is that identical inputs produce identical
 //! schedules.  The lint forbids the usual ways of breaking that contract
-//! (hash-ordered state, wall clocks, ambient RNG); this module *checks*
+//! (hash-ordered state, wall clocks, host reads); this module *checks*
 //! it end to end by executing every paper scenario twice from fresh
 //! state and comparing the replay digests (order-sensitive FNV-1a over
 //! the `(time, op)` completion stream, see [`simkit::trace::ReplayDigest`])

@@ -16,7 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// order; the results come back in input order.  A panic in `f` is
 /// re-raised on the caller's thread.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    // simlint::allow(env-dependent-sim) — the core count only decides which thread runs an item; results are placed by index
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the core count only decides which thread runs an item; results are placed by index"
+    )]
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     par_map_on(cores, items, f)
 }

@@ -1,9 +1,9 @@
 //! End-to-end determinism check: every paper scenario, executed twice
 //! from fresh state, must produce identical replay digests and
 //! bit-identical bandwidths.  This is the runtime counterpart of the
-//! `simlint` static pass — if simulation state regresses to hash-ordered
-//! iteration (or sim logic starts reading clocks/environment), this test
-//! is what catches it.
+//! clippy bans in `crates/clippy.toml` — if simulation state regresses
+//! to hash-ordered iteration (or sim logic starts reading
+//! clocks/environment), this test is what catches it.
 
 mod common;
 

@@ -1,13 +1,16 @@
 //! No fault plan panics a run.  Arbitrary plans, built through
 //! [`FaultPlan::at`] from every [`FaultAction`] kind, run through both
-//! faulted entries, [`try_run_faulted_with`] and [`run_rebalance_with`].
+//! faulted entries, [`try_run_faulted_with`] and [`run_rebalance_with`],
+//! and through the engine family's entry, [`run_scenario_chaos`].
 //! Their payloads name targets and servers in and out of the pool, they
 //! add and drain unknown or repeated ranks, and they carry any delay
 //! payload and any bit-rot locus and shard.  Capacity scales may be zero,
 //! negative, NaN or huge, times fall at 0, inside the read phase, past the
 //! run or at the end of the clock, and events may be duplicated.  Each run
 //! must return `Ok` or `Err`: a plan the deployment cannot apply is
-//! rejected before the write phase, and every other plan runs to the end.
+//! rejected before the write phase (by `check_plan` in the faulted
+//! entries, by `Scheduler::install_faults` in the engine entry), and
+//! every other plan runs to the end.
 //!
 //! The IOR runs tolerate unavailable reads: data that a plan destroys
 //! beyond the class redundancy is counted as an unavailable read and
@@ -19,8 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use benchkit::faulted::try_run_faulted_with;
 use benchkit::{
-    run_rebalance_with, FaultedOpts, FaultedScenario, PlanSource, RebalanceOpts, RebalanceScenario,
-    RunSpec,
+    run_rebalance_with, run_scenario_chaos, FaultedOpts, FaultedScenario, PlanSource,
+    RebalanceOpts, RebalanceScenario, RunSpec, Scenario,
 };
 use cluster::Calibration;
 use daos_core::{DataMode, TargetId};
@@ -249,6 +252,9 @@ proptest! {
         };
         let scen = RebalanceScenario::IorEasyS1;
         let run = no_panic(|| run_rebalance_with(&spec, scen, &cal, &opts));
+        prop_assert!(run.is_ok(), "{} panicked: {:?}\nplan: {}", scen.name(), run, plan.to_json());
+        let scen = Scenario::IorDaos;
+        let run = no_panic(|| run_scenario_chaos(&spec, scen, &cal, &plan));
         prop_assert!(run.is_ok(), "{} panicked: {:?}\nplan: {}", scen.name(), run, plan.to_json());
     }
 }

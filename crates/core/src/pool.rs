@@ -798,7 +798,7 @@ mod tests {
     fn layout_is_deterministic_and_spread() {
         let pm = PoolMap::new(4, 16);
         let mut alloc = OidAllocator::new();
-        let mut starts = std::collections::HashSet::new();
+        let mut starts = std::collections::BTreeSet::new();
         for _ in 0..64 {
             let oid = alloc.next(ObjectClass::S1, 0);
             let l1 = pm.layout(&oid, ObjectClass::S1);

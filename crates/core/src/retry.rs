@@ -22,9 +22,8 @@
 //!
 //! The retry loop counts attempts against `max_attempts` and returns the
 //! failing match arm's own error on every exit path (no held-then-
-//! unwrapped "last error"); the `unguarded-retry-loop` simlint rule
-//! rejects unbounded `loop`/`while` retry constructs anywhere in the
-//! workspace.
+//! unwrapped "last error");
+//! `exhaustion_returns_last_error_and_counts_gave_up` pins the bound.
 
 use simkit::{SimTime, SplitMix64, Step, Telemetry};
 

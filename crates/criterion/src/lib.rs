@@ -6,6 +6,11 @@
 //! instead of criterion's statistical analysis — enough to compare hot
 //! paths across commits without any external dependency.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark timer measures host time; it never feeds a simulation"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Prevent the optimiser from deleting a benchmarked computation.

@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn sequence_keys_are_unique_per_proc() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for proc in 0..4 {
             for i in 0..500 {
                 assert!(

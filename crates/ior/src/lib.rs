@@ -539,7 +539,7 @@ mod access_order_tests {
     use daos_core::{ContainerProps, DaosSystem, DataMode};
     use simkit::{run, OpId, Scheduler, World};
     use std::cell::RefCell;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
 
     struct Sink;
@@ -566,7 +566,7 @@ mod access_order_tests {
             },
         );
         for p in 0..3 {
-            let offs: HashSet<u64> = (0..50).map(|i| ior.op_offset(p, i)).collect();
+            let offs: BTreeSet<u64> = (0..50).map(|i| ior.op_offset(p, i)).collect();
             assert_eq!(offs.len(), 50, "all offsets distinct");
             let max = *offs.iter().max().unwrap();
             assert_eq!(max, 49 << 20, "covers the full extent");

@@ -25,7 +25,7 @@ fn data_bytes(s: &Step, sched: &Scheduler) -> f64 {
 }
 
 /// Distinct data-carrying device resources in a step's program.
-fn touched_devices(s: &Step, out: &mut std::collections::HashSet<ResourceId>, sched: &Scheduler) {
+fn touched_devices(s: &Step, out: &mut std::collections::BTreeSet<ResourceId>, sched: &Scheduler) {
     for leaf in s.leaves() {
         if let Leaf::Transfer { path, .. } = leaf {
             for &r in &path {
@@ -65,7 +65,7 @@ proptest! {
         let moved = data_bytes(&step, &sched);
         prop_assert!((moved - len as f64).abs() < 1.0, "moved {moved} of {len}");
         // and never touches more devices than stripes
-        let mut devs = std::collections::HashSet::new();
+        let mut devs = std::collections::BTreeSet::new();
         touched_devices(&step, &mut devs, &sched);
         // write devices only (read devices unused)
         prop_assert!(devs.len() <= stripe_count, "{} devices for {stripe_count} stripes", devs.len());

@@ -329,18 +329,30 @@ impl Scheduler {
     /// run it produced even for events that never fire: replaying with
     /// any altered plan diverges at install time, not just at fire time.
     ///
-    /// A plan whose capacity events name an unregistered resource is
-    /// rejected whole, before anything is installed or digested.
+    /// A plan whose capacity events name an unregistered resource, or a
+    /// scale [`scale_capacity`](Self::scale_capacity) cannot apply (not
+    /// positive, or not finite), is rejected whole, before anything is
+    /// installed or digested.
     pub fn install_faults(&mut self, plan: FaultPlan) -> Result<(), String> {
         let registered = self.caps.len();
         for ev in plan.events() {
-            if let Some(ResourceId(r)) = ev.action.resource() {
-                if r as usize >= registered {
-                    return Err(format!(
-                        "fault event {}: resource {r} is not registered (the scheduler has {registered} resources)",
-                        ev.id
-                    ));
-                }
+            let (FaultAction::SlowDisk { resource, scale }
+            | FaultAction::NicBrownout { resource, scale }) = ev.action
+            else {
+                continue;
+            };
+            let ResourceId(r) = resource;
+            if r as usize >= registered {
+                return Err(format!(
+                    "fault event {}: resource {r} is not registered (the scheduler has {registered} resources)",
+                    ev.id
+                ));
+            }
+            if !(scale > 0.0 && scale.is_finite()) {
+                return Err(format!(
+                    "fault event {}: capacity scale {scale} is not positive and finite",
+                    ev.id
+                ));
             }
         }
         let installed = plan.into_events();
@@ -1238,6 +1250,19 @@ mod tests {
         run(&mut s, &mut w);
         assert!(w.faults.is_empty());
         assert!((secs(w.completed[0].1) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn unappliable_fault_scales_are_rejected_at_install() {
+        let mut s = Scheduler::new();
+        let resource = s.add_resource("nic", 100.0);
+        for scale in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let mut plan = FaultPlan::new();
+            plan.at(SimTime(0), FaultAction::NicBrownout { resource, scale });
+            let err = s.install_faults(plan).unwrap_err();
+            assert!(err.contains("not positive and finite"), "{scale}: {err}");
+        }
+        assert_eq!(s.pending_fault_count(), 0, "nothing installed");
     }
 
     #[test]

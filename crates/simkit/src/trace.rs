@@ -5,10 +5,10 @@
 //! fault schedule and each fired fault.  Two runs of the same workload
 //! must produce the same digest; any divergence — a reordered
 //! completion, a shifted timestamp — changes it.  This is the runtime
-//! counterpart of the `simlint` static pass: the lint forbids sources of
-//! nondeterminism, the digest catches whatever slips through.  (What a
-//! run did is inspected through spans and Chrome traces, see
-//! [`crate::span`].)
+//! counterpart of the clippy bans in `crates/clippy.toml`: the lint
+//! forbids sources of nondeterminism, the digest catches whatever slips
+//! through.  (What a run did is inspected through spans and Chrome
+//! traces, see [`crate::span`].)
 
 use crate::engine::OpId;
 use crate::time::SimTime;
