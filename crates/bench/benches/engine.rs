@@ -3,7 +3,8 @@
 //!
 //! Each iteration runs a family to completion (a fixed op count, so a
 //! fixed number of events); throughput trends inversely with the
-//! per-event cost the stage-3 lint polices.  `repro bench-engine` runs
+//! per-event cost, which `simkit`'s `engine_alloc` test keeps free of
+//! heap allocations.  `repro bench-engine` runs
 //! the same workloads outside criterion and gates CI on the committed
 //! `BENCH_engine.json`.
 

@@ -2,9 +2,8 @@
 //! trajectory.
 //!
 //! Each family drives the `simkit` Scheduler directly — no interface
-//! crates — so its throughput isolates the engine hot path the stage-3
-//! cost lint guards: timer drain, flow completion batches, and the
-//! max-min rate recomputation.  Workloads are seeded and the op count
+//! crates — so its throughput isolates the engine hot path: timer
+//! drain, flow completion batches, and the max-min rate recomputation.  Workloads are seeded and the op count
 //! per family is fixed, so every run completes the same number of
 //! events and folds the same replay digest; `repro bench-engine`
 //! re-checks both against the committed `BENCH_engine.json` before

@@ -484,13 +484,8 @@ pub fn parse_schedule(input: &str) -> Result<ArchivedSchedule, String> {
             .and_then(|v| v.as_u64())
             .ok_or_else(|| format!("missing spec.{name}"))
     };
-    // every family deploys a pool over the servers, and a pool needs one
-    let servers = match field("servers")? {
-        0 => return Err("spec.servers must be at least 1".into()),
-        n => n as usize,
-    };
     let mut spec = RunSpec::new(
-        servers,
+        field("servers")? as usize,
         field("client_nodes")? as usize,
         field("ppn")? as usize,
     );
@@ -498,6 +493,7 @@ pub fn parse_schedule(input: &str) -> Result<ArchivedSchedule, String> {
     spec.transfer = field("transfer")?;
     spec.queue_depth = field("queue_depth")? as usize;
     spec.seed = field("seed")?;
+    spec.check()?;
     let plan = FaultPlan::from_json(&doc.get("plan").ok_or("missing plan")?.render())?;
     Ok(ArchivedSchedule {
         scenario,

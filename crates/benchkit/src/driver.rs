@@ -219,7 +219,7 @@ impl WavePump {
 ///
 /// 1. Every process runs its `setup` (untimed);
 /// 2. barrier;
-/// 3. the measured op loop ([`run_ops`]);
+/// 3. the measured op loop (`run_ops`);
 /// 4. `finalize` runs (untimed unless the workload buffers, in which
 ///    case its flushed bytes still count toward volume).
 pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseResult {

@@ -137,7 +137,7 @@ pub struct FaultedOpts {
     /// untelemetered run's exactly.
     pub telemetry: bool,
     /// Run the background scrubber during the faulted phase: one full
-    /// resumable pass in [`SCRUB_WAVE_UNITS`]-unit waves racing the
+    /// resumable pass in `SCRUB_WAVE_UNITS`-unit waves racing the
     /// foreground reads for the same disks.  Part of the schedule (not
     /// an observer): scrub waves shift the digest like any other work.
     pub scrub: bool,
@@ -555,15 +555,17 @@ pub fn run_faulted_with(
 
 /// Execute one faulted scenario under explicit [`FaultedOpts`]: the
 /// general entry point behind [`run_faulted`], the chaos swarm and the
-/// shrinker's replay oracle.  Fails before the write phase on a plan
-/// [`check_plan`] rejects, and before the read phase on one that does
-/// not install (see [`simkit::Scheduler::install_faults`]).
+/// shrinker's replay oracle.  Fails before anything deploys on a spec
+/// no deployment can run (no server), before the write phase on a plan
+/// `check_plan` rejects, and before the read phase on one that does not
+/// install (see [`simkit::Scheduler::install_faults`]).
 pub fn try_run_faulted_with(
     spec: &RunSpec,
     scen: FaultedScenario,
     cal: &Calibration,
     opts: &FaultedOpts,
 ) -> Result<(FaultedReport, Option<crate::tracing::SpanExports>), String> {
+    spec.check()?;
     let mut sched = make_sched(spec, false);
     if opts.traced {
         sched.enable_spans();

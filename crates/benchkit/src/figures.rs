@@ -3,7 +3,7 @@
 //! Each `figN` function reproduces the corresponding figure's data: the
 //! same benchmarks, deployment sizes and sweep axes, three repetitions
 //! per point, mean ± stddev.  A figure function only lists its run
-//! points and the cells that read them.  One [`Sweep`] per target runs
+//! points and the cells that read them.  One `Sweep` per target runs
 //! every point once through [`par_map`], on every core (each point is an
 //! independent simulated deployment, and results are placed by index),
 //! and then fills in all of the target's figures.

@@ -285,7 +285,8 @@ pub(crate) fn builtin_plan(spec: &RunSpec) -> FaultPlan {
 /// Execute one rebalance scenario under explicit [`RebalanceOpts`]:
 /// healthy write phase, fault plan installed at the phase boundary,
 /// read phase under membership churn, post-quiescence audit.  Fails
-/// before the write phase on a plan [`check_plan`] rejects, and before
+/// before anything deploys on a spec no deployment can run (no server),
+/// before the write phase on a plan `check_plan` rejects, and before
 /// the read phase on one that does not install (see
 /// [`simkit::Scheduler::install_faults`]).
 pub fn run_rebalance_with(
@@ -294,6 +295,7 @@ pub fn run_rebalance_with(
     cal: &Calibration,
     opts: &RebalanceOpts,
 ) -> Result<RebalanceRunReport, String> {
+    spec.check()?;
     let mut sched = make_sched(spec, false);
     if opts.telemetry {
         sched.enable_spans();

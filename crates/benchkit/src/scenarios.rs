@@ -79,6 +79,17 @@ impl RunSpec {
     pub fn procs(&self) -> usize {
         self.client_nodes * self.ppn
     }
+
+    /// Reject a spec no deployment can run.  Every entry that takes a
+    /// spec from outside (an archived schedule, a property test) checks
+    /// it here before it deploys anything.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        // every family deploys a pool over the servers, and a pool needs one
+        if self.servers == 0 {
+            return Err("spec.servers must be at least 1".into());
+        }
+        Ok(())
+    }
 }
 
 /// Scale the per-process op count down from the paper's 10k so sweeps
@@ -224,14 +235,16 @@ pub fn run_scenario_digest(spec: &RunSpec, scen: Scenario, cal: &Calibration) ->
 /// scenario drivers have no fault-aware world, so crash or delay events
 /// would fire into the default no-op handler.  The chaos swarm uses
 /// this to subject every scenario in [`Scenario::ALL`] to random
-/// capacity weather and assert determinism still holds.  Fails when the
-/// plan does not install (see [`simkit::Scheduler::install_faults`]).
+/// capacity weather and assert determinism still holds.  Fails on a
+/// spec no deployment can run (no server) and when the plan does not
+/// install (see [`simkit::Scheduler::install_faults`]).
 pub fn run_scenario_chaos(
     spec: &RunSpec,
     scen: Scenario,
     cal: &Calibration,
     plan: &simkit::FaultPlan,
 ) -> Result<(RunResult, u64), String> {
+    spec.check()?;
     let mut sched = make_sched(spec, false);
     // install once the cluster's disks and NICs exist (the plan's fault
     // surface), before any op completes

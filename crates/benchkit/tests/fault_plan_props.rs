@@ -12,6 +12,11 @@
 //! entries, by `Scheduler::install_faults` in the engine entry), and
 //! every other plan runs to the end.
 //!
+//! Degenerate sweep points get the same contract: every scenario of
+//! every chaos family, at every spec with zero or few servers, client
+//! nodes, processes per node or ops, returns `Ok` or `Err` (a spec with
+//! no server is rejected before anything deploys).
+//!
 //! The IOR runs tolerate unavailable reads: data that a plan destroys
 //! beyond the class redundancy is counted as an unavailable read and
 //! left to the oracles, not turned into a benchmark-driver abort.  The
@@ -22,8 +27,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use benchkit::faulted::try_run_faulted_with;
 use benchkit::{
-    run_rebalance_with, run_scenario_chaos, FaultedOpts, FaultedScenario, PlanSource,
-    RebalanceOpts, RebalanceScenario, RunSpec, Scenario,
+    run_rebalance_with, run_scenario_chaos, EngineFamily, Family, FaultedFamily, FaultedOpts,
+    FaultedScenario, IntegrityFamily, PlanSource, RebalanceFamily, RebalanceOpts,
+    RebalanceScenario, RunSpec, Scenario,
 };
 use cluster::Calibration;
 use daos_core::{DataMode, TargetId};
@@ -256,5 +262,36 @@ proptest! {
         let scen = Scenario::IorDaos;
         let run = no_panic(|| run_scenario_chaos(&spec, scen, &cal, &plan));
         prop_assert!(run.is_ok(), "{} panicked: {:?}\nplan: {}", scen.name(), run, plan.to_json());
+    }
+}
+
+/// Run every scenario of family `F` at `spec` with no faults.
+fn run_family<F: Family>(spec: &RunSpec, cal: &Calibration) -> Result<(), String> {
+    for &scen in F::ALL {
+        let run = no_panic(|| F::run_under(spec, scen, cal, &FaultPlan::new(), false));
+        run.map_err(|e| format!("{} panicked: {e}", F::scenario_name(scen)))?;
+    }
+    Ok(())
+}
+
+/// Every degenerate sweep point, with each of servers, client nodes,
+/// processes per node and ops per process drawn from 0, 1 and 2, runs
+/// every scenario of every family to `Ok` or `Err`.
+#[test]
+fn no_degenerate_spec_panics_a_family() {
+    let (_, cal) = deployment();
+    for n in 0..81 {
+        let mut spec = RunSpec::new(n % 3, n / 3 % 3, n / 9 % 3);
+        spec.ops_per_proc = n / 27;
+        spec.transfer = 32 << 10;
+        let runs = [
+            run_family::<FaultedFamily>(&spec, &cal),
+            run_family::<EngineFamily>(&spec, &cal),
+            run_family::<RebalanceFamily>(&spec, &cal),
+            run_family::<IntegrityFamily>(&spec, &cal),
+        ];
+        for run in runs {
+            assert!(run.is_ok(), "{run:?} at {spec:?}");
+        }
     }
 }

@@ -10,6 +10,8 @@
 //!   tests);
 //! * `EC_2P1` — 2 data + 1 parity erasure coding (Fig. 6).
 
+use crate::data::CellAvailability;
+use crate::pool::TargetId;
 use std::fmt;
 
 /// Layout policy of an object.
@@ -108,6 +110,66 @@ impl ObjectClass {
         }
     }
 
+    /// Servable members a shard group needs to take a write, serve a
+    /// read or feed a rebuild: one for plain and replicated classes,
+    /// the `k` data cells for erasure coding.
+    pub(crate) fn data_members(&self) -> usize {
+        self.group_width() - self.redundancy()
+    }
+
+    /// Bytes each member stores of `bytes` put on its group: all of
+    /// them for plain and replicated classes, one `bytes / k` cell for
+    /// erasure coding.
+    pub(crate) fn member_share(&self, bytes: f64) -> f64 {
+        bytes / self.data_members() as f64
+    }
+
+    /// Bytes each member reads of `bytes` stored in its group when the
+    /// scrubber scans it: all of them on every replica, a `1 / (k + p)`
+    /// share on each erasure-coded cell.
+    pub(crate) fn scan_share(&self, bytes: f64) -> f64 {
+        match self {
+            ObjectClass::ErasureCoded { .. } => bytes / self.group_width() as f64,
+            _ => bytes,
+        }
+    }
+
+    /// Whether enough of `group`'s members serve (as `servable` says)
+    /// for it to take a write or, for plain and replicated classes,
+    /// serve a read.
+    pub(crate) fn serves(&self, group: &[TargetId], servable: impl Fn(TargetId) -> bool) -> bool {
+        group.iter().filter(|&&t| servable(t)).count() >= self.data_members()
+    }
+
+    /// Availability of `group` to a read, as the data layer sees it:
+    /// plain and replicated groups serve whole or not at all, an
+    /// erasure-coded group reports which of its cells serve.
+    pub(crate) fn availability(
+        &self,
+        group: &[TargetId],
+        servable: impl Fn(TargetId) -> bool,
+    ) -> CellAvailability {
+        if let ObjectClass::ErasureCoded { .. } = self {
+            CellAvailability::Mask(group.iter().map(|&t| servable(t)).collect())
+        } else if self.serves(group, servable) {
+            CellAvailability::All
+        } else {
+            CellAvailability::Unavailable
+        }
+    }
+
+    /// Whether a unit with `rotten` copies known to be bad can be
+    /// repaired from the rest.  Erasure coding trusts its recomputed
+    /// per-cell verdicts, so it repairs up to `p` bad cells, zero
+    /// included; a replicated unit repairs while at least one copy is
+    /// named bad and one is clean; plain sharding never repairs.
+    pub(crate) fn repairable(&self, rotten: usize) -> bool {
+        match self {
+            ObjectClass::ErasureCoded { .. } => rotten <= self.redundancy(),
+            _ => rotten > 0 && rotten <= self.redundancy(),
+        }
+    }
+
     /// Whether this class may be used for Key-Value objects.  DAOS
     /// erasure-codes only byte-array extents; KV redundancy uses
     /// replication (the paper makes the same distinction in §III-D).
@@ -198,6 +260,38 @@ mod tests {
         assert!((ObjectClass::EC_2P1.write_amplification() - 1.5).abs() < 1e-12);
         assert_eq!(ObjectClass::EC_2P1.redundancy(), 1);
         assert_eq!(ObjectClass::RP_3.redundancy(), 2);
+    }
+
+    #[test]
+    fn redundancy_rules_keep_their_edge_cases() {
+        assert_eq!(ObjectClass::SX.data_members(), 1);
+        assert_eq!(ObjectClass::RP_3.data_members(), 1);
+        assert_eq!(ObjectClass::EC_4P2.data_members(), 4);
+        assert_eq!(ObjectClass::EC_4P2.member_share(8.0), 2.0);
+        assert_eq!(ObjectClass::EC_2P1.scan_share(6.0), 2.0);
+        assert_eq!(ObjectClass::RP_2.scan_share(6.0), 6.0);
+        // a replicated unit needs a copy named bad; EC repairs on its
+        // recomputed cell verdicts alone
+        assert!(!ObjectClass::RP_2.repairable(0));
+        assert!(ObjectClass::RP_2.repairable(1));
+        assert!(!ObjectClass::RP_2.repairable(2));
+        assert!(ObjectClass::EC_2P1.repairable(0));
+        assert!(ObjectClass::EC_2P1.repairable(1));
+        assert!(!ObjectClass::EC_2P1.repairable(2));
+        assert!(!ObjectClass::S1.repairable(1));
+        let t = |server| TargetId { server, target: 0 };
+        let group = [t(0), t(1), t(2)];
+        let up = |x: TargetId| x.server != 1;
+        assert!(ObjectClass::EC_2P1.serves(&group, up));
+        assert!(!ObjectClass::EC_2P1.serves(&group, |x| x.server == 0));
+        assert!(matches!(
+            ObjectClass::EC_2P1.availability(&group, up),
+            CellAvailability::Mask(m) if m == [true, false, true]
+        ));
+        assert!(matches!(
+            ObjectClass::S1.availability(&group[1..2], up),
+            CellAvailability::Unavailable
+        ));
     }
 
     #[test]

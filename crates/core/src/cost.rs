@@ -1,6 +1,7 @@
 //! The cost model of DAOS operations: the step chains that a client
-//! call, a round trip, a target write or read, an erasure-code pass and
-//! a pool-metadata transaction cost on the deployed hardware.
+//! call, a round trip, a target write or read, an erasure-code pass, a
+//! pool-metadata transaction, a server-to-server shard move and a
+//! target-local scrub read cost on the deployed hardware.
 //!
 //! It is a value of its own inside [`DaosSystem`](crate::DaosSystem),
 //! apart from the object store, so that a data op can build its cost
@@ -8,7 +9,7 @@
 
 use crate::pool::TargetId;
 use cluster::{units, Calibration, Topology};
-use simkit::{Bytes, ResourceId, SimTime, Step, StepBuf};
+use simkit::{Bytes, ResourceId, Scheduler, SimTime, Step, StepBuf};
 use std::collections::BTreeMap;
 
 /// Per-engine service resources.
@@ -18,6 +19,19 @@ pub(crate) struct ServerRes {
     pub(crate) engine_xfer: ResourceId,
     /// Per-target request service (ops/s).
     pub(crate) tgt_svc: Vec<ResourceId>,
+}
+
+impl ServerRes {
+    /// Register server `s`'s engine pipe and per-target request
+    /// services in `sched`.
+    pub(crate) fn add(sched: &mut Scheduler, cal: &Calibration, s: usize) -> ServerRes {
+        ServerRes {
+            engine_xfer: sched.add_resource(format!("daos{s}.engine"), cal.engine_xfer_bw.get()),
+            tgt_svc: (0..cal.targets_per_server)
+                .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), cal.target_svc_iops))
+                .collect(),
+        }
+    }
 }
 
 /// Hardware, calibration and engine resources that op chains are built
@@ -127,6 +141,77 @@ impl CostModel {
     pub(crate) fn ec_codec(&self, bytes: f64) -> Step {
         let secs = bytes / self.cal.ec_encode_bw.get();
         Step::delay(SimTime::from_nanos(units::secs_to_ns(secs)))
+    }
+
+    /// Server-to-server shard move, appended to `b`: each source reads
+    /// `read_each` bytes and ships them to `dst`'s server, which writes
+    /// the `write_bytes` shard.  Rebuild, migration and checksum repair
+    /// all move data this way.
+    pub(crate) fn shard_move(
+        &self,
+        b: &mut StepBuf,
+        sources: &[TargetId],
+        read_each: f64,
+        dst: TargetId,
+        write_bytes: f64,
+    ) {
+        let dsts = &self.topo.servers[dst.server as usize];
+        let dres = &self.srv_res[dst.server as usize];
+        let ddev = self.dev_for(dst);
+        b.span("rebuild", "move", write_bytes as u64, |b| {
+            b.push(Step::delay(self.cal.net_rtt_ns));
+            b.par(|b| {
+                for &src in sources {
+                    let ssrv = &self.topo.servers[src.server as usize];
+                    let sres = &self.srv_res[src.server as usize];
+                    let sdev = self.dev_for(src);
+                    b.push(Step::transfer(
+                        Bytes(read_each),
+                        [
+                            ssrv.nvme_r[sdev],
+                            ssrv.nvme_r_pool,
+                            sres.engine_xfer,
+                            ssrv.nic_tx,
+                            dsts.nic_rx,
+                        ],
+                    ));
+                }
+            });
+            b.push(Step::transfer(
+                Bytes(write_bytes),
+                [dres.engine_xfer, dsts.nvme_w[ddev], dsts.nvme_w_pool],
+            ));
+            b.push(Step::delay(self.cal.nvme_write_lat_ns));
+        });
+    }
+
+    /// Target-local scan, appended to `b`: each of `targets` reads
+    /// `bytes_each` straight off its NVMe through the engine, with no
+    /// client or network involvement but full contention with
+    /// foreground traffic on the shared resources.
+    pub(crate) fn scan_read(
+        &self,
+        b: &mut StepBuf,
+        targets: impl Iterator<Item = TargetId>,
+        bytes_each: f64,
+    ) {
+        b.par(|b| {
+            for t in targets {
+                let srv = &self.topo.servers[t.server as usize];
+                let res = &self.srv_res[t.server as usize];
+                b.seq(|b| {
+                    b.push(Step::transfer(
+                        Bytes(bytes_each),
+                        [
+                            srv.nvme_r[self.dev_for(t)],
+                            srv.nvme_r_pool,
+                            res.engine_xfer,
+                        ],
+                    ));
+                    b.push(Step::delay(self.cal.nvme_read_lat_ns));
+                });
+            }
+        });
     }
 
     /// `n` operations against the pool metadata replica group.

@@ -48,7 +48,6 @@ pub mod ec;
 pub mod ledger;
 pub mod oid;
 pub mod pool;
-pub mod rebuild;
 pub mod retry;
 pub mod system;
 
@@ -62,9 +61,8 @@ pub use ledger::{
 };
 pub use oid::{Oid, OidAllocator, FLAG_KV};
 pub use pool::{Layout, PoolMap, TargetId, TargetState};
-pub use rebuild::RebuildReport;
 pub use retry::{Retriable, RetryExec, RetryPolicy, RetryStats};
 pub use system::{
     dkey_hash, CsumStats, DaosError, DaosSystem, MigrationProgress, PoolInfo, RebalanceReport,
-    ScrubReport,
+    RebuildReport, ScrubReport,
 };

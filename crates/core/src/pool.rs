@@ -458,10 +458,10 @@ impl PoolMap {
     ///
     /// The permutation is a seeded Fisher-Yates pass from the back over
     /// the up targets, and the members are the shuffled targets
-    /// interleaved by server (see [`interleave`]).  When no more members
+    /// interleaved by server (see `interleave`).  When no more members
     /// are needed than there are up servers, the members are the first
     /// target of each of the first servers the pass fixes, so the pass
-    /// can stop there (see [`first_servers`]): it makes the same draws
+    /// can stop there (see `first_servers`): it makes the same draws
     /// in the same order, and an `S1` object costs one draw on any pool.
     /// A lazy step costs a scan of the members and swaps so far, so the
     /// lazy pass is taken while at most half of the up servers must be

@@ -11,7 +11,7 @@
 //! by each layer's error type.
 //!
 //! Determinism: backoff jitter comes from a seeded
-//! [`SplitMix64`](simkit::SplitMix64) stream owned by the executor, and
+//! [`simkit::SplitMix64`] stream owned by the executor, and
 //! "time" spent waiting is charged as [`Step::delay`] *prepended to the
 //! successful attempt's op chain* — the simulated schedule, and hence
 //! the replay digest, depends only on the seed and the failure plan.

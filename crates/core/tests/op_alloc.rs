@@ -11,10 +11,11 @@
 //! Both the first and the second op of each kind are compared, so an
 //! allocation that grows with the pool on an object's first op only is
 //! caught as well as one on every op.  The second op of each of the
-//! five data ops is also capped at one heap allocation: by then the
-//! thread's free list of op-program buffers is warm, a data op builds
-//! its whole program into one reused buffer, and only `array_write` and
-//! `array_read` keep a per-op map of the shard groups they touch.
+//! five data ops makes no heap allocation, bar the key copy a `kv_put`
+//! stores: by then the thread's free list of op-program buffers is
+//! warm, a data op builds its whole program into one reused buffer, and
+//! `array_write` and `array_read` keep the shard groups they touch
+//! inline.
 //!
 //! Last, a warm round of mixed data ops makes exactly as many
 //! allocations when its ops are built, submitted and run to completion
@@ -159,8 +160,13 @@ fn op_allocations_do_not_grow_with_pool_size() {
 #[test]
 fn warm_data_ops_make_at_most_one_allocation() {
     let (_, warm) = op_allocs(16);
-    for (op, &(n, _)) in OPS.iter().zip(&warm).take(5) {
-        assert!(n <= 1, "{op} made {n} heap allocations: {warm:?}");
+    // only `kv_put` allocates: it copies its key into the store
+    let cap = [0, 0, 0, 0, 1];
+    for ((op, &(n, _)), cap) in OPS.iter().zip(&warm).zip(cap) {
+        assert!(
+            n <= cap,
+            "{op} made {n} heap allocations, at most {cap} expected: {warm:?}"
+        );
     }
 }
 
