@@ -63,7 +63,7 @@ pub use runreport::{
 pub use scaleout::{run_scaleout, run_scaleout_with, ScaleoutConfig, ScaleoutReport, ScaleoutRung};
 pub use scenarios::{
     analyze_scenario, auto_ops, run_reps, run_scenario, run_scenario_chaos, run_scenario_digest,
-    PointStats, ResourceUse, RunResult, RunSpec, Scenario,
+    run_scenario_work, PointStats, ResourceUse, RunResult, RunSpec, Scenario,
 };
 pub use stats::Stats;
 pub use tracing::{trace_scenario, SpanExports, TracedRun};

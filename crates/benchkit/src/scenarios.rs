@@ -227,6 +227,24 @@ pub fn run_scenario_digest(spec: &RunSpec, scen: Scenario, cal: &Calibration) ->
     (result, sched.digest())
 }
 
+/// Like [`run_scenario_digest`], but also returns the scheduler's exact
+/// work counts `[stat_recomputes, stat_flow_visits, stat_fill_iters]`,
+/// which replay as stably as the digest does.
+pub fn run_scenario_work(
+    spec: &RunSpec,
+    scen: Scenario,
+    cal: &Calibration,
+) -> (RunResult, u64, [u64; 3]) {
+    let mut sched = make_sched(spec, false);
+    let (result, _) = run_scenario_on(&mut sched, spec, scen, cal);
+    let work = [
+        sched.stat_recomputes,
+        sched.stat_flow_visits,
+        sched.stat_fill_iters,
+    ];
+    (result, sched.digest(), work)
+}
+
 /// Like [`run_scenario_digest`], but with an engine-level fault
 /// schedule installed before the run starts (event times are offsets
 /// from run start).  Only engine-applied actions

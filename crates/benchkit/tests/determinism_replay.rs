@@ -21,6 +21,11 @@ const BUILTIN_PLAN_FOLD: u64 = 0x0c82_90d9_8ec9_e3a3;
 /// bits at two specs (see [`scenario_digests_are_pinned`]).
 const SCENARIO_FOLD: u64 = 0xd5f4_1283_ebd5_9d30;
 
+/// FNV-1a fold of every paper scenario's replay digest, bandwidth bits
+/// and engine work counts at 1 KiB (see
+/// [`small_op_scenario_digests_are_pinned`]).
+const SMALL_OP_FOLD: u64 = 0xde6d_936a_e65d_1a97;
+
 #[test]
 fn every_scenario_replays_identically() {
     // Small but non-trivial: multiple processes on multiple nodes so
@@ -75,6 +80,33 @@ fn scenario_digests_are_pinned() {
     assert_eq!(
         fold, SCENARIO_FOLD,
         "scenario digest/bandwidth words {words:#018x?} fold to {fold:#018x}"
+    );
+}
+
+#[test]
+fn small_op_scenario_digests_are_pinned() {
+    // The pins above run every scenario at 1 MiB, where IOR on DAOS
+    // pays request service as a delay.  At 1 KiB the per-op service
+    // resources (DAOS `tgt_svc`, the DFUSE pump, Lustre's MDS, Ceph's
+    // OSDs) carry flows of their own, as in Fig. 2.  The engine's work
+    // counts are exact too, so a solver change that does more or less
+    // work shows up here even when every rate stays put.
+    let cal = Calibration::default();
+    let mut spec = RunSpec::new(2, 2, 8);
+    spec.transfer = 1024;
+    spec.ops_per_proc = 16;
+    let mut words = Vec::new();
+    for scen in Scenario::ALL {
+        let (r, digest, work) = benchkit::run_scenario_work(&spec, scen, &cal);
+        words.push(digest);
+        words.push(r.write.bandwidth().to_bits());
+        words.push(r.read.bandwidth().to_bits());
+        words.extend(work);
+    }
+    let fold = common::fnv1a(words.iter().map(|w| w.to_le_bytes()));
+    assert_eq!(
+        fold, SMALL_OP_FOLD,
+        "small-op digest/bandwidth/work words {words:#018x?} fold to {fold:#018x}"
     );
 }
 
