@@ -35,7 +35,7 @@
 //! order a from-scratch build had.
 //!
 //! After the stamp pass, a solve touches each live flow once more, when
-//! it freezes.  Three shortcuts keep it equal, bit for bit, to the plain
+//! it freezes.  Four shortcuts keep it equal, bit for bit, to the plain
 //! algorithm (full stamp pass, every stamped resource visited by every
 //! filling pass, deadlines in a separate loop afterwards):
 //!
@@ -52,6 +52,20 @@
 //!   live flow freezes exactly once per solve, so the freeze sets it in
 //!   the same touch as the rate.  The earliest deadline is a minimum,
 //!   which no visiting order can change.
+//! - **Resources only single-hop flows cross stay out of the filling
+//!   passes.**  `add` and `remove` count, per resource, the entries of
+//!   multi-hop flows, and overall the live single-hop flows.  While
+//!   there is a single-hop flow, the solve moves every *pure* resource
+//!   (no multi-hop entry) out of `order` after the stamp pass, into a
+//!   list of `(share, resource)`.  A pure resource's flows cross nothing
+//!   else, so no other freeze touches its `rem` or `nflows`: its share
+//!   is the same in every iteration, and freezing it touches no other
+//!   resource.  Each iteration folds the smallest pure share into the
+//!   bottleneck minimum, and after the freeze pass one scan of the list
+//!   freezes the pure resources inside the band, with the same rate and
+//!   deadline expressions.  Whether a resource freezes in an iteration
+//!   therefore does not depend on where it is visited, and the minimum
+//!   is the same minimum.
 
 use crate::step::{Path, ResourceId, MAX_HOPS};
 use crate::time::SimTime;
@@ -129,6 +143,78 @@ fn deadline(remaining: Bytes, eps: Bytes, rate: Rate, now: SimTime) -> SimTime {
     }
 }
 
+/// Move every pure resource (no multi-hop entry) out of `order` into
+/// `pure` with its share, keeping the others in order; return the
+/// smallest share.  Kept out of line so the filling passes compile as
+/// they would without it.
+#[inline(never)]
+fn split_pure(
+    order: &mut Vec<u32>,
+    multi: &[u32],
+    rem: &[Rate],
+    nflows: &[u32],
+    pure: &mut Vec<(Rate, u32)>,
+) -> Rate {
+    let mut min = Rate(f64::INFINITY);
+    let mut kept = 0;
+    for i in 0..order.len() {
+        let r = order[i];
+        let ri = r as usize;
+        if multi[ri] == 0 {
+            let share = rem[ri] / nflows[ri] as f64;
+            if share < min {
+                min = share;
+            }
+            pure.push((share, r));
+        } else {
+            order[kept] = r;
+            kept += 1;
+        }
+    }
+    order.truncate(kept);
+    min
+}
+
+/// Freeze the flows of every pure resource whose share lies within
+/// `cutoff`, as the freeze pass would, at the solve's `epoch` and
+/// `now`, and drop those resources from `pure`; return the smallest
+/// share left.
+#[inline(never)]
+fn freeze_pure(
+    pure: &mut Vec<(Rate, u32)>,
+    cutoff: Rate,
+    entries: &[Vec<Entry>],
+    flows: &mut [Member],
+    (epoch, now): (u32, SimTime),
+    earliest: &mut SimTime,
+    unfrozen: &mut usize,
+) -> Rate {
+    let mut min = Rate(f64::INFINITY);
+    let mut i = 0;
+    while i < pure.len() {
+        let (share, r) = pure[i];
+        let fair = share.max(Rate::ZERO);
+        if fair > cutoff {
+            if share < min {
+                min = share;
+            }
+            i += 1;
+            continue;
+        }
+        let list = &entries[r as usize];
+        for &entry in list {
+            let f = &mut flows[entry.key()];
+            f.frozen = epoch;
+            f.rate = fair;
+            f.deadline = deadline(f.remaining, f.eps, fair, now);
+            *earliest = (*earliest).min(f.deadline);
+        }
+        *unfrozen -= list.len();
+        pure.swap_remove(i);
+    }
+    min
+}
+
 /// Max-min fair-share solver over a persistent set of flows, and the
 /// fluid state of each.
 #[derive(Debug, Default)]
@@ -146,6 +232,16 @@ pub struct FairShare {
     entries: Vec<Vec<Entry>>,
     /// Number of resources whose entry list is non-empty.
     crossed: usize,
+    /// Per-resource number of entries from flows of more than one hop.
+    multi: Vec<u32>,
+    /// Number of registered flows of one hop.
+    single: usize,
+    /// During a solve, the `(share, resource)` of every pure resource
+    /// that still has unfrozen flows.
+    pure: Vec<(Rate, u32)>,
+    /// Number of pure resources the last solve froze outside the
+    /// filling passes.
+    last_pure: usize,
     // Per-resource solve state, valid where `stamp == epoch`.
     rem: Vec<Rate>,
     nflows: Vec<u32>,
@@ -191,11 +287,13 @@ impl FairShare {
         }
         self.keys[k / 64] |= 1 << (k % 64);
         debug_assert!(self.flows[k].path.is_empty(), "flow key {key} in use");
+        let multi_hop = path.len() > 1;
         let slots = &mut self.slots[k];
         for (hop, &ResourceId(r)) in path.iter().enumerate() {
             let ri = r as usize;
             if self.entries.len() <= ri {
                 self.entries.resize_with(ri + 1, Vec::new);
+                self.multi.resize(ri + 1, 0);
                 self.rem.resize(ri + 1, Rate::ZERO);
                 self.nflows.resize(ri + 1, 0);
                 self.stamp.resize(ri + 1, 0);
@@ -206,7 +304,9 @@ impl FairShare {
             }
             slots[hop] = list.len() as u32;
             list.push(Entry::new(key, hop));
+            self.multi[ri] += multi_hop as u32;
         }
+        self.single += !multi_hop as usize;
         self.flows[k] = Member {
             path,
             frozen: 0,
@@ -224,6 +324,7 @@ impl FairShare {
         let path = std::mem::replace(&mut self.flows[k].path, Path::new([]));
         debug_assert!(!path.is_empty(), "flow key {key} not registered");
         self.keys[k / 64] &= !(1 << (k % 64));
+        let multi_hop = path.len() > 1;
         for (hop, &ResourceId(r)) in path.iter().enumerate() {
             // Read the slot per hop: an earlier hop's removal may have
             // moved this flow's own entry when the path repeats `r`.
@@ -235,7 +336,9 @@ impl FairShare {
             } else if list.is_empty() {
                 self.crossed -= 1;
             }
+            self.multi[r as usize] -= multi_hop as u32;
         }
+        self.single -= !multi_hop as usize;
         self.live -= 1;
         path
     }
@@ -257,6 +360,12 @@ impl FairShare {
     #[inline]
     pub fn remaining(&self, key: u32) -> Bytes {
         self.flows[key as usize].remaining
+    }
+
+    /// Number of resources the last solve froze outside the filling
+    /// passes: those that only single-hop flows cross.
+    pub fn pure_resources(&self) -> usize {
+        self.last_pure
     }
 
     /// Earliest deadline of any registered flow ([`SimTime::NEVER`] when
@@ -345,6 +454,10 @@ impl FairShare {
             keys,
             entries,
             crossed,
+            multi,
+            single,
+            pure,
+            last_pure,
             rem,
             nflows,
             stamp,
@@ -378,13 +491,19 @@ impl FairShare {
                 }
             }
         }
+        pure.clear();
+        let mut pure_min = Rate(f64::INFINITY);
+        if *single > 0 {
+            pure_min = split_pure(order, multi, rem, nflows, pure);
+        }
+        *last_pure = pure.len();
         let mut iters = 0usize;
         let mut earliest = SimTime::NEVER;
         while unfrozen > 0 {
             iters += 1;
             // Find the bottleneck fair share, dropping from `order` the
             // resources whose flows have all frozen.
-            let mut best_fair = Rate(f64::INFINITY);
+            let mut best_fair = pure_min;
             let mut kept = 0;
             for i in 0..order.len() {
                 let r = order[i];
@@ -435,6 +554,17 @@ impl FairShare {
                         nflows[pi] -= 1;
                     }
                 }
+            }
+            if !pure.is_empty() {
+                pure_min = freeze_pure(
+                    pure,
+                    cutoff,
+                    entries,
+                    flows,
+                    (epoch, now),
+                    &mut earliest,
+                    &mut unfrozen,
+                );
             }
         }
         (iters, earliest)
@@ -578,6 +708,46 @@ mod tests {
         assert_eq!(fs.crossed, 1, "resource 0 lost its last entry");
         fs.remove(0);
         assert_eq!(fs.crossed, 0);
+    }
+
+    #[test]
+    fn hop_counts_stay_consistent() {
+        // Random add/remove histories with repeated hops: the multi-hop
+        // entry count of every resource and the single-hop flow count
+        // must match a recount from the entry lists.
+        let mut rng = crate::rng::SplitMix64::new(26);
+        let mut fs = FairShare::new();
+        let mut live: Vec<u32> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        for _ in 0..2_000 {
+            if live.is_empty() || rng.next_below(5) < 3 {
+                let len = if rng.next_below(2) == 0 {
+                    1
+                } else {
+                    rng.range(2, MAX_HOPS as u64 + 1) as usize
+                };
+                let hops: Vec<u32> = (0..len).map(|_| rng.next_below(6) as u32).collect();
+                let key = free.pop().unwrap_or(live.len() as u32);
+                fs.add(key, path(&hops), Bytes(1.0));
+                live.push(key);
+            } else {
+                let key = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+                fs.remove(key);
+                free.push(key);
+            }
+            for (r, list) in fs.entries.iter().enumerate() {
+                let multi = list
+                    .iter()
+                    .filter(|e| fs.flows[e.key()].path.len() > 1)
+                    .count();
+                assert_eq!(fs.multi[r] as usize, multi, "resource {r}");
+            }
+            let single = live
+                .iter()
+                .filter(|&&k| fs.flows[k as usize].path.len() == 1)
+                .count();
+            assert_eq!(fs.single, single);
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! arrivals, departures, settlements and solves, [`FairShare`] must
 //! agree with it bit for bit: rates, fill iterations, every deadline,
 //! the earliest deadline, residuals and the due flows of a settlement.
+//! It must also freeze outside its filling passes exactly the resources
+//! that only single-hop flows cross.
 
 use proptest::prelude::*;
-use proptest::TestCaseError;
+use proptest::{TestCaseError, TestRng};
 use simkit::fairshare::FairShare;
 use simkit::slab::Slab;
 use simkit::units::{Bytes, Rate};
@@ -83,6 +85,20 @@ impl Reference {
         }
         self.flows[k] = None;
         path
+    }
+
+    /// Per resource: `None` while no flow crosses it, else whether only
+    /// single-hop flows do.
+    fn purity(&self) -> Vec<Option<bool>> {
+        self.entries
+            .iter()
+            .map(|list| {
+                (!list.is_empty()).then(|| {
+                    list.iter()
+                        .all(|&(key, _)| self.flows[key as usize].unwrap().path.len() == 1)
+                })
+            })
+            .collect()
     }
 
     fn live(&self) -> impl Iterator<Item = (u32, &RefFlow)> {
@@ -230,9 +246,51 @@ fn scenario() -> impl Strategy<Value = (Vec<f64>, f64, Vec<Op>)> {
     })
 }
 
+/// Like [`scenario`], but most flows are single-hop on the first half
+/// of the resources, and the multi-hop flows that also cross them come
+/// and go, so those resources turn pure and back between solves.
+fn pure_scenario() -> impl Strategy<Value = (Vec<f64>, f64, Vec<Op>)> {
+    (2u32..12).prop_flat_map(|nres| {
+        let cap = (0u32..4, 0.5f64..200.0).prop_map(|(z, c)| if z == 0 { 0.0 } else { c });
+        let caps = proptest::collection::vec(cap, nres as usize);
+        let tol = (0u32..2).prop_map(|t| if t == 0 { 0.0 } else { 0.02 });
+        let op = (
+            0u32..12,
+            any::<u32>(),
+            0u64..3,
+            1e-3f64..1e4,
+            0..nres.div_ceil(2),
+            proptest::collection::vec(0..nres, 2..=MAX_HOPS),
+        )
+            .prop_map(|(kind, n, back, units, single, hops)| match kind {
+                0..=3 => Op::Add(units, vec![single]),
+                4 => Op::Add(units, hops),
+                5..=7 => Op::Remove(n),
+                8 | 9 => Op::Solve(if n % 4 == 0 {
+                    0
+                } else {
+                    u64::from(n % 2_000_000)
+                }),
+                _ => Op::NearDeadline(n, back),
+            });
+        let history = proptest::collection::vec(op, 1..160);
+        (caps, tol, history)
+    })
+}
+
 fn path(hops: &[u32]) -> Path {
     let hops: Vec<ResourceId> = hops.iter().map(|&r| ResourceId(r)).collect();
     Path::try_from(&hops[..]).unwrap()
+}
+
+/// How often the solves of a history met the pure-resource path.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Solves that froze a pure resource outside the filling passes.
+    pure: usize,
+    /// Those of them in which a resource was pure and had not been at
+    /// the last solve that saw it crossed, or the other way round.
+    flips: usize,
 }
 
 /// Both solvers, driven in lock step the way the engine drives one.
@@ -242,6 +300,9 @@ struct Pair {
     reference: Reference,
     keys: Slab<()>,
     now: SimTime,
+    /// Each resource's purity at the last solve that saw it crossed.
+    purity: Vec<Option<bool>>,
+    seen: Seen,
 }
 
 impl Pair {
@@ -271,8 +332,112 @@ impl Pair {
             );
         }
         prop_assert_eq!(self.fs.earliest_deadline(), want.1);
+        let purity = self.reference.purity();
+        let pure = purity.iter().filter(|&&p| p == Some(true)).count();
+        prop_assert_eq!(self.fs.pure_resources(), pure, "pure resources at {}", t);
+        self.purity.resize(purity.len(), None);
+        let mut flipped = false;
+        for (last, now) in self.purity.iter_mut().zip(purity) {
+            if now.is_some() {
+                flipped |= last.is_some() && *last != now;
+                *last = now;
+            }
+        }
+        if pure > 0 {
+            self.seen.pure += 1;
+            self.seen.flips += flipped as usize;
+        }
         Ok(())
     }
+}
+
+/// Drive both solvers through `history` and compare them at every
+/// solve; return how often the pure-resource path was met.
+fn run(caps: Vec<f64>, tol: f64, history: &[Op]) -> Result<Seen, TestCaseError> {
+    let mut fs = FairShare::new();
+    fs.set_tolerance(tol);
+    let reference = Reference {
+        tolerance: tol,
+        ..Reference::default()
+    };
+    let mut pair = Pair {
+        caps: caps.into_iter().map(Rate).collect(),
+        fs,
+        reference,
+        keys: Slab::new(),
+        now: SimTime::ZERO,
+        purity: Vec::new(),
+        seen: Seen::default(),
+    };
+    for op in history {
+        match op {
+            Op::Add(units, hops) => {
+                // Slab keys, reused last-in first-out like the engine's.
+                let key = pair.keys.insert(());
+                pair.fs.add(key, path(hops), Bytes(*units));
+                pair.reference.add(key, path(hops), Bytes(*units));
+            }
+            Op::Remove(n) => {
+                if !pair.keys.is_empty() {
+                    let nth = *n as usize % pair.keys.len();
+                    let key = pair.keys.iter().nth(nth).map(|(k, _)| k).unwrap();
+                    pair.keys.remove(key);
+                    prop_assert_eq!(pair.fs.remove(key), pair.reference.remove(key));
+                }
+            }
+            Op::Solve(ns) => {
+                let t = pair.now + *ns;
+                pair.settle_and_solve(t)?;
+            }
+            Op::NearDeadline(n, back) => {
+                if !pair.keys.is_empty() {
+                    let nth = *n as usize % pair.keys.len();
+                    let key = pair.keys.iter().nth(nth).map(|(k, _)| k).unwrap();
+                    let d = pair.fs.deadline(key);
+                    if d != SimTime::NEVER {
+                        let t = SimTime(d.as_nanos().saturating_sub(*back)).max(pair.now);
+                        pair.settle_and_solve(t)?;
+                    }
+                }
+            }
+        }
+    }
+    let t = pair.now;
+    pair.settle_and_solve(t)?;
+    Ok(pair.seen)
+}
+
+#[test]
+fn pure_resources_match_the_reference() {
+    // The floors keep the generator honest: a change that stops it from
+    // reaching pure resources, or from flipping them, fails here rather
+    // than passing on histories that never take the path.  The cases run
+    // on a thread of their own, so a solve that never returns (a pure
+    // resource that never freezes) fails the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let strategy = pure_scenario();
+        let mut seen = Seen::default();
+        for case in 0..256u64 {
+            let mut rng = TestRng::new(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(case + 1));
+            let (caps, tol, history) = strategy.sample(&mut rng);
+            match run(caps, tol, &history) {
+                Ok(s) => {
+                    seen.pure += s.pure;
+                    seen.flips += s.flips;
+                }
+                Err(e) => panic!("case {case}: {}", e.0),
+            }
+        }
+        tx.send(seen).unwrap();
+    });
+    let seen = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("every case finishes within a minute");
+    assert!(
+        seen.pure >= 1_000 && seen.flips >= 200,
+        "pure-resource path met too rarely: {seen:?}"
+    );
 }
 
 proptest! {
@@ -280,50 +445,6 @@ proptest! {
 
     #[test]
     fn fused_solve_matches_the_reference((caps, tol, history) in scenario()) {
-        let mut fs = FairShare::new();
-        fs.set_tolerance(tol);
-        let reference = Reference { tolerance: tol, ..Reference::default() };
-        let mut pair = Pair {
-            caps: caps.into_iter().map(Rate).collect(),
-            fs,
-            reference,
-            keys: Slab::new(),
-            now: SimTime::ZERO,
-        };
-        for op in &history {
-            match op {
-                Op::Add(units, hops) => {
-                    // Slab keys, reused last-in first-out like the engine's.
-                    let key = pair.keys.insert(());
-                    pair.fs.add(key, path(hops), Bytes(*units));
-                    pair.reference.add(key, path(hops), Bytes(*units));
-                }
-                Op::Remove(n) => {
-                    if !pair.keys.is_empty() {
-                        let nth = *n as usize % pair.keys.len();
-                        let key = pair.keys.iter().nth(nth).map(|(k, _)| k).unwrap();
-                        pair.keys.remove(key);
-                        prop_assert_eq!(pair.fs.remove(key), pair.reference.remove(key));
-                    }
-                }
-                Op::Solve(ns) => {
-                    let t = pair.now + *ns;
-                    pair.settle_and_solve(t)?;
-                }
-                Op::NearDeadline(n, back) => {
-                    if !pair.keys.is_empty() {
-                        let nth = *n as usize % pair.keys.len();
-                        let key = pair.keys.iter().nth(nth).map(|(k, _)| k).unwrap();
-                        let d = pair.fs.deadline(key);
-                        if d != SimTime::NEVER {
-                            let t = SimTime(d.as_nanos().saturating_sub(*back)).max(pair.now);
-                            pair.settle_and_solve(t)?;
-                        }
-                    }
-                }
-            }
-        }
-        let t = pair.now;
-        pair.settle_and_solve(t)?;
+        run(caps, tol, &history)?;
     }
 }
