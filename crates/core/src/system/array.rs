@@ -219,7 +219,10 @@ impl DaosSystem {
         Ok((size, b.finish()))
     }
 
-    /// Truncate/extend an array.
+    /// Truncate/extend an array.  The size lives with the object's first
+    /// shard group, which must take the write: crashes on it are
+    /// observed and an unservable group fails with
+    /// [`DaosError::Unavailable`], both before anything changes.
     pub fn array_set_size(
         &mut self,
         client: usize,
@@ -227,9 +230,20 @@ impl DaosSystem {
         oid: Oid,
         size: u64,
     ) -> Result<Step, DaosError> {
-        let entry = self.obj_mut(cid, oid)?;
-        let t = entry.layout.group(0)[0];
-        let a = entry.data.array_mut()?;
+        let entry = find_obj(&self.containers, cid, oid)?;
+        entry.data.array()?;
+        let (group, class) = (entry.layout.group(0), entry.layout.class);
+        check_detection(&mut self.undetected, client, group)?;
+        let pool = &self.pool;
+        if !class.serves(group, |t| pool.is_servable(t)) {
+            return Err(DaosError::Unavailable);
+        }
+        let t = group
+            .iter()
+            .copied()
+            .find(|&t| pool.is_servable(t))
+            .ok_or(DaosError::Unavailable)?;
+        let a = self.obj_mut(cid, oid)?.data.array_mut()?;
         a.set_size(size);
         let cs = a.chunk_size();
         // truncation drops whole chunks; their rot entries must go with

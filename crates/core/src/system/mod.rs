@@ -692,6 +692,61 @@ mod tests {
     }
 
     #[test]
+    fn set_size_needs_a_servable_group() {
+        // An S1 array on a 2-server pool: its one group is one target.
+        let (mut sched, mut sys) = system(2, 1, DataMode::Full);
+        sys.enable_ledger();
+        let (cid, s) = sys.cont_create(0, ContainerProps::default());
+        exec(&mut sched, s);
+        let (oid, s) = sys.array_create(0, cid, ObjectClass::S1, 1 << 16).unwrap();
+        exec(&mut sched, s);
+        let s = sys
+            .array_write(0, cid, oid, 0, Payload::Bytes(vec![7; 200_000]))
+            .unwrap();
+        exec(&mut sched, s);
+        let acked = |sys: &DaosSystem| {
+            let ledger = sys.ledger.as_ref().unwrap();
+            let extents: Vec<_> = ledger
+                .extent_entries()
+                .map(|(k, m)| (*k, m.clone()))
+                .collect();
+            extents
+        };
+        let size = |sys: &DaosSystem| sys.obj(cid, oid).unwrap().data.array().unwrap().size();
+        let before = acked(&sys);
+        // A crash on the group is observed first, then the group is
+        // unservable; neither attempt may truncate or reach the ledger.
+        let t = sys.obj(cid, oid).unwrap().layout.group(0)[0];
+        sys.crash_target(t);
+        assert_eq!(
+            sys.array_set_size(0, cid, oid, 1000).unwrap_err(),
+            DaosError::TargetDown
+        );
+        assert_eq!(
+            sys.array_set_size(0, cid, oid, 1000).unwrap_err(),
+            DaosError::Unavailable
+        );
+        sys.exclude_server(0);
+        sys.exclude_server(1);
+        assert_eq!(
+            sys.array_set_size(0, cid, oid, 1000).unwrap_err(),
+            DaosError::Unavailable
+        );
+        assert_eq!(size(&sys), 200_000);
+        assert_eq!(acked(&sys), before);
+        // Back in service, the same truncation goes through.
+        for server in 0..2 {
+            for target in 0..sys.cal().targets_per_server as u16 {
+                sys.restart_target(TargetId { server, target });
+            }
+        }
+        let s = sys.array_set_size(0, cid, oid, 1000).unwrap();
+        exec(&mut sched, s);
+        assert_eq!(size(&sys), 1000);
+        assert_ne!(acked(&sys), before);
+    }
+
+    #[test]
     fn single_process_write_bandwidth_is_sane() {
         // One client streaming 1 MiB ops to a 1-server pool: bandwidth
         // must be below the server's SSD aggregate and well above zero.
