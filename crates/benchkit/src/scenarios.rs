@@ -161,14 +161,6 @@ impl Scenario {
             Scenario::FdbCeph => "fdb-hammer/librados",
         }
     }
-
-    /// Whether this scenario runs against the DAOS deployment.
-    pub fn on_daos(&self) -> bool {
-        !matches!(
-            self,
-            Scenario::IorLustre | Scenario::FdbLustre | Scenario::IorCeph | Scenario::FdbCeph
-        )
-    }
 }
 
 /// Write- and read-phase results of one run.

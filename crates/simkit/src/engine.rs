@@ -493,11 +493,6 @@ impl Scheduler {
         self.fair.len()
     }
 
-    /// True if any work (flows, timers, undelivered completions) remains.
-    pub fn has_pending_work(&self) -> bool {
-        !self.fair.is_empty() || !self.timers.is_empty() || !self.completions.is_empty()
-    }
-
     /// Submit an op chain; `op` is reported to the [`World`] when the
     /// whole chain completes.
     pub fn submit(&mut self, step: Step, op: OpId) {

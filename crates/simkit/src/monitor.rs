@@ -241,12 +241,6 @@ impl Monitor {
             })
             .collect()
     }
-
-    /// Drop all accumulated accounting (totals and windows).
-    pub fn reset(&mut self) {
-        self.busy_units.clear();
-        self.series.clear();
-    }
 }
 
 #[cfg(test)]
@@ -358,14 +352,5 @@ mod tests {
         let w = m.window_units(ResourceId(0));
         assert_eq!(w.len(), 2);
         assert!((w[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut m = Monitor::windowed(10);
-        m.credit(ResourceId(1), 9.0, at(0), at(10));
-        m.reset();
-        assert_eq!(m.units(ResourceId(1)), 0.0);
-        assert!(m.window_units(ResourceId(1)).is_empty());
     }
 }
