@@ -1,4 +1,4 @@
-//! Seeded engine-only workloads for the `engine_events_per_sec` bench
+//! Seeded engine-only workloads for the `repro bench-engine`
 //! trajectory.
 //!
 //! Each family drives the `simkit` Scheduler directly — no interface
@@ -8,7 +8,7 @@
 //! events and folds the same replay digest; `repro bench-engine`
 //! re-checks both against the committed `BENCH_engine.json` before
 //! comparing throughput.  This module performs no timing itself —
-//! callers (the criterion bench, the repro target) own the clock.
+//! the caller (`repro bench-engine`) owns the clock.
 
 use simkit::units::{Bytes, GB, MB};
 use simkit::{run, OpId, ResourceId, Scheduler, SimTime, SplitMix64, Step, World};

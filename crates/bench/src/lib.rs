@@ -1,14 +1,9 @@
-//! # bench — Criterion benches and the `repro` figure regenerator
+//! # bench — the `repro` figure regenerator and the engine bench
 //!
 //! * `src/bin/repro.rs` regenerates every paper table/figure (see
 //!   `repro --help`);
-//! * `benches/` holds one Criterion bench per figure (reduced sweep
-//!   points, measuring the simulation engine itself) plus micro-benches
-//!   of the hot paths (fair-share solve, placement, erasure coding) and
-//!   the `engine_events_per_sec` trajectory bench over the seeded
-//!   workloads in [`engine_bench`].
+//! * [`engine_bench`] holds the seeded engine-only workload families
+//!   that `repro bench-engine` times against the committed
+//!   `BENCH_engine.json`.
 
 pub mod engine_bench;
-
-/// Re-exported so benches share one source of sweep definitions.
-pub use benchkit::figures;
