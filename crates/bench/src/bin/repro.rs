@@ -5,7 +5,7 @@
 //!
 //! targets: hw fig1 fig2 fig3 fig4 fig5 fig6 fig6-rf2 fig7 fig8 fig9
 //!          lustre-ior ceph-ior faulted swarm replay shrink scaleout
-//!          trace report bench-engine ablations mdtest analyze all quick
+//!          report bench-engine ablations mdtest analyze all quick
 //! ```
 //!
 //! `swarm --family NAME` runs the seeded fault swarm (`--seeds N`,
@@ -32,9 +32,13 @@
 //! `report` runs every scenario twice with the full telemetry pipeline
 //! on (windowed monitor, span log, metrics registry, SLO rules),
 //! asserting byte-identical artifacts and untouched replay digests; it
-//! writes per-scenario `report-*.report.{json,txt}` and
-//! `report-*.counters.trace.json` artifacts plus a `SLO_report.json`
+//! prints each run report and critical path, and writes per-scenario
+//! `report-*.report.{json,txt}`, `report-*.counters.trace.json`
+//! (Perfetto-loadable spans plus counter tracks) and
+//! `report-*.critical-path.txt` artifacts plus a `SLO_report.json`
 //! verdict summary, gated against the committed `SLO_baseline.json`.
+//! `faulted` saves each faulted scenario's trace and critical path as
+//! `faulted-*.{trace.json,critical-path.txt}`.
 //!
 //! `bench-engine` runs the seeded engine workload families (see
 //! `bench::engine_bench`), writes `BENCH_engine.json` under the output
@@ -74,32 +78,9 @@ fn emit(figs: Vec<Figure>, out: &Path, all: &mut Vec<Figure>) {
     }
 }
 
-/// Causal traces: run every scenario once with span recording on, print
-/// the top critical-path contributors and save the Chrome trace JSON +
-/// critical-path report per scenario.
-fn run_traces(cal: &Calibration, out: &Path) {
-    let mut spec = RunSpec::new(2, 2, 4);
-    spec.ops_per_proc = 24;
-    for scen in Scenario::ALL {
-        let t = benchkit::trace_scenario(&spec, scen, cal);
-        println!(
-            "--- {} ({} spans, span digest {:#018x})",
-            scen.name(),
-            t.exports.span_count,
-            t.exports.span_digest
-        );
-        print!("{}", t.exports.critical_path);
-        let stem = format!("trace-{}", slug(scen.name()));
-        if let Err(e) = report::save_trace(&t.exports, out, &stem) {
-            eprintln!("warning: could not save {stem}: {e}");
-        } else {
-            println!("saved {}/{stem}.trace.json", out.display());
-        }
-    }
-}
-
 /// Bandwidth under failure: run every faulted scenario twice (replay
-/// check), print the comparison and save the JSON artifact.
+/// check, the second run traced), print the comparison and save the
+/// JSON artifact plus each scenario's trace.
 fn run_faulted_family(cal: &Calibration, out: &Path) {
     let spec = faulted::default_faulted_spec();
     let mut reports = Vec::new();
@@ -126,15 +107,8 @@ fn run_faulted_family(cal: &Calibration, out: &Path) {
             if ok { "ok" } else { "DIVERGED" },
         );
         reports.push(rep.runs[0].clone());
-        // a third, traced run: digest must match the untraced pair, and
-        // the trace itself ships as a CI artifact
-        let (traced, exports) = faulted::run_faulted_traced(&spec, scen, cal);
-        if traced.digest != rep.runs[0].digest {
-            eprintln!("{}: tracing perturbed the replay digest", scen.name());
-            std::process::exit(1);
-        }
         let stem = format!("faulted-{}", slug(scen.name()));
-        if let Err(e) = report::save_trace(&exports, out, &stem) {
+        if let Err(e) = report::save_trace(&rep.exports, out, &stem) {
             eprintln!("warning: could not save {stem}: {e}");
         }
     }
@@ -423,15 +397,15 @@ fn run_bench_engine(out: &Path) {
 /// Unified run reports: every scenario twice with the full telemetry
 /// pipeline on (windowed monitor, span log, metrics registry, SLO
 /// rules).  The double run is the determinism gate — the report JSON,
-/// text and counter-track trace must be byte-identical, and the replay
-/// digest must match the untelemetered run.  Artifacts land under
-/// `out/` per scenario plus a `SLO_report.json` verdict summary, which
-/// is gated against the committed `SLO_baseline.json`: any rule that
-/// passed in the baseline must still pass.
+/// text, counter-track trace and critical-path report must be
+/// byte-identical, and the replay digest must match the unobserved
+/// run.  Artifacts land under `out/` per scenario plus a
+/// `SLO_report.json` verdict summary, which is gated against the
+/// committed `SLO_baseline.json`: any rule that passed in the baseline
+/// must still pass.
 fn run_report_target(cal: &Calibration, out: &Path) {
     use simkit::json::Json;
-    let mut spec = RunSpec::new(2, 2, 4);
-    spec.ops_per_proc = 24;
+    let spec = benchkit::report_spec();
     let rules = benchkit::default_slo_rules();
     let mut summary: Vec<(String, Vec<simkit::SloVerdict>)> = Vec::new();
     for scen in Scenario::ALL {
@@ -444,7 +418,8 @@ fn run_report_target(cal: &Calibration, out: &Path) {
         }
         if a.report.render_json() != b.report.render_json()
             || a.report.render_text() != b.report.render_text()
-            || a.trace_json != b.trace_json
+            || a.exports.chrome_json != b.exports.chrome_json
+            || a.exports.critical_path != b.exports.critical_path
         {
             eprintln!(
                 "{}: report artifacts not byte-identical across replays",
@@ -453,10 +428,20 @@ fn run_report_target(cal: &Calibration, out: &Path) {
             std::process::exit(1);
         }
         print!("{}", a.report.render_text());
+        print!("{}", a.exports.critical_path);
         let stem = format!("report-{}", slug(scen.name()));
         save(out, &format!("{stem}.report.json"), &a.report.render_json());
         save(out, &format!("{stem}.report.txt"), &a.report.render_text());
-        save(out, &format!("{stem}.counters.trace.json"), &a.trace_json);
+        save(
+            out,
+            &format!("{stem}.counters.trace.json"),
+            &a.exports.chrome_json,
+        );
+        save(
+            out,
+            &format!("{stem}.critical-path.txt"),
+            &a.exports.critical_path,
+        );
         summary.push((scen.name().to_string(), a.report.verdicts.clone()));
     }
 
@@ -611,7 +596,7 @@ fn main() {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: repro [hw|fig1..fig9|fig6-rf2|lustre-ior|ceph-ior|faulted|trace|report|bench-engine|ablations|mdtest|analyze|swarm|replay|shrink|scaleout|all|quick]* [--out DIR] [--family NAME] [--seeds N] [--schedule FILE]"
+                    "usage: repro [hw|fig1..fig9|fig6-rf2|lustre-ior|ceph-ior|faulted|report|bench-engine|ablations|mdtest|analyze|swarm|replay|shrink|scaleout|all|quick]* [--out DIR] [--family NAME] [--seeds N] [--schedule FILE]"
                 );
                 return;
             }
@@ -674,7 +659,6 @@ fn main() {
                 run_replay_target(&cal, &out, schedule.as_deref(), t == "shrink")
             }
             "scaleout" => run_scaleout_target(&cal, &out),
-            "trace" => run_traces(&cal, &out),
             "report" => run_report_target(&cal, &out),
             "bench-engine" => run_bench_engine(&out),
             "ablations" => emit(figures::ablations(&cal), &out, &mut collected),

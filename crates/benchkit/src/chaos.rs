@@ -37,8 +37,8 @@ use crate::integrity::IntegrityFamily;
 use crate::par::par_map;
 use crate::rebalance::RebalanceFamily;
 use crate::report::{save_trace, slug};
+use crate::runreport::SpanExports;
 use crate::scenarios::{run_scenario_chaos, RunSpec, Scenario};
-use crate::tracing::SpanExports;
 use cluster::{Calibration, ClusterSpec, Topology};
 use daos_core::{CsumStats, DataMode, OracleKind, OracleReport, ScrubReport, TargetId, Violation};
 use simkit::{generate, shrink, ChaosConfig, ChaosSpace, FaultPlan, Scheduler, ShrinkOutcome};

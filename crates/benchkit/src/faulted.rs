@@ -27,6 +27,7 @@
 //! checks exactly that.
 
 use crate::driver::{run_ops, run_phase, setup_barrier, PhaseHooks, PhaseResult, WavePump};
+use crate::runreport::SpanExports;
 use crate::scenarios::{exec, make_sched, RunSpec};
 use cluster::bench::Phase;
 use cluster::{Calibration, ClusterSpec, Topology};
@@ -199,13 +200,16 @@ pub struct FaultedReport {
 /// The two-run comparison for one faulted scenario.
 #[derive(Debug, Clone)]
 pub struct FaultedReplay {
-    /// Both runs, from fresh state each.
+    /// Both runs, from fresh state each; the second ran traced.
     pub runs: [FaultedReport; 2],
+    /// The span exports of the second run.
+    pub exports: SpanExports,
 }
 
 impl FaultedReplay {
     /// Bit-identical digests, bandwidths, retry counters, rebuild
-    /// reports and restore latencies across both runs.
+    /// reports and restore latencies across both runs.  Tracing is an
+    /// observer, so this also checks that it changed nothing.
     pub fn deterministic(&self) -> bool {
         let [a, b] = &self.runs;
         a.digest == b.digest
@@ -219,10 +223,18 @@ impl FaultedReplay {
     }
 }
 
-/// Run `scen` twice from fresh state and report both runs.
+/// Run `scen` twice from fresh state, the second time traced, and
+/// report both runs.
 pub fn replay_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) -> FaultedReplay {
+    let first = run_faulted(spec, scen, cal);
+    let traced = FaultedOpts {
+        traced: true,
+        ..FaultedOpts::default()
+    };
+    let (second, exports) = run_faulted_with(spec, scen, cal, &traced);
     FaultedReplay {
-        runs: [run_faulted(spec, scen, cal), run_faulted(spec, scen, cal)],
+        runs: [first, second],
+        exports: exports.expect("a traced run exports spans"),
     }
 }
 
@@ -508,34 +520,7 @@ pub(crate) fn check_plan(plan: &FaultPlan, topo: &Topology, deployed: usize) -> 
 /// Execute one faulted scenario: healthy write phase, install the fault
 /// plan at the phase boundary, faulted read phase, collect the report.
 pub fn run_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) -> FaultedReport {
-    run_faulted_inner(spec, scen, cal, false).0
-}
-
-/// Like [`run_faulted`], but with span recording on: the returned
-/// exports carry the causal trace of the whole run, including the retry
-/// attempts and rebuild data movement nested under the ops (and marker
-/// chain) that caused them.  The report itself — digest included — is
-/// identical to the untraced run's.
-pub fn run_faulted_traced(
-    spec: &RunSpec,
-    scen: FaultedScenario,
-    cal: &Calibration,
-) -> (FaultedReport, crate::tracing::SpanExports) {
-    let (report, exports) = run_faulted_inner(spec, scen, cal, true);
-    (report, exports.expect("traced run exports spans"))
-}
-
-fn run_faulted_inner(
-    spec: &RunSpec,
-    scen: FaultedScenario,
-    cal: &Calibration,
-    traced: bool,
-) -> (FaultedReport, Option<crate::tracing::SpanExports>) {
-    let opts = FaultedOpts {
-        traced,
-        ..FaultedOpts::default()
-    };
-    run_faulted_with(spec, scen, cal, &opts)
+    run_faulted_with(spec, scen, cal, &FaultedOpts::default()).0
 }
 
 /// Execute one faulted scenario under explicit [`FaultedOpts`] whose
@@ -548,7 +533,7 @@ pub fn run_faulted_with(
     scen: FaultedScenario,
     cal: &Calibration,
     opts: &FaultedOpts,
-) -> (FaultedReport, Option<crate::tracing::SpanExports>) {
+) -> (FaultedReport, Option<SpanExports>) {
     try_run_faulted_with(spec, scen, cal, opts)
         .expect("built-in and chaos-space plans are valid on their deployment")
 }
@@ -564,7 +549,7 @@ pub fn try_run_faulted_with(
     scen: FaultedScenario,
     cal: &Calibration,
     opts: &FaultedOpts,
-) -> Result<(FaultedReport, Option<crate::tracing::SpanExports>), String> {
+) -> Result<(FaultedReport, Option<SpanExports>), String> {
     spec.check()?;
     let mut sched = make_sched(spec, false);
     if opts.traced {
@@ -687,9 +672,7 @@ pub fn try_run_faulted_with(
             &crate::runreport::faulted_slo_rules(),
         )
     });
-    let exports = opts
-        .traced
-        .then(|| crate::tracing::SpanExports::collect(&sched));
+    let exports = opts.traced.then(|| SpanExports::collect(&sched));
     Ok((
         FaultedReport {
             scenario: scen,
@@ -800,7 +783,7 @@ mod tests {
             FaultedScenario::FieldIoFaulted,
             &Calibration::default(),
         );
-        assert!(rep.deterministic(), "{rep:?}");
+        assert!(rep.deterministic(), "{:?}", rep.runs);
         assert!(rep.runs[0].retry.retries >= 1);
     }
 
@@ -819,11 +802,18 @@ mod tests {
 
     #[test]
     fn rp2_trace_shows_retries_and_rebuild_under_ops() {
-        let cal = Calibration::default();
-        let (r, exports) = run_faulted_traced(&small_spec(), FaultedScenario::IorEasyRp2, &cal);
+        let rep = replay_faulted(
+            &small_spec(),
+            FaultedScenario::IorEasyRp2,
+            &Calibration::default(),
+        );
         // tracing never perturbs the replay digest
-        let plain = run_faulted(&small_spec(), FaultedScenario::IorEasyRp2, &cal);
-        assert_eq!(r.digest, plain.digest, "spans changed the schedule");
+        assert!(
+            rep.deterministic(),
+            "spans changed the schedule: {:?}",
+            rep.runs
+        );
+        let exports = &rep.exports;
         // the rebuild data movement and the client retries both appear
         // as spans on the causal timeline
         let layers = exports.layers();

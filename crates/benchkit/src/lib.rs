@@ -16,8 +16,9 @@
 //! * [`par`] — [`par_map`], which runs independent deployments on every
 //!   core and returns their results in input order;
 //! * [`report`] — rendering to aligned text tables and CSV;
-//! * [`tracing`] — span-traced runs: Chrome `trace_event` JSON
-//!   (Perfetto-loadable) and critical-path attribution exports.
+//! * [`runreport`] — the observed run: the unified run report, SLO
+//!   verdicts and span exports (Chrome `trace_event` JSON with counter
+//!   tracks, critical-path attribution).
 
 pub mod chaos;
 pub mod determinism;
@@ -32,7 +33,6 @@ pub mod runreport;
 pub mod scaleout;
 pub mod scenarios;
 pub mod stats;
-pub mod tracing;
 pub mod verdict;
 pub mod workloads;
 
@@ -44,8 +44,8 @@ pub use chaos::{
 pub use determinism::{replay_all, replay_scenario, ScenarioReplay};
 pub use driver::{run_phase, PhaseResult};
 pub use faulted::{
-    default_faulted_spec, replay_faulted, run_faulted, run_faulted_traced, run_faulted_with,
-    FaultedOpts, FaultedReplay, FaultedReport, FaultedScenario, PlanSource,
+    default_faulted_spec, replay_faulted, run_faulted, run_faulted_with, FaultedOpts,
+    FaultedReplay, FaultedReport, FaultedScenario, PlanSource,
 };
 pub use figures::{Figure, Point, Series};
 pub use integrity::{
@@ -57,8 +57,8 @@ pub use rebalance::{
     RebalanceScenario,
 };
 pub use runreport::{
-    default_slo_rules, faulted_slo_rules, report_chaos_case, report_faulted, report_rebalance,
-    run_reported, LatencyRow, ReportedRun, ResourceReport, RunReport, RUN_REPORT_WINDOW_NS,
+    default_slo_rules, faulted_slo_rules, report_spec, run_reported, LatencyRow, ReportedRun,
+    ResourceReport, RunReport, SpanExports, RUN_REPORT_WINDOW_NS,
 };
 pub use scaleout::{run_scaleout, run_scaleout_with, ScaleoutConfig, ScaleoutReport, ScaleoutRung};
 pub use scenarios::{
@@ -66,5 +66,4 @@ pub use scenarios::{
     run_scenario_work, PointStats, ResourceUse, RunResult, RunSpec, Scenario,
 };
 pub use stats::Stats;
-pub use tracing::{trace_scenario, SpanExports, TracedRun};
 pub use verdict::{evaluate, Verdict};

@@ -124,7 +124,7 @@ pub fn load_dir(dir: &Path) -> std::io::Result<Vec<Figure>> {
 /// critical-path report as `<stem>.critical-path.txt`.  Both files are
 /// byte-identical across replays of the same run.
 pub fn save_trace(
-    exports: &crate::tracing::SpanExports,
+    exports: &crate::runreport::SpanExports,
     dir: &Path,
     stem: &str,
 ) -> std::io::Result<()> {

@@ -12,6 +12,14 @@
 //!   (the artifact CI uploads and diffs);
 //! * [`RunReport::render_text`] — the aligned human-readable summary.
 //!
+//! Beside it, [`SpanExports`] carries the span-derived artifacts of the
+//! same run: the Chrome `trace_event` JSON (Perfetto-loadable, with the
+//! telemetry counter tracks merged in when the registry is on), the
+//! text critical-path report and the raw attribution rows.
+//! [`run_reported`] is the one observed run of a plain scenario and
+//! returns both; the faulted family collects [`SpanExports`] from its
+//! traced runs the same way.
+//!
 //! The SLO half is declarative: a rule set ([`default_slo_rules`] for
 //! the healthy scenario family, [`faulted_slo_rules`] for runs where
 //! faults are *supposed* to fire) is evaluated after the run by
@@ -20,15 +28,13 @@
 //! committed `SLO_baseline.json` and fails CI when a rule that passed
 //! at the seed starts failing.
 
-use crate::chaos::{Family, FaultedFamily};
 use crate::driver::PhaseResult;
-use crate::faulted::{FaultedOpts, FaultedReport, FaultedScenario, PlanSource};
-use crate::rebalance::{RebalanceOpts, RebalanceRunReport, RebalanceScenario};
 use crate::scenarios::{make_sched, run_scenario_on, RunSpec, Scenario};
 use cluster::Calibration;
 use simkit::{
-    chrome_trace_json_with_counters, evaluate_slos, layer_histograms, render_slo_text, Json,
-    Monitor, Rate, ResourceId, Scheduler, SloInputs, SloRule, SloVerdict,
+    chrome_trace_json_with_counters, critical_path, critical_path_report, evaluate_slos,
+    layer_histograms, render_slo_text, Json, Monitor, PathContribution, Rate, ResourceId,
+    Scheduler, SloInputs, SloRule, SloVerdict,
 };
 use std::fmt::Write as _;
 
@@ -40,6 +46,15 @@ pub const RUN_REPORT_WINDOW_NS: u64 = 10_000_000;
 /// Utilisation fraction at or above which a window counts as busy for
 /// the report's busy-interval rows.
 pub const BUSY_THRESHOLD: f64 = 0.95;
+
+/// The sweep point of `repro report` and its committed
+/// `results/report-*` artifacts: 2 servers, 2 client nodes × 4
+/// processes, 24 ops per process.
+pub fn report_spec() -> RunSpec {
+    let mut spec = RunSpec::new(2, 2, 4);
+    spec.ops_per_proc = 24;
+    spec
+}
 
 /// The SLO rule set for healthy runs: bounded tails, no endless
 /// saturation, no faults, no exhausted retries.
@@ -392,22 +407,76 @@ impl RunReport {
     }
 }
 
+/// The span-derived artifacts of one traced run.
+#[derive(Debug, Clone)]
+pub struct SpanExports {
+    /// Order-sensitive digest of the span open/close/mark stream (see
+    /// [`simkit::SpanLog::digest`]); identical across replays.
+    pub span_digest: u64,
+    /// Number of spans recorded.
+    pub span_count: usize,
+    /// Chrome `trace_event` JSON, with the telemetry counter tracks
+    /// merged in when the run had the registry on.
+    pub chrome_json: String,
+    /// Text critical-path + latency report.
+    pub critical_path: String,
+    /// Critical-path attribution rows, self-time descending.
+    pub path: Vec<PathContribution>,
+}
+
+impl SpanExports {
+    /// Collect every export from a scheduler that ran with spans on.
+    pub fn collect(sched: &Scheduler) -> SpanExports {
+        let log = sched.spans();
+        SpanExports {
+            span_digest: sched.span_digest(),
+            span_count: log.len(),
+            chrome_json: chrome_trace_json_with_counters(log, sched.telemetry()),
+            critical_path: critical_path_report(log),
+            path: critical_path(log),
+        }
+    }
+
+    /// Top `n` critical-path contributors of `layer`, self-time
+    /// descending (the rows are already globally sorted).
+    pub fn top_of_layer(&self, layer: &str, n: usize) -> Vec<&PathContribution> {
+        self.path
+            .iter()
+            .filter(|c| c.layer == layer)
+            .take(n)
+            .collect()
+    }
+
+    /// Every layer that appears on the critical path, in first-appearance
+    /// (self-time descending) order.
+    pub fn layers(&self) -> Vec<&'static str> {
+        let mut seen = Vec::new();
+        for c in &self.path {
+            if !seen.contains(&c.layer) {
+                seen.push(c.layer);
+            }
+        }
+        seen
+    }
+}
+
 /// One reported run of a plain scenario.
 #[derive(Debug, Clone)]
 pub struct ReportedRun {
     /// The unified report.
     pub report: RunReport,
-    /// Chrome trace JSON with the telemetry counter tracks merged in —
-    /// load in Perfetto to see spans and counters on one timeline.
-    pub trace_json: String,
+    /// The span exports; their Chrome JSON carries the telemetry
+    /// counter tracks — load it in Perfetto to see spans and counters
+    /// on one timeline.
+    pub exports: SpanExports,
 }
 
 /// Run a plain scenario with telemetry, spans and a windowed monitor
-/// all enabled, and collect the unified report plus the merged trace.
+/// all enabled, and collect the unified report plus the span exports.
 /// The scheduler configuration is identical to
 /// [`crate::run_scenario_digest`]'s, so the replay digest in the report
-/// must equal the untelemetered run's — the contract the span
-/// determinism suite asserts for every scenario.
+/// must equal the unobserved run's — the contract the span determinism
+/// suite asserts for every scenario.
 pub fn run_reported(
     spec: &RunSpec,
     scen: Scenario,
@@ -419,60 +488,17 @@ pub fn run_reported(
     sched.enable_spans();
     sched.enable_telemetry(RUN_REPORT_WINDOW_NS);
     let (result, _) = run_scenario_on(&mut sched, spec, scen, cal);
-    let report = RunReport::collect(&sched, scen.name(), &result.write, &result.read, rules);
-    let trace_json = chrome_trace_json_with_counters(sched.spans(), sched.telemetry());
-    ReportedRun { report, trace_json }
-}
-
-/// Run a faulted scenario with telemetry enabled: the returned report's
-/// `run_report` field carries the unified artifact (evaluated against
-/// [`faulted_slo_rules`]).
-pub fn report_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) -> FaultedReport {
-    let opts = FaultedOpts {
-        traced: true,
-        telemetry: true,
-        ..FaultedOpts::default()
-    };
-    crate::faulted::run_faulted_with(spec, scen, cal, &opts).0
-}
-
-/// Run a chaos-generated schedule through the faulted family with
-/// telemetry enabled (chaos capacity weather plus the crash surface,
-/// all folded into the same unified report).
-pub fn report_chaos_case(
-    spec: &RunSpec,
-    scen: FaultedScenario,
-    cal: &Calibration,
-    seed: u64,
-) -> FaultedReport {
-    let plan = FaultedFamily::seed_plan(spec, cal, scen, seed);
-    let opts = FaultedOpts {
-        plan: PlanSource::Fixed(plan),
-        traced: true,
-        telemetry: true,
-        ..FaultedOpts::default()
-    };
-    crate::faulted::run_faulted_with(spec, scen, cal, &opts).0
-}
-
-/// Run a rebalance scenario with telemetry enabled: the returned
-/// report's `run_report` field carries the unified artifact, including
-/// the migration-wave counters.
-pub fn report_rebalance(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-) -> Result<RebalanceRunReport, String> {
-    let opts = RebalanceOpts {
-        telemetry: true,
-        ..RebalanceOpts::default()
-    };
-    crate::rebalance::run_rebalance_with(spec, scen, cal, &opts)
+    ReportedRun {
+        report: RunReport::collect(&sched, scen.name(), &result.write, &result.read, rules),
+        exports: SpanExports::collect(&sched),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulted::{run_faulted_with, FaultedOpts, FaultedScenario};
+    use crate::rebalance::{run_rebalance_with, RebalanceOpts, RebalanceScenario};
     use crate::scenarios::run_scenario_digest;
 
     fn small_spec() -> RunSpec {
@@ -500,20 +526,6 @@ mod tests {
                 .any(|(n, _)| n == "engine.ops.completed"),
             "engine counters missing"
         );
-    }
-
-    #[test]
-    fn report_artifacts_are_byte_identical_across_replays() {
-        let spec = small_spec();
-        let cal = Calibration::default();
-        let a = run_reported(&spec, Scenario::IorDaos, &cal, &default_slo_rules());
-        let b = run_reported(&spec, Scenario::IorDaos, &cal, &default_slo_rules());
-        assert_eq!(a.report.render_json(), b.report.render_json());
-        assert_eq!(a.report.render_text(), b.report.render_text());
-        assert_eq!(a.trace_json, b.trace_json);
-        // merged trace carries both span and counter events
-        assert!(a.trace_json.contains("\"ph\":\"X\""));
-        assert!(a.trace_json.contains("\"ph\":\"C\""));
     }
 
     #[test]
@@ -557,7 +569,13 @@ mod tests {
     fn faulted_report_carries_retry_and_rebuild_counters() {
         let mut spec = crate::faulted::default_faulted_spec();
         spec.ops_per_proc = 32;
-        let r = report_faulted(&spec, FaultedScenario::IorEasyRp2, &Calibration::default());
+        let cal = Calibration::default();
+        let opts = FaultedOpts {
+            traced: true,
+            telemetry: true,
+            ..FaultedOpts::default()
+        };
+        let (r, _) = run_faulted_with(&spec, FaultedScenario::IorEasyRp2, &cal, &opts);
         let run = r.run_report.as_ref().expect("telemetry report");
         let total = |name: &str| {
             run.counters
@@ -577,11 +595,7 @@ mod tests {
         assert!(total("span.retry.backoff") > 0, "retry spans not counted");
         assert!(run.slo_ok(), "{:?}", run.verdicts);
         // telemetry+spans leave the faulted digest untouched
-        let plain = crate::faulted::run_faulted(
-            &spec,
-            FaultedScenario::IorEasyRp2,
-            &Calibration::default(),
-        );
+        let plain = crate::faulted::run_faulted(&spec, FaultedScenario::IorEasyRp2, &cal);
         assert_eq!(
             r.digest, plain.digest,
             "telemetry changed the faulted schedule"
@@ -592,10 +606,15 @@ mod tests {
     fn rebalance_report_carries_migration_counters() {
         let mut spec = crate::chaos::default_chaos_spec();
         spec.ops_per_proc = 24;
-        let r = report_rebalance(
+        let opts = RebalanceOpts {
+            telemetry: true,
+            ..RebalanceOpts::default()
+        };
+        let r = run_rebalance_with(
             &spec,
             RebalanceScenario::IorEasyRp2,
             &Calibration::default(),
+            &opts,
         )
         .unwrap();
         let run = r.run_report.as_ref().expect("telemetry report");

@@ -1,13 +1,14 @@
 //! The committed run-report artifacts are pinned: every paper scenario,
 //! run through `run_reported` at the `repro report` spec, must render
-//! the `results/report-<slug>.*` files byte for byte.  A change that
+//! the `results/report-<slug>.*` files byte for byte: report JSON and
+//! text, counter-track trace and critical-path report.  A change that
 //! moves any number in a report, a latency row, a counter total or one
 //! event of the Perfetto trace fails here, with the file and the first
 //! differing byte named.
 
 use benchkit::report::slug;
-use benchkit::runreport::{default_slo_rules, run_reported};
-use benchkit::scenarios::{RunSpec, Scenario};
+use benchkit::runreport::{default_slo_rules, report_spec, run_reported};
+use benchkit::scenarios::Scenario;
 use cluster::Calibration;
 use std::path::Path;
 
@@ -42,8 +43,7 @@ fn check(name: &str, rendered: &str, failures: &mut Vec<String>) {
 
 #[test]
 fn report_artifacts_match_results() {
-    let mut spec = RunSpec::new(2, 2, 4);
-    spec.ops_per_proc = 24;
+    let spec = report_spec();
     let cal = Calibration::default();
     let rules = default_slo_rules();
     let mut failures = Vec::new();
@@ -62,7 +62,12 @@ fn report_artifacts_match_results() {
         );
         check(
             &format!("{stem}.counters.trace.json"),
-            &run.trace_json,
+            &run.exports.chrome_json,
+            &mut failures,
+        );
+        check(
+            &format!("{stem}.critical-path.txt"),
+            &run.exports.critical_path,
             &mut failures,
         );
     }

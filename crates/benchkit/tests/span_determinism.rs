@@ -1,15 +1,16 @@
 //! Span-trace determinism: the observability acceptance gate.
 //!
-//! For every paper scenario, a traced run must (a) leave the replay
-//! digest exactly where the untraced run puts it — tracing is pure
-//! observation — and (b) replay byte-identically: same span digest, same
-//! Chrome `trace_event` JSON, same critical-path report.  On top, each
-//! interface stack must actually show up in its trace: parented spans
-//! from every layer the scenario's call path crosses.
+//! For every paper scenario, an observed run (`run_reported`: spans,
+//! telemetry, windowed monitor, SLO rules) must (a) leave the replay
+//! digest exactly where the unobserved run puts it — observation is
+//! pure — and (b) replay byte-identically: same span digest, same
+//! Chrome `trace_event` JSON, same critical-path report, same run
+//! report.  On top, each interface stack must actually show up in its
+//! trace: parented spans from every layer the scenario's call path
+//! crosses.
 
 use benchkit::runreport::{default_slo_rules, run_reported};
 use benchkit::scenarios::{run_scenario_digest, RunSpec, Scenario};
-use benchkit::tracing::trace_scenario;
 use cluster::Calibration;
 
 fn small_spec() -> RunSpec {
@@ -37,117 +38,73 @@ fn expected_layers(scen: Scenario) -> &'static [&'static str] {
 }
 
 #[test]
-fn every_scenario_traces_deterministically() {
-    let spec = small_spec();
-    let cal = Calibration::default();
-    for scen in Scenario::ALL {
-        let (_, untraced_digest) = run_scenario_digest(&spec, scen, &cal);
-        let a = trace_scenario(&spec, scen, &cal);
-        let b = trace_scenario(&spec, scen, &cal);
-        assert_eq!(
-            a.replay_digest,
-            untraced_digest,
-            "{}: tracing perturbed the replay digest",
-            scen.name()
-        );
-        assert_eq!(
-            a.exports.span_digest,
-            b.exports.span_digest,
-            "{}: span digest drifted across replays",
-            scen.name()
-        );
-        assert_eq!(
-            a.exports.chrome_json,
-            b.exports.chrome_json,
-            "{}: Chrome export not byte-identical",
-            scen.name()
-        );
-        assert_eq!(
-            a.exports.critical_path,
-            b.exports.critical_path,
-            "{}: critical-path report not byte-identical",
-            scen.name()
-        );
-        assert!(a.exports.span_count > 0, "{}: empty trace", scen.name());
-    }
-}
-
-#[test]
-fn every_scenario_reports_deterministically() {
-    // Telemetry + SLO evaluation is pure observation: with the full
-    // pipeline on (windowed monitor, span log, metrics registry, SLO
-    // rules), every scenario must keep the untelemetered replay digest
+fn every_scenario_observes_deterministically() {
+    // Spans, telemetry and SLO evaluation are pure observation: with the
+    // full pipeline on (windowed monitor, span log, metrics registry,
+    // SLO rules), every scenario must keep the unobserved replay digest
     // and export byte-identical artifacts across replays.
     let spec = small_spec();
     let cal = Calibration::default();
     let rules = default_slo_rules();
     for scen in Scenario::ALL {
+        let name = scen.name();
         let (_, plain_digest) = run_scenario_digest(&spec, scen, &cal);
         let a = run_reported(&spec, scen, &cal, &rules);
         let b = run_reported(&spec, scen, &cal, &rules);
         assert_eq!(
-            a.report.replay_digest,
-            plain_digest,
-            "{}: telemetry perturbed the replay digest",
-            scen.name()
+            a.report.replay_digest, plain_digest,
+            "{name}: observation perturbed the replay digest"
+        );
+        assert_eq!(
+            a.exports.span_digest, b.exports.span_digest,
+            "{name}: span digest drifted across replays"
+        );
+        assert_eq!(
+            a.exports.chrome_json, b.exports.chrome_json,
+            "{name}: Chrome export not byte-identical"
+        );
+        assert_eq!(
+            a.exports.critical_path, b.exports.critical_path,
+            "{name}: critical-path report not byte-identical"
         );
         assert_eq!(
             a.report.render_json(),
             b.report.render_json(),
-            "{}: run-report JSON not byte-identical",
-            scen.name()
+            "{name}: run-report JSON not byte-identical"
         );
         assert_eq!(
             a.report.render_text(),
             b.report.render_text(),
-            "{}: run-report text not byte-identical",
-            scen.name()
+            "{name}: run-report text not byte-identical"
         );
-        assert_eq!(
-            a.trace_json,
-            b.trace_json,
-            "{}: counter-track trace not byte-identical",
-            scen.name()
-        );
+        assert!(a.exports.span_count > 0, "{name}: empty trace");
         assert!(
-            a.trace_json.contains("\"ph\":\"C\""),
-            "{}: no counter tracks in trace",
-            scen.name()
+            a.exports.chrome_json.contains("\"ph\":\"C\""),
+            "{name}: no counter tracks in trace"
         );
-        assert!(
-            !a.report.counters.is_empty(),
-            "{}: no counters sampled",
-            scen.name()
-        );
-        assert!(
-            !a.report.verdicts.is_empty(),
-            "{}: no SLO verdicts",
-            scen.name()
-        );
-    }
-}
-
-#[test]
-fn every_interface_stack_emits_parented_spans() {
-    let spec = small_spec();
-    let cal = Calibration::default();
-    for scen in Scenario::ALL {
-        let t = trace_scenario(&spec, scen, &cal);
-        let layers = t.exports.layers();
+        assert!(!a.report.counters.is_empty(), "{name}: no counters sampled");
+        assert!(!a.report.verdicts.is_empty(), "{name}: no SLO verdicts");
+        // each interface stack shows up: every layer the scenario's call
+        // path crosses is on the critical path
+        let layers = a.exports.layers();
         for want in expected_layers(scen) {
             assert!(
                 layers.contains(want),
-                "{}: no {want} span on the critical path (saw {layers:?})",
-                scen.name()
+                "{name}: no {want} span on the critical path (saw {layers:?})"
             );
         }
+        let top = a.exports.top_of_layer(expected_layers(scen)[0], 3);
+        assert!(
+            !top.is_empty() && top.len() <= 3,
+            "{name}: top-3 rows {top:?}"
+        );
         // parentage: some span nests under another (the JSON records the
         // parent id in its args; 0 marks a root)
-        let nested = t
+        let nested = a
             .exports
             .chrome_json
             .split("},{")
             .any(|ev| ev.contains("\"parent\":") && !ev.contains("\"parent\":0,"));
-        assert!(nested, "{}: all spans are roots", scen.name());
+        assert!(nested, "{name}: all spans are roots");
     }
 }

@@ -4,19 +4,19 @@
 //! cargo run --release --example trace_one [scenario]
 //! ```
 //!
-//! Runs the scenario (default `ior-dfuse`) with span recording on, then
-//! prints the top-3 critical-path contributors of every layer plus the
-//! full report, and drops the Chrome trace JSON next to the binary's
+//! Runs the scenario (default `ior-dfuse`) once at the `repro report`
+//! spec with spans, telemetry and a windowed monitor on, then prints
+//! the top-3 critical-path contributors of every layer plus the full
+//! critical-path report, and drops the Chrome trace JSON in the
 //! working directory — load it in Perfetto (ui.perfetto.dev) or
 //! `chrome://tracing` to browse the causal tree interactively.  The
 //! trace includes telemetry counter tracks (queue depth, in-flight
 //! flows, per-layer op counters) rendered under the span tree, and the
 //! run's SLO verdicts print alongside the critical path.
 
-use benchkit::runreport::{default_slo_rules, run_reported};
-use benchkit::scenarios::{RunSpec, Scenario};
-use benchkit::trace_scenario;
-use cluster::{Calibration, GIB};
+use benchkit::runreport::{default_slo_rules, report_spec, run_reported};
+use benchkit::scenarios::Scenario;
+use cluster::Calibration;
 
 fn parse(name: &str) -> Option<Scenario> {
     match name {
@@ -46,34 +46,29 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let mut spec = RunSpec::new(2, 2, 4);
-    spec.ops_per_proc = 24;
-    let t = trace_scenario(&spec, scen, &Calibration::default());
+    let r = run_reported(
+        &report_spec(),
+        scen,
+        &Calibration::default(),
+        &default_slo_rules(),
+    );
     println!(
         "{}: write {:.2} GiB/s, read {:.2} GiB/s, {} spans",
         scen.name(),
-        t.result.write.bandwidth() / GIB,
-        t.result.read.bandwidth() / GIB,
-        t.exports.span_count
+        r.report.write_gib,
+        r.report.read_gib,
+        r.exports.span_count
     );
     println!("\ntop-3 critical-path contributors per layer:");
-    for layer in t.exports.layers() {
+    for layer in r.exports.layers() {
         println!("  {layer}:");
-        for c in t.exports.top_of_layer(layer, 3) {
+        for c in r.exports.top_of_layer(layer, 3) {
             println!("    {:<20} {} ns", c.op, c.self_ns);
         }
     }
-    println!("\n{}", t.exports.critical_path);
-    // A second, telemetered run of the same scenario: identical replay
-    // digest (checked below), but the exported trace carries counter
-    // tracks and the run report carries SLO verdicts.
-    let reported = run_reported(&spec, scen, &Calibration::default(), &default_slo_rules());
-    assert_eq!(
-        reported.report.replay_digest, t.replay_digest,
-        "telemetry must not perturb the replay digest"
-    );
+    println!("\n{}", r.exports.critical_path);
     println!("slo:");
-    for v in &reported.report.verdicts {
+    for v in &r.report.verdicts {
         println!(
             "  {:<32} {}",
             v.rule,
@@ -81,7 +76,7 @@ fn main() {
         );
     }
     let path = format!("{arg}.trace.json");
-    match std::fs::write(&path, &reported.trace_json) {
+    match std::fs::write(&path, &r.exports.chrome_json) {
         Ok(()) => println!("wrote {path} (spans + counter tracks) — open it in ui.perfetto.dev"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
