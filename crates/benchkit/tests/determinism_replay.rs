@@ -26,6 +26,11 @@ const SCENARIO_FOLD: u64 = 0xd5f4_1283_ebd5_9d30;
 /// [`small_op_scenario_digests_are_pinned`]).
 const SMALL_OP_FOLD: u64 = 0xde6d_936a_e65d_1a97;
 
+/// FNV-1a fold of every paper scenario's replay digest, bandwidth bits
+/// and engine work counts at 1 MiB with 128 processes (see
+/// [`bulk_scenario_work_is_pinned`]).
+const BULK_WORK_FOLD: u64 = 0x553a_2beb_d98b_23d0;
+
 #[test]
 fn every_scenario_replays_identically() {
     // Small but non-trivial: multiple processes on multiple nodes so
@@ -107,6 +112,31 @@ fn small_op_scenario_digests_are_pinned() {
     assert_eq!(
         fold, SMALL_OP_FOLD,
         "small-op digest/bandwidth/work words {words:#018x?} fold to {fold:#018x}"
+    );
+}
+
+#[test]
+fn bulk_scenario_work_is_pinned() {
+    // The 1 KiB pin above rarely freezes a multi-hop flow; here about
+    // 128 transfers of 1 MiB share the fabric at once, so most solves
+    // run several filling passes over multi-hop bottlenecks.  Folding
+    // the work counts catches a solver change that does more or less
+    // work in that regime even where every rate stays put.
+    let cal = Calibration::default();
+    let mut spec = RunSpec::new(4, 4, 32);
+    spec.ops_per_proc = 8;
+    let mut words = Vec::new();
+    for scen in Scenario::ALL {
+        let (r, digest, work) = benchkit::run_scenario_work(&spec, scen, &cal);
+        words.push(digest);
+        words.push(r.write.bandwidth().to_bits());
+        words.push(r.read.bandwidth().to_bits());
+        words.extend(work);
+    }
+    let fold = common::fnv1a(words.iter().map(|w| w.to_le_bytes()));
+    assert_eq!(
+        fold, BULK_WORK_FOLD,
+        "bulk digest/bandwidth/work words {words:#018x?} fold to {fold:#018x}"
     );
 }
 
