@@ -11,9 +11,9 @@
 //!
 //! [`FairShare`] is also the engine's flow table: each flow's path sits
 //! next to its fluid state (units remaining, completion residual, rate,
-//! deadline) under the engine's slab key, in one cache line, so a
-//! re-solve, a settlement and the due scan each read one record per
-//! flow.  Slab keys are reused, so the table can be mostly vacant after
+//! residual at the last solve) under the engine's slab key, in one
+//! cache line, so a re-solve, a settlement and the due scan each read
+//! one record per flow.  Slab keys are reused, so the table can be mostly vacant after
 //! a burst of flows; a bitmap of live keys lets the passes over every
 //! flow skip the vacant records in ascending key order.
 //!
@@ -35,9 +35,10 @@
 //! order a from-scratch build had.
 //!
 //! After the stamp pass, a solve touches each live flow once more, when
-//! it freezes.  Four shortcuts keep it equal, bit for bit, to the plain
+//! it freezes.  These shortcuts keep it equal, bit for bit, to the plain
 //! algorithm (full stamp pass, every stamped resource visited by every
-//! filling pass, deadlines in a separate loop afterwards):
+//! filling pass, every flow's deadline computed in a separate loop
+//! afterwards and tested in every settlement):
 //!
 //! - **The stamp pass stops early.**  `add` and `remove` count the
 //!   resources whose entry list is non-empty, and the pass stops once
@@ -47,11 +48,24 @@
 //!   A resource's unfrozen count never rises within a solve and both
 //!   passes skip empty resources anyway, so the live resources keep
 //!   their relative order.
-//! - **Deadlines are set at freeze time.**  A flow's deadline depends
-//!   only on its settled residual, its new rate and `now`, and every
-//!   live flow freezes exactly once per solve, so the freeze sets it in
-//!   the same touch as the rate.  The earliest deadline is a minimum,
-//!   which no visiting order can change.
+//! - **One deadline per freeze group.**  A flow's deadline depends only
+//!   on its settled residual, its new rate and `now`, and every flow a
+//!   resource freezes gets the same rate.  The deadline is nondecreasing
+//!   in the residual (division, scaling, ceiling and saturating add are
+//!   each monotone), so the group's earliest deadline
+//!   is the deadline of its least residual: the freeze tracks that
+//!   minimum and divides once per resource, not once per flow.  The
+//!   earliest deadline is a minimum, which no visiting order can change.
+//! - **Per-flow deadlines on demand.**  A flow keeps only its residual
+//!   at the solve (`solved`); [`FairShare::deadline`] derives the
+//!   deadline from it, the rate and the solve's time with the same
+//!   expression, so it reads what a stored one would.
+//! - **Settlements test deadlines only when one can have passed.**
+//!   Before the last solve's earliest deadline no flow is due by its
+//!   deadline.  From there on two multiplies, with relative margins of
+//!   `1e-9` either side of the time since the solve, find the flows
+//!   that are surely due and those that surely are not; only the few
+//!   in between take the exact deadline test.
 //! - **Resources only single-hop flows cross stay out of the filling
 //!   passes.**  `add` and `remove` count, per resource, the entries of
 //!   multi-hop flows, and overall the live single-hop flows.  While
@@ -63,9 +77,9 @@
 //!   resource.  Each iteration folds the smallest pure share into the
 //!   bottleneck minimum, and after the freeze pass one scan of the list
 //!   freezes the pure resources inside the band, with the same rate and
-//!   deadline expressions.  Whether a resource freezes in an iteration
-//!   therefore does not depend on where it is visited, and the minimum
-//!   is the same minimum.
+//!   group-deadline expressions.  Whether a resource freezes in an
+//!   iteration therefore does not depend on where it is visited, and the
+//!   minimum is the same minimum.
 
 use crate::step::{Path, ResourceId, MAX_HOPS};
 use crate::time::SimTime;
@@ -88,8 +102,10 @@ struct Member {
     eps: Bytes,
     /// Rate from the last solve.
     rate: Rate,
-    /// Completion time at `rate`, from the last solve.
-    deadline: SimTime,
+    /// Residual at the last solve, 0 when it was within `eps`: with
+    /// `rate` and the solve's time it gives the flow's deadline.
+    /// Infinite until a solve freezes the flow.
+    solved: Bytes,
 }
 
 const _: () = assert!(std::mem::size_of::<Member>() == 64);
@@ -125,21 +141,35 @@ impl Member {
             remaining: Bytes::ZERO,
             eps: Bytes::ZERO,
             rate: Rate::ZERO,
-            deadline: SimTime::NEVER,
+            solved: Bytes(f64::INFINITY),
         }
     }
 }
 
-/// Completion time of a flow with `remaining` units (finished at or
-/// below `eps`) moving at `rate` from `now`.
+/// The residual a deadline is computed from: `remaining`, or 0 once it
+/// is at or below `eps` and the flow counts as finished.
 #[inline]
-fn deadline(remaining: Bytes, eps: Bytes, rate: Rate, now: SimTime) -> SimTime {
+fn residual(remaining: Bytes, eps: Bytes) -> Bytes {
     if remaining <= eps {
+        Bytes::ZERO
+    } else {
+        remaining
+    }
+}
+
+/// Completion time of a flow with `residual` units (0: finished) moving
+/// at `rate` from `now`.  Nondecreasing in `residual`: the division, the
+/// scaling to nanoseconds, the ceiling and the saturating add are each
+/// monotone.  So the earliest deadline of flows that share one rate is
+/// the deadline of their smallest residual.
+#[inline]
+fn deadline(residual: Bytes, rate: Rate, now: SimTime) -> SimTime {
+    if residual <= Bytes::ZERO {
         now
     } else if rate <= Rate::ZERO {
         SimTime::NEVER
     } else {
-        now + (remaining / rate).as_nanos()
+        now + (residual / rate).as_nanos()
     }
 }
 
@@ -202,13 +232,15 @@ fn freeze_pure(
             continue;
         }
         let list = &entries[r as usize];
+        let mut least = Bytes(f64::INFINITY);
         for &entry in list {
             let f = &mut flows[entry.key()];
             f.frozen = epoch;
             f.rate = fair;
-            f.deadline = deadline(f.remaining, f.eps, fair, now);
-            *earliest = (*earliest).min(f.deadline);
+            f.solved = residual(f.remaining, f.eps);
+            least = least.min(f.solved);
         }
+        *earliest = (*earliest).min(deadline(least, fair, now));
         *unfrozen -= list.len();
         pure.swap_remove(i);
     }
@@ -250,6 +282,11 @@ pub struct FairShare {
     /// during a solve, those that still have unfrozen flows.
     order: Vec<u32>,
     epoch: u32,
+    /// Time of the last solve.
+    solved_at: SimTime,
+    /// Earliest deadline from the last solve: no flow is due by its
+    /// deadline before it.  Zero before the first solve.
+    next_due: SimTime,
     tolerance: f64,
 }
 
@@ -313,7 +350,7 @@ impl FairShare {
             remaining: units,
             eps: Bytes(units.get() * 1e-9),
             rate: Rate::ZERO,
-            deadline: SimTime::NEVER,
+            solved: Bytes(f64::INFINITY),
         };
         self.live += 1;
     }
@@ -353,7 +390,28 @@ impl FairShare {
     /// ([`SimTime::NEVER`] while it is stalled or not yet solved).
     #[inline]
     pub fn deadline(&self, key: u32) -> SimTime {
-        self.flows[key as usize].deadline
+        self.deadline_of(&self.flows[key as usize])
+    }
+
+    /// Whether `f` has reached its deadline at `t`: the exact test
+    /// behind [`FairShare::settle`]'s screens, kept out of line since it
+    /// rarely runs.
+    #[inline(never)]
+    fn reached(&self, f: &Member, t: SimTime) -> bool {
+        self.deadline_of(f) <= t
+    }
+
+    /// The deadline the last solve implies for `f`: [`SimTime::NEVER`]
+    /// unless that solve froze it.  Each solve freezes every live flow,
+    /// so only a flow added since then reads `NEVER` for not being
+    /// frozen; epoch 0 is the state before the first solve.
+    #[inline]
+    fn deadline_of(&self, f: &Member) -> SimTime {
+        if f.frozen == self.epoch && self.epoch != 0 {
+            deadline(f.solved, f.rate, self.solved_at)
+        } else {
+            SimTime::NEVER
+        }
     }
 
     /// Units the registered flow `key` still has to move.
@@ -374,7 +432,7 @@ impl FairShare {
         self.flows
             .iter()
             .filter(|f| !f.path.is_empty())
-            .map(|f| f.deadline)
+            .map(|f| self.deadline_of(f))
             .min()
             .unwrap_or(SimTime::NEVER)
     }
@@ -403,6 +461,25 @@ impl FairShare {
         mut due: Option<&mut Vec<u32>>,
         mut credit: impl FnMut(&Path, Bytes),
     ) {
+        // Before the last solve's earliest deadline no flow is due by
+        // its deadline, so only the residual test runs.  From there on
+        // two multiplies settle almost every flow without the division
+        // of the exact test.  A flow's deadline is at or before `t`
+        // about when `solved / rate` is at most the seconds since the
+        // solve: the few roundings on either side are far inside the
+        // `1e-9` margins, so a flow past `late` is surely not due (most
+        // flows stop there), one within `early` surely is, and only the
+        // band between takes the exact test.  At `NEVER` every deadline
+        // has passed, so `late` rules nothing out.  An unsolved flow
+        // (infinite `solved`) is within neither.
+        let check_deadlines = due.is_some() && t >= self.next_due;
+        let screen = t != SimTime::NEVER;
+        let (early, late) = if check_deadlines {
+            let elapsed = t.nanos_since(self.solved_at) as f64 * 1e-9;
+            (elapsed * (1.0 - 1e-9), elapsed * (1.0 + 1e-9))
+        } else {
+            (0.0, 0.0)
+        };
         // The fluid model moves every live flow across the elapsed
         // interval; the engine's coalescing quantum bounds how often
         // this runs per event batch.
@@ -418,7 +495,12 @@ impl FairShare {
                     credit(&f.path, moved);
                 }
                 if let Some(due) = due.as_deref_mut() {
-                    if f.deadline <= t || f.remaining <= f.eps {
+                    let f = &self.flows[key];
+                    if f.remaining <= f.eps
+                        || check_deadlines
+                            && (!screen || f.solved <= f.rate.bytes_in(late))
+                            && (f.solved <= f.rate.bytes_in(early) || self.reached(f, t))
+                    {
                         due.push(key as u32);
                     }
                 }
@@ -446,6 +528,7 @@ impl FairShare {
             self.epoch = 0;
         }
         self.epoch += 1;
+        self.solved_at = now;
         let epoch = self.epoch;
         let band = 1.0 + self.tolerance + 1e-12;
         let mut unfrozen = self.live;
@@ -538,6 +621,9 @@ impl FairShare {
                 if fair > cutoff {
                     continue;
                 }
+                // Every flow frozen here moves at `fair`, so the least
+                // residual gives the group's earliest deadline.
+                let mut least = Bytes(f64::INFINITY);
                 for &entry in &entries[ri] {
                     let f = &mut flows[entry.key()];
                     if f.frozen == epoch {
@@ -545,8 +631,8 @@ impl FairShare {
                     }
                     f.frozen = epoch;
                     f.rate = fair;
-                    f.deadline = deadline(f.remaining, f.eps, fair, now);
-                    earliest = earliest.min(f.deadline);
+                    f.solved = residual(f.remaining, f.eps);
+                    least = least.min(f.solved);
                     unfrozen -= 1;
                     for &ResourceId(p) in &f.path {
                         let pi = p as usize;
@@ -554,6 +640,7 @@ impl FairShare {
                         nflows[pi] -= 1;
                     }
                 }
+                earliest = earliest.min(deadline(least, fair, now));
             }
             if !pure.is_empty() {
                 pure_min = freeze_pure(
@@ -567,6 +654,7 @@ impl FairShare {
                 );
             }
         }
+        self.next_due = earliest;
         (iters, earliest)
     }
 
@@ -780,6 +868,22 @@ mod tests {
         fs.remove(1);
         let (_, earliest) = fs.solve(&caps, t1);
         assert_eq!(earliest, SimTime::from_millis(3_500), "f0 alone at 10/s");
+    }
+
+    #[test]
+    fn every_flow_is_due_at_the_end_of_time() {
+        // At `NEVER` every deadline has passed, stalled flows and flows
+        // added since the solve included.
+        let mut fs = FairShare::new();
+        fs.add(0, path(&[0]), Bytes(1e9));
+        fs.add(1, path(&[1]), Bytes(1e9));
+        fs.solve(&[Rate(1.0), Rate(0.0)], SimTime::ZERO);
+        fs.add(2, path(&[0]), Bytes(1e9));
+        assert_eq!(fs.deadline(1), SimTime::NEVER);
+        assert_eq!(fs.deadline(2), SimTime::NEVER);
+        let mut due = Vec::new();
+        fs.settle(0.0, SimTime::NEVER, Some(&mut due), |_, _| {});
+        assert_eq!(due, [0, 1, 2]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use proptest::{TestCaseError, TestRng};
 use simkit::fairshare::FairShare;
 use simkit::slab::Slab;
 use simkit::units::{Bytes, Rate};
-use simkit::{Path, ResourceId, SimTime, MAX_HOPS};
+use simkit::{Path, ResourceId, SimTime, SplitMix64, MAX_HOPS};
 
 /// One flow of the reference, with the engine's former per-flow state.
 #[derive(Debug, Clone, Copy)]
@@ -437,6 +437,113 @@ fn pure_resources_match_the_reference() {
     assert!(
         seen.pure >= 1_000 && seen.flips >= 200,
         "pure-resource path met too rarely: {seen:?}"
+    );
+}
+
+/// Capacities from 1e-3 to 1e12 units/s and one of 0, and flows on
+/// them: one or two per resource, so rates are whole capacities or
+/// halves.  Residuals are 0, random, a whole number of nanoseconds'
+/// worth at the flow's rate (the deadline then falls on or next to a
+/// rounding of `solved / rate`), or one to a thousand seconds' worth.
+fn boundary_case(seed: u64) -> (Vec<Rate>, Vec<(u32, Bytes)>) {
+    let mut rng = SplitMix64::new(seed);
+    let mut caps = vec![Rate::ZERO];
+    for e in -3..=12 {
+        caps.push(Rate(10f64.powi(e) * (1.0 + rng.next_f64())));
+    }
+    let mut flows = Vec::new();
+    for (r, &cap) in caps.iter().enumerate() {
+        let n = 1 + rng.next_below(2) as usize;
+        let rate = cap.get() / n as f64;
+        for _ in 0..n {
+            let units = match rng.next_below(4) {
+                0 => 0.0,
+                1 => 10f64.powf(rng.next_f64() * 12.0 - 3.0),
+                2 => rate * (rng.range(1, 1_000_000_000) as f64 * 1e-9),
+                _ => rate * rng.range(1, 1_000) as f64 * (1.0 + rng.next_f64()),
+            };
+            flows.push((r as u32, Bytes(units)));
+        }
+    }
+    (caps, flows)
+}
+
+/// Both solvers with `flows` registered at time zero, then settled and
+/// solved at each of `solves`, compared at every step.
+fn solved_pair(caps: &[Rate], flows: &[(u32, Bytes)], solves: &[SimTime]) -> Pair {
+    let mut pair = Pair {
+        caps: caps.to_vec(),
+        fs: FairShare::new(),
+        reference: Reference::default(),
+        keys: Slab::new(),
+        now: SimTime::ZERO,
+        purity: Vec::new(),
+        seen: Seen::default(),
+    };
+    for &(r, units) in flows {
+        let key = pair.keys.insert(());
+        pair.fs.add(key, path(&[r]), units);
+        pair.reference.add(key, path(&[r]), units);
+    }
+    for &t in solves {
+        pair.settle_and_solve(t).unwrap();
+    }
+    pair
+}
+
+/// After `solves`, settle fresh copies at 1 ns before, at and 1 ns after
+/// every deadline, both without moving the flows (only the deadline
+/// test can make them due) and moving them across the elapsed time as
+/// the engine does, and compare the due flows with the reference.
+fn check_due_boundaries(caps: &[Rate], flows: &[(u32, Bytes)], solves: &[SimTime]) {
+    let pair = solved_pair(caps, flows, solves);
+    let mut deadlines: Vec<SimTime> = pair
+        .keys
+        .iter()
+        .map(|(k, _)| pair.fs.deadline(k))
+        .filter(|&d| d != SimTime::NEVER)
+        .collect();
+    deadlines.sort();
+    deadlines.dedup();
+    for d in deadlines {
+        for t in [SimTime(d.as_nanos() - 1), d, d + 1] {
+            for moving in [false, true] {
+                let mut pair = solved_pair(caps, flows, solves);
+                let t = t.max(pair.now);
+                let dt = if moving { t.secs_since(pair.now) } else { 0.0 };
+                let mut due = Vec::new();
+                pair.fs.settle(dt, t, Some(&mut due), |_, _| {});
+                let want = pair.reference.settle(dt, t);
+                assert_eq!(due, want, "due at {t} (deadline {d}, moving {moving})");
+            }
+        }
+    }
+}
+
+#[test]
+fn due_flows_match_the_reference_at_every_deadline_boundary() {
+    let t0 = SimTime(5_000_000_007);
+    let mut within_eps = 0;
+    for seed in 0..24 {
+        let (caps, flows) = boundary_case(seed);
+        check_due_boundaries(&caps, &flows, &[t0]);
+        // Re-solve just short of each long flow's deadline, where its
+        // residual is inside its `eps`: it is finished, so due at once.
+        let pair = solved_pair(&caps, &flows, &[t0]);
+        for (key, _) in pair.keys.iter() {
+            let d = pair.fs.deadline(key);
+            if d == SimTime::NEVER || d - t0 < 1_000_000_000 {
+                continue;
+            }
+            let t1 = t0 + ((d - t0) as f64 * (1.0 - 0.5e-9)) as u64;
+            let again = solved_pair(&caps, &flows, &[t0, t1]);
+            within_eps += (again.fs.deadline(key) == t1) as usize;
+            check_due_boundaries(&caps, &flows, &[t0, t1]);
+        }
+    }
+    assert!(
+        within_eps >= 24,
+        "residuals within eps met too rarely: {within_eps}"
     );
 }
 
