@@ -428,12 +428,13 @@ impl SpanExports {
     /// Collect every export from a scheduler that ran with spans on.
     pub fn collect(sched: &Scheduler) -> SpanExports {
         let log = sched.spans();
+        let path = critical_path(log);
         SpanExports {
             span_digest: sched.span_digest(),
             span_count: log.len(),
             chrome_json: chrome_trace_json_with_counters(log, sched.telemetry()),
-            critical_path: critical_path_report(log),
-            path: critical_path(log),
+            critical_path: critical_path_report(log, &path),
+            path,
         }
     }
 

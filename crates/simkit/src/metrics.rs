@@ -311,22 +311,22 @@ pub fn chrome_trace_json_with_counters(
     out
 }
 
-/// Render a text critical-path + latency report.
+/// Render a text critical-path + latency report from `log` and its
+/// [`critical_path`] rows, which a caller that keeps them computes once.
 ///
 /// The top section attributes wall time per `(layer, op)` along the
 /// critical path ("62.1% dfuse/write"); the bottom lists per-layer
 /// latency quantiles.  Deterministic for identical logs.
-pub fn critical_path_report(log: &SpanLog) -> String {
+pub fn critical_path_report(log: &SpanLog, path: &[PathContribution]) -> String {
     let mut out = String::new();
     let total = attributed_wall_ns(log);
-    let path = critical_path(log);
     let _ = writeln!(
         out,
         "critical path ({} attributed over {} spans):",
         SimTime::from_nanos(total),
         log.len()
     );
-    for c in &path {
+    for c in path {
         let pct = if total > 0 {
             c.self_ns as f64 * 100.0 / total as f64
         } else {
@@ -507,7 +507,7 @@ mod tests {
     #[test]
     fn report_mentions_dominant_layer() {
         let log = demo_log();
-        let rep = critical_path_report(&log);
+        let rep = critical_path_report(&log, &critical_path(&log));
         assert!(rep.contains("critical path"));
         assert!(rep.contains("libdaos/update"));
         assert!(rep.contains("40.0%"), "{rep}");
