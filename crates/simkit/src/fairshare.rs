@@ -13,9 +13,10 @@
 //! next to its fluid state (units remaining, completion residual, rate,
 //! residual at the last solve) under the engine's slab key, in one
 //! cache line, so a re-solve, a settlement and the due scan each read
-//! one record per flow.  Slab keys are reused, so the table can be mostly vacant after
-//! a burst of flows; a bitmap of live keys lets the passes over every
-//! flow skip the vacant records in ascending key order.
+//! one record per flow.  Slab keys are reused, so the table can be
+//! mostly vacant after a burst of flows; a bitmap of live keys lets the
+//! passes over every flow skip the vacant records in ascending key
+//! order.
 //!
 //! The solver keeps the flow–resource incidence across solves: a flow
 //! is registered once with [`FairShare::add`] when it starts and
@@ -50,12 +51,13 @@
 //!   their relative order.
 //! - **One deadline per freeze group.**  A flow's deadline depends only
 //!   on its settled residual, its new rate and `now`, and every flow a
-//!   resource freezes gets the same rate.  The deadline is nondecreasing
-//!   in the residual (division, scaling, ceiling and saturating add are
-//!   each monotone), so the group's earliest deadline
-//!   is the deadline of its least residual: the freeze tracks that
-//!   minimum and divides once per resource, not once per flow.  The
-//!   earliest deadline is a minimum, which no visiting order can change.
+//!   resource freezes gets the same rate.  The deadline is
+//!   nondecreasing in the residual (division, scaling, ceiling and
+//!   saturating add are each monotone), so the group's earliest
+//!   deadline is the deadline of its least residual: the freeze tracks
+//!   that minimum and divides once per resource, not once per flow.
+//!   The earliest deadline is a minimum, which no visiting order can
+//!   change.
 //! - **Per-flow deadlines on demand.**  A flow keeps only its residual
 //!   at the solve (`solved`); [`FairShare::deadline`] derives the
 //!   deadline from it, the rate and the solve's time with the same
