@@ -179,12 +179,6 @@ pub struct Scheduler {
     timer_seq: u64,
     completions: VecDeque<OpId>,
     rates_dirty: bool,
-    /// Earliest flow deadline, returned by the solve in
-    /// `recompute_rates`; exact whenever `rates_dirty` is false
-    /// (deadlines only change inside a solve, and every flow
-    /// insert/remove sets the dirty bit), so `next_event_time` reads it
-    /// instead of scanning every flow.
-    flow_deadline_min: SimTime,
     /// Reused buffer for the keys of flows completing in one event batch
     /// (`fire_events_at`); keeps the hot loop allocation-free.
     done_scratch: Vec<u32>,
@@ -235,7 +229,6 @@ impl Scheduler {
             timer_seq: 0,
             completions: VecDeque::new(),
             rates_dirty: false,
-            flow_deadline_min: SimTime::NEVER,
             done_scratch: Vec::new(),
             fair: FairShare::new(),
             monitor: Monitor::disabled(),
@@ -738,7 +731,7 @@ impl Scheduler {
         self.settle_to(self.now);
         self.stat_recomputes += 1;
         self.stat_flow_visits += self.fair.len() as u64;
-        let (fill_iters, earliest) = self.fair.solve(&self.caps, self.now);
+        let (fill_iters, _) = self.fair.solve(&self.caps, self.now);
         let fill_iters = fill_iters as u64;
         self.stat_fill_iters += fill_iters;
         if let Some(ids) = self.tel_ids {
@@ -746,21 +739,20 @@ impl Scheduler {
             self.telemetry
                 .counter_add(ids.fill_iters, self.now, fill_iters);
         }
-        self.flow_deadline_min = earliest;
         self.rates_dirty = false;
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
         let t_timer = self.timers.peek().map(|Reverse(t)| t.at);
-        // Deadlines only move inside `recompute_rates`, which also
-        // refreshes the cached minimum; with a clean rate state the cache
-        // is exact and the per-event O(flows) scan is gone.  The dirty
-        // fallback never runs from `run_for` (it recomputes first) but
-        // keeps direct callers correct.
+        // Deadlines only move inside a solve, and every flow insert or
+        // remove sets the dirty bit, so with a clean rate state the
+        // solve's earliest deadline is exact and the per-event O(flows)
+        // scan is gone.  The dirty fallback never runs from `run_for`
+        // (it recomputes first) but keeps direct callers correct.
         let t_flow = if self.rates_dirty {
             self.fair.earliest_deadline()
         } else {
-            self.flow_deadline_min
+            self.fair.next_due()
         };
         let t_flow = Some(t_flow).filter(|&d| d != SimTime::NEVER);
         match (t_timer, t_flow) {

@@ -64,10 +64,10 @@
 //!   expression, so it reads what a stored one would.
 //! - **Settlements test deadlines only when one can have passed.**
 //!   Before the last solve's earliest deadline no flow is due by its
-//!   deadline.  From there on two multiplies, with relative margins of
-//!   `1e-9` either side of the time since the solve, find the flows
-//!   that are surely due and those that surely are not; only the few
-//!   in between take the exact deadline test.
+//!   deadline.  From there on one multiply, with a relative margin of
+//!   `1e-9` over the time since the solve, rules out the flows that are
+//!   surely not due; only the few within it take the exact deadline
+//!   test.
 //! - **Resources only single-hop flows cross stay out of the filling
 //!   passes.**  `add` and `remove` count, per resource, the entries of
 //!   multi-hop flows, and overall the live single-hop flows.  While
@@ -251,7 +251,7 @@ fn freeze_pure(
 
 /// Max-min fair-share solver over a persistent set of flows, and the
 /// fluid state of each.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FairShare {
     /// Per-flow state indexed by key, up to the key high-water mark.
     flows: Vec<Member>,
@@ -287,15 +287,40 @@ pub struct FairShare {
     /// Time of the last solve.
     solved_at: SimTime,
     /// Earliest deadline from the last solve: no flow is due by its
-    /// deadline before it.  Zero before the first solve.
+    /// deadline before it.
     next_due: SimTime,
     tolerance: f64,
+}
+
+impl Default for FairShare {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FairShare {
     /// Fresh solver with no flows.
     pub fn new() -> Self {
-        FairShare::default()
+        FairShare {
+            flows: Vec::new(),
+            keys: Vec::new(),
+            slots: Vec::new(),
+            live: 0,
+            entries: Vec::new(),
+            crossed: 0,
+            multi: Vec::new(),
+            single: 0,
+            pure: Vec::new(),
+            last_pure: 0,
+            rem: Vec::new(),
+            nflows: Vec::new(),
+            stamp: Vec::new(),
+            order: Vec::new(),
+            epoch: 0,
+            solved_at: SimTime::ZERO,
+            next_due: SimTime::NEVER,
+            tolerance: 0.0,
+        }
     }
 
     /// Number of registered flows.
@@ -395,14 +420,6 @@ impl FairShare {
         self.deadline_of(&self.flows[key as usize])
     }
 
-    /// Whether `f` has reached its deadline at `t`: the exact test
-    /// behind [`FairShare::settle`]'s screens, kept out of line since it
-    /// rarely runs.
-    #[inline(never)]
-    fn reached(&self, f: &Member, t: SimTime) -> bool {
-        self.deadline_of(f) <= t
-    }
-
     /// The deadline the last solve implies for `f`: [`SimTime::NEVER`]
     /// unless that solve froze it.  Each solve freezes every live flow,
     /// so only a flow added since then reads `NEVER` for not being
@@ -426,6 +443,14 @@ impl FairShare {
     /// passes: those that only single-hop flows cross.
     pub fn pure_resources(&self) -> usize {
         self.last_pure
+    }
+
+    /// Earliest deadline the last solve returned ([`SimTime::NEVER`]
+    /// before the first solve).  It may belong to a flow removed since
+    /// then; [`FairShare::earliest_deadline`] scans the live flows.
+    #[inline]
+    pub fn next_due(&self) -> SimTime {
+        self.next_due
     }
 
     /// Earliest deadline of any registered flow ([`SimTime::NEVER`] when
@@ -465,22 +490,18 @@ impl FairShare {
     ) {
         // Before the last solve's earliest deadline no flow is due by
         // its deadline, so only the residual test runs.  From there on
-        // two multiplies settle almost every flow without the division
+        // one multiply rules out almost every flow before the division
         // of the exact test.  A flow's deadline is at or before `t`
-        // about when `solved / rate` is at most the seconds since the
-        // solve: the few roundings on either side are far inside the
-        // `1e-9` margins, so a flow past `late` is surely not due (most
-        // flows stop there), one within `early` surely is, and only the
-        // band between takes the exact test.  At `NEVER` every deadline
-        // has passed, so `late` rules nothing out.  An unsolved flow
-        // (infinite `solved`) is within neither.
+        // only when `solved / rate` is at most the seconds since the
+        // solve up to a few roundings, far inside the `1e-9` margin, so
+        // a flow past `late` is surely not due.  At `NEVER` every
+        // deadline has passed, so `late` rules nothing out.
         let check_deadlines = due.is_some() && t >= self.next_due;
         let screen = t != SimTime::NEVER;
-        let (early, late) = if check_deadlines {
-            let elapsed = t.nanos_since(self.solved_at) as f64 * 1e-9;
-            (elapsed * (1.0 - 1e-9), elapsed * (1.0 + 1e-9))
+        let late = if check_deadlines {
+            t.nanos_since(self.solved_at) as f64 * 1e-9 * (1.0 + 1e-9)
         } else {
-            (0.0, 0.0)
+            0.0
         };
         // The fluid model moves every live flow across the elapsed
         // interval; the engine's coalescing quantum bounds how often
@@ -501,7 +522,7 @@ impl FairShare {
                     if f.remaining <= f.eps
                         || check_deadlines
                             && (!screen || f.solved <= f.rate.bytes_in(late))
-                            && (f.solved <= f.rate.bytes_in(early) || self.reached(f, t))
+                            && self.deadline_of(f) <= t
                     {
                         due.push(key as u32);
                     }
